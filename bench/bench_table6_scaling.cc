@@ -1,9 +1,10 @@
 // Reproduces Table 6: execution times on the largest graph (Yahoo
 // surrogate) across core counts. The paper compares 32 vs 96 cores on
-// r5.24xlarge; this container exposes a single core, so the sweep varies
-// the thread-pool width {1, 2, 4} over the same harness — demonstrating the
-// paper's observation that GB-Reset gains more from added parallelism than
-// GraphBolt (which has little work left to parallelize).
+// r5.24xlarge; this sweep varies the thread-pool width {1, 2, 4} over the
+// same harness, on as many real cores as the machine has (the committed
+// baseline comes from a 4-vCPU VM). The paper's observation to check is
+// that GB-Reset gains more from added cores than GraphBolt, which has
+// little work left to parallelize.
 #include <cstdio>
 #include <vector>
 
@@ -50,7 +51,8 @@ Row RunRow(const StreamSplit& split, const Algo& algo, const std::vector<Mutatio
 void Run() {
   PrintHeader(
       "Table 6: per-batch times (ms) on the Yahoo surrogate across thread\n"
-      "counts (paper: 32 vs 96 cores; here: pool width 1/2/4 on one core).");
+      "counts (paper: 32 vs 96 cores; here: pool width 1/2/4, one thread\n"
+      "per core on a machine with at least 4 cores).");
 
   StreamSplit split = MakeStream(kYahoo, /*weighted=*/true);
   const auto batches = MakeBatches(split, 2, {.size = 100, .add_fraction = 0.6}, 141);
@@ -112,10 +114,12 @@ void Run() {
   }
 
   std::printf(
-      "\nExpected shape (Table 6): GraphBolt fastest at every width; its\n"
-      "speedup over GB-Reset is largest at low parallelism, since GB-Reset\n"
-      "has more parallelizable work to recover (on real multi-core hardware\n"
-      "added threads shrink the gap, as the paper reports).\n");
+      "\nExpected shape (Table 6): GraphBolt fastest at every width. The\n"
+      "paper reports added cores shrinking its lead over GB-Reset, which has\n"
+      "more parallelizable work to recover; TC shows that here. PR/CoEM/LP\n"
+      "refine dense levels in an atomic-free pull sweep that scales with\n"
+      "cores, so their lead can grow instead. With fewer cores than threads\n"
+      "the wider rows only add scheduling noise.\n");
 }
 
 }  // namespace

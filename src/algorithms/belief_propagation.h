@@ -84,6 +84,14 @@ class BeliefPropagation {
     }
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const {
+    for (int s = 0; s < kStates; ++s) (*agg)[s] += c[s];
+  }
+
+  void RetractOwned(Aggregate* agg, const Contribution& c) const {
+    for (int s = 0; s < kStates; ++s) (*agg)[s] -= c[s];
+  }
+
   Value VertexCompute(VertexId /*v*/, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     // Softmax: normalized product of the aggregated (log) messages.
     double max_log = agg[0];

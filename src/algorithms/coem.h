@@ -58,6 +58,8 @@ class CoEM {
 
   void AggregateAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, c); }
   void RetractAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, -c); }
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { *agg += c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { *agg -= c; }
 
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& ctx) const {
     if (IsSeed(v)) {

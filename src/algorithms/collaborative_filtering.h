@@ -84,6 +84,14 @@ class CollaborativeFiltering {
     }
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const {
+    for (size_t i = 0; i < c.size(); ++i) (*agg)[i] += c[i];
+  }
+
+  void RetractOwned(Aggregate* agg, const Contribution& c) const {
+    for (size_t i = 0; i < c.size(); ++i) (*agg)[i] -= c[i];
+  }
+
   // Solves (M + λI) x = b with Gaussian elimination and partial pivoting.
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& ctx) const {
     if (ctx.in_degree == 0) {

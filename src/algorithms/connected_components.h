@@ -45,6 +45,9 @@ class ConnectedComponents {
     GB_CHECK(false) << "min aggregation is non-decomposable; retraction is undefined";
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { if (c < *agg) *agg = c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { RetractAtomic(agg, c); }
+
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     const Value own = static_cast<Value>(v);
     return agg < own ? agg : own;

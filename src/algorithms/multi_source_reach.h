@@ -58,6 +58,9 @@ class MultiSourceReach {
     GB_CHECK(false) << "bitwise OR is non-decomposable; retraction is undefined";
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { *agg |= c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { RetractAtomic(agg, c); }
+
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     return agg | SeedMask(v);
   }

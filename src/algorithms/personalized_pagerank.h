@@ -62,6 +62,8 @@ class PersonalizedPageRank {
 
   void AggregateAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, c); }
   void RetractAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, -c); }
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { *agg += c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { *agg -= c; }
 
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     return (1.0 - damping_) * Teleport(v) + damping_ * agg;

@@ -50,6 +50,9 @@ class Sssp {
     GB_CHECK(false) << "min aggregation is non-decomposable; retraction is undefined";
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { if (c < *agg) *agg = c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { RetractAtomic(agg, c); }
+
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     return v == source_ ? 0.0 : agg;
   }
@@ -91,6 +94,9 @@ class Bfs {
   void RetractAtomic(Aggregate* /*agg*/, const Contribution& /*c*/) const {
     GB_CHECK(false) << "min aggregation is non-decomposable; retraction is undefined";
   }
+
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { if (c < *agg) *agg = c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { RetractAtomic(agg, c); }
 
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     return v == source_ ? 0.0 : agg;

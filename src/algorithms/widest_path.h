@@ -47,6 +47,9 @@ class WidestPath {
     GB_CHECK(false) << "max aggregation is non-decomposable; retraction is undefined";
   }
 
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { if (*agg < c) *agg = c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { RetractAtomic(agg, c); }
+
   Value VertexCompute(VertexId v, const Aggregate& agg, const VertexContext& /*ctx*/) const {
     return v == source_ ? kInfiniteCapacity : agg;
   }

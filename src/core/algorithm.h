@@ -6,7 +6,10 @@
 //
 // The algorithm supplies the aggregation operator ⊕ (`AggregateAtomic`),
 // its inverse ⋃- (`RetractAtomic`), the per-edge contribution function, and
-// the vertex function ∮ (`VertexCompute`). The engines derive everything
+// the vertex function ∮ (`VertexCompute`). `AggregateOwned`/`RetractOwned`
+// are the same arithmetic without atomics, for cells the calling task is
+// the only writer of (pull accumulators, dense refinement sweeps); they
+// produce the same bits as their atomic twins. The engines derive everything
 // else: Ligra-style restart processing, GB-Reset delta processing, and
 // GraphBolt dependency-driven refinement all run the *same* algorithm
 // struct.
@@ -106,6 +109,8 @@ concept GraphAlgorithm = requires(const A algo, typename A::Aggregate* agg,
   { algo.ContributionOf(v, value, w, ctx) } -> std::same_as<typename A::Contribution>;
   { algo.AggregateAtomic(agg, contribution) };
   { algo.RetractAtomic(agg, contribution) };
+  { algo.AggregateOwned(agg, contribution) };
+  { algo.RetractOwned(agg, contribution) };
   { algo.VertexCompute(v, agg_const, ctx) } -> std::same_as<typename A::Value>;
   { algo.ValuesDiffer(value, value) } -> std::same_as<bool>;
 };

@@ -21,6 +21,7 @@
 #define SRC_CORE_COMPACT_DEPENDENCY_STORE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <type_traits>
@@ -91,28 +92,27 @@ class CompactDependencyStore {
     GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
     ParallelFor(0, targets.size(), [&](size_t i) {
       const VertexId v = targets.members()[i];
-      auto& h = history_[v];
-      if (h.size() > level) {
-        // Interior write: the suffix beyond `level` is stored explicitly.
-        h[level - 1] = scratch[v];
-        return;
-      }
-      // The write lands on (or beyond) the last stored entry, which anchors
-      // the clamp for every pruned level after it. Those levels were NOT
-      // refined here, so the old stable value must be re-materialized as a
-      // guard entry right after the refined one — otherwise reads of later
-      // levels would see the refined value instead of the truth.
-      const AggregateT stable = h.empty() ? scratch[v] : h.back();
-      while (h.size() + 1 < level) {
-        h.push_back(stable);  // eliminate holes below the refined level
-      }
-      if (h.size() == level) {
-        h.back() = scratch[v];
-      } else {
-        h.push_back(scratch[v]);
-      }
-      if (level < tracked_levels_ && !(scratch[v] == stable)) {
-        h.push_back(stable);
+      CommitOne(level, v, scratch[v]);
+    }, /*grain=*/256);
+  }
+
+  // Whole-level forms, for refinement levels dense enough to sweep every
+  // vertex. The commit writes only the cells whose bits changed: rewriting
+  // an unchanged cell could only add entries RepruneTails drops again.
+  void MaterializeLevel(uint32_t level, std::vector<AggregateT>* scratch) const {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    scratch->resize(num_vertices_);
+    ParallelFor(0, num_vertices_, [&](size_t v) {
+      (*scratch)[v] = At(level, static_cast<VertexId>(v));
+    }, /*grain=*/512);
+  }
+
+  void CommitLevel(uint32_t level, const std::vector<AggregateT>& scratch) {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    ParallelFor(0, num_vertices_, [&](size_t vi) {
+      const VertexId v = static_cast<VertexId>(vi);
+      if (std::memcmp(&scratch[v], &At(level, v), sizeof(AggregateT)) != 0) {
+        CommitOne(level, v, scratch[v]);
       }
     }, /*grain=*/256);
   }
@@ -253,6 +253,33 @@ class CompactDependencyStore {
   }
 
  private:
+  // Writes one refined aggregation back (see CommitLevel).
+  void CommitOne(uint32_t level, VertexId v, const AggregateT& value) {
+    auto& h = history_[v];
+    if (h.size() > level) {
+      // Interior write: the suffix beyond `level` is stored explicitly.
+      h[level - 1] = value;
+      return;
+    }
+    // The write lands on (or beyond) the last stored entry, which anchors
+    // the clamp for every pruned level after it. Those levels were NOT
+    // refined here, so the old stable value must be re-materialized as a
+    // guard entry right after the refined one — otherwise reads of later
+    // levels would see the refined value instead of the truth.
+    const AggregateT stable = h.empty() ? value : h.back();
+    while (h.size() + 1 < level) {
+      h.push_back(stable);  // eliminate holes below the refined level
+    }
+    if (h.size() == level) {
+      h.back() = value;
+    } else {
+      h.push_back(value);
+    }
+    if (level < tracked_levels_ && !(value == stable)) {
+      h.push_back(stable);
+    }
+  }
+
   // Appends level `level`'s value during the initial run, pruning when the
   // value matches the stored tail.
   void AppendLevel(VertexId v, uint32_t level, const AggregateT& value) {

@@ -13,8 +13,9 @@
 //                  in-neighborhood under a given value assignment.
 //
 // Extracting them here keeps the two modes numerically identical edge by
-// edge: an async step propagating a delta along (u, w) executes exactly the
-// instruction sequence the BSP transitive-impact pass would, so the async
+// edge: an async step propagating a delta along (u, w) computes exactly the
+// arithmetic the BSP transitive-impact pass would (atomically when it
+// pushes, plainly when a dense level pulls), so the async
 // fixed point coincides with the BSP fixed point for decomposable
 // aggregations (PAPERS.md: Maiter's accumulative iterative computation).
 #ifndef SRC_CORE_DELTA_KERNEL_H_
@@ -36,20 +37,23 @@ struct DeltaKernel {
   // Applies one change (retract old / aggregate new, or a combined delta) to
   // a target aggregation cell. `use_retract_propagate` forces the two-call
   // pair even when the algorithm offers a combined delta (the GraphBolt-RP
-  // ablation of §5.4A).
+  // ablation of §5.4A). `kOwned` selects the plain-arithmetic operations for
+  // a cell the calling task is the only writer of; the default is atomic,
+  // for scatters where several tasks may hit one cell.
+  template <bool kOwned = false>
   static void PushChange(const Algo& algo, bool use_retract_propagate, VertexId u,
                          const Value& old_value, const Value& new_value, Weight w,
                          const VertexContext& old_ctx, const VertexContext& new_ctx,
                          Aggregate* agg) {
     if constexpr (HasDeltaContribution<Algo>) {
       if (!use_retract_propagate) {
-        algo.AggregateAtomic(agg,
-                             algo.DeltaContribution(u, old_value, new_value, w, old_ctx, new_ctx));
+        Accumulate<kOwned>(algo, agg,
+                           algo.DeltaContribution(u, old_value, new_value, w, old_ctx, new_ctx));
         return;
       }
     }
-    algo.RetractAtomic(agg, algo.ContributionOf(u, old_value, w, old_ctx));
-    algo.AggregateAtomic(agg, algo.ContributionOf(u, new_value, w, new_ctx));
+    Retract<kOwned>(algo, agg, algo.ContributionOf(u, old_value, w, old_ctx));
+    Accumulate<kOwned>(algo, agg, algo.ContributionOf(u, new_value, w, new_ctx));
   }
 
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals` under
@@ -62,10 +66,31 @@ struct DeltaKernel {
     const auto in_wts = graph.InWeights(v);
     for (size_t i = 0; i < in_nbrs.size(); ++i) {
       const VertexId u = in_nbrs[i];
-      algo.AggregateAtomic(&agg, algo.ContributionOf(u, vals[u], in_wts[i], contexts[u]));
+      algo.AggregateOwned(&agg, algo.ContributionOf(u, vals[u], in_wts[i], contexts[u]));
     }
     *edge_counter += in_nbrs.size();
     return agg;
+  }
+
+ private:
+  using Contribution = typename Algo::Contribution;
+
+  template <bool kOwned>
+  static void Accumulate(const Algo& algo, Aggregate* agg, const Contribution& c) {
+    if constexpr (kOwned) {
+      algo.AggregateOwned(agg, c);
+    } else {
+      algo.AggregateAtomic(agg, c);
+    }
+  }
+
+  template <bool kOwned>
+  static void Retract(const Algo& algo, Aggregate* agg, const Contribution& c) {
+    if constexpr (kOwned) {
+      algo.RetractOwned(agg, c);
+    } else {
+      algo.RetractAtomic(agg, c);
+    }
   }
 };
 

@@ -16,6 +16,7 @@
 #ifndef SRC_CORE_DEPENDENCY_STORE_H_
 #define SRC_CORE_DEPENDENCY_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -165,6 +166,19 @@ class DependencyStore {
       const VertexId v = targets.members()[i];
       destination[v] = scratch[v];
     }, /*grain=*/512);
+  }
+
+  // Whole-level forms of the pair above, for refinement levels dense enough
+  // to sweep every vertex: the scratch receives (and returns) all cells.
+  void MaterializeLevel(uint32_t level, std::vector<AggregateT>* scratch) const {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    *scratch = levels_[level - 1];
+  }
+
+  void CommitLevel(uint32_t level, const std::vector<AggregateT>& scratch) {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    auto& destination = levels_[level - 1];
+    std::copy_n(scratch.begin(), destination.size(), destination.begin());
   }
 
   // Storage compaction hook (no-op for the dense store; the compact store

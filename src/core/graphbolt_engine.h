@@ -19,6 +19,12 @@
 // retracts (old value, old context) and aggregates (new value, new context)
 // so the sum telescopes to exactly the new graph's aggregation.
 //
+// Each level picks its direction with Ligra's rule (PreferPull): a sparse
+// frontier pushes its changes to its out-neighbours with atomic adds; a
+// dense one is pulled in a single sweep in which every vertex folds in the
+// changes of its frontier in-neighbours, with plain adds into the cell it
+// owns, and settles its value in the same visit.
+//
 // Past the tracked history (horizontal pruning) the engine switches to
 // computation-aware hybrid execution (§4.2): selective pull-recomputation
 // seeded by the per-iteration changed-vertex bit vectors recorded during the
@@ -49,6 +55,7 @@
 #include "src/core/delta_kernel.h"
 #include "src/core/dependency_store.h"
 #include "src/core/streaming_engine.h"
+#include "src/engine/edge_map.h"  // PreferPull
 #include "src/engine/reset_engine.h"  // HasDeltaContribution
 #include "src/engine/stats.h"
 #include "src/engine/vertex_subset.h"
@@ -630,13 +637,15 @@ class GraphBoltEngine {
   };
 
   // Epoch-stamped per-level scratch recording the old and new values of
-  // every vertex touched while refining one level. Two instances alternate
-  // between consecutive levels, giving O(1) old/new value lookups without
-  // hashing.
+  // every vertex touched while refining one level, and which of them the
+  // level hands on as changed contributors (`frontier`). Two instances
+  // alternate between consecutive levels, giving O(1) old/new value lookups
+  // without hashing; a dense level's sweep reads its sources from them.
   struct LevelScratch {
     std::vector<Value> old_values;
     std::vector<Value> new_values;
     std::vector<uint32_t> stamps;
+    AtomicBitset frontier;
     uint32_t epoch = 0;
 
     void Prepare(VertexId n) {
@@ -645,13 +654,21 @@ class GraphBoltEngine {
         old_values.resize(n);
         new_values.resize(n);
       }
-      ++epoch;
+      if (++epoch == 0) {  // wrapped: forget every stale stamp
+        std::fill(stamps.begin(), stamps.end(), 0);
+        epoch = 1;
+      }
+      if (frontier.size() != n) {
+        frontier.Resize(n);
+      } else {
+        frontier.ClearAll();
+      }
     }
     bool Has(VertexId v) const { return stamps[v] == epoch; }
-    void Record(VertexId v, const Value& old_value) {
+    void Record(VertexId v, const Value& old_value, const Value& new_value) {
       stamps[v] = epoch;
       old_values[v] = old_value;
-      new_values[v] = old_value;
+      new_values[v] = new_value;
     }
   };
 
@@ -665,15 +682,7 @@ class GraphBoltEngine {
     ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
       uint64_t local_edges = 0;
       for (size_t vi = lo; vi < hi; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const auto in_nbrs = graph_->InNeighbors(v);
-        const auto in_wts = graph_->InWeights(v);
-        for (size_t i = 0; i < in_nbrs.size(); ++i) {
-          const VertexId u = in_nbrs[i];
-          algo_.AggregateAtomic(&aggregates_[vi],
-                                algo_.ContributionOf(u, values_[u], in_wts[i], contexts_[u]));
-        }
-        local_edges += in_nbrs.size();
+        aggregates_[vi] = PullAggregate(static_cast<VertexId>(vi), values_, &local_edges);
       }
       edges.fetch_add(local_edges, std::memory_order_relaxed);
     });
@@ -727,6 +736,9 @@ class GraphBoltEngine {
       stats_.edges_processed += edges.load();
       return CommitIteration(targets);
     } else {
+      if (PullPays(frontier, [](const auto& entry) { return entry.first; })) {
+        return TrackedIterationPull(frontier);
+      }
       ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
         uint64_t local_edges = 0;
         for (size_t i = lo; i < hi; ++i) {
@@ -748,6 +760,56 @@ class GraphBoltEngine {
     }
   }
 
+  // Dense direction of TrackedIteration: every vertex pulls the changes of
+  // its frontier in-neighbours into its own aggregation cell, in in-edge
+  // order, and commits its value in the same visit. The sources' old and
+  // new values are staged in a LevelScratch first, so the in-place commit
+  // of values_ never races with a read of them.
+  std::vector<std::pair<VertexId, Value>> TrackedIterationPull(
+      const std::vector<std::pair<VertexId, Value>>& frontier) {
+    const VertexId n = graph_->num_vertices();
+    LevelScratch& sources = value_scratch_[0];
+    sources.Prepare(n);
+    ParallelFor(0, frontier.size(), [&](size_t i) {
+      const auto& [u, old_value] = frontier[i];
+      sources.Record(u, old_value, values_[u]);
+      sources.frontier.Set(u);
+    }, /*grain=*/256);
+
+    AtomicBitset changed_bits(n);
+    std::vector<std::pair<VertexId, Value>> changed;
+    std::mutex merge;
+    std::atomic<uint64_t> edges{0};
+    ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+      std::vector<std::pair<VertexId, Value>> local;
+      uint64_t local_edges = 0;
+      for (size_t vi = lo; vi < hi; ++vi) {
+        const VertexId v = static_cast<VertexId>(vi);
+        if (PullChanges(v, sources, contexts_, &aggregates_[v], &local_edges)) {
+          CommitValue(v, &changed_bits, &local);
+        }
+      }
+      edges.fetch_add(local_edges, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(merge);
+      changed.insert(changed.end(), local.begin(), local.end());
+    }, /*grain=*/512);
+    stats_.edges_processed += edges.load();
+    store_.SnapshotLevel(store_.total_levels() + 1, aggregates_, std::move(changed_bits));
+    return changed;
+  }
+
+  // Recomputes v's value from its aggregation; when it moved, marks v
+  // changed and records its pre-change value in `changed`.
+  void CommitValue(VertexId v, AtomicBitset* changed_bits,
+                   std::vector<std::pair<VertexId, Value>>* changed) {
+    const Value next = algo_.VertexCompute(v, aggregates_[v], contexts_[v]);
+    if (algo_.ValuesDiffer(values_[v], next)) {
+      changed_bits->Set(v);
+      changed->emplace_back(v, values_[v]);
+      values_[v] = next;
+    }
+  }
+
   // Computes new values for `targets`, snapshots the level (aggregates +
   // changed bits), and returns the changed set.
   std::vector<std::pair<VertexId, Value>> CommitIteration(const VertexSubset& targets) {
@@ -755,14 +817,6 @@ class GraphBoltEngine {
     AtomicBitset changed_bits(n);
     std::vector<std::pair<VertexId, Value>> changed;
     std::mutex merge;
-    const auto commit_one = [&](VertexId v, std::vector<std::pair<VertexId, Value>>* local) {
-      const Value next = algo_.VertexCompute(v, aggregates_[v], contexts_[v]);
-      if (algo_.ValuesDiffer(values_[v], next)) {
-        changed_bits.Set(v);
-        local->emplace_back(v, values_[v]);
-        values_[v] = next;
-      }
-    };
     if (targets.dense_only()) {
       // Fused-dense targets (TakeAuto): sweep the bitset instead of
       // forcing the sparse pack. Ascending like the member walk, so a
@@ -773,7 +827,7 @@ class GraphBoltEngine {
         for (size_t vi = lo; vi < hi; ++vi) {
           const VertexId v = static_cast<VertexId>(vi);
           if (bits.Test(v)) {
-            commit_one(v, &local);
+            CommitValue(v, &changed_bits, &local);
           }
         }
         std::lock_guard<std::mutex> lock(merge);
@@ -783,7 +837,7 @@ class GraphBoltEngine {
       ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
         std::vector<std::pair<VertexId, Value>> local;
         for (size_t i = lo; i < hi; ++i) {
-          commit_one(targets.members()[i], &local);
+          CommitValue(targets.members()[i], &changed_bits, &local);
         }
         std::lock_guard<std::mutex> lock(merge);
         changed.insert(changed.end(), local.begin(), local.end());
@@ -796,7 +850,8 @@ class GraphBoltEngine {
   // ----- Refinement ---------------------------------------------------------
 
   // Applies one change (retract old / aggregate new, or a combined delta) to
-  // a target aggregation cell. Shared with the async mode via DeltaKernel.
+  // a target aggregation cell other tasks may hit too. Shared with the async
+  // mode via DeltaKernel.
   void PushChange(VertexId u, const Value& old_value, const Value& new_value, Weight w,
                   const VertexContext& old_ctx, const VertexContext& new_ctx, Aggregate* agg) {
     DeltaKernel<Algo>::PushChange(algo_, options_.use_retract_propagate, u, old_value,
@@ -806,6 +861,41 @@ class GraphBoltEngine {
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals`.
   Aggregate PullAggregate(VertexId v, const std::vector<Value>& vals, uint64_t* edge_counter) {
     return DeltaKernel<Algo>::PullAggregate(algo_, *graph_, contexts_, v, vals, edge_counter);
+  }
+
+  // Ligra's direction rule (PreferPull) over a frontier list: pull when the
+  // frontier's out-edges exceed |E|/20.
+  template <typename Entry, typename IdOf>
+  bool PullPays(const std::vector<Entry>& frontier, IdOf id_of) const {
+    const uint64_t frontier_edges = ParallelReduceSum<uint64_t>(0, frontier.size(), [&](size_t i) {
+      return static_cast<uint64_t>(graph_->OutDegree(id_of(frontier[i])));
+    });
+    return PreferPull(frontier_edges, graph_->num_edges());
+  }
+
+  // The pull form of the push loops: folds the change of every in-neighbour
+  // of v marked in `sources.frontier` (old → new value, old → new context)
+  // into v's cell, in in-edge order. The caller is the cell's only writer.
+  // Counts one processed edge per change applied, like the push it
+  // replaces, and returns whether v had any frontier in-neighbour.
+  bool PullChanges(VertexId v, const LevelScratch& sources,
+                   const std::vector<VertexContext>& old_contexts, Aggregate* agg,
+                   uint64_t* edge_counter) const {
+    const auto in_nbrs = graph_->InNeighbors(v);
+    const auto in_wts = graph_->InWeights(v);
+    uint64_t pulled = 0;
+    for (size_t e = 0; e < in_nbrs.size(); ++e) {
+      const VertexId u = in_nbrs[e];
+      if (!sources.frontier.Test(u)) {
+        continue;
+      }
+      DeltaKernel<Algo>::template PushChange</*kOwned=*/true>(
+          algo_, options_.use_retract_propagate, u, sources.old_values[u], sources.new_values[u],
+          in_wts[e], old_contexts[u], contexts_[u], agg);
+      ++pulled;
+    }
+    *edge_counter += pulled;
+    return pulled > 0;
   }
 
   // c_{level}(v) in the *pre-mutation* run. `prev` holds snapshotted old
@@ -856,35 +946,41 @@ class GraphBoltEngine {
     const uint32_t orig_total = store_.total_levels();
 
     // Contributors whose context changed: their contribution along every
-    // out-edge changes even if their value does not.
+    // out-edge changes even if their value does not. The mutated edges'
+    // targets are the direct targets of every level.
     AtomicBitset ctx_changed_bits(n);
+    AtomicBitset direct_targets(n);
     std::vector<VertexId> ctx_changed;
-    auto note_endpoint = [&](VertexId v) {
-      if (!(old_contexts[v] == contexts_[v]) && ctx_changed_bits.Set(v)) {
-        ctx_changed.push_back(v);
+    auto note_edge = [&](const Edge& e) {
+      for (const VertexId v : {e.src, e.dst}) {
+        if (!(old_contexts[v] == contexts_[v]) && ctx_changed_bits.Set(v)) {
+          ctx_changed.push_back(v);
+        }
       }
+      direct_targets.Set(e.dst);
     };
     for (const Edge& e : applied.added) {
-      note_endpoint(e.src);
-      note_endpoint(e.dst);
+      note_edge(e);
     }
     for (const Edge& e : applied.deleted) {
-      note_endpoint(e.src);
-      note_endpoint(e.dst);
+      note_edge(e);
     }
 
-    // Level-0 frontier: only context-changed vertices can differ.
+    // Level-0 frontier: only context-changed vertices can differ. Its
+    // scratch stands in for "level 0" and holds just those vertices.
+    LevelScratch* scratch = value_scratch_;
+    scratch[0].Prepare(n);
     std::vector<FrontierEntry> frontier;
     for (const VertexId v : ctx_changed) {
       frontier.push_back({v, algo_.InitialValue(v, old_contexts[v]),
                           algo_.InitialValue(v, contexts_[v])});
+      scratch[0].Record(v, frontier.back().old_value, frontier.back().new_value);
+      scratch[0].frontier.Set(v);
     }
 
-    LevelScratch scratch[2];
-    scratch[0].Prepare(n);  // stands in for "level 0": nothing touched
+    const RefinedBatch batch{applied, direct_targets, ctx_changed, old_contexts};
     for (uint32_t level = 1; level <= tracked; ++level) {
-      frontier = RefineLevel(level, applied, frontier, ctx_changed, old_contexts,
-                             scratch[(level - 1) & 1], &scratch[level & 1]);
+      frontier = RefineLevel(level, batch, frontier, scratch[(level - 1) & 1], &scratch[level & 1]);
       ++stats_.iterations;
     }
     // Give the storage backend a chance to drop suffixes that refinement
@@ -906,21 +1002,137 @@ class GraphBoltEngine {
     }
   }
 
+  // What every refined level of one batch shares.
+  struct RefinedBatch {
+    const AppliedMutations& applied;
+    const AtomicBitset& direct_targets;  // heads of the mutated edges
+    const std::vector<VertexId>& ctx_changed;
+    const std::vector<VertexContext>& old_contexts;
+  };
+
+  // Monotonic aggregations with addition-only batches: values only improve,
+  // and the aggregation absorbs improved inputs without retraction, so the
+  // improved contributions are pushed directly (§5.4B).
+  bool MonotonicPushOnly(const AppliedMutations& applied) const {
+    return IsMonotonicAggregation<Algo>() && applied.deleted.empty() &&
+           !options_.disable_monotonic_push;
+  }
+
   // Refines one tracked level; returns the next frontier (changed values and
   // context-changed contributors). `prev` is the scratch filled while
-  // refining level-1; `cur` receives this level's touched old/new values.
-  std::vector<FrontierEntry> RefineLevel(uint32_t level, const AppliedMutations& applied,
+  // refining level-1; `cur` receives this level's touched old/new values and
+  // its frontier bits. The direction follows Ligra's rule: a dense frontier
+  // is pulled in one sweep over all vertices, a sparse one pushed.
+  std::vector<FrontierEntry> RefineLevel(uint32_t level, const RefinedBatch& batch,
                                          const std::vector<FrontierEntry>& frontier,
-                                         const std::vector<VertexId>& ctx_changed,
-                                         const std::vector<VertexContext>& old_contexts,
                                          const LevelScratch& prev, LevelScratch* cur) {
-    const VertexId n = graph_->num_vertices();
-    std::atomic<uint64_t> edges{0};
-    cur->Prepare(n);
+    cur->Prepare(graph_->num_vertices());
+    AtomicBitset& changed_bits = store_.MutableChangedAt(level);
+    std::vector<FrontierEntry> next =
+        PullPays(frontier, [](const FrontierEntry& entry) { return entry.v; })
+            ? RefineLevelPull(level, batch, prev, cur, &changed_bits)
+            : RefineLevelPush(level, batch, frontier, prev, cur, &changed_bits);
 
-    // 1. Targets of this level: direct mutation targets plus out-neighbors
-    //    of the previous level's changed contributors.
-    FrontierBuilder touched(n);
+    // Context-changed contributors stay in the frontier at every level even
+    // when their value is unchanged.
+    for (const VertexId v : batch.ctx_changed) {
+      if (cur->frontier.Test(v)) {
+        continue;
+      }
+      if (!cur->Has(v)) {
+        // Not a target: its aggregation is the stored one.
+        const Aggregate& untouched = store_.At(level, v);
+        cur->Record(v, algo_.VertexCompute(v, untouched, batch.old_contexts[v]),
+                    algo_.VertexCompute(v, untouched, contexts_[v]));
+      }
+      cur->frontier.Set(v);
+      next.push_back({v, cur->old_values[v], cur->new_values[v]});
+    }
+    return next;
+  }
+
+  // Applies the batch's direct impact to the materialized level `agg`:
+  // ⊎ new edges' old contributions, ⋃- deleted ones (decomposable), or the
+  // added edges' improved contributions (monotonic push-only). Runs on the
+  // calling thread, the only writer of `agg` at this point.
+  void ApplyDirectImpact(uint32_t level, const RefinedBatch& batch, const LevelScratch& prev,
+                         std::vector<Aggregate>* agg) {
+    const AppliedMutations& applied = batch.applied;
+    if constexpr (kPullBased) {
+      for (const Edge& e : applied.added) {
+        algo_.AggregateOwned(&(*agg)[e.dst],
+                             algo_.ContributionOf(e.src, NewValueAt(level - 1, e.src, prev),
+                                                  e.weight, contexts_[e.src]));
+      }
+      stats_.edges_processed += applied.added.size();
+    } else {
+      for (const Edge& e : applied.added) {
+        const Value old_src = OldValueAt(level - 1, e.src, batch.old_contexts, prev);
+        algo_.AggregateOwned(&(*agg)[e.dst], algo_.ContributionOf(e.src, old_src, e.weight,
+                                                                  batch.old_contexts[e.src]));
+      }
+      for (const Edge& e : applied.deleted) {
+        const Value old_src = OldValueAt(level - 1, e.src, batch.old_contexts, prev);
+        algo_.RetractOwned(&(*agg)[e.dst], algo_.ContributionOf(e.src, old_src, e.weight,
+                                                                batch.old_contexts[e.src]));
+      }
+      stats_.edges_processed += applied.added.size() + applied.deleted.size();
+    }
+  }
+
+  // Non-decomposable re-evaluation (3a): g(v) from the full new
+  // in-neighbourhood under the refined level-1 values.
+  Aggregate Reevaluate(uint32_t level, VertexId v, const LevelScratch& prev,
+                       uint64_t* edge_counter) const {
+    Aggregate fresh = algo_.IdentityAggregate();
+    const auto in_nbrs = graph_->InNeighbors(v);
+    const auto in_wts = graph_->InWeights(v);
+    for (size_t e = 0; e < in_nbrs.size(); ++e) {
+      const VertexId u = in_nbrs[e];
+      algo_.AggregateOwned(
+          &fresh, algo_.ContributionOf(u, NewValueAt(level - 1, u, prev), in_wts[e], contexts_[u]));
+    }
+    *edge_counter += in_nbrs.size();
+    return fresh;
+  }
+
+  // Settles target v once its refined aggregation `agg` is final: records
+  // its old value (from the stored, not yet committed, g_level(v)) and its
+  // new value, refreshes its changed bit against its refined value at
+  // level-1, and hands it to the next level when its value moved.
+  void SettleTarget(uint32_t level, VertexId v, const Aggregate& agg, const RefinedBatch& batch,
+                    const LevelScratch& prev, LevelScratch* cur, AtomicBitset* changed_bits,
+                    std::vector<FrontierEntry>* next) const {
+    const Value old_value = algo_.VertexCompute(v, store_.At(level, v), batch.old_contexts[v]);
+    const Value new_value = algo_.VertexCompute(v, agg, contexts_[v]);
+    cur->Record(v, old_value, new_value);
+    RefreshChangedBit(changed_bits, v, NewValueAt(level - 1, v, prev), new_value);
+    if (algo_.ValuesDiffer(old_value, new_value)) {
+      cur->frontier.Set(v);
+      next->push_back({v, old_value, new_value});
+    }
+  }
+
+  // The changed bit of v at a level compares its refined value there with
+  // its refined value one level earlier.
+  void RefreshChangedBit(AtomicBitset* changed_bits, VertexId v, const Value& before,
+                         const Value& here) const {
+    if (algo_.ValuesDiffer(before, here)) {
+      changed_bits->Set(v);
+    } else {
+      changed_bits->Clear(v);
+    }
+  }
+
+  // Sparse direction: claims the targets (direct mutation targets plus
+  // out-neighbours of the frontier), materializes just those cells, pushes
+  // the frontier's changes into them with atomics, then settles them.
+  std::vector<FrontierEntry> RefineLevelPush(uint32_t level, const RefinedBatch& batch,
+                                             const std::vector<FrontierEntry>& frontier,
+                                             const LevelScratch& prev, LevelScratch* cur,
+                                             AtomicBitset* changed_bits) {
+    const AppliedMutations& applied = batch.applied;
+    FrontierBuilder touched(graph_->num_vertices());
     for (const Edge& e : applied.added) {
       touched.Claim(e.dst);
     }
@@ -936,84 +1148,25 @@ class GraphBoltEngine {
     }, /*grain=*/64);
     VertexSubset targets = touched.Take();
 
-    // Materialize the targets' aggregations into a dense scratch the
-    // mutation passes operate on; every write below lands on a target, so
-    // committing the targets back is a complete update of the level.
+    // Every write below lands on a target, so committing the targets back
+    // is a complete update of the level.
     store_.MaterializeLevel(level, targets, &level_scratch_);
     std::vector<Aggregate>& agg = level_scratch_;
 
-    // 2. Snapshot old values of targets before mutating this level.
-    ParallelFor(0, targets.size(), [&](size_t i) {
-      const VertexId v = targets.members()[i];
-      cur->Record(v, algo_.VertexCompute(v, agg[v], old_contexts[v]));
-    }, /*grain=*/256);
-
-    if constexpr (kPullBased) {
-      // 3a-fast. Monotonic aggregations with addition-only batches: values
-      // only improve, and the aggregation absorbs improved inputs without
-      // retraction, so push the improved contributions directly (§5.4B).
-      const bool push_only = IsMonotonicAggregation<Algo>() && applied.deleted.empty() &&
-                             !options_.disable_monotonic_push;
-      if (push_only) {
-        for (const Edge& e : applied.added) {
-          algo_.AggregateAtomic(&agg[e.dst],
-                                algo_.ContributionOf(e.src, NewValueAt(level - 1, e.src, prev),
-                                                     e.weight, contexts_[e.src]));
+    std::atomic<uint64_t> edges{0};
+    if (kPullBased && !MonotonicPushOnly(applied)) {
+      ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
+        uint64_t local_edges = 0;
+        for (size_t i = lo; i < hi; ++i) {
+          const VertexId v = targets.members()[i];
+          agg[v] = Reevaluate(level, v, prev, &local_edges);
         }
-        stats_.edges_processed += applied.added.size();
-        ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
-          uint64_t local_edges = 0;
-          for (size_t i = lo; i < hi; ++i) {
-            const FrontierEntry& entry = frontier[i];
-            const auto out_nbrs = graph_->OutNeighbors(entry.v);
-            const auto out_wts = graph_->OutWeights(entry.v);
-            for (size_t e = 0; e < out_nbrs.size(); ++e) {
-              algo_.AggregateAtomic(&agg[out_nbrs[e]],
-                                    algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
-                                                         contexts_[entry.v]));
-            }
-            local_edges += out_nbrs.size();
-          }
-          edges.fetch_add(local_edges, std::memory_order_relaxed);
-        }, /*grain=*/64);
-      } else {
-        // 3a. Non-decomposable: re-evaluate each target from its full new
-        // in-neighborhood using refined level-1 values.
-        ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
-          uint64_t local_edges = 0;
-          for (size_t i = lo; i < hi; ++i) {
-            const VertexId v = targets.members()[i];
-            Aggregate fresh = algo_.IdentityAggregate();
-            const auto in_nbrs = graph_->InNeighbors(v);
-            const auto in_wts = graph_->InWeights(v);
-            for (size_t e = 0; e < in_nbrs.size(); ++e) {
-              const VertexId u = in_nbrs[e];
-              algo_.AggregateAtomic(
-                  &fresh, algo_.ContributionOf(u, NewValueAt(level - 1, u, prev), in_wts[e],
-                                               contexts_[u]));
-            }
-            local_edges += in_nbrs.size();
-            agg[v] = fresh;
-          }
-          edges.fetch_add(local_edges, std::memory_order_relaxed);
-        }, /*grain=*/64);
-      }
+        edges.fetch_add(local_edges, std::memory_order_relaxed);
+      }, /*grain=*/64);
     } else {
-      // 3b. Direct impact: ⊎ new edges' old contributions, ⋃- deleted ones.
-      for (const Edge& e : applied.added) {
-        const Value old_src = OldValueAt(level - 1, e.src, old_contexts, prev);
-        algo_.AggregateAtomic(&agg[e.dst],
-                              algo_.ContributionOf(e.src, old_src, e.weight, old_contexts[e.src]));
-      }
-      for (const Edge& e : applied.deleted) {
-        const Value old_src = OldValueAt(level - 1, e.src, old_contexts, prev);
-        algo_.RetractAtomic(&agg[e.dst],
-                            algo_.ContributionOf(e.src, old_src, e.weight, old_contexts[e.src]));
-      }
-      stats_.edges_processed += applied.added.size() + applied.deleted.size();
-
-      // 4. Transitive impact: ⋃△ over out-edges (in E^T) of every changed
-      // contributor.
+      ApplyDirectImpact(level, batch, prev, &agg);
+      // Transitive impact: ⋃△ over out-edges (in E^T) of every changed
+      // contributor, or its improved contribution (monotonic push-only).
       ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
         uint64_t local_edges = 0;
         for (size_t i = lo; i < hi; ++i) {
@@ -1021,8 +1174,14 @@ class GraphBoltEngine {
           const auto out_nbrs = graph_->OutNeighbors(entry.v);
           const auto out_wts = graph_->OutWeights(entry.v);
           for (size_t e = 0; e < out_nbrs.size(); ++e) {
-            PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
-                       old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+            if constexpr (kPullBased) {
+              algo_.AggregateAtomic(&agg[out_nbrs[e]],
+                                    algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
+                                                         contexts_[entry.v]));
+            } else {
+              PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
+                         batch.old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+            }
           }
           local_edges += out_nbrs.size();
         }
@@ -1031,27 +1190,13 @@ class GraphBoltEngine {
     }
     stats_.edges_processed += edges.load();
 
-    // 5. Recompute target values, update changed bits, build next frontier.
-    AtomicBitset in_next(n);
     std::vector<FrontierEntry> next;
     std::mutex merge;
-    AtomicBitset& changed_bits = store_.MutableChangedAt(level);
     ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
       std::vector<FrontierEntry> local;
       for (size_t i = lo; i < hi; ++i) {
         const VertexId v = targets.members()[i];
-        const Value new_val = algo_.VertexCompute(v, agg[v], contexts_[v]);
-        cur->new_values[v] = new_val;
-        const Value prev_new = NewValueAt(level - 1, v, prev);
-        if (algo_.ValuesDiffer(prev_new, new_val)) {
-          changed_bits.Set(v);
-        } else {
-          changed_bits.Clear(v);
-        }
-        if (algo_.ValuesDiffer(cur->old_values[v], new_val)) {
-          in_next.Set(v);
-          local.push_back({v, cur->old_values[v], new_val});
-        }
+        SettleTarget(level, v, agg[v], batch, prev, cur, changed_bits, &local);
       }
       std::lock_guard<std::mutex> lock(merge);
       next.insert(next.end(), local.begin(), local.end());
@@ -1062,36 +1207,79 @@ class GraphBoltEngine {
     // changed bit must be refreshed: the bit compares against its *new*
     // previous-level value.
     for (const FrontierEntry& entry : frontier) {
-      if (touched.Contains(entry.v)) {
-        continue;
-      }
-      // Not a target: its aggregation was not materialized; read the store.
-      const Value here = algo_.VertexCompute(entry.v, store_.At(level, entry.v), contexts_[entry.v]);
-      if (algo_.ValuesDiffer(entry.new_value, here)) {
-        changed_bits.Set(entry.v);
-      } else {
-        changed_bits.Clear(entry.v);
-      }
-    }
-
-    // Context-changed contributors stay in the frontier at every level even
-    // when their value is unchanged.
-    for (const VertexId v : ctx_changed) {
-      if (in_next.Test(v)) {
-        continue;
-      }
-      if (cur->Has(v)) {
-        next.push_back({v, cur->old_values[v], cur->new_values[v]});
-      } else {
-        const Aggregate& untouched = store_.At(level, v);
-        const Value old_val = algo_.VertexCompute(v, untouched, old_contexts[v]);
-        cur->Record(v, old_val);
-        cur->new_values[v] = algo_.VertexCompute(v, untouched, contexts_[v]);
-        next.push_back({v, old_val, cur->new_values[v]});
+      if (!touched.Contains(entry.v)) {
+        RefreshChangedBit(changed_bits, entry.v, entry.new_value,
+                          algo_.VertexCompute(entry.v, store_.At(level, entry.v),
+                                              contexts_[entry.v]));
       }
     }
 
     store_.CommitLevel(level, targets, agg);
+    return next;
+  }
+
+  // Dense direction: the direct impact goes into the whole materialized
+  // level first; then one sweep visits every vertex w, pulls the change of
+  // each frontier in-neighbour (read from `prev`) into w's own cell in
+  // in-edge order, and settles w in the same visit. No atomics touch an
+  // aggregation and the summation order is fixed, so the level is bitwise
+  // reproducible at any worker count.
+  std::vector<FrontierEntry> RefineLevelPull(uint32_t level, const RefinedBatch& batch,
+                                             const LevelScratch& prev, LevelScratch* cur,
+                                             AtomicBitset* changed_bits) {
+    const VertexId n = graph_->num_vertices();
+    const bool reevaluate = kPullBased && !MonotonicPushOnly(batch.applied);
+    store_.MaterializeLevel(level, &level_scratch_);
+    std::vector<Aggregate>& agg = level_scratch_;
+    if (!reevaluate) {
+      ApplyDirectImpact(level, batch, prev, &agg);
+    }
+
+    std::vector<FrontierEntry> next;
+    std::mutex merge;
+    std::atomic<uint64_t> edges{0};
+    ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+      std::vector<FrontierEntry> local;
+      uint64_t local_edges = 0;
+      for (size_t vi = lo; vi < hi; ++vi) {
+        const VertexId w = static_cast<VertexId>(vi);
+        bool target = batch.direct_targets.Test(w);
+        if constexpr (kPullBased) {
+          const auto in_nbrs = graph_->InNeighbors(w);
+          const auto in_wts = graph_->InWeights(w);
+          for (size_t e = 0; e < in_nbrs.size() && !(target && reevaluate); ++e) {
+            const VertexId u = in_nbrs[e];
+            if (prev.frontier.Test(u)) {
+              target = true;
+              if (!reevaluate) {
+                algo_.AggregateOwned(&agg[w], algo_.ContributionOf(u, prev.new_values[u],
+                                                                   in_wts[e], contexts_[u]));
+                ++local_edges;
+              }
+            }
+          }
+          if (target && reevaluate) {
+            agg[w] = Reevaluate(level, w, prev, &local_edges);
+          }
+        } else {
+          target |= PullChanges(w, prev, batch.old_contexts, &agg[w], &local_edges);
+        }
+        if (target) {
+          SettleTarget(level, w, agg[w], batch, prev, cur, changed_bits, &local);
+        } else if (prev.frontier.Test(w)) {
+          // A previous-level contributor that is not a target here: see the
+          // matching refresh in RefineLevelPush.
+          RefreshChangedBit(changed_bits, w, prev.new_values[w],
+                            algo_.VertexCompute(w, agg[w], contexts_[w]));
+        }
+      }
+      edges.fetch_add(local_edges, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(merge);
+      next.insert(next.end(), local.begin(), local.end());
+    }, /*grain=*/512);
+    stats_.edges_processed += edges.load();
+
+    store_.CommitLevel(level, agg);
     return next;
   }
 
@@ -1272,6 +1460,7 @@ class GraphBoltEngine {
   std::vector<Value> values_;
   std::vector<Aggregate> aggregates_;    // scratch for the initial run
   std::vector<Aggregate> level_scratch_;  // refinement working copy of one level
+  LevelScratch value_scratch_[2];         // alternating per-level old/new values
   StoreT store_;
   EngineStats stats_;
   MutationBatch pending_;  // mutations buffered during refinement

@@ -48,6 +48,14 @@ struct EdgeMapOptions {
   bool auto_result = true;
 };
 
+// Ligra's direction rule: pull once the frontier's out-edges exceed
+// |E| / denseness_denominator. EdgeMap and the GraphBolt engine's
+// refinement levels both choose their direction with it.
+inline bool PreferPull(uint64_t frontier_edges, uint64_t num_edges,
+                       uint64_t denseness_denominator = EdgeMapOptions{}.denseness_denominator) {
+  return frontier_edges > num_edges / denseness_denominator;
+}
+
 // Sparse push: applies f to every out-edge of the frontier. `f` must be
 // safe to call concurrently; destinations where any call returns true form
 // the result (deduplicated).
@@ -123,7 +131,7 @@ VertexSubset EdgeMap(const MutableGraph& graph, const VertexSubset& frontier, Ed
         0, members.size(),
         [&](size_t i) { return static_cast<uint64_t>(graph.OutDegree(members[i])); });
   }
-  if (frontier_edges > graph.num_edges() / options.denseness_denominator) {
+  if (PreferPull(frontier_edges, graph.num_edges(), options.denseness_denominator)) {
     return EdgeMapDense(graph, frontier, f, options.dense_result || options.auto_result);
   }
   return EdgeMapSparse(graph, frontier, f, options.dense_result);

@@ -1,22 +1,28 @@
 // Unit tests for the parallel runtime: atomics, the TaskArena-backed loop
-// primitives, and reductions. Scheduler-level tests (deque protocol, fork-
-// join, stealing) live in task_arena_test.cc.
+// primitives, reductions, and the worker-count independence of dense
+// refinement. Scheduler-level tests (deque protocol, fork-join, stealing)
+// live in task_arena_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "src/algorithms/pagerank.h"
+#include "src/core/graphbolt_engine.h"
+#include "src/graph/generators.h"
 #include "src/parallel/atomics.h"
 #include "src/parallel/parallel_for.h"
 #include "src/parallel/reducer.h"
 #include "src/parallel/task_arena.h"
 #include "src/parallel/thread_pool.h"
+#include "src/stream/update_stream.h"
 
 namespace graphbolt {
 namespace {
@@ -301,6 +307,44 @@ TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
     }
   }
   ThreadPool::SetNumThreads(1);
+}
+
+// Dense refinement levels pull into cells their chunk owns, with no atomics
+// and a fixed (in-edge) summation order, so a batch whose every level is
+// dense refines to the same bits at any worker count. Under TSan this also
+// checks that each owned cell has a single writer.
+TEST(Refinement, DenseLevelsAreBitwiseEqualAcrossWorkerCounts) {
+  const size_t original = ThreadPool::Instance().num_threads();
+  EdgeList full = GenerateRmat(4000, 48000, {.seed = 130});
+  StreamSplit split = SplitForStreaming(full, 0.5, 131);
+  ThreadPool::SetNumThreads(1);
+  MutableGraph graph_one(split.initial);
+  MutableGraph graph_four(split.initial);
+  GraphBoltEngine<PageRank> one(&graph_one, PageRank{});
+  GraphBoltEngine<PageRank> four(&graph_four, PageRank{});
+  one.InitialCompute();
+  four.InitialCompute();
+
+  // Over a tenth of the edges mutated: the added edges' sources alone carry
+  // more than |E|/20 out-edges, and as context-changed contributors they
+  // are in the frontier at every level, so every level is dense.
+  UpdateStream stream(split.held_back, 132);
+  const MutationBatch batch =
+      stream.NextBatch(graph_one, {.size = graph_one.num_edges() / 8, .add_fraction = 0.6});
+  const AppliedMutations applied = one.ApplyMutations(batch);
+  ASSERT_GT(applied.added.size(), graph_one.num_edges() / 20);
+  ThreadPool::SetNumThreads(4);
+  four.ApplyMutations(batch);
+  ThreadPool::SetNumThreads(original);
+
+  auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(one.values(), four.values()));
+  for (uint32_t level = 1; level <= one.store().tracked_levels(); ++level) {
+    EXPECT_TRUE(same_bits(one.store().LevelArray(level), four.store().LevelArray(level)))
+        << "level " << level;
+  }
 }
 
 }  // namespace

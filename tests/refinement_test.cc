@@ -3,8 +3,12 @@
 // dependency-store bookkeeping, and refinement edge cases.
 #include <gtest/gtest.h>
 
+#include "src/algorithms/belief_propagation.h"
+#include "src/algorithms/coem.h"
+#include "src/algorithms/collaborative_filtering.h"
 #include "src/algorithms/label_propagation.h"
 #include "src/algorithms/pagerank.h"
+#include "src/algorithms/personalized_pagerank.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
@@ -299,6 +303,77 @@ TEST(Refinement, StatsReportRefinementWork) {
   EXPECT_EQ(bolt.stats().iterations, 10u);
   EXPECT_GE(bolt.stats().seconds, 0.0);
   EXPECT_GE(bolt.stats().mutation_seconds, 0.0);
+}
+
+// ----- Direction choice: dense levels pull, sparse levels push -------------------
+
+template <typename Algo>
+void ExpectMatchesFreshRun(const MutableGraph& graph, const GraphBoltEngine<Algo>& bolt,
+                           const Algo& algo, double tolerance, const char* what) {
+  MutableGraph fresh_graph(graph.ToEdgeList());
+  GraphBoltEngine<Algo> fresh(&fresh_graph, algo);
+  fresh.InitialCompute();
+  EXPECT_LT(MaxGap(bolt.values(), fresh.values()), tolerance) << what;
+}
+
+// Refines one batch whose levels are all dense and then one single-mutation
+// batch whose early levels are sparse, checking each against a from-scratch
+// InitialCompute on the mutated graph.
+template <typename Algo>
+void RefineBothDirections(const Algo& algo, uint64_t seed, double tolerance) {
+  EdgeList full = GenerateRmat(600, 6000, {.seed = seed, .assign_random_weights = true});
+  StreamSplit split = SplitForStreaming(full, 0.5, seed + 1);
+  MutableGraph graph(split.initial);
+  GraphBoltEngine<Algo> bolt(&graph, algo);
+  bolt.InitialCompute();
+
+  // The added edges alone carry more than |E|/20 out-edges of their
+  // sources, which stay in the frontier at every level (their degree
+  // context changed), so every level takes the pull sweep.
+  UpdateStream stream(split.held_back, seed + 2);
+  const MutationBatch dense =
+      stream.NextBatch(graph, {.size = graph.num_edges() / 8, .add_fraction = 0.6});
+  const AppliedMutations applied = bolt.ApplyMutations(dense);
+  ASSERT_GT(applied.added.size(), graph.num_edges() / 20);
+  ExpectMatchesFreshRun(graph, bolt, algo, tolerance, "dense batch");
+
+  // One edge between two low-degree vertices: level 1's frontier is its two
+  // endpoints, far below |E|/20 out-edges, so the early levels push.
+  VertexId src = 0;
+  VertexId dst = 0;
+  for (VertexId u = 0; u < graph.num_vertices() && src == dst; ++u) {
+    for (VertexId v = u + 1; v < graph.num_vertices(); ++v) {
+      if (graph.OutDegree(u) + graph.OutDegree(v) <= 4 && !graph.HasEdge(u, v)) {
+        src = u;
+        dst = v;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(src, dst);
+  ASSERT_LT(graph.OutDegree(src) + graph.OutDegree(dst) + 1, graph.num_edges() / 20);
+  bolt.ApplyMutations({EdgeMutation::Add(src, dst, 0.5)});
+  ExpectMatchesFreshRun(graph, bolt, algo, tolerance, "single mutation");
+}
+
+TEST(RefinementDirection, PageRank) { RefineBothDirections(PageRank{}, 120, 1e-7); }
+
+TEST(RefinementDirection, PersonalizedPageRank) {
+  RefineBothDirections(PersonalizedPageRank({0, 1, 2}, 600), 121, 1e-7);
+}
+
+TEST(RefinementDirection, CoEM) { RefineBothDirections(CoEM(600, 0.08, 122), 122, 1e-7); }
+
+TEST(RefinementDirection, LabelPropagation) {
+  RefineBothDirections(LabelPropagation<2>(600, 0.1, 123), 123, 1e-7);
+}
+
+TEST(RefinementDirection, BeliefPropagation) {
+  RefineBothDirections(BeliefPropagation<3>{}, 124, 1e-6);
+}
+
+TEST(RefinementDirection, CollaborativeFiltering) {
+  RefineBothDirections(CollaborativeFiltering<4>{}, 125, 1e-5);
 }
 
 }  // namespace
