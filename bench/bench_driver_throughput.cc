@@ -1,6 +1,6 @@
-// Driver ingestion throughput: batch-size sweep on the single-lane
-// StreamDriver, a shard-count sweep on the ShardedDriver, and the
-// single-update serving-latency sweep (fast path vs. batch-size-1
+// Driver ingestion throughput: batch-size sweep on the single-lane driver,
+// a shard-count sweep over its lanes, and the single-update serving-latency
+// sweep (fast path vs. batch-size-1
 // flush-to-barrier).
 //
 // Not a paper table: the paper's harness hand-feeds pre-built batches, so
@@ -11,7 +11,7 @@
 // small batches keep the snapshot fresh but pay per-batch refinement
 // overhead; large batches amortize it and raise throughput. The shard
 // sweep (1/2/4/8 lanes, one producer session per lane) measures what lane
-// parallelism buys when staging is concurrent but promotion still
+// parallelism buys when ingestion is concurrent but promotion still
 // serializes on the one BSP engine; it emits BENCH_shard_scaling.json for
 // tools/bench_diff.py to compare against the committed trajectory. The
 // latency sweep streams provably-safe single-edge mutations through
@@ -19,7 +19,7 @@
 // batch size 1 (Ingest + Flush + PrepQuery), reporting p50/p99
 // update→queryable latency per algorithm; it emits
 // BENCH_fastpath_latency.json for the same trajectory guard. The async
-// freshness sweep (INTERNALS §14) floods a kDegrade driver past its
+// freshness sweep (INTERNALS §12) floods a kDegrade driver past its
 // governor and compares what degraded queries observe with the async
 // delta tier off (frozen BSP snapshots) vs engaged (continuously-updating
 // eventually-consistent values); it emits BENCH_async_freshness.json.
@@ -37,7 +37,6 @@
 #include "src/driver/stream_driver.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/shard/driver_config.h"
-#include "src/shard/sharded_driver.h"
 #include "src/util/timer.h"
 
 namespace graphbolt {
@@ -48,29 +47,42 @@ constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 constexpr size_t kShardSweepBatch = 1024;
 
 struct Row {
-  size_t batch_size = 0;
   double ingest_rate = 0.0;     // mutations/sec, first Ingest -> last Ingest
   double end_to_end_rate = 0.0; // mutations/sec including the final drain
   double drain_seconds = 0.0;   // the PrepQuery() barrier after ingestion
   uint64_t batches = 0;
   double avg_flush_latency_ms = 0.0;  // flush -> applied, per batch
-  double queue_wait_seconds = 0.0;    // backpressure felt by the producer
+  double queue_wait_seconds = 0.0;    // backpressure felt by the producers
+  uint64_t cross_shard = 0;
 };
 
-Row RunOnce(const StreamSplit& split, size_t batch_size) {
+// Streams the held-back additions through a driver built from `config`,
+// from `producers` concurrent sessions that each ingest one slice.
+Row RunOnce(const StreamSplit& split, const DriverConfig& config, size_t producers) {
   MutableGraph graph(split.initial);
   GraphBoltEngine<PageRank> engine(&graph, PageRank(0.85, kBenchTolerance));
   engine.InitialCompute();
 
   Row row;
-  row.batch_size = batch_size;
   {
-    StreamDriver<GraphBoltEngine<PageRank>> driver(
-        &engine, {.batch_size = batch_size, .flush_interval_seconds = 0.5});
+    StreamDriver<GraphBoltEngine<PageRank>> driver(&engine, config);
+    std::vector<std::vector<Edge>> slices(producers);
+    for (size_t i = 0; i < split.held_back.size(); ++i) {
+      slices[i % producers].push_back(split.held_back[i]);
+    }
     Timer total;
     Timer ingest;
-    for (const Edge& e : split.held_back) {
-      driver.Ingest(EdgeMutation::Add(e.src, e.dst, e.weight));
+    std::vector<std::thread> threads;
+    for (size_t p = 0; p < producers; ++p) {
+      threads.emplace_back([&, p] {
+        auto session = driver.OpenSession("bench-" + std::to_string(p));
+        for (const Edge& e : slices[p]) {
+          session.Ingest(EdgeMutation::Add(e.src, e.dst, e.weight));
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
     }
     const double ingest_seconds = ingest.Seconds();
     Timer drain;
@@ -88,64 +100,6 @@ Row RunOnce(const StreamSplit& split, size_t batch_size) {
             ? 0.0
             : stats.flush_latency_seconds / static_cast<double>(stats.batches_applied) * 1e3;
     row.queue_wait_seconds = stats.queue_wait_seconds;
-  }
-  return row;
-}
-
-struct ShardRow {
-  size_t shards = 0;
-  size_t producers = 0;
-  double ingest_rate = 0.0;
-  double end_to_end_rate = 0.0;
-  double drain_seconds = 0.0;
-  uint64_t batches = 0;
-  uint64_t cross_shard = 0;
-};
-
-ShardRow RunSharded(const StreamSplit& split, size_t shards) {
-  MutableGraph graph(split.initial);
-  GraphBoltEngine<PageRank> engine(&graph, PageRank(0.85, kBenchTolerance));
-  engine.InitialCompute();
-
-  ShardRow row;
-  row.shards = shards;
-  row.producers = shards;  // one producer session per lane
-  {
-    DriverConfig config;
-    config.shards = shards;
-    config.batch_size = kShardSweepBatch;
-    config.flush_interval_seconds = 0.5;
-    ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config);
-
-    std::vector<std::vector<Edge>> slices(row.producers);
-    for (size_t i = 0; i < split.held_back.size(); ++i) {
-      slices[i % row.producers].push_back(split.held_back[i]);
-    }
-    Timer total;
-    Timer ingest;
-    std::vector<std::thread> producers;
-    for (size_t p = 0; p < row.producers; ++p) {
-      producers.emplace_back([&, p] {
-        auto session = driver.OpenSession("bench-" + std::to_string(p));
-        for (const Edge& e : slices[p]) {
-          session.Ingest(EdgeMutation::Add(e.src, e.dst, e.weight));
-        }
-      });
-    }
-    for (std::thread& t : producers) {
-      t.join();
-    }
-    const double ingest_seconds = ingest.Seconds();
-    Timer drain;
-    driver.PrepQuery();
-    row.drain_seconds = drain.Seconds();
-    const double total_seconds = total.Seconds();
-
-    const double n = static_cast<double>(split.held_back.size());
-    row.ingest_rate = n / ingest_seconds;
-    row.end_to_end_rate = n / total_seconds;
-    const EngineStats stats = driver.stats();
-    row.batches = stats.batches_applied;
     row.cross_shard = stats.cross_shard_mutations;
   }
   return row;
@@ -370,7 +324,7 @@ void RunLatencySweep(BenchJson& json) {
       "these workloads are crafted to be provably safe.\n");
 }
 
-// ----- Async freshness under overload (INTERNALS §14) ------------------------
+// ----- Async freshness under overload (INTERNALS §12) ------------------------
 
 std::vector<MutationBatch> AdditionChunks(const std::vector<Edge>& edges, size_t chunk) {
   std::vector<MutationBatch> out;
@@ -416,10 +370,10 @@ FreshnessRow RunFreshnessFlood(AsyncModePolicy policy) {
                             .max_pending_batches = 1,
                             .overflow = Driver::OverflowPolicy::kDegrade,
                             .coalesce = false,
-                            .governor = {.degrade_pressure_seconds = 0.0,
-                                         .recover_pressure_seconds = 0.0},
                             .async_mode = policy,
-                            .async_step_budget = 256});
+                            .async_step_budget = 256,
+                            .governor = {.degrade_pressure_seconds = 0.0,
+                                         .recover_pressure_seconds = 0.0}});
     // Warm the latency EWMA with one normally-applied batch.
     driver.IngestBatch(chunks[0]);
     driver.Flush();
@@ -504,7 +458,7 @@ void RunAsyncFreshnessSweep(BenchJson& json) {
 
 void Run() {
   PrintHeader(
-      "StreamDriver throughput: single-producer Ingest() of the held-back\n"
+      "Driver throughput: single-producer Ingest() of the held-back\n"
       "addition stream (WK* surrogate, PageRank engine) swept over the\n"
       "gutter batch size. 'ingest' excludes and 'end-to-end' includes the\n"
       "final PrepQuery() drain.");
@@ -513,8 +467,9 @@ void Run() {
   std::printf("\n%10s %14s %14s %10s %8s %12s %12s\n", "batch", "ingest/s", "end-to-end/s",
               "drain(s)", "batches", "flush(ms)", "qwait(s)");
   for (const size_t batch_size : kBatchSizes) {
-    const Row row = RunOnce(split, batch_size);
-    std::printf("%10zu %14.0f %14.0f %10.3f %8llu %12.2f %12.3f\n", row.batch_size,
+    const Row row =
+        RunOnce(split, {.batch_size = batch_size, .flush_interval_seconds = 0.5}, 1);
+    std::printf("%10zu %14.0f %14.0f %10.3f %8llu %12.2f %12.3f\n", batch_size,
                 row.ingest_rate, row.end_to_end_rate, row.drain_seconds,
                 static_cast<unsigned long long>(row.batches), row.avg_flush_latency_ms,
                 row.queue_wait_seconds);
@@ -526,23 +481,27 @@ void Run() {
       "worker, not the producer, is the bottleneck.\n");
 
   PrintHeader(
-      "ShardedDriver scaling: the same stream split across one producer\n"
+      "Driver lane scaling: the same stream split across one producer\n"
       "session per lane, swept over the shard count (batch 1024). Lane\n"
-      "staging is concurrent; promotion serializes on the engine.");
+      "ingestion is concurrent; promotion serializes on the engine.");
 
   BenchJson json("shard_scaling");
   std::printf("\n%10s %10s %14s %14s %10s %8s %12s\n", "shards", "producers", "ingest/s",
               "end-to-end/s", "drain(s)", "batches", "cross-shard");
   for (const size_t shards : kShardCounts) {
-    const ShardRow row = RunSharded(split, shards);
-    std::printf("%10zu %10zu %14.0f %14.0f %10.3f %8llu %12llu\n", row.shards, row.producers,
+    // One producer session per lane.
+    const Row row = RunOnce(
+        split,
+        {.shards = shards, .batch_size = kShardSweepBatch, .flush_interval_seconds = 0.5},
+        shards);
+    std::printf("%10zu %10zu %14.0f %14.0f %10.3f %8llu %12llu\n", shards, shards,
                 row.ingest_rate, row.end_to_end_rate, row.drain_seconds,
                 static_cast<unsigned long long>(row.batches),
                 static_cast<unsigned long long>(row.cross_shard));
     json.Row()
         .Str("graph", kWiki.name)
-        .Num("shards", static_cast<double>(row.shards))
-        .Num("producers", static_cast<double>(row.producers))
+        .Num("shards", static_cast<double>(shards))
+        .Num("producers", static_cast<double>(shards))
         .Num("batch_size", static_cast<double>(kShardSweepBatch))
         .Num("ingest_rate", row.ingest_rate)
         .Num("end_to_end_rate", row.end_to_end_rate)

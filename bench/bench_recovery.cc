@@ -24,7 +24,6 @@
 #include "src/driver/stream_driver.h"
 #include "src/fault/checkpoint.h"
 #include "src/shard/driver_config.h"
-#include "src/shard/sharded_driver.h"
 #include "src/util/timer.h"
 
 namespace graphbolt {
@@ -64,10 +63,9 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
   {
     Checkpointer<Engine> checkpointer(&engine, &graph,
                                       {.directory = dir, .cadence_batches = cadence});
-    StreamDriver<Engine> driver(&engine, {.batch_size = kBatchSize,
-                                          .flush_interval_seconds = 3600.0,
-                                          .coalesce = false,
-                                          .checkpointer = &checkpointer});
+    StreamDriver<Engine> driver(
+        &engine, {.batch_size = kBatchSize, .flush_interval_seconds = 3600.0, .coalesce = false},
+        &checkpointer);
     driver.CheckpointNow();  // baseline snapshot so cadence 0 can recover
     Timer stream;
     for (const MutationBatch& batch : batches) {
@@ -88,7 +86,7 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
   Engine cold(&cold_graph, PageRank(0.85, kBenchTolerance));
   Checkpointer<Engine> restorer(&cold, &cold_graph,
                                 {.directory = dir, .cadence_batches = cadence});
-  StreamDriver<Engine> cold_driver(&cold, {.checkpointer = &restorer});
+  StreamDriver<Engine> cold_driver(&cold, {}, &restorer);
   Timer recovery;
   const bool recovered = cold_driver.Recover();
   row.recovery_ms = recovery.Seconds() * 1e3;
@@ -102,11 +100,11 @@ Row RunOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
 }
 
 // ----- Native sharded recovery (RTO) -----------------------------------------
-// Time-to-recover through ShardedDriver::Recover(): checkpoint restore, then
-// every lane's WAL lineage scanned in parallel and merged back into the
-// global promotion order, then the global journal tail sweep. shards=1
-// prices the lane machinery against the unsharded cadence sweep above;
-// shards=4 is the scaling claim — the replay tail is scanned lane-parallel,
+// Time-to-recover through Recover(): checkpoint restore, then (with more
+// than one lane) every lane's WAL lineage scanned in parallel and merged
+// back into the global promotion order, then the global journal tail
+// sweep. shards=1 keeps no lineages and replays the global journal alone,
+// like the cadence sweep above; shards=4 is the scaling claim — the replay tail is scanned lane-parallel,
 // so RTO falls as lanes multiply while the recovered state stays bitwise
 // identical to the promotion order.
 
@@ -136,7 +134,7 @@ RtoRow RunRto(const StreamSplit& split, const std::vector<MutationBatch>& batche
     config.flush_interval_seconds = 3600.0;
     config.coalesce = false;
     config.checkpoint_dir = dir;
-    ShardedDriver<Engine> driver(&engine, config, &checkpointer);
+    StreamDriver<Engine> driver(&engine, config, &checkpointer);
     driver.CheckpointNow();
     Timer stream;
     for (const MutationBatch& batch : batches) {
@@ -158,7 +156,7 @@ RtoRow RunRto(const StreamSplit& split, const std::vector<MutationBatch>& batche
   config.flush_interval_seconds = 3600.0;
   config.coalesce = false;
   config.checkpoint_dir = dir;
-  ShardedDriver<Engine> cold_driver(&cold, config, &restorer);
+  StreamDriver<Engine> cold_driver(&cold, config, &restorer);
   Timer recovery;
   const bool recovered = cold_driver.Recover();
   row.recovery_ms = recovery.Seconds() * 1e3;
@@ -194,84 +192,13 @@ struct OverloadRow {
   double apply_ewma_ms = 0.0;    // governor's view of per-batch apply cost
 };
 
-OverloadRow RunOverload(const StreamSplit& split,
-                        const std::vector<MutationBatch>& batches,
-                        StreamDriver<Engine>::OverflowPolicy policy,
-                        const char* policy_name, const std::string& dir) {
-  std::filesystem::remove_all(dir);
-  OverloadRow row;
-  row.policy = policy_name;
-
-  MutableGraph graph(split.initial);
-  Engine engine(&graph, PageRank(0.85, kBenchTolerance));
-  engine.InitialCompute();
-  Checkpointer<Engine> checkpointer(&engine, &graph,
-                                    {.directory = dir, .cadence_batches = 16});
-  StreamDriver<Engine> driver(
-      &engine, {.batch_size = kBatchSize,
-                .flush_interval_seconds = 3600.0,
-                .max_pending_batches = kOverloadQueueDepth,
-                .overflow = policy,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                // Trip the degraded mode on bench-sized applies: with the
-                // default 2 s pressure threshold a sub-millisecond PageRank
-                // apply would never register as overload.
-                .governor = {.degrade_pressure_seconds = 1e-3,
-                             .recover_pressure_seconds = 1e-4}});
-  driver.CheckpointNow();
-
-  Timer ingest;
-  for (const MutationBatch& batch : batches) {
-    driver.IngestBatch(batch);
-    driver.Flush();
-  }
-  row.ingest_seconds = ingest.Seconds();
-  Timer barrier;
-  driver.PrepQuery();
-  // A degraded-mode PrepQuery serves the stale snapshot without draining;
-  // poll until the governor's pressure recedes (the queue drains on its own
-  // once the flood stops) and a real barrier lands, so barrier_seconds
-  // reports the true settle time, not the degraded fast-return.
-  for (int i = 0; (driver.degraded() || driver.pending_mutations() > 0) && i < 1000;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    driver.PrepQuery();
-  }
-  row.barrier_seconds = barrier.Seconds();
-  driver.Stop();
-
-  const EngineStats stats = driver.stats();
-  row.shed_to_wal = stats.mutations_shed_to_wal;
-  row.shed_replayed = stats.shed_batches_replayed;
-  row.evictions = stats.shed_oldest_evictions;
-  row.degraded_entries = stats.degraded_entries;
-  row.degraded_queries = stats.degraded_queries;
-  row.apply_ewma_ms = stats.apply_ewma_seconds * 1e3;
-
-  // Every policy here is lossless; on an addition-only stream the final graph
-  // is order-independent, so all four must land on the same edge count.
-  MutableGraph expected(split.initial);
-  for (const MutationBatch& batch : batches) {
-    expected.ApplyBatch(batch);
-  }
-  GB_CHECK(graph.num_edges() == expected.num_edges());
-
-  std::filesystem::remove_all(dir);
-  return row;
-}
-
-// ----- Sharded overload scenario ---------------------------------------------
-// The same flood pushed through ShardedDriver lanes: every lane gets the
-// depth-2 queue, the shed log is shared (sequence-tagged, replayed behind the
-// global PrepQuery barrier), and the degrade governor coordinates across
-// lanes. shards=1 isolates the lane machinery's own cost; shards=4 shows how
-// much of the overload the extra lanes absorb before the sentinel engages.
-
-OverloadRow RunShardedOverload(const StreamSplit& split,
-                               const std::vector<MutationBatch>& batches,
-                               OverflowPolicy policy, const char* policy_name,
-                               size_t shards, const std::string& dir) {
+// Every lane gets the depth-2 queue, the shed log is shared (sequence-
+// tagged, replayed behind the global PrepQuery barrier), and the degrade
+// governor coordinates across lanes. shards=4 shows how much of the
+// overload the extra lanes absorb before the sentinel engages.
+OverloadRow RunOverload(const StreamSplit& split, const std::vector<MutationBatch>& batches,
+                        OverflowPolicy policy, const char* policy_name, size_t shards,
+                        const std::string& dir) {
   std::filesystem::remove_all(dir);
   OverloadRow row;
   row.policy = policy_name;
@@ -289,9 +216,12 @@ OverloadRow RunShardedOverload(const StreamSplit& split,
   config.overflow = policy;
   config.coalesce = false;
   config.checkpoint_dir = dir;
+  // Trip the degraded mode on bench-sized applies: with the default 2 s
+  // pressure threshold a sub-millisecond PageRank apply would never
+  // register as overload.
   config.governor = {.degrade_pressure_seconds = 1e-3,
                      .recover_pressure_seconds = 1e-4};
-  ShardedDriver<Engine> driver(&engine, config, &checkpointer);
+  StreamDriver<Engine> driver(&engine, config, &checkpointer);
   driver.CheckpointNow();
 
   Timer ingest;
@@ -302,6 +232,10 @@ OverloadRow RunShardedOverload(const StreamSplit& split,
   row.ingest_seconds = ingest.Seconds();
   Timer barrier;
   driver.PrepQuery();
+  // A degraded-mode PrepQuery serves the stale snapshot without draining;
+  // poll until the governor's pressure recedes (the queue drains on its own
+  // once the flood stops) and a real barrier lands, so barrier_seconds
+  // reports the true settle time, not the degraded fast-return.
   for (int i = 0; (driver.degraded() || driver.pending_mutations() > 0) && i < 1000;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -369,9 +303,9 @@ void Run() {
       "the durability tax over bench_driver_throughput's WAL-free driver.\n");
 
   PrintHeader(
-      "Native sharded recovery (RTO): the same stream through ShardedDriver\n"
-      "lanes at cadence 16, then a cold ShardedDriver::Recover() — restore,\n"
-      "lane-parallel lineage replay, global tail sweep. The lane column is\n"
+      "Native sharded recovery (RTO): the same stream through the driver's\n"
+      "lanes at cadence 16, then a cold Recover() — restore, lane-parallel\n"
+      "lineage replay (shards > 1), global tail sweep. The lane column is\n"
       "how many of the replayed batches came back through lane lineages.");
 
   constexpr size_t kRtoShards[] = {1, 4};
@@ -402,20 +336,19 @@ void Run() {
 
   const std::vector<MutationBatch> flood =
       MakeBatches(split, kBatches, {.size = kBatchSize, .add_fraction = 1.0}, 11);
-  using Overflow = StreamDriver<Engine>::OverflowPolicy;
   constexpr struct {
-    Overflow policy;
+    OverflowPolicy policy;
     const char* name;
-  } kPolicies[] = {{Overflow::kBlock, "block"},
-                   {Overflow::kShedToWal, "shed-to-wal"},
-                   {Overflow::kShedOldest, "shed-oldest"},
-                   {Overflow::kDegrade, "degrade"}};
+  } kPolicies[] = {{OverflowPolicy::kBlock, "block"},
+                   {OverflowPolicy::kShedToWal, "shed-to-wal"},
+                   {OverflowPolicy::kShedOldest, "shed-oldest"},
+                   {OverflowPolicy::kDegrade, "degrade"}};
 
   std::printf("\n%12s %10s %11s %8s %9s %7s %9s %9s %9s\n", "policy", "ingest(s)",
               "barrier(s)", "shed", "replayed", "evict", "degr.in", "degr.qry",
               "ewma(ms)");
   for (const auto& entry : kPolicies) {
-    const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, dir);
+    const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, 1, dir);
     std::printf("%12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu %9.3f\n", row.policy,
                 row.ingest_seconds, row.barrier_seconds,
                 static_cast<unsigned long long>(row.shed_to_wal),
@@ -442,26 +375,18 @@ void Run() {
       "pays nothing up front and defers coalesced work to the barrier.\n");
 
   PrintHeader(
-      "Sharded overload sweep: the same flood through ShardedDriver lanes\n"
+      "Sharded overload sweep: the same flood through the driver's lanes\n"
       "(shared shed log, lane-coordinated degrade, global replay barrier).\n"
-      "shards=1 prices the lane machinery; shards=4 shows lanes absorbing\n"
+      "shards=1 repeats the sweep above; shards=4 shows lanes absorbing\n"
       "overload before the sentinel engages.");
 
   constexpr size_t kShardCounts[] = {1, 4};
-  constexpr struct {
-    OverflowPolicy policy;
-    const char* name;
-  } kShardedPolicies[] = {{OverflowPolicy::kBlock, "block"},
-                          {OverflowPolicy::kShedToWal, "shed-to-wal"},
-                          {OverflowPolicy::kShedOldest, "shed-oldest"},
-                          {OverflowPolicy::kDegrade, "degrade"}};
   std::printf("\n%7s %12s %10s %11s %8s %9s %7s %9s %9s\n", "shards", "policy",
               "ingest(s)", "barrier(s)", "shed", "replayed", "evict", "degr.in",
               "degr.qry");
   for (const size_t shards : kShardCounts) {
-    for (const auto& entry : kShardedPolicies) {
-      const OverloadRow row =
-          RunShardedOverload(split, flood, entry.policy, entry.name, shards, dir);
+    for (const auto& entry : kPolicies) {
+      const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, shards, dir);
       std::printf("%7zu %12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu\n", shards,
                   row.policy, row.ingest_seconds, row.barrier_seconds,
                   static_cast<unsigned long long>(row.shed_to_wal),

@@ -8,10 +8,10 @@
 // Each producer opens its own Session (driver.OpenSession("producer-P")) —
 // the tenant handle the redesigned API routes all ingestion through — and
 // streams a slice of the arrivals. The driver routes each mutation to the
-// lane owning its source shard (shard_of(v) = v % N), lane workers stage
-// and promote concurrently, and every QuerySnapshot() is an exact BSP
-// snapshot (identical to recomputing from scratch on the graph at that
-// instant). The example verifies exactly that at the end: drained driver
+// lane owning its source shard (shard_of(v) = v % N), lane workers promote
+// their batches into the engine one at a time, and every QuerySnapshot() is
+// an exact BSP snapshot (identical to recomputing from scratch on the graph
+// at that instant). The example verifies exactly that at the end: drained driver
 // values vs. a from-scratch engine on the final graph.
 //
 // Configuration is one DriverConfig: DriverConfig::RegisterFlags puts the
@@ -24,8 +24,8 @@
 // the global checkpointer (WAL + cadence snapshots); after the stream
 // drains, the example cold-recovers a second engine purely from disk and
 // checks it agrees with the live one — the restart story a real service
-// needs, deliberately run through an unsharded StreamDriver to show the
-// recovery protocol is shared.
+// needs, deliberately run through a one-lane driver to show that any lane
+// count restores any other's checkpoints.
 //
 // --quarantine-dir arms admission screening: the example offers one poison
 // batch (NaN weights) through a session to show it being parked in the
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.degraded_queries),
                 static_cast<unsigned long long>(stats.stalls_detected),
                 static_cast<unsigned long long>(stats.watchdog_recoveries));
-    // Async-fresh serving (--async-mode degrade-only|auto with --overflow
+    // Async-fresh serving (--async-mode degrade-only with --overflow
     // degrade): how often the engine flipped into the delta-accumulative
     // tier, how many queries were served eventually-consistent values, and
     // the convergence residual — the freshness bound — they were served at.
@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
 
   // Restart story: a brand-new process (fresh graph + engine) recovers the
   // service state purely from the checkpoint directory. Recovery goes
-  // through an unsharded StreamDriver on purpose — the sharded driver
-  // journals through the same global checkpointer protocol, so either
-  // driver shape restores the other's checkpoints. The WAL tail is
+  // through a one-lane driver on purpose — every lane count journals
+  // through the same global checkpointer protocol, so any of them restores
+  // the others' checkpoints. The WAL tail is
   // replayed with the multi-threaded engine, so agreement is to fp
   // headroom rather than bitwise (parallel reduction order differs).
   if (checkpointer) {
@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
     Checkpointer<GraphBoltEngine<PageRank>> restorer(
         &cold, &cold_graph,
         {.directory = config.checkpoint_dir, .cadence_batches = config.checkpoint_every});
-    StreamDriver<GraphBoltEngine<PageRank>> cold_driver(&cold, {.checkpointer = &restorer});
+    StreamDriver<GraphBoltEngine<PageRank>> cold_driver(&cold, {}, &restorer);
     Timer recovery;
     if (!cold_driver.Recover()) {
       std::printf("FAIL: recovery found no usable checkpoint in %s\n",

@@ -15,7 +15,7 @@
 //           refinement micro-batch, where the batched machinery repairs
 //           values exactly.
 //
-// Consistency protocol (the reason this is correct, see INTERNALS §13):
+// Consistency protocol (the reason this is correct, see INTERNALS §11):
 //
 //   - WAL ordering: every safe apply journals its 1-mutation batch at the
 //     next applied sequence number *before* splicing, under the same

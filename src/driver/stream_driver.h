@@ -1,1487 +1,22 @@
-// StreamDriver: the pipelined ingestion front-end that turns a batch engine
-// into a streaming service.
+// StreamDriver: the streaming front-end's historical name. There is one
+// driver implementation, ShardedDriver (src/shard/sharded_driver.h); the
+// default DriverConfig{} runs it with one lane, which is the pipeline this
+// name has always meant:
 //
-// The engines in this repository are synchronous: callers hand-build a
-// MutationBatch and block on ApplyMutations. The driver decouples the three
-// phases so they overlap (the GraphSketchDriver / GutteringSystem /
-// WorkerThreadGroup split of GraphZeppelin, adapted to one global BSP
-// engine):
+//   StreamDriver<E> driver(&engine, {.batch_size = 256}, &checkpointer);
 //
-//   producers ──Ingest──► GutterBuffer ──flush──► BoundedQueue ──► worker
-//   (any threads)         (batch by size           (backpressure)   thread
-//                          or staleness)                            applies
-//                                                                   batches
-//
-// - Any number of producer threads Ingest() individual edge mutations; the
-//   gutter absorbs them and flushes a batch when it reaches
-//   `Options::batch_size` or has been sitting for
-//   `Options::flush_interval_seconds`.
-// - Flushed batches travel through a bounded queue to a single background
-//   worker that calls the engine's ApplyMutations. The bound is the
-//   backpressure mechanism: when refinement falls behind ingestion,
-//   producers block inside Ingest (or batches are shed, under
-//   OverflowPolicy::kDropNewest / kShedToWal), so memory stays bounded.
-// - PrepQuery() is the query barrier: it flushes the gutter, waits until
-//   every flushed batch has been applied (and replays any shed batches),
-//   and returns — after which values() is an exact BSP snapshot (what a
-//   from-scratch run on the current graph would produce). When nothing is
-//   buffered or in flight the barrier is a cached-query fast path: one
-//   mutex acquisition, no waiting.
-// - Stop() (also the destructor) drains: ingestion closes, the gutter's
-//   remainder is flushed, the worker applies everything queued and joins.
-//   Mutations ingested after Stop are counted dropped, never lost silently.
-//
-// Fault tolerance (src/fault/): attach a Checkpointer via Options and the
-// driver journals every batch to a write-ahead log immediately before
-// applying it (under the engine mutex, so WAL order == apply order by
-// construction) and snapshots full engine state at the checkpointer's
-// cadence. After a worker crash — detectable via healthy() — Recover()
-// restores the newest valid checkpoint, replays the WAL tail and any shed
-// batches, and restarts the pipeline; with a single producer the restored
-// values are bitwise identical to a fault-free run. A WAL append that fails
-// past its retry budget forces an immediate checkpoint, which supersedes
-// the lost record. A crashed worker closes the queue, so producers shed to
-// the durable side log (or drop, under kDropNewest) instead of blocking
-// forever behind a dead consumer.
-//
-// Robustness (src/sentinel/): setting Options::quarantine_dir arms
-// admission control — every ingested mutation and batch is screened
-// (vertex range, NaN/Inf weights, size ceiling, flood heuristics) before
-// any driver lock is taken, and rejects are parked bitwise-intact in a
-// dead-letter WAL with a reason code; ReplayQuarantine() re-admits them
-// after operator fix-up. An admission governor tracks an apply-latency
-// EWMA: under the kDegrade overflow policy an overloaded driver coalesces
-// in the gutter instead of blocking, and PrepQuery serves the last
-// consistent snapshot (degraded() reports the flag) instead of waiting on
-// the barrier. kShedOldest evicts the oldest queued batch so the freshest
-// data keeps flowing. Options::watchdog_stall_seconds starts a stall
-// watchdog that heartbeats every pipeline stage; a hung stage marks the
-// driver unhealthy, wakes the barrier waiters, and (with a checkpointer
-// attached) drives Recover() automatically.
-//
-// Ordering semantics: mutations from one producer thread are applied in
-// their ingest order. Mutations racing on different producers have no
-// defined global order — whole batches may interleave — which is
-// indistinguishable from some legal arrival order of those producers.
-// Shed batches additionally lose their place in the stream: they re-enter
-// at the next query barrier or recovery, after batches flushed later.
-//
-// The engine is never accessed concurrently: the worker serializes every
-// ApplyMutations, and the query paths synchronize with it. QuerySnapshot()
-// is safe at any time from any thread; values() returns a reference into
-// the engine and is meant for quiescent callers (after PrepQuery returns
-// and while no concurrent producer can trigger a flush, e.g. single-
-// producer loops or after Stop).
+// StreamDriver<E>::Options is DriverConfig, and OverflowPolicy /
+// AsyncModePolicy live beside it in src/shard/driver_config.h.
 #ifndef SRC_DRIVER_STREAM_DRIVER_H_
 #define SRC_DRIVER_STREAM_DRIVER_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdlib>
-#include <filesystem>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string_view>
-#include <thread>
-#include <utility>
-#include <vector>
-
 #include "src/core/streaming_engine.h"
-#include "src/graph/mutable_graph.h"
-#include "src/driver/fast_path.h"
-#include "src/driver/gutter_buffer.h"
-#include "src/driver/maintenance_budget.h"
-#include "src/engine/stats.h"
-#include "src/fault/checkpoint.h"
-#include "src/fault/fault_injector.h"
-#include "src/graph/mutation.h"
-#include "src/parallel/bounded_queue.h"
-#include "src/parallel/task_arena.h"
-#include "src/sentinel/admission.h"
-#include "src/sentinel/quarantine.h"
-#include "src/sentinel/watchdog.h"
-#include "src/util/logging.h"
-#include "src/util/timer.h"
+#include "src/shard/sharded_driver.h"
 
 namespace graphbolt {
 
-// The GRAPHBOLT_BG_COMPACTION=1 default for
-// StreamDriver::Options::background_compaction.
-inline bool DefaultBackgroundCompaction() {
-  const char* env = std::getenv("GRAPHBOLT_BG_COMPACTION");
-  return env != nullptr && env[0] == '1' && env[1] == '\0';
-}
-
-// The GRAPHBOLT_FAST_PATH=1 default for StreamDriver::Options::fast_path.
-inline bool DefaultFastPath() {
-  const char* env = std::getenv("GRAPHBOLT_FAST_PATH");
-  return env != nullptr && env[0] == '1' && env[1] == '\0';
-}
-
-// When the drivers may flip an AsyncDeltaEngine into the Maiter-style
-// asynchronous delta-accumulative execution mode (INTERNALS §14). Shared
-// between StreamDriver::Options and the sharded DriverConfig, so it lives
-// at namespace scope like OverflowPolicy.
-enum class AsyncModePolicy {
-  kOff,          // never: strictly synchronous BSP (the default)
-  kDegradeOnly,  // only while the kDegrade governor reports overload;
-                 // reconciles back to BSP when pressure clears
-  kAuto,         // let the driver decide. Today the only trigger is the
-                 // same degrade signal, so kAuto behaves like
-                 // kDegradeOnly; it reserves latitude for future
-                 // heuristics without an operator-visible rename.
-};
-
-// The GRAPHBOLT_ASYNC_MODE default for Options::async_mode / the sharded
-// DriverConfig ("off" | "degrade-only" | "auto"; anything else reads off).
-inline AsyncModePolicy DefaultAsyncModePolicy() {
-  const char* env = std::getenv("GRAPHBOLT_ASYNC_MODE");
-  if (env == nullptr) {
-    return AsyncModePolicy::kOff;
-  }
-  const std::string_view value(env);
-  if (value == "auto") {
-    return AsyncModePolicy::kAuto;
-  }
-  if (value == "degrade-only") {
-    return AsyncModePolicy::kDegradeOnly;
-  }
-  return AsyncModePolicy::kOff;
-}
-
-// What to do with a flushed batch when the pending queue is full. Shared
-// between StreamDriver and the sharded driver's DriverConfig
-// (src/shard/driver_config.h), so it lives at namespace scope; the nested
-// StreamDriver<E>::OverflowPolicy alias keeps existing call sites working.
-enum class OverflowPolicy {
-  kBlock,       // block the flushing producer (lossless backpressure)
-  kDropNewest,  // shed the batch, counting stats().mutations_dropped
-  kShedToWal,   // park the batch in the checkpointer's durable shed log;
-                // it re-enters at the next PrepQuery barrier or recovery
-  kShedOldest,  // evict the *oldest* queued batch (into the shed log when
-                // a checkpointer is attached, else dropped) to admit the
-                // fresh one: new data beats stale data under overload
-  kDegrade,     // never block, never lose: a batch that cannot be queued
-                // re-merges into the gutter to be re-coalesced and
-                // retried, and PrepQuery serves the last consistent
-                // snapshot while the governor reports overload
-};
-
-template <StreamingEngine Engine>
-class StreamDriver {
- public:
-  using Value = EngineValueT<Engine>;
-
-  using OverflowPolicy = ::graphbolt::OverflowPolicy;
-
-  struct Options {
-    // Gutter flush threshold: mutations per batch handed to the engine.
-    size_t batch_size = 1024;
-    // A non-full gutter flushes once its oldest mutation is this stale.
-    double flush_interval_seconds = 0.05;
-    // Capacity of the flushed-batch queue; the backpressure bound.
-    size_t max_pending_batches = 4;
-    OverflowPolicy overflow = OverflowPolicy::kBlock;
-    // Keep only the last mutation per (src, dst) within a flush — exactly
-    // the mutations MutableGraph::NormalizeBatch would honor anyway.
-    bool coalesce = true;
-    // Durability: when set, every applied batch is journaled and engine
-    // state is checkpointed at the checkpointer's cadence; Recover()
-    // becomes available. Not owned; must outlive the driver.
-    Checkpointer<Engine>* checkpointer = nullptr;
-    // Test-only deterministic fault injection (no-op unless compiled with
-    // GRAPHBOLT_FAULT_INJECTION=1). Not owned.
-    FaultInjector* fault_injector = nullptr;
-    // Background scrub cadence: every this-many seconds of worker idle
-    // time, verify every durability artifact (checkpoint chain, journal,
-    // shed log) with the same predicates recovery uses, quarantining
-    // corrupt checkpoints and healing torn WAL tails. 0 disables; needs a
-    // checkpointer. Runs off the idle poll so it never delays a batch.
-    double scrub_interval_seconds = 0.0;
-    // Background SlackCsr compaction: the worker runs graph maintenance
-    // steps in the windows between batches (under the engine mutex), so
-    // ApplyBatch never pays a synchronous compaction pass — see
-    // slack_csr.h. Requires a GraphMaintainableEngine; ignored (with a
-    // warning) otherwise. Defaults to the GRAPHBOLT_BG_COMPACTION
-    // environment variable ("1" enables).
-    bool background_compaction = DefaultBackgroundCompaction();
-    // Edge budget per maintenance step, per adjacency view. Bounds the
-    // latency a step can add in front of a queued batch.
-    size_t maintenance_budget_edges = 1u << 16;
-
-    // ----- Sentinel: admission, overload control, stall watchdog ----------
-    // Non-empty enables admission control: every ingested mutation and
-    // batch is screened against `admission` before any driver lock, and
-    // rejects are parked bitwise-intact (with a RejectReason) in a
-    // dead-letter WAL under this directory (created if absent). Replay
-    // them with ReplayQuarantine() after fix-up.
-    std::string quarantine_dir;
-    AdmissionLimits admission;
-    // Overload-governor thresholds: pressure is pending-queue depth times
-    // the apply-latency EWMA (see sentinel/admission.h).
-    GovernorOptions governor;
-    // Stall watchdog: a pipeline stage continuously busy for this many
-    // seconds is declared stalled — healthy() goes false and barrier
-    // waiters wake. 0 disables the watchdog thread.
-    double watchdog_stall_seconds = 0.0;
-    double watchdog_poll_seconds = 0.05;
-    // On a detected stall, drive Recover() automatically (needs a
-    // checkpointer); otherwise the driver only reports unhealthy.
-    bool watchdog_auto_recover = true;
-
-    // ----- Single-update fast path (src/driver/fast_path.h) ---------------
-    // Enables IngestFast(): single mutations the engine classifies safe
-    // bypass gutter batching and splice in place (journaled, per-vertex
-    // claims, no engine lock); unsafe ones escalate into the gutter as a
-    // refinement micro-batch. With this false, IngestFast == Ingest.
-    bool fast_path = DefaultFastPath();
-
-    // ----- Async delta-accumulative mode (the Maiter tier; INTERNALS §14) --
-    // With an AsyncDeltaEngine and OverflowPolicy::kDegrade, kDegradeOnly /
-    // kAuto let the driver flip the engine into barrier-free async mode
-    // while the governor reports overload: degraded queries then observe
-    // continuously-updating, eventually-consistent values whose distance
-    // from the true fixed point is bounded by stats().async_residual,
-    // instead of a frozen snapshot. Self-clearing: when pressure recedes
-    // (or a barrier needs exactness) the driver runs one reconciling
-    // barrier that restores bitwise-deterministic BSP state. Defaults to
-    // the GRAPHBOLT_ASYNC_MODE environment variable.
-    AsyncModePolicy async_mode = DefaultAsyncModePolicy();
-    // Vertex budget per async propagation round (0 = unbounded round).
-    size_t async_step_budget = size_t{1} << 14;
-  };
-
-  // The engine must outlive the driver and already hold the initial
-  // snapshot; run engine->InitialCompute() before ingesting (and
-  // CheckpointNow() after it, so a crash before the first cadence
-  // checkpoint still has a baseline to recover from).
-  explicit StreamDriver(Engine* engine, Options options = {})
-      : engine_(engine),
-        options_(options),
-        governor_(options.governor),
-        budget_(options.maintenance_budget_edges),
-        queue_(options.max_pending_batches),
-        checkpointer_(options.checkpointer),
-        injector_(options.fault_injector) {
-    GB_CHECK(options_.batch_size >= 1) << "batch_size must be >= 1";
-    GB_CHECK(options_.overflow != OverflowPolicy::kShedToWal || checkpointer_ != nullptr)
-        << "OverflowPolicy::kShedToWal requires a Checkpointer";
-    if (options_.background_compaction) {
-      if constexpr (GraphMaintainableEngine<Engine>) {
-        engine_->mutable_graph()->SetCompactionMode(
-            SlackCsr::CompactionMode::kBackground);
-      } else {
-        GB_LOG(kWarning) << "background_compaction requested but the engine "
-                            "does not expose its graph; staying synchronous";
-        options_.background_compaction = false;
-      }
-    }
-    if (!options_.quarantine_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(options_.quarantine_dir, ec);
-      quarantine_ = std::make_unique<Quarantine>(
-          options_.quarantine_dir, injector_,
-          checkpointer_ != nullptr ? checkpointer_->env() : nullptr);
-    }
-    queue_.ArmFaultInjector(injector_);
-    worker_ = std::thread([this] { WorkerLoop(); });
-    if (options_.watchdog_stall_seconds > 0.0) {
-      watchdog_.Start({options_.watchdog_poll_seconds, options_.watchdog_stall_seconds},
-                      [this](const StallCause& cause) { OnStall(cause); });
-    }
-  }
-
-  ~StreamDriver() { Stop(); }
-
-  StreamDriver(const StreamDriver&) = delete;
-  StreamDriver& operator=(const StreamDriver&) = delete;
-
-  // Thread-safe. Blocks only when a flush hits a full queue under kBlock.
-  // Returns false (and counts the mutation dropped) after Stop(), or (with
-  // admission control armed) when the mutation fails the screen and is
-  // quarantined instead.
-  bool Ingest(const EdgeMutation& mutation) {
-    if (quarantine_ != nullptr) {
-      const AdmissionVerdict verdict = ScreenMutation(mutation, options_.admission);
-      if (!verdict.admitted()) {
-        QuarantineReject(verdict.reason, MutationBatch{mutation});
-        return false;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!accepting_) {
-      ++stats_.mutations_dropped;
-      return false;
-    }
-    gutter_.Add(mutation);
-    ++stats_.mutations_enqueued;
-    if (gutter_.size() >= options_.batch_size) {
-      FlushLocked(lock);
-    }
-    return true;
-  }
-
-  // Single-update fast path (Options::fast_path; see src/driver/fast_path.h
-  // and INTERNALS §13). Screens the mutation like Ingest, then asks the
-  // engine to classify it against its dependency state:
-  //
-  //   safe    journaled at the next applied sequence number and spliced into
-  //           the graph in place — no gutter, no flush, no barrier, and no
-  //           engine_mu_: the apply serializes through journal_mu_ (against
-  //           batched applies, maintenance, and checkpoints) plus per-vertex
-  //           claims, and flips the fast-path epoch around the splice.
-  //   unsafe  escalated into the gutter as a refinement micro-batch via the
-  //           normal Ingest path (counted fastpath_unsafe_escalated).
-  //
-  // When the journal mutex is contended (a batched apply or maintenance pass
-  // is in flight) the mutation escalates rather than blocking: the fast path
-  // never waits on batch-scale work. With fast_path disabled or an engine
-  // that cannot classify, this is exactly Ingest. Returns false only when
-  // the mutation was rejected (quarantined or not accepting).
-  bool IngestFast(const EdgeMutation& mutation) {
-    if constexpr (!FastPathEngine<Engine>) {
-      return Ingest(mutation);
-    } else {
-      if (!options_.fast_path) {
-        return Ingest(mutation);
-      }
-      if (quarantine_ != nullptr) {
-        const AdmissionVerdict verdict = ScreenMutation(mutation, options_.admission);
-        if (!verdict.admitted()) {
-          QuarantineReject(verdict.reason, MutationBatch{mutation});
-          return false;
-        }
-      }
-      {
-        VertexClaims::Guard guard(&claims_, mutation.src, mutation.dst);
-        std::unique_lock<std::mutex> journal(journal_mu_, std::try_to_lock);
-        // While the async tier is engaged the BSP dependency store is stale,
-        // so ClassifyFast cannot reason about it: escalate. Mode flips hold
-        // journal_mu_, so a false read here stays false for this splice.
-        if (journal.owns_lock() && !async_engaged_.load(std::memory_order_acquire) &&
-            engine_->ClassifyFast(mutation).safe) {
-          // Admission bookkeeping before the point of no return: once the
-          // WAL record lands the mutation is part of the admitted stream.
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!accepting_) {
-              ++stats_.mutations_dropped;
-              return false;
-            }
-            ++stats_.mutations_enqueued;
-          }
-          ++applied_seq_;
-          bool journaled = true;
-          if (checkpointer_ != nullptr) {
-            journaled = checkpointer_->AppendWal(applied_seq_, MutationBatch{mutation});
-          }
-          epoch_.BeginApply();
-          const bool applied = engine_->ApplyFastSafe(mutation);
-          epoch_.EndApply();
-          // journal_mu_ excluded every writer between ClassifyFast and the
-          // re-validation inside ApplyFastSafe, so the verdict cannot flip.
-          GB_CHECK(applied) << "fast-path re-validation failed under the journal lock";
-          if (checkpointer_ != nullptr && !journaled) {
-            // The WAL record was lost (injected fault): force a checkpoint
-            // so recovery still covers this splice. Engine state cannot
-            // move while we hold journal_mu_.
-            if constexpr (CheckpointableEngine<Engine>) {
-              checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/true);
-            }
-          }
-          fast_counters_.safe_applied.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      fast_counters_.unsafe_escalated.fetch_add(1, std::memory_order_relaxed);
-      return Ingest(mutation);
-    }
-  }
-
-  // Ingests a pre-built batch mutation by mutation (flush boundaries still
-  // follow Options::batch_size). Returns how many were accepted; 0 with the
-  // whole batch quarantined when admission control rejects it.
-  size_t IngestBatch(const MutationBatch& batch) {
-    if (quarantine_ != nullptr) {
-      const AdmissionVerdict verdict = ScreenBatch(batch, options_.admission);
-      if (!verdict.admitted()) {
-        QuarantineReject(verdict.reason, batch);
-        return 0;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    size_t accepted = 0;
-    for (const EdgeMutation& mutation : batch) {
-      if (!accepting_) {  // re-checked: FlushLocked releases the lock
-        stats_.mutations_dropped += batch.size() - accepted;
-        break;
-      }
-      gutter_.Add(mutation);
-      ++stats_.mutations_enqueued;
-      ++accepted;
-      if (gutter_.size() >= options_.batch_size) {
-        FlushLocked(lock);
-      }
-    }
-    return accepted;
-  }
-
-  // Hands the gutter's current contents (a partial batch) to the worker.
-  void Flush() {
-    std::unique_lock<std::mutex> lock(mu_);
-    FlushLocked(lock);
-  }
-
-  // Query barrier: flush + drain (+ shed replay). On return every mutation
-  // flushed before the call has been applied, so the engine holds an exact
-  // BSP snapshot. Returns false when the fast path hit (nothing was
-  // buffered, in flight, or shed — the previous snapshot is still current).
-  // On a crashed driver the barrier returns immediately with a stale
-  // snapshot; check healthy() and call Recover().
-  bool PrepQuery() {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool cached = gutter_.empty() && in_flight_ == 0 && shed_batches_ == 0;
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      // An async-engaged engine holds eventually-consistent values, never
-      // an exact BSP snapshot, so the fast path's "still current" claim
-      // would be a lie: fall through to the reconciling barrier.
-      cached = cached && !async_engaged_.load(std::memory_order_acquire);
-    }
-    if (cached) {
-      return false;  // cached-query fast path
-    }
-    if (options_.overflow == OverflowPolicy::kDegrade && governor_.degraded()) {
-      // Degraded serve: under overload, don't block on the barrier. In BSP
-      // mode the engine state is always *some* prefix-consistent snapshot
-      // (whole batches apply under engine_mu_), just not the freshest one.
-      // With the async tier engaged the served values are instead
-      // eventually consistent and continuously updating — every applied
-      // batch and propagation round moves them toward the fixed point, and
-      // stats().async_residual bounds the remaining distance. Use
-      // QuerySnapshot() to read either race-free. Clears automatically
-      // once the governor's pressure recedes.
-      ++stats_.degraded_queries;
-      if (async_engaged_.load(std::memory_order_acquire)) {
-        ++stats_.async_fresh_queries;
-      }
-      return true;
-    }
-    for (;;) {
-      if (worker_dead_) {
-        GB_LOG(kWarning) << "PrepQuery on a crashed driver: snapshot is stale; Recover() first";
-        return true;
-      }
-      FlushLocked(lock, /*allow_refill=*/false);
-      drained_cv_.wait(lock, [&] { return in_flight_ == 0 || worker_dead_; });
-      if (worker_dead_) {
-        GB_LOG(kWarning) << "worker died during the query barrier; Recover() first";
-        return true;
-      }
-      if constexpr (AsyncDeltaEngine<Engine>) {
-        if (async_engaged_.load(std::memory_order_acquire)) {
-          // The barrier promises an exact BSP snapshot: run the
-          // reconciling barrier first, then re-check the drain (the
-          // reconcile dropped mu_, so producers may have raced in).
-          lock.unlock();
-          {
-            std::lock_guard<std::mutex> engine_lock(engine_mu_);
-            ReconcileAsync();
-          }
-          lock.lock();
-          continue;
-        }
-      }
-      if (shed_batches_ == 0) {
-        return true;
-      }
-      lock.unlock();
-      ReplayShed();
-      lock.lock();
-    }
-  }
-
-  // Barrier + reference to the engine's values. The reference is an exact
-  // BSP snapshot at return; it stays valid but may be rewritten once
-  // another producer triggers a flush — see the header comment.
-  const std::vector<Value>& values() {
-    PrepQuery();
-    return engine_->values();
-  }
-
-  // Barrier + copy, safe under concurrent ingestion from other threads.
-  std::vector<Value> QuerySnapshot() {
-    PrepQuery();
-    std::lock_guard<std::mutex> engine_lock(engine_mu_);
-    // Seqlock against in-flight fast-path splices: safe applies leave the
-    // value vector bitwise unchanged, but the epoch check makes the
-    // prefix-consistency argument local instead of relying on that proof.
-    for (;;) {
-      const uint64_t epoch = epoch_.ReadStable();
-      std::vector<Value> snapshot = engine_->values();
-      if (epoch_.Validate(epoch)) {
-        return snapshot;
-      }
-    }
-  }
-
-  // Cumulative driver statistics (see stats.h: engine fields are summed
-  // over applied batches; driver fields count since construction; the
-  // durability block merges in the checkpointer's counters).
-  EngineStats stats() const {
-    EngineStats snapshot;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      snapshot = stats_;
-      snapshot.apply_ewma_seconds = governor_.apply_ewma_seconds();
-      snapshot.degraded_entries = governor_.degraded_entries();
-    }
-    if (checkpointer_ != nullptr) {
-      checkpointer_->MergeStats(&snapshot);
-    }
-    snapshot.fastpath_safe_applied = fast_counters_.safe_applied.load(std::memory_order_relaxed);
-    snapshot.fastpath_unsafe_escalated =
-        fast_counters_.unsafe_escalated.load(std::memory_order_relaxed);
-    snapshot.fastpath_epoch_flips = epoch_.flips();
-    return snapshot;
-  }
-
-  // Mutations currently buffered in the gutter (not yet flushed).
-  size_t pending_mutations() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return gutter_.size();
-  }
-
-  // False once the worker thread has been killed by fault injection (the
-  // stand-in for a real worker crash). The pipeline stops applying; call
-  // Recover() to restore and restart.
-  bool healthy() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !worker_dead_;
-  }
-
-  // True while the admission governor has the driver in degraded mode
-  // (overload): under kDegrade, PrepQuery serves the last consistent
-  // snapshot instead of blocking on the barrier.
-  bool degraded() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return governor_.degraded();
-  }
-
-  // The dead-letter quarantine; null unless Options::quarantine_dir was
-  // set. Inspect parked batches with quarantine()->ForEach.
-  Quarantine* quarantine() { return quarantine_.get(); }
-
-  // Batches currently parked in the dead-letter WAL.
-  uint64_t quarantined_batches() const {
-    return quarantine_ != nullptr ? quarantine_->parked_batches() : 0;
-  }
-
-  // Drains the quarantine through `fixup(RejectReason, MutationBatch&)`.
-  // fixup repairs the batch in place and returns true to re-admit it — the
-  // batch is re-screened, so a still-poison batch goes straight back to
-  // quarantine — or false to discard it. Call on a live (accepting)
-  // driver. Returns the number of parked batches fed to fixup.
-  template <typename Fixup>
-  size_t ReplayQuarantine(Fixup&& fixup) {
-    if (quarantine_ == nullptr) {
-      return 0;
-    }
-    return quarantine_->Drain([&](RejectReason reason, MutationBatch&& batch) {
-      if (!fixup(reason, batch)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.quarantine_discarded;
-        stats_.mutations_dropped += batch.size();
-        return;
-      }
-      const size_t accepted = IngestBatch(batch);
-      if (accepted > 0 || batch.empty()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.quarantine_replayed;
-      }
-    });
-  }
-
-  // Replay with no fix-up: every parked batch is re-screened as-is.
-  size_t ReplayQuarantine() {
-    return ReplayQuarantine([](RejectReason, MutationBatch&) { return true; });
-  }
-
-  // Writes a checkpoint of the current engine state immediately — the
-  // baseline right after InitialCompute, or an explicit save point.
-  bool CheckpointNow() {
-    if constexpr (CheckpointableEngine<Engine>) {
-      if (checkpointer_ == nullptr) {
-        return false;
-      }
-      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
-      std::lock_guard<std::mutex> engine_lock(engine_mu_);
-      std::lock_guard<std::mutex> journal_lock(journal_mu_);
-      return checkpointer_->WriteCheckpoint(applied_seq_);
-    } else {
-      return false;
-    }
-  }
-
-  // Crash recovery: restores the newest valid checkpoint from disk into the
-  // graph and engine, replays the WAL tail past it, applies batches that
-  // were still queued at the crash (process memory, not crash casualties),
-  // re-applies shed batches, and restarts the worker. Queued-then-shed is
-  // the stream order: shedding only starts once the queue is full or
-  // closed, so anything queued predates anything shed. Works both on a
-  // live driver whose worker died and as cold-start recovery on a freshly
-  // constructed graph/engine/driver (no InitialCompute needed). Always
-  // restores from disk — in-memory engine state is discarded — so the
-  // persisted path is the one being trusted. Returns false (pipeline
-  // restarted, engine state left as-is) when no valid checkpoint exists.
-  bool Recover() {
-    if constexpr (!CheckpointableEngine<Engine>) {
-      GB_LOG(kError) << "Recover() requires a CheckpointableEngine";
-      return false;
-    } else {
-      std::lock_guard<std::mutex> stop_lock(stop_mu_);
-      if (checkpointer_ == nullptr) {
-        GB_LOG(kError) << "Recover() without a Checkpointer";
-        return false;
-      }
-      Timer wall;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        accepting_ = false;
-      }
-      queue_.Close();
-      // Cooperative cancellation: a worker parked in an injected stage
-      // stall observes this token, sheds its in-hand batch, and exits so
-      // the join below returns.
-      stall_abort_.store(true);
-      if (worker_.joinable()) {
-        worker_.join();
-      }
-      std::vector<TimedBatch> preserved;
-      while (std::optional<TimedBatch> leftover = queue_.Pop()) {
-        preserved.push_back(std::move(*leftover));
-      }
-      bool restored = false;
-      bool applied_preserved = false;
-      uint64_t replayed_wal = 0;
-      uint64_t replayed_shed = 0;
-      {
-        std::lock_guard<std::mutex> engine_lock(engine_mu_);
-        if constexpr (AsyncDeltaEngine<Engine>) {
-          // WAL replay goes through BSP ApplyMutations: a crash inside an
-          // async window reconciles first. The reconcile force-checkpoints,
-          // so the reconciled fixpoint is the newest restore point and the
-          // replay tail past it is empty.
-          ReconcileAsync();
-        }
-        bool can_absorb = false;
-        {
-          // journal_mu_ fences out concurrent fast-path splices while the
-          // engine is rebuilt from disk (ApplyJournaled re-takes it below).
-          std::lock_guard<std::mutex> journal_lock(journal_mu_);
-          uint64_t ckpt_seq = 0;
-          restored = checkpointer_->RestoreLatest(&ckpt_seq);
-          if (restored) {
-            applied_seq_ = ckpt_seq;
-            // The tail was journaled with its final sequence numbers already:
-            // replay applies without re-journaling or cadence checkpoints.
-            replayed_wal = checkpointer_->ReplayWal(
-                ckpt_seq, [&](uint64_t seq, MutationBatch&& batch) {
-                  engine_->ApplyMutations(batch);
-                  applied_seq_ = seq;
-                });
-          }
-          // Restored state — or live in-memory state left at a batch boundary
-          // by the kill — can absorb the not-yet-applied remainder. A cold
-          // start without any valid checkpoint cannot (the engine was never
-          // initialized), so the shed log stays parked for a later attempt.
-          can_absorb = restored || applied_seq_ > 0;
-        }
-        if (can_absorb) {
-          for (TimedBatch& item : preserved) {
-            ApplyJournaled(item.batch);
-          }
-          applied_preserved = true;
-          replayed_shed = checkpointer_->DrainShed(
-              [&](MutationBatch&& batch) { ApplyJournaled(batch); });
-        }
-        if (restored) {
-          // Fresh checkpoint at the recovered frontier: the next crash
-          // recovers from here, and the superseded WAL prefix can compact.
-          std::lock_guard<std::mutex> journal_lock(journal_mu_);
-          checkpointer_->WriteCheckpoint(applied_seq_);
-        }
-      }
-      queue_.Reset();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        worker_dead_ = false;
-        accepting_ = true;
-        // Subtract only what DrainShed actually replayed: a producer racing
-        // against recovery may shed into the log after the drain, and that
-        // batch must stay counted or the next barrier would never replay it.
-        shed_batches_ -= std::min(shed_batches_, static_cast<size_t>(replayed_shed));
-        if (applied_preserved) {
-          // First-time applies (queued + shed) count as applied; WAL-tail
-          // re-applications only as replayed.
-          stats_.batches_applied += preserved.size() + replayed_shed;
-        } else {
-          for (const TimedBatch& item : preserved) {
-            stats_.mutations_dropped += item.batch.size();
-          }
-        }
-        in_flight_ -= preserved.size();
-        if (in_flight_ == 0) {
-          drained_cv_.notify_all();
-        }
-        if (restored) {
-          ++stats_.recoveries;
-          stats_.batches_replayed += replayed_wal + replayed_shed;
-          stats_.shed_batches_replayed += replayed_shed;
-        }
-      }
-      stall_abort_.store(false);
-      worker_ = std::thread([this] { WorkerLoop(); });
-      stopped_ = false;
-      // Restart the watchdog after a Stop()-then-Recover() revival. No-op
-      // when it is already running — including when this very call runs
-      // *on* the watchdog thread (auto-recovery).
-      if (options_.watchdog_stall_seconds > 0.0 && !watchdog_.running()) {
-        watchdog_.Start({options_.watchdog_poll_seconds, options_.watchdog_stall_seconds},
-                        [this](const StallCause& cause) { OnStall(cause); });
-      }
-      if (restored) {
-        GB_LOG(kInfo) << "recovered to batch " << applied_seq_ << " (" << replayed_wal
-                      << " WAL, " << preserved.size() << " queued, " << replayed_shed
-                      << " shed batches replayed) in " << wall.Millis() << " ms";
-      }
-      return restored;
-    }
-  }
-
-  // Sequence number of the newest batch applied through the journal — the
-  // durable frontier. After Recover() it is exactly the number of batches
-  // the recovered state contains, which is what the crash harness diffs
-  // against a fresh prefix run.
-  uint64_t applied_seq() {
-    std::lock_guard<std::mutex> lock(journal_mu_);
-    return applied_seq_;
-  }
-
-  // One synchronous scrub pass over the durability artifacts (see
-  // Options::scrub_interval_seconds). Returns corrupt artifacts found; 0
-  // is a healthy disk or no checkpointer. Safe against a live pipeline:
-  // only the journal serialization is held, so queries and staged applies
-  // wait at most one artifact verification.
-  uint64_t ScrubNow() {
-    if (checkpointer_ == nullptr) {
-      return 0;
-    }
-    std::lock_guard<std::mutex> journal_lock(journal_mu_);
-    return checkpointer_->Scrub().corruptions;
-  }
-
-  // Drains and shuts down: stops accepting, flushes the gutter remainder,
-  // waits for the worker to apply everything queued, joins it, and replays
-  // any shed batches. Idempotent; called by the destructor. After a worker
-  // crash the un-applied queue leftovers are parked in the durable shed log
-  // (recoverable by a later cold-start Recover) or counted dropped.
-  void Stop() {
-    // The watchdog's callback may be inside Recover() — which takes
-    // stop_mu_ — so stop it *before* acquiring stop_mu_ or Stop deadlocks
-    // behind its own watchdog.
-    watchdog_.Stop();
-    std::lock_guard<std::mutex> stop_lock(stop_mu_);
-    if (stopped_) {
-      return;
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      accepting_ = false;
-      FlushLocked(lock, /*allow_refill=*/false);
-    }
-    stall_abort_.store(true);  // release a worker parked in an injected stall
-    queue_.Close();
-    worker_.join();
-    bool dead;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      dead = worker_dead_;
-    }
-    while (std::optional<TimedBatch> leftover = queue_.Pop()) {
-      const bool shed = checkpointer_ != nullptr && checkpointer_->AppendShed(leftover->batch);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shed) {
-        stats_.mutations_shed_to_wal += leftover->batch.size();
-        ++shed_batches_;
-      } else {
-        stats_.mutations_dropped += leftover->batch.size();
-      }
-      if (--in_flight_ == 0) {
-        drained_cv_.notify_all();
-      }
-    }
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      // The worker has joined, so nothing will tick the mode again: leave
-      // the engine reconciled to bitwise-deterministic BSP state (shed
-      // replay below and any later barrier go through BSP ApplyMutations).
-      std::lock_guard<std::mutex> engine_lock(engine_mu_);
-      ReconcileAsync();
-    }
-    if (!dead) {
-      bool have_shed;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        have_shed = shed_batches_ > 0;
-      }
-      if (have_shed) {
-        ReplayShed();  // engine is idle: the worker has joined
-      }
-    }
-    stopped_ = true;
-  }
-
- private:
-  struct TimedBatch {
-    MutationBatch batch;
-    Timer since_flush;  // epoch set at flush; read when the apply finishes
-  };
-
-  // Takes the gutter as a batch and moves it toward the worker. Caller
-  // holds `lock`; the queue handoff happens unlocked so a blocked push
-  // stalls only the flushing producer, never the worker's bookkeeping.
-  // in_flight_ covers the unlocked window, keeping the batch visible to
-  // PrepQuery and to the worker's stale-flush check throughout.
-  //
-  // Overflow on a full queue follows the policy: kBlock waits (the
-  // backpressure producers feel), kDropNewest drops, kShedToWal sheds
-  // durably, kShedOldest evicts the oldest queued batch into the shed log
-  // (or drops it) to admit the fresh one, and kDegrade puts the batch
-  // *back* into the gutter to be re-coalesced and retried — unless
-  // `allow_refill` is false (query barrier / shutdown), where kDegrade
-  // falls back to a lossless blocking push. A closed queue (shutdown or a
-  // crashed worker) sheds durably when a checkpointer is attached and
-  // drops otherwise, under every policy.
-  void FlushLocked(std::unique_lock<std::mutex>& lock, bool allow_refill = true) {
-    if (gutter_.empty()) {
-      return;
-    }
-    if (options_.overflow == OverflowPolicy::kDegrade && allow_refill &&
-        !queue_.closed() && queue_.size() >= queue_.capacity()) {
-      // Coalesce under pressure: leave the batch in the gutter (duplicates
-      // die at the eventual Take) instead of churning Take/Refill on every
-      // ingested mutation while the queue stays full.
-      governor_.Update(queue_.size());
-      return;
-    }
-    TimedBatch item;
-    item.batch = gutter_.Take(options_.coalesce, &stats_.mutations_coalesced);
-    item.since_flush.Reset();
-    const size_t mutations = item.batch.size();
-    ++in_flight_;
-    lock.unlock();
-    bool pushed = false;
-    double waited = 0.0;
-    std::optional<TimedBatch> evicted;
-    if (queue_.TryPush(std::move(item))) {
-      pushed = true;
-    } else if (options_.overflow == OverflowPolicy::kBlock ||
-               (options_.overflow == OverflowPolicy::kDegrade && !allow_refill)) {
-      Timer wait;  // full: this block is the backpressure producers feel
-      pushed = queue_.Push(std::move(item));
-      waited = wait.Seconds();
-    } else if (options_.overflow == OverflowPolicy::kShedOldest) {
-      pushed = queue_.PushEvictOldest(std::move(item), &evicted);
-    }
-    const bool closed = !pushed && queue_.closed();
-    const bool refill = !pushed && !closed && allow_refill &&
-                        options_.overflow == OverflowPolicy::kDegrade;
-    bool shed = false;
-    if (!pushed && !refill && options_.overflow != OverflowPolicy::kDropNewest &&
-        checkpointer_ != nullptr) {
-      shed = checkpointer_->AppendShed(item.batch);
-    }
-    bool evicted_shed = false;
-    if (evicted.has_value() && checkpointer_ != nullptr) {
-      evicted_shed = checkpointer_->AppendShed(evicted->batch);
-    }
-    lock.lock();
-    stats_.queue_wait_seconds += waited;
-    if (evicted.has_value()) {
-      // The evicted batch leaves the pipeline un-applied: account it shed
-      // (durable) or dropped, and release its in-flight slot.
-      ++stats_.shed_oldest_evictions;
-      if (evicted_shed) {
-        stats_.mutations_shed_to_wal += evicted->batch.size();
-        ++shed_batches_;
-      } else {
-        stats_.mutations_dropped += evicted->batch.size();
-      }
-      if (--in_flight_ == 0) {
-        drained_cv_.notify_all();
-      }
-    }
-    if (!pushed) {
-      if (refill) {
-        gutter_.Refill(std::move(item.batch));
-      } else if (shed) {
-        stats_.mutations_shed_to_wal += mutations;
-        ++shed_batches_;
-      } else {
-        stats_.mutations_dropped += mutations;
-      }
-      if (--in_flight_ == 0) {
-        drained_cv_.notify_all();
-      }
-    }
-    governor_.Update(queue_.size());
-  }
-
-  void WorkerLoop() {
-    for (;;) {
-      Timer poll;
-      std::optional<TimedBatch> item =
-          queue_.PopFor(std::chrono::duration<double>(NextPollSeconds()));
-      if (item.has_value()) {
-        if (ApplyOne(std::move(*item))) {
-          return;  // stall-aborted: recovery owns the pipeline now
-        }
-        if (WorkerKilled()) {
-          return;
-        }
-        // One maintenance increment per batch keeps compaction overlapped
-        // with a saturated stream (the quiescent window between applies).
-        MaintenanceTick();
-      } else if (queue_.closed()) {
-        if (queue_.Empty()) {
-          break;
-        }
-        continue;
-      } else {
-        // An empty poll IS the idle window the maintenance budget sizes
-        // ticks against; feed the observation before spending it.
-        budget_.RecordIdle(poll.Seconds());
-        MaintenanceTick();  // idle poll: let a pending rewrite advance
-        AsyncTick();        // refresh overload state; propagate or reconcile
-        MaybeScrub();       // cadence-gated artifact verification
-      }
-      // The stale check runs after *every* iteration — successful pops
-      // included, so a busy queue cannot starve a stale gutter — against
-      // the monotonic deadline NextPollSeconds carries across polls.
-      if (TryFlushStaleGutter()) {
-        return;
-      }
-    }
-  }
-
-  // The worker's next wait: the flush interval, shortened so the wait
-  // expires exactly when the gutter's oldest mutation goes stale. This is
-  // the monotonic deadline carried across polls — a pop or short timeout
-  // no longer re-arms the full interval. A gutter already past its
-  // deadline but blocked by an in-flight batch (direct apply would
-  // reorder) gets a short back-off instead of a spin.
-  double NextPollSeconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (gutter_.empty()) {
-      return options_.flush_interval_seconds;
-    }
-    const double remaining = options_.flush_interval_seconds - gutter_.AgeSeconds();
-    if (remaining <= 0.0) {
-      return in_flight_ > 0 ? 1e-3 : 1e-4;
-    }
-    return remaining;
-  }
-
-  // Flushes a stale gutter and applies it directly — never through the
-  // queue (the worker must not block behind itself), and only when
-  // in_flight_ == 0 so the gutter's contents are strictly newer than
-  // anything already formed and ordering is preserved. Returns true when
-  // the worker must exit (killed or stall-aborted mid-apply).
-  bool TryFlushStaleGutter() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (in_flight_ != 0 || gutter_.empty() ||
-        gutter_.AgeSeconds() < options_.flush_interval_seconds) {
-      return false;
-    }
-    StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kGutterFlush);
-    TimedBatch stale;
-    stale.batch = gutter_.Take(options_.coalesce, &stats_.mutations_coalesced);
-    stale.since_flush.Reset();
-    ++in_flight_;
-    lock.unlock();
-    if (ApplyOne(std::move(stale))) {
-      return true;
-    }
-    return WorkerKilled();
-  }
-
-  // The kWorkerKill site fires between batches (after an apply completes),
-  // so the engine is always left at a batch boundary — a crash never tears
-  // a refinement. The queue closes so producers stop blocking behind the
-  // dead consumer (their pushes fail over to the shed/drop path); queued
-  // batches stay poppable for Recover().
-  bool WorkerKilled() {
-    if (!GB_FAULT_POINT(injector_, FaultSite::kWorkerKill)) {
-      return false;
-    }
-    queue_.Close();
-    std::lock_guard<std::mutex> lock(mu_);
-    worker_dead_ = true;
-    GB_LOG(kWarning) << "FaultInjector: worker killed after batch "
-                     << stats_.batches_applied;
-    drained_cv_.notify_all();
-    return true;
-  }
-
-  // Applies one batch under the engine mutex, with the kApply heartbeat.
-  // Returns true when the apply was cancelled by stall recovery: the
-  // worker must exit, and the in-hand batch has been shed durably (or
-  // counted dropped) so recovery's shed drain replays it.
-  bool ApplyOne(TimedBatch item) {
-    if (GB_FAULT_POINT(injector_, FaultSite::kStageStall)) {
-      // Injected hung apply: park (cooperatively) with the stage reading
-      // busy until recovery cancels via stall_abort_. Parks *outside*
-      // engine_mu_ — a stage that wedged while holding the engine could be
-      // detected but never joined (see watchdog.h).
-      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply);
-      GB_LOG(kWarning) << "FaultInjector: apply stage stalled";
-      while (!stall_abort_.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      const bool shed = checkpointer_ != nullptr && checkpointer_->AppendShed(item.batch);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shed) {
-        stats_.mutations_shed_to_wal += item.batch.size();
-        ++shed_batches_;
-      } else {
-        stats_.mutations_dropped += item.batch.size();
-      }
-      if (--in_flight_ == 0) {
-        drained_cv_.notify_all();
-      }
-      return true;
-    }
-    Timer wall;
-    EngineStats applied;
-    uint64_t rebuilds = 0;
-    bool async_applied = false;
-    bool async_stepped = false;
-    double async_residual = 0.0;
-    uint64_t priority_delta = 0;
-    {
-      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply);
-      std::lock_guard<std::mutex> engine_lock(engine_mu_);
-      SyncAsyncMode();
-      if constexpr (AsyncDeltaEngine<Engine>) {
-        if (async_engaged_.load(std::memory_order_relaxed)) {
-          AsyncApplyJournaled(item.batch);  // reconciles itself on WAL loss
-          async_applied = true;
-          if (async_engaged_.load(std::memory_order_relaxed) &&
-              engine_->AsyncResidual() > 0.0) {
-            // One bounded propagation round rides along with every apply,
-            // so the served values chase the mutations they absorb. The
-            // engine leaves async-round scheduler work unattributed;
-            // account the priority-lane pushes from the arena directly.
-            const uint64_t before = TaskArena::Instance().counters().tasks_priority;
-            engine_->AsyncStep(options_.async_step_budget);
-            priority_delta = TaskArena::Instance().counters().tasks_priority - before;
-            async_stepped = true;
-          }
-          async_residual = engine_->AsyncResidual();
-        }
-      }
-      if (!async_applied) {
-        ApplyJournaled(item.batch);
-      }
-      applied = engine_->stats();
-      if constexpr (GraphMaintainableEngine<Engine>) {
-        rebuilds = engine_->mutable_graph()->adaptive_rebuilds();
-      }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    // The graph's rebuild counter is cumulative; mirror, don't sum.
-    stats_.adaptive_rebuilds = rebuilds;
-    ++stats_.batches_applied;
-    stats_.seconds += applied.seconds;
-    stats_.mutation_seconds += applied.mutation_seconds;
-    stats_.edges_processed += applied.edges_processed;
-    stats_.iterations += applied.iterations;
-    stats_.tasks_forked += applied.tasks_forked;
-    stats_.tasks_stolen += applied.tasks_stolen;
-    stats_.inline_runs += applied.inline_runs;
-    stats_.tasks_priority += applied.tasks_priority + priority_delta;
-    if (async_applied) {
-      ++stats_.async_applies;
-      stats_.async_steps += async_stepped ? 1 : 0;
-      stats_.async_residual = async_residual;
-    }
-    stats_.flush_latency_seconds += item.since_flush.Seconds();
-    governor_.RecordApply(wall.Seconds());
-    governor_.Update(queue_.size());
-    if (--in_flight_ == 0) {
-      drained_cv_.notify_all();
-    }
-    return false;
-  }
-
-  // One background-compaction increment in the quiescent window between
-  // batches. Holding the engine mutex makes this the epoch barrier: no
-  // apply or query can observe a half-built shadow, and a completed
-  // rewrite flips in under the same lock every reader takes.
-  // Worker-only (single ticking thread, so the cadence timer needs no
-  // lock): run a scrub pass once the configured interval of wall time has
-  // passed since the last one. Rides the idle poll — a saturated pipeline
-  // defers scrubbing, which is the right priority order.
-  void MaybeScrub() {
-    if (checkpointer_ == nullptr || options_.scrub_interval_seconds <= 0.0 ||
-        scrub_timer_.Seconds() < options_.scrub_interval_seconds) {
-      return;
-    }
-    scrub_timer_.Reset();
-    ScrubNow();
-  }
-
-  void MaintenanceTick() {
-    if constexpr (GraphMaintainableEngine<Engine>) {
-      if (!options_.background_compaction) {
-        return;
-      }
-      // Adaptive budget: sized from the observed idle-window length and
-      // per-edge cost, falling back to the configured constant until both
-      // signals have data (see maintenance_budget.h).
-      const size_t budget = budget_.Next();
-      SlackCsr::CompactionStats compaction;
-      Timer step;
-      {
-        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kMaintenance);
-        std::lock_guard<std::mutex> engine_lock(engine_mu_);
-        std::lock_guard<std::mutex> journal_lock(journal_mu_);  // vs fast-path splices
-        MutableGraph* graph = engine_->mutable_graph();
-        graph->MaintenanceStep(budget);
-        compaction = graph->compaction_stats();
-      }
-      // Feed the cost signal with this step's delta (the graph counter is
-      // cumulative); lock wait counts as cost, which rightly shrinks the
-      // budget when the engine is contended.
-      budget_.RecordStep(compaction.background_edges_copied - last_maintenance_edges_,
-                         step.Seconds());
-      last_maintenance_edges_ = compaction.background_edges_copied;
-      std::lock_guard<std::mutex> lock(mu_);
-      // The graph's counters are already cumulative; mirror, don't sum.
-      stats_.maintenance_steps = compaction.maintenance_steps;
-      stats_.background_compactions = compaction.background_compactions;
-      stats_.background_compaction_edges = compaction.background_edges_copied;
-      stats_.forced_sync_compactions = compaction.forced_sync_compactions;
-      stats_.maintenance_budget_edges = budget;
-    }
-  }
-
-  // ----- Async delta-accumulative mode (INTERNALS §14) ---------------------
-  //
-  // Mode flips hold BOTH engine_mu_ and journal_mu_: the fast path splices
-  // under journal_mu_ alone, and a splice racing EnterAsyncMode's aggregate
-  // rebuild (or the reconcile's recompute) would tear it. async_engaged_
-  // mirrors engine_->async_mode() so either lock — or neither, for
-  // advisory reads — observes the flip race-free. While engaged: IngestFast
-  // escalates (ClassifyFast reasons about the stale BSP dependency store),
-  // cadence checkpoints are suppressed (same staleness), and the WAL keeps
-  // journaling every batch — recovery replays it through BSP
-  // ApplyMutations, landing on a legitimate BSP state of the final graph.
-
-  // True when policy, overflow policy, and the governor agree the engine
-  // should be running async. kAuto and kDegradeOnly share the degrade
-  // trigger today (see AsyncModePolicy).
-  bool AsyncWanted() const {
-    if (options_.async_mode == AsyncModePolicy::kOff ||
-        options_.overflow != OverflowPolicy::kDegrade) {
-      return false;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return governor_.degraded();
-  }
-
-  // Flips the engine to match AsyncWanted(). Caller holds engine_mu_.
-  void SyncAsyncMode() {
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      const bool want = AsyncWanted();
-      const bool engaged = async_engaged_.load(std::memory_order_relaxed);
-      if (want && !engaged) {
-        double residual = 0.0;
-        {
-          std::lock_guard<std::mutex> journal_lock(journal_mu_);
-          engine_->EnterAsyncMode();
-          async_engaged_.store(true, std::memory_order_release);
-          residual = engine_->AsyncResidual();
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.async_entries;
-        stats_.async_residual = residual;
-      } else if (!want && engaged) {
-        ReconcileAsync();
-      }
-    }
-  }
-
-  // One reconciling barrier: async -> BSP (a from-scratch refinement on the
-  // final graph restores bitwise-deterministic state), then a forced
-  // checkpoint — cadence checkpoints were suppressed across the async
-  // window, so the store must re-cover the frontier now. No-op when the
-  // engine is already synchronous. Caller holds engine_mu_ but not mu_.
-  void ReconcileAsync() {
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      if (!async_engaged_.load(std::memory_order_relaxed)) {
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> journal_lock(journal_mu_);
-        engine_->ExitAsyncReconcile();
-        async_engaged_.store(false, std::memory_order_release);
-        if (checkpointer_ != nullptr) {
-          if constexpr (CheckpointableEngine<Engine>) {
-            StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
-            checkpointer_->WriteCheckpoint(applied_seq_);
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.async_reconciles;
-      stats_.async_residual = 0.0;
-    }
-  }
-
-  // The async counterpart of ApplyJournaled: journal write-ahead, then the
-  // barrier-free apply. No cadence checkpoint — the dependency store is
-  // stale while async, so a snapshot here would be unrecoverable; a lost
-  // WAL record instead forces an immediate reconcile, whose checkpoint
-  // supersedes it. Caller holds engine_mu_.
-  void AsyncApplyJournaled(const MutationBatch& batch) {
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      bool journaled = true;
-      {
-        std::lock_guard<std::mutex> journal_lock(journal_mu_);
-        ++applied_seq_;
-        if (checkpointer_ != nullptr) {
-          journaled = checkpointer_->AppendWal(applied_seq_, batch);
-        }
-        engine_->AsyncApplyMutations(batch);
-      }
-      if (checkpointer_ != nullptr && !journaled) {
-        GB_LOG(kWarning) << "async apply lost its WAL record; reconciling to a checkpoint";
-        ReconcileAsync();
-      }
-    }
-  }
-
-  // An idle-window async round: refresh the governor (a quiet queue is what
-  // clears degraded mode), flip the engine to match, and — while engaged
-  // and unconverged — run one bounded propagation round. Running on every
-  // idle poll is what makes the mode self-clearing without waiting for a
-  // query barrier, and what drives the residual to zero once ingestion
-  // pauses: freshness progresses even with no queries observing it.
-  void AsyncTick() {
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      if (options_.async_mode == AsyncModePolicy::kOff ||
-          options_.overflow != OverflowPolicy::kDegrade) {
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        governor_.Update(queue_.size());
-      }
-      bool stepped = false;
-      double residual = 0.0;
-      uint64_t priority_delta = 0;
-      {
-        std::lock_guard<std::mutex> engine_lock(engine_mu_);
-        SyncAsyncMode();
-        if (async_engaged_.load(std::memory_order_relaxed) &&
-            engine_->AsyncResidual() > 0.0) {
-          const uint64_t before = TaskArena::Instance().counters().tasks_priority;
-          residual = engine_->AsyncStep(options_.async_step_budget);
-          priority_delta = TaskArena::Instance().counters().tasks_priority - before;
-          stepped = true;
-        }
-      }
-      if (stepped) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.async_steps;
-        stats_.async_residual = residual;
-        stats_.tasks_priority += priority_delta;
-      }
-    }
-  }
-
-  // Every engine apply funnels through here (worker batches, shed replay):
-  // assign the next sequence number, journal write-ahead, apply, then
-  // checkpoint on cadence. Caller holds engine_mu_; journal_mu_ is taken
-  // here so fast-path splices interleave only at batch boundaries.
-  void ApplyJournaled(const MutationBatch& batch) {
-    std::lock_guard<std::mutex> journal_lock(journal_mu_);
-    ++applied_seq_;
-    bool journaled = true;
-    if (checkpointer_ != nullptr) {
-      journaled = checkpointer_->AppendWal(applied_seq_, batch);
-    }
-    engine_->ApplyMutations(batch);
-    if (checkpointer_ != nullptr) {
-      if constexpr (CheckpointableEngine<Engine>) {
-        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
-        // force: a batch whose WAL record was lost must be captured by a
-        // checkpoint before the next crash.
-        checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
-      }
-    }
-  }
-
-  // Applies batches parked in the shed log through the journaled path.
-  // shed_replay_mu_ serializes concurrent barriers so a batch is never
-  // applied twice; the engine lock orders the replay against the worker.
-  void ReplayShed() {
-    if (checkpointer_ == nullptr) {
-      return;
-    }
-    std::lock_guard<std::mutex> replay_lock(shed_replay_mu_);
-    uint64_t replayed = 0;
-    EngineStats summed;
-    {
-      std::lock_guard<std::mutex> engine_lock(engine_mu_);
-      if constexpr (AsyncDeltaEngine<Engine>) {
-        // Shed replay goes through BSP ApplyMutations; the same engine_mu_
-        // scope keeps a racing tick from re-entering async mid-drain.
-        ReconcileAsync();
-      }
-      replayed = checkpointer_->DrainShed([&](MutationBatch&& batch) {
-        ApplyJournaled(batch);
-        const EngineStats& applied = engine_->stats();
-        summed.seconds += applied.seconds;
-        summed.mutation_seconds += applied.mutation_seconds;
-        summed.edges_processed += applied.edges_processed;
-        summed.iterations += applied.iterations;
-        summed.tasks_forked += applied.tasks_forked;
-        summed.tasks_stolen += applied.tasks_stolen;
-        summed.inline_runs += applied.inline_runs;
-        summed.tasks_priority += applied.tasks_priority;
-      });
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.shed_batches_replayed += replayed;
-    stats_.batches_applied += replayed;
-    stats_.seconds += summed.seconds;
-    stats_.mutation_seconds += summed.mutation_seconds;
-    stats_.edges_processed += summed.edges_processed;
-    stats_.iterations += summed.iterations;
-    stats_.tasks_forked += summed.tasks_forked;
-    stats_.tasks_stolen += summed.tasks_stolen;
-    stats_.inline_runs += summed.inline_runs;
-    stats_.tasks_priority += summed.tasks_priority;
-    shed_batches_ = shed_batches_ >= replayed ? shed_batches_ - replayed : 0;
-  }
-
-  // Parks a rejected batch in the dead-letter WAL, or counts it dropped
-  // when the dead-letter append itself fails — either way the reject is
-  // accounted for exactly once.
-  void QuarantineReject(RejectReason reason, const MutationBatch& batch) {
-    const bool parked = quarantine_->Append(reason, batch);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (parked) {
-      ++stats_.batches_quarantined;
-      stats_.mutations_quarantined += batch.size();
-    } else {
-      stats_.mutations_dropped += batch.size();
-    }
-    GB_LOG(kWarning) << "admission: rejected batch of " << batch.size() << " mutations ("
-                     << RejectReasonName(reason)
-                     << (parked ? "); quarantined" : "); dead-letter append failed, dropped");
-  }
-
-  // Watchdog verdict: a stage exceeded the stall timeout. Runs on the
-  // watchdog thread, outside the watchdog's lock. Marks the driver
-  // unhealthy and wakes every barrier waiter immediately; with a
-  // checkpointer attached, drives the full recovery path (cancel the
-  // stuck stage, restore, replay, restart).
-  void OnStall(const StallCause& cause) {
-    GB_LOG(kWarning) << "watchdog: stage " << PipelineStageName(cause.stage)
-                     << " stalled for " << cause.stalled_seconds << " s";
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.stalls_detected;
-      worker_dead_ = true;
-      drained_cv_.notify_all();
-    }
-    queue_.Close();  // producers fail over to shed/drop, not block
-    if (options_.watchdog_auto_recover && checkpointer_ != nullptr) {
-      if (Recover()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.watchdog_recoveries;
-      }
-      watchdog_.ClearStall();
-    }
-  }
-
-  Engine* engine_;
-  Options options_;
-
-  mutable std::mutex mu_;  // guards gutter_, stats_, in_flight_, accepting_,
-                           // worker_dead_, shed_batches_
-  std::condition_variable drained_cv_;
-  GutterBuffer gutter_;
-  EngineStats stats_;
-  // Overload governor: apply-latency EWMA + the degraded flag. Guarded by
-  // mu_ like the stats it feeds.
-  AdmissionGovernor governor_;
-  // Batches taken from the gutter but not yet applied (queued, mid-push,
-  // or being applied). PrepQuery waits for this to reach zero.
-  size_t in_flight_ = 0;
-  bool accepting_ = true;
-  bool worker_dead_ = false;
-  // Batches currently parked in the checkpointer's shed log.
-  size_t shed_batches_ = 0;
-
-  std::mutex engine_mu_;  // held while the engine is applied or snapshotted
-  // Journal mutex, nested strictly *inside* engine_mu_ (never the reverse):
-  // serializes applied_seq_, the WAL append order, and every write to the
-  // engine/graph — batched applies (via ApplyJournaled), graph maintenance,
-  // checkpoint writes, recovery restore, and fast-path splices. The fast
-  // path takes only this mutex, never engine_mu_, which is what keeps safe
-  // single-update applies free of the engine lock.
-  std::mutex journal_mu_;
-  uint64_t applied_seq_ = 0;
-  std::mutex shed_replay_mu_;  // serializes ReplayShed calls
-
-  // Mirror of engine_->async_mode(): set and cleared only while holding
-  // BOTH engine_mu_ and journal_mu_, so holding either suffices to read it
-  // race-free (the fast path gates on it under journal_mu_ alone).
-  std::atomic<bool> async_engaged_{false};
-
-  // Adaptive background-maintenance budget (worker-thread signals; the
-  // class synchronizes itself). last_maintenance_edges_ tracks the graph's
-  // cumulative copied-edge counter between ticks; worker-thread only.
-  MaintenanceBudget budget_;
-  uint64_t last_maintenance_edges_ = 0;
-
-  // Fast-path state (Options::fast_path; see src/driver/fast_path.h).
-  VertexClaims claims_;
-  FastPathEpoch epoch_;
-  FastPathCounters fast_counters_;
-
-  BoundedQueue<TimedBatch> queue_;
-  std::thread worker_;
-  Checkpointer<Engine>* checkpointer_;
-  FaultInjector* injector_;
-  // Worker-thread-only scrub cadence (see MaybeScrub).
-  Timer scrub_timer_;
-
-  // Sentinel: the dead-letter quarantine (null unless configured), the
-  // stall watchdog, and the cooperative cancellation token a stalled
-  // stage observes so recovery can join the worker.
-  std::unique_ptr<Quarantine> quarantine_;
-  StallWatchdog watchdog_;
-  std::atomic<bool> stall_abort_{false};
-
-  std::mutex stop_mu_;  // serializes Stop/Recover callers; guards stopped_
-  bool stopped_ = false;
-};
+template <StreamingEngine E>
+using StreamDriver = ShardedDriver<E>;
 
 }  // namespace graphbolt
 

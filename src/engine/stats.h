@@ -9,7 +9,7 @@
 // first, then clears, then assigns `mutation_seconds`, so the mutation
 // timing of the current batch is never lost to its own Clear().
 //
-// StreamDriver (src/driver/stream_driver.h) reports through the same
+// The driver (src/shard/sharded_driver.h) reports through the same
 // struct but with the opposite lifecycle: its stats are *cumulative* over
 // the driver's lifetime (engine fields summed across applied batches,
 // driver fields counted since construction). Bare engines leave the driver
@@ -34,7 +34,7 @@ struct EngineStats {
   double mutation_seconds = 0.0;
 
   // ----- Scheduler counters (TaskArena deltas over the most recent call;
-  // cumulative across batches under StreamDriver, like everything above) ---
+  // cumulative across batches under the driver, like everything above) ----
   // Closures pushed into a work-stealing deque during the call.
   uint64_t tasks_forked = 0;
   // Deque pops that crossed threads (load imbalance actually corrected).
@@ -45,7 +45,7 @@ struct EngineStats {
   // Closures pushed into the arena's priority lane (async delta rounds).
   uint64_t tasks_priority = 0;
 
-  // ----- Driver-level counters (populated by StreamDriver only) -----------
+  // ----- Driver-level counters (populated by the driver only) -------------
   // Batches handed to the engine's ApplyMutations by the worker.
   uint64_t batches_applied = 0;
   // Individual mutations accepted by Ingest/IngestBatch.
@@ -94,12 +94,12 @@ struct EngineStats {
   // corrupt artifacts they found (quarantined checkpoints, healed WALs).
   uint64_t scrub_passes = 0;
   uint64_t scrub_corruptions = 0;
-  // Batches recovered through the sharded driver's lane-parallel lineage
+  // Batches recovered through the driver's lane-parallel lineage
   // replay (vs. batches_replayed, which also counts the serial global-WAL
   // path).
   uint64_t lane_batches_replayed = 0;
 
-  // ----- Background-compaction counters (populated by StreamDriver when the
+  // ----- Background-compaction counters (populated by the driver when the
   // engine exposes its MutableGraph; mirrors SlackCsr::CompactionStats
   // summed over both adjacency views) ---------------------------------------
   // MaintenanceStep invocations that found compaction work to do.
@@ -117,7 +117,7 @@ struct EngineStats {
   // accumulate, then derived from observed idle time and per-edge cost.
   uint64_t maintenance_budget_edges = 0;
 
-  // ----- Sentinel counters (populated by StreamDriver when admission
+  // ----- Sentinel counters (populated by the driver when admission
   // control / quarantine / watchdog are configured) --------------------------
   // Batches refused by admission control and parked in the dead-letter WAL,
   // and the individual mutations they carried.
@@ -142,7 +142,7 @@ struct EngineStats {
   double apply_ewma_seconds = 0.0;
 
   // ----- Async-mode counters (populated by the drivers when the Maiter
-  // async tier is engaged under kDegrade; see INTERNALS §14) ----------------
+  // async tier is engaged under kDegrade; see INTERNALS §12) ----------------
   // Times an eligible engine was flipped from BSP into async mode.
   uint64_t async_entries = 0;
   // Bounded priority-ordered delta-propagation rounds executed.
@@ -158,11 +158,10 @@ struct EngineStats {
   // (subset of degraded_queries; the rest served frozen BSP snapshots).
   uint64_t async_fresh_queries = 0;
 
-  // ----- Shard/session counters (populated by ShardedDriver only) ----------
+  // ----- Lane/session counters (populated by the driver only) ---------------
   // Ingestion lanes the driver runs (DriverConfig::shards).
   uint64_t shard_lanes = 0;
-  // Batches journaled to a shard WAL and staged into a shard partition by
-  // lane workers (before promotion into the global engine).
+  // Batches lane workers promoted into the global engine.
   uint64_t shard_batches_staged = 0;
   // Per-shard WAL lineage records (distinct from the global wal_appends the
   // checkpointer writes under the engine mutex).

@@ -22,7 +22,8 @@
 namespace graphbolt {
 
 enum class FaultSite : int {
-  kWorkerKill = 0,    // StreamDriver worker thread dies between batches
+  kWorkerKill = 0,    // a driver lane's worker dies between batches; the
+                      // lane's queue closes until Recover()
   kQueueFull,         // BoundedQueue::TryPush reports an artificial full
   kWalAppend,         // WAL record serialization fails (retried with backoff)
   kCheckpointWrite,   // checkpoint serialization fails before commit

@@ -133,6 +133,12 @@ class BoundedQueue {
 
   bool Empty() const { return size() == 0; }
 
+  // Open and at capacity: a TryPush would fail for lack of room.
+  bool full() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return !closed_ && items_.size() >= capacity_;
+  }
+
   size_t capacity() const { return capacity_; }
 
  private:

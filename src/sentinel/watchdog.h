@@ -13,12 +13,11 @@
 // pipeline: SetLanes(N) (call before the first heartbeat) sizes the slot
 // table to N independent copies of every stage, each lane's workers
 // heartbeat their own slots, and the single poller renders one verdict
-// per stalled (lane, stage) episode. The unsharded driver is lane 0 of a
-// one-lane table, so its call sites need no changes.
+// per stalled (lane, stage) episode. A one-lane driver is lane 0 of a
+// one-lane table.
 //
-// StreamDriver installs a callback that marks the driver unhealthy,
-// cancels the barrier waiters, and (optionally) drives Recover()
-// automatically. Recovery is cooperative: the driver exposes a
+// The driver installs a callback that marks it unhealthy, releases the
+// stalled lane, and (optionally) drives Recover() automatically. Recovery is cooperative: the driver exposes a
 // cancellation token the stuck stage must observe for the worker join to
 // return — the injected kStageStall fault honors it, and real engine code
 // would need an equivalent check to be auto-recoverable. A stage that
@@ -70,7 +69,7 @@ inline const char* PipelineStageName(PipelineStage stage) {
 struct StallCause {
   PipelineStage stage = PipelineStage::kNumStages;
   double stalled_seconds = 0.0;
-  // Which lane's heartbeat went stale; always 0 for unsharded pipelines.
+  // Which lane's heartbeat went stale; always 0 for a one-lane driver.
   size_t lane = 0;
 };
 

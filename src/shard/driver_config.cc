@@ -95,8 +95,6 @@ bool DriverConfig::ParseAsyncMode(const std::string& name, AsyncModePolicy* poli
     *policy = AsyncModePolicy::kOff;
   } else if (name == "degrade-only") {
     *policy = AsyncModePolicy::kDegradeOnly;
-  } else if (name == "auto") {
-    *policy = AsyncModePolicy::kAuto;
   } else {
     return false;
   }
@@ -109,8 +107,6 @@ const char* DriverConfig::AsyncModeName(AsyncModePolicy policy) {
       return "off";
     case AsyncModePolicy::kDegradeOnly:
       return "degrade-only";
-    case AsyncModePolicy::kAuto:
-      return "auto";
   }
   return "unknown";
 }
@@ -157,7 +153,7 @@ bool DriverConfig::ParseQuota(const std::string& spec, TenantQuota* quota,
 void DriverConfig::RegisterFlags(ArgParser& args) {
   const DriverConfig defaults;
   args.AddInt("shards", static_cast<int64_t>(defaults.shards),
-              "ingestion shard lanes (1 = unsharded pipeline)");
+              "ingestion lanes (1 = the single-lane pipeline)");
   args.AddInt("batch-size", static_cast<int64_t>(defaults.batch_size),
               "gutter flush threshold: mutations per batch");
   args.AddDouble("flush-ms", defaults.flush_interval_seconds * 1e3,
@@ -176,7 +172,7 @@ void DriverConfig::RegisterFlags(ArgParser& args) {
               "edge budget per background maintenance step (adapted to observed "
               "idle windows once the driver has measurements)");
   args.AddString("async-mode", AsyncModeName(defaults.async_mode),
-                 "async delta-accumulative tier: off | degrade-only | auto "
+                 "async delta-accumulative tier: off | degrade-only "
                  "(needs --overflow degrade and a decomposable engine)");
   args.AddString("checkpoint-dir", "", "enable WAL + checkpoints in this directory");
   args.AddInt("checkpoint-every", static_cast<int64_t>(defaults.checkpoint_every),
@@ -237,7 +233,7 @@ bool DriverConfig::FromCli(const ArgParser& args, std::string* error) {
   maintenance_budget_edges = static_cast<size_t>(budget);
   if (!ParseAsyncMode(args.GetString("async-mode"), &async_mode)) {
     *error = "--async-mode \"" + args.GetString("async-mode") +
-             "\" is unknown; use off | degrade-only | auto";
+             "\" is unknown; use off | degrade-only";
     return false;
   }
   checkpoint_dir = args.GetString("checkpoint-dir");
@@ -390,7 +386,7 @@ bool DriverConfig::FromEnv(std::string* error) {
     return false;
   }
   if (!EnvOverride("GRAPHBOLT_ASYNC_MODE", error, [&](const std::string& v) {
-        *error = "expected off | degrade-only | auto";
+        *error = "expected off | degrade-only";
         return ParseAsyncMode(v, &async_mode);
       })) {
     return false;
@@ -496,7 +492,7 @@ bool DriverConfig::FromEnv(std::string* error) {
   return true;
 }
 
-std::string DriverConfig::Validate() const {
+std::string DriverConfig::Validate(bool durable) const {
   if (shards < 1 || shards > 1024) {
     return "shards must be in [1, 1024] (got " + std::to_string(shards) +
            "); lanes beyond the core count only add context-switch overhead";
@@ -513,14 +509,14 @@ std::string DriverConfig::Validate() const {
   if (maintenance_budget_edges < 1) {
     return "maintenance_budget_edges must be >= 1";
   }
-  if (overflow == OverflowPolicy::kShedToWal && checkpoint_dir.empty()) {
+  if (overflow == OverflowPolicy::kShedToWal && !durable) {
     return "overflow policy \"shed\" parks batches in the durable shed log; "
            "set checkpoint_dir (--checkpoint-dir) or pick block | drop";
   }
   if (scrub_interval_seconds < 0.0) {
     return "scrub_interval_seconds must be >= 0 (0 disables scrubbing)";
   }
-  if (scrub_interval_seconds > 0.0 && checkpoint_dir.empty()) {
+  if (scrub_interval_seconds > 0.0 && !durable) {
     return "scrubbing verifies durability artifacts; set checkpoint_dir "
            "(--checkpoint-dir) or leave scrub_interval_seconds at 0";
   }

@@ -1,38 +1,54 @@
-// DriverConfig: the one validated configuration surface for the streaming
-// drivers.
-//
-// Before the sharded redesign, driver configuration was spread across three
-// places: StreamDriver<E>::Options fields, GRAPHBOLT_* environment
-// variables, and ad-hoc CLI flags re-declared by every binary
-// (--overflow, --quarantine-dir, --watchdog-ms, ...). DriverConfig
-// collapses them: one plain struct carrying shard count, batching,
+// DriverConfig: the one validated configuration surface of the streaming
+// driver (ShardedDriver, src/shard/sharded_driver.h, also spelled
+// StreamDriver). One plain struct carries the lane count, batching,
 // durability, sentinel knobs, and per-tenant quotas, with
 //
 //   - RegisterFlags(args) + FromCli(args, &err): the canonical flag
 //     surface, registered once and parsed back with actionable errors;
 //   - FromEnv(&err): GRAPHBOLT_* overrides (GRAPHBOLT_SHARDS,
 //     GRAPHBOLT_BATCH_SIZE, GRAPHBOLT_OVERFLOW, ...), applied on top of
-//     the current values;
+//     the current values. It is the only place the environment is read:
+//     the member defaults below are plain constants;
 //   - Validate(): cross-field checks returning an empty string or a
-//     message that says what to change;
-//   - ToStreamOptions<Engine>(): lowering to StreamDriver<E>::Options for
-//     the unsharded driver.
+//     message that says what to change.
 //
-// ShardedDriver (src/shard/sharded_driver.h) consumes DriverConfig
-// directly; examples and graphbolt_cli build exactly one of these and hand
-// it to whichever driver the shard count selects.
+// Examples, benches and graphbolt_cli build exactly one of these and hand
+// it to the driver; shards = 1 (the default) is the single-lane pipeline.
 #ifndef SRC_SHARD_DRIVER_CONFIG_H_
 #define SRC_SHARD_DRIVER_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
-#include "src/driver/stream_driver.h"
 #include "src/sentinel/admission.h"
 #include "src/util/cli.h"
 
 namespace graphbolt {
+
+// What to do with a flushed batch when its lane's pending queue is full.
+enum class OverflowPolicy {
+  kBlock,       // block the flushing producer (lossless backpressure)
+  kDropNewest,  // shed the batch, counting stats().mutations_dropped
+  kShedToWal,   // park the batch in the checkpointer's durable shed log;
+                // it re-enters at the next PrepQuery barrier or recovery
+  kShedOldest,  // evict the *oldest* queued batch (into the shed log when
+                // a checkpointer is attached, else dropped) to admit the
+                // fresh one: new data beats stale data under overload
+  kDegrade,     // never block, never lose: a batch that cannot be queued
+                // re-merges into the gutter to be re-coalesced and
+                // retried, and PrepQuery serves the last consistent
+                // snapshot while the governor reports overload
+};
+
+// When the driver may flip an AsyncDeltaEngine into the Maiter-style
+// asynchronous delta-accumulative execution mode (INTERNALS §12).
+enum class AsyncModePolicy {
+  kOff,          // never: strictly synchronous BSP (the default)
+  kDegradeOnly,  // only while the kDegrade governor reports overload;
+                 // reconciles back to BSP when pressure clears
+};
 
 // Per-tenant admission quota, enforced by ShardedDriver sessions *before*
 // a mutation is routed to a shard lane (on top of the sentinel's content
@@ -52,39 +68,56 @@ struct TenantQuota {
 struct DriverConfig {
   // ----- Sharding ---------------------------------------------------------
   // Ingestion lanes: the vertex space is partitioned shard_of(v) = v % N,
-  // and each lane owns its own gutter, queue, worker, WAL lineage, and
-  // staging arena. 1 = the unsharded pipeline shape.
+  // and each lane owns its own gutter, queue, and worker (plus a WAL
+  // lineage when N > 1 and checkpoint_dir is set). 1 = the single-lane
+  // pipeline.
   size_t shards = 1;
 
-  // ----- Batching (mirrors StreamDriver::Options) -------------------------
+  // ----- Batching ---------------------------------------------------------
+  // Gutter flush threshold: mutations per batch handed to the engine.
   size_t batch_size = 1024;
+  // A non-full gutter flushes once its oldest mutation is this stale.
   double flush_interval_seconds = 0.05;
+  // Capacity of each lane's flushed-batch queue; the backpressure bound.
   size_t max_pending_batches = 4;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
+  // Keep only the last mutation per (src, dst) within a flush — exactly
+  // the mutations MutableGraph::NormalizeBatch would honor anyway.
   bool coalesce = true;
 
   // ----- Graph maintenance ------------------------------------------------
-  bool background_compaction = DefaultBackgroundCompaction();
+  // Background SlackCsr compaction: lane 0 runs graph maintenance steps in
+  // the windows between batches (under the engine mutex), so ApplyBatch
+  // never pays a synchronous compaction pass — see slack_csr.h. Requires a
+  // GraphMaintainableEngine; ignored (with a warning) otherwise.
+  bool background_compaction = false;
+  // Edge budget per maintenance step, per adjacency view (adapted to the
+  // observed idle windows once the driver has measurements).
   size_t maintenance_budget_edges = 1u << 16;
 
   // ----- Single-update fast path ------------------------------------------
   // Enables IngestFast: single mutations the engine classifies safe splice
-  // in place, bypassing gutter batching (src/driver/fast_path.h).
-  bool fast_path = DefaultFastPath();
+  // in place, bypassing gutter batching (src/driver/fast_path.h). With
+  // this false, IngestFast == Ingest.
+  bool fast_path = false;
 
-  // ----- Async delta-accumulative mode (INTERNALS §14) --------------------
+  // ----- Async delta-accumulative mode (INTERNALS §12) --------------------
   // When the engine is an AsyncDeltaEngine and overflow is kDegrade,
-  // degrade-only/auto let the drivers flip it into the Maiter-style
-  // barrier-free async mode under overload, serving eventually-consistent
-  // continuously-updating values instead of a frozen snapshot. Inert with
-  // any other overflow policy or a non-decomposable engine.
-  AsyncModePolicy async_mode = DefaultAsyncModePolicy();
+  // kDegradeOnly lets the driver flip it into the Maiter-style barrier-free
+  // async mode under overload, serving eventually-consistent
+  // continuously-updating values (distance to the fixed point bounded by
+  // stats().async_residual) instead of a frozen snapshot. Self-clearing:
+  // when pressure recedes, or a barrier needs exactness, one reconciling
+  // barrier restores bitwise-deterministic BSP state. Inert with any other
+  // overflow policy or a non-decomposable engine.
+  AsyncModePolicy async_mode = AsyncModePolicy::kOff;
   // Vertex budget per async propagation round (0 = unbounded round).
   size_t async_step_budget = size_t{1} << 14;
 
   // ----- Durability -------------------------------------------------------
   // Non-empty arms WAL + cadence checkpoints (the caller still constructs
-  // the Checkpointer; this carries the knobs to one place).
+  // the Checkpointer and hands it to the driver; this carries the knobs to
+  // one place).
   std::string checkpoint_dir;
   uint64_t checkpoint_every = 8;
   // Background scrub cadence in seconds of worker idle time: verify every
@@ -94,11 +127,20 @@ struct DriverConfig {
   double scrub_interval_seconds = 0.0;
 
   // ----- Sentinel ---------------------------------------------------------
+  // Non-empty enables admission control: every ingested mutation and batch
+  // is screened against `admission` before any driver lock, and rejects
+  // are parked bitwise-intact (with a RejectReason) in a dead-letter WAL
+  // under this directory (created if absent).
   std::string quarantine_dir;
   AdmissionLimits admission;
+  // Overload-governor thresholds: pressure is pending-queue depth times
+  // the apply-latency EWMA (see sentinel/admission.h).
   GovernorOptions governor;
+  // Stall watchdog: a pipeline stage continuously busy for this many
+  // seconds is declared stalled. 0 disables the watchdog thread.
   double watchdog_stall_seconds = 0.0;
   double watchdog_poll_seconds = 0.05;
+  // On a detected stall, escalate to Recover() (needs a checkpointer).
   bool watchdog_auto_recover = true;
 
   // ----- Tenancy ----------------------------------------------------------
@@ -112,7 +154,7 @@ struct DriverConfig {
   static bool ParseOverflow(const std::string& name, OverflowPolicy* policy);
   static const char* OverflowName(OverflowPolicy policy);
 
-  // Parses an async-mode policy name (off | degrade-only | auto). Returns
+  // Parses an async-mode policy name (off | degrade-only). Returns
   // false on an unknown name, leaving *policy untouched.
   static bool ParseAsyncMode(const std::string& name, AsyncModePolicy* policy);
   static const char* AsyncModeName(AsyncModePolicy policy);
@@ -148,42 +190,15 @@ struct DriverConfig {
 
   // Cross-field validation. Returns the empty string when the config is
   // usable, else one actionable message naming the offending field.
-  std::string Validate() const;
+  // Shedding and scrubbing need durability: checkpoint_dir here; a driver
+  // handed a Checkpointer directly validates with durable = true.
+  std::string Validate() const { return Validate(!checkpoint_dir.empty()); }
+  std::string Validate(bool durable) const;
 
   // The quota for `tenant`: its explicit entry, else default_quota.
   TenantQuota QuotaFor(const std::string& tenant) const {
     const auto it = tenant_quotas.find(tenant);
     return it != tenant_quotas.end() ? it->second : default_quota;
-  }
-
-  // Lowers to the unsharded driver's options (shards and quotas do not
-  // apply there; the checkpointer/injector are runtime objects the caller
-  // owns).
-  template <typename Engine>
-  typename StreamDriver<Engine>::Options ToStreamOptions(
-      Checkpointer<Engine>* checkpointer = nullptr,
-      FaultInjector* fault_injector = nullptr) const {
-    typename StreamDriver<Engine>::Options options;
-    options.batch_size = batch_size;
-    options.flush_interval_seconds = flush_interval_seconds;
-    options.max_pending_batches = max_pending_batches;
-    options.overflow = overflow;
-    options.coalesce = coalesce;
-    options.checkpointer = checkpointer;
-    options.fault_injector = fault_injector;
-    options.background_compaction = background_compaction;
-    options.maintenance_budget_edges = maintenance_budget_edges;
-    options.scrub_interval_seconds = scrub_interval_seconds;
-    options.fast_path = fast_path;
-    options.quarantine_dir = quarantine_dir;
-    options.admission = admission;
-    options.governor = governor;
-    options.watchdog_stall_seconds = watchdog_stall_seconds;
-    options.watchdog_poll_seconds = watchdog_poll_seconds;
-    options.watchdog_auto_recover = watchdog_auto_recover;
-    options.async_mode = async_mode;
-    options.async_step_budget = async_step_budget;
-    return options;
   }
 };
 

@@ -18,6 +18,7 @@
 #define SRC_SHARD_SESSION_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,18 +51,24 @@ class TenantState {
         burst_(quota.burst_mutations > 0.0
                    ? quota.burst_mutations
                    : std::max(1024.0, quota.mutations_per_second)),
+        unlimited_(quota.mutations_per_second <= 0.0 && quota.max_total_mutations == 0),
         tokens_(burst_) {}
 
   const std::string& tenant() const { return tenant_; }
 
   // Admits `n` mutations as one unit, debiting the bucket and the lifetime
   // allowance, or rejects all of them. A rate of 0 disables the bucket; a
-  // cap of 0 disables the lifetime limit.
+  // cap of 0 disables the lifetime limit. A tenant with neither has
+  // nothing to debit and is admitted without taking the lock.
   bool TryAdmit(size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto count = static_cast<uint64_t>(n);
-    if (quota_.max_total_mutations > 0 &&
-        admitted_total_ + count > quota_.max_total_mutations) {
+    if (unlimited_) {
+      admitted_total_.fetch_add(count, std::memory_order_relaxed);
+      return true;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t admitted = admitted_total_.load(std::memory_order_relaxed);
+    if (quota_.max_total_mutations > 0 && admitted + count > quota_.max_total_mutations) {
       RejectLocked(count);
       return false;
     }
@@ -75,8 +82,7 @@ class TenantState {
       }
       tokens_ -= static_cast<double>(n);
     }
-    admitted_total_ += count;
-    stats_.mutations_accepted += count;
+    admitted_total_.fetch_add(count, std::memory_order_relaxed);
     return true;
   }
 
@@ -90,7 +96,9 @@ class TenantState {
 
   TenantStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    TenantStats snapshot = stats_;
+    snapshot.mutations_accepted = admitted_total_.load(std::memory_order_relaxed);
+    return snapshot;
   }
 
   TenantQuota quota() const { return quota_; }
@@ -104,11 +112,14 @@ class TenantState {
   mutable std::mutex mu_;
   const std::string tenant_;
   const TenantQuota quota_;
-  const double burst_;   // bucket capacity (resolved from the quota)
-  double tokens_;        // current allowance; refilled lazily on TryAdmit
-  Timer refill_;         // epoch of the last refill
-  uint64_t admitted_total_ = 0;
-  TenantStats stats_;
+  const double burst_;    // bucket capacity (resolved from the quota)
+  const bool unlimited_;  // no bucket and no lifetime cap
+  double tokens_;         // current allowance; refilled lazily on TryAdmit
+  Timer refill_;          // epoch of the last refill
+  // Mutations admitted so far (TenantStats::mutations_accepted). Written
+  // under mu_ for limited tenants, whose cap check reads it there too.
+  std::atomic<uint64_t> admitted_total_{0};
+  TenantStats stats_;     // rejection and quarantine counters
 };
 
 }  // namespace graphbolt

@@ -1,73 +1,87 @@
-// ShardedDriver: a multi-lane, multi-tenant ingestion front-end over one
-// global BSP engine.
-//
-// StreamDriver (src/driver/stream_driver.h) funnels every producer through
-// one gutter, one queue, and one worker. ShardedDriver partitions the
-// vertex space into N shards — shard_of(v) = v % N — and gives each shard
-// its own ingestion *lane*:
+// ShardedDriver: the pipelined, multi-lane, multi-tenant ingestion front-end
+// that turns a synchronous batch engine into a streaming service. It is the
+// only driver: StreamDriver<E> (src/driver/stream_driver.h) names this class,
+// and the default DriverConfig{} is its one-lane shape.
 //
 //   sessions ──route by src──► lane gutter ──flush──► lane queue ──► lane
 //   (tenant quota gate)        (batch by size          (backpressure) worker
-//                               or staleness)
+//                               or staleness)                         promotes
 //
-// Each lane owns a gutter, a bounded queue, a worker thread, a per-shard
-// write-ahead log (`<checkpoint_dir>/shard-<i>.wal`), and a *staging
-// partition* — a MutableGraph holding exactly the edges whose source this
-// shard owns, with its own slack-CSR arenas. A lane worker first *stages* a
-// popped batch (journals it to the shard WAL and applies it to the
-// partition, concurrently across lanes), then immediately *promotes* it
-// into the global engine under the engine mutex. Promotion is serialized —
-// the engines are synchronous BSP refiners and cannot apply concurrently —
-// so the engine-lock acquisition order IS the global apply order; an
-// observer hook records it, which is how the equivalence tests replay the
-// admitted stream through an unsharded driver and compare snapshots
-// bitwise.
+// Lanes. The vertex space is partitioned shard_of(v) = v % N over
+// DriverConfig::shards lanes. Each lane owns a gutter, a bounded queue, and a
+// worker thread. A lane worker pops a flushed batch and *promotes* it into
+// the global engine under the engine mutex. Promotion is serialized (the
+// engines are synchronous BSP refiners and cannot apply concurrently), so the
+// engine-lock acquisition order IS the global apply order; an observer hook
+// (set_apply_observer) records it. Every mutation is routed by its source
+// vertex, so all mutations of one (src, dst) pair traverse the same lane in
+// ingest order: the engine sees a legal interleaving of the producers'
+// streams. The queue bound is the backpressure: when refinement falls behind,
+// producers block inside the flush (kBlock) or the overflow policy diverts
+// the batch, so memory stays bounded.
 //
-// Producers do not call the driver directly: they open a Session
-// (OpenSession(tenant_id)) whose tenant quota — token bucket + lifetime
-// cap, shared across all sessions of the tenant (src/shard/session.h) —
-// gates admission whole-batch-or-nothing *after* the sentinel's content
-// screen and *before* any lane lock. The legacy Ingest/IngestBatch surface
-// delegates to an implicit default session (tenant "", default_quota).
+// Producers open a Session (OpenSession(tenant_id)) whose tenant quota —
+// token bucket + lifetime cap, shared across all sessions of the tenant
+// (src/shard/session.h) — gates admission whole-batch-or-nothing *after* the
+// sentinel's content screen and *before* any lane lock. The driver's own
+// Ingest/IngestFast/IngestBatch use an implicit default session (tenant "",
+// default_quota).
 //
-// PrepQuery is a two-phase barrier:
-//   Phase 1 flushes every lane's gutter remainder into its queue;
-//   Phase 2 waits until every lane's in-flight count reaches zero.
-// Because each mutation is routed by its source vertex, all mutations of
-// one (src, dst) pair traverse the same lane in ingest order, so the
-// admitted stream the engine sees is a legal interleaving of the producers'
-// streams — and after the barrier the engine holds exactly one BSP
-// snapshot of it, the same guarantee StreamDriver's barrier gives.
+// PrepQuery is the query barrier. Phase 1 flushes every lane's gutter into
+// its queue; phase 2 waits until every lane's in-flight count reaches zero;
+// then batches parked in the shed log replay in shed-sequence order. On
+// return values() is an exact BSP snapshot of the admitted stream (what a
+// from-scratch run on the current graph would produce). When nothing is
+// buffered, in flight, or shed the barrier is a cached-query fast path: one
+// lock per lane, no waiting. Stop() (also the destructor) drains: ingestion
+// closes, gutter remainders flush, the workers apply everything queued and
+// join. Mutations ingested after Stop are counted dropped, never lost
+// silently.
 //
-// Durability: the *global* checkpointer (WAL + cadence snapshots under the
-// engine mutex, exactly StreamDriver's protocol) remains the recovery
-// source of truth — a cold StreamDriver over the same checkpoint directory
-// recovers the state. The per-shard WALs are lineage: a per-lane record of
-// what each shard staged this run, reset at construction, for
-// observability and shard-local debugging.
+// Durability (src/fault/). Pass a Checkpointer to the constructor and every
+// promotion is journaled to its write-ahead log immediately before the apply
+// (under the engine mutex, so WAL order == apply order), with snapshots at
+// the checkpointer's cadence. Recover() restores the newest valid
+// checkpoint, replays the WAL tail, the batches still queued in any lane, and
+// the shed log, and restarts every lane; with a single producer the restored
+// values are bitwise identical to a fault-free run, and a driver of any lane
+// count restores the checkpoints of any other. A WAL append that fails past
+// its retry budget forces an immediate checkpoint. With shards > 1 and a
+// checkpoint_dir each lane also keeps a WAL lineage
+// (`<checkpoint_dir>/shard-<i>.wal`) of the batches it promoted, keyed by the
+// global sequence number; Recover() scans the lineages lane-parallel and
+// hands off to the global journal at the first gap.
 //
-// Sentinel under shards: the full overload/stall layer of the unsharded
-// driver (src/sentinel/) runs across lanes.
+// Sentinel (src/sentinel/).
+//   - Admission: a non-empty quarantine_dir screens every ingested mutation
+//     and batch before any driver lock and parks rejects bitwise-intact in a
+//     dead-letter WAL (ReplayQuarantine re-admits them after fix-up).
 //   - Shedding (kShedToWal / kShedOldest): every lane sheds into the ONE
-//     globally sequence-tagged shed log (Checkpointer::AppendShed), and
-//     PrepQuery's phase 2 gains a global replay barrier — after all lanes
-//     drain, the shed log replays in shed-sequence order under the engine
-//     mutex, so replayed mutations land in one deterministic global order
-//     no matter which lane shed them.
-//   - Degrade (kDegrade): one AdmissionGovernor aggregates every lane's
-//     apply-latency EWMA and the total queued depth. While it reports
-//     overload, a lane whose queue is full leaves the batch coalescing in
-//     its gutter and PrepQuery serves the last globally consistent BSP
-//     snapshot (whole batches promote under the engine mutex, so the state
-//     a degraded read observes is always the exact fixpoint of some prefix
-//     of the admitted stream). Self-clears when pressure recedes on every
-//     lane — the governor's depth input is the sum over lanes.
-//   - Watchdog: per-lane StageScope heartbeats feed a single StallWatchdog
-//     verdict (the slot table is lanes x stages). A stalled lane is
-//     recovered lane-locally — its worker sheds the in-hand batch durably
-//     and resumes, sibling lanes never stop — with one global
-//     auto-Recover() escalation path (checkpoint + WAL tail + preserved
-//     queue remainders + shed replay) when a checkpointer is attached.
+//     sequence-tagged shed log, replayed behind the barrier in one
+//     deterministic global order.
+//   - Degrade (kDegrade): one AdmissionGovernor sees every lane's apply
+//     latency and the total queued depth. While it reports overload a lane
+//     whose queue is full leaves the batch coalescing in its gutter and
+//     PrepQuery serves the last consistent snapshot (degraded()).
+//   - Watchdog: per-lane stage heartbeats feed one StallWatchdog. A stalled
+//     lane is released locally — its worker sheds the in-hand batch and
+//     resumes — and, with auto-recovery and a checkpointer, the verdict
+//     escalates to Recover().
+//   - Worker kill (FaultSite::kWorkerKill, tests only): the killed lane's
+//     queue closes so producers shed or drop instead of blocking, healthy()
+//     turns false, and PrepQuery returns a stale snapshot instead of waiting
+//     on the dead lane until Recover() restarts it.
+//
+// Ordering: mutations from one producer are applied in ingest order.
+// Mutations racing on different producers have no defined global order —
+// whole batches may interleave — which is indistinguishable from some legal
+// arrival order. Shed batches lose their place in the stream: they re-enter
+// at the next barrier or recovery, after batches flushed later.
+//
+// The engine is never accessed concurrently. QuerySnapshot() is safe at any
+// time from any thread; values() returns a reference into the engine and is
+// meant for quiescent callers (after PrepQuery returns and while no other
+// producer can trigger a flush).
 #ifndef SRC_SHARD_SHARDED_DRIVER_H_
 #define SRC_SHARD_SHARDED_DRIVER_H_
 
@@ -113,6 +127,9 @@ template <StreamingEngine Engine>
 class ShardedDriver {
  public:
   using Value = EngineValueT<Engine>;
+  // The StreamDriver<E>::Options / ::OverflowPolicy spellings.
+  using Options = DriverConfig;
+  using OverflowPolicy = ::graphbolt::OverflowPolicy;
   // Called under the journal serialization immediately before each
   // promotion, in global apply order: (owning lane, the batch as applied).
   // Shed replays report the pseudo-lane lanes_.size(); fast-path safe
@@ -176,20 +193,26 @@ class ShardedDriver {
   };
 
   // The engine must outlive the driver and already hold the initial
-  // snapshot (run InitialCompute first). `config` must pass Validate().
-  // The checkpointer, when given, is the global durability authority —
-  // attach it exactly as with StreamDriver. The fault injector (test-only,
-  // a no-op unless compiled with GRAPHBOLT_FAULT_INJECTION=1) arms the
-  // lane queues and the sentinel sites; not owned.
-  explicit ShardedDriver(Engine* engine, DriverConfig config,
+  // snapshot: run engine->InitialCompute() before ingesting (and
+  // CheckpointNow() after it, so a crash before the first cadence
+  // checkpoint still has a baseline to recover from). `checkpointer`, when
+  // given, is the durability authority and arms Recover(); the fault
+  // injector (test-only, a no-op unless compiled with
+  // GRAPHBOLT_FAULT_INJECTION=1) arms the lane queues and the sentinel
+  // sites. Neither is owned. An attached checkpointer counts as durability
+  // for DriverConfig::Validate, so shedding and scrubbing need no
+  // checkpoint_dir here.
+  explicit ShardedDriver(Engine* engine, DriverConfig config = {},
                          Checkpointer<Engine>* checkpointer = nullptr,
                          FaultInjector* fault_injector = nullptr)
       : engine_(engine),
         config_(std::move(config)),
         governor_(config_.governor),
         checkpointer_(checkpointer),
-        injector_(fault_injector) {
-    const std::string invalid = config_.Validate();
+        injector_(fault_injector),
+        lineage_(config_.shards > 1 && !config_.checkpoint_dir.empty()) {
+    const std::string invalid =
+        config_.Validate(checkpointer_ != nullptr || !config_.checkpoint_dir.empty());
     GB_CHECK(invalid.empty()) << "DriverConfig: " << invalid;
     GB_CHECK(config_.overflow != OverflowPolicy::kShedToWal || checkpointer_ != nullptr)
         << "OverflowPolicy::kShedToWal requires a Checkpointer";
@@ -202,51 +225,35 @@ class ShardedDriver {
         config_.background_compaction = false;
       }
     }
+    StorageEnv* env = checkpointer_ != nullptr ? checkpointer_->env() : StorageEnv::Default();
     if (!config_.quarantine_dir.empty()) {
       std::error_code ec;
       std::filesystem::create_directories(config_.quarantine_dir, ec);
       quarantine_ = std::make_unique<Quarantine>(
-          config_.quarantine_dir, injector_,
-          checkpointer_ != nullptr ? checkpointer_->env() : nullptr);
+          config_.quarantine_dir, injector_, checkpointer_ != nullptr ? env : nullptr);
     }
-    const bool wal_enabled = !config_.checkpoint_dir.empty();
-    StorageEnv* lane_env =
-        checkpointer_ != nullptr ? checkpointer_->env() : StorageEnv::Default();
-    if (wal_enabled) {
-      lane_env->CreateDirectories(config_.checkpoint_dir);
+    if (lineage_) {
+      env->CreateDirectories(config_.checkpoint_dir);
     }
     lanes_.reserve(config_.shards);
     for (size_t i = 0; i < config_.shards; ++i) {
       lanes_.push_back(std::make_unique<Lane>(i, config_.max_pending_batches));
       Lane& lane = *lanes_.back();
       lane.queue.ArmFaultInjector(injector_);
-      if (wal_enabled) {
-        // The lane lineage survives restarts: it is a recovery source
-        // (Recover replays the lineages in parallel), so it is NOT reset
-        // here. Compaction drops records a retained checkpoint covers.
-        lane.wal.Open(config_.checkpoint_dir + "/shard-" + std::to_string(i) + ".wal",
-                      lane_env);
-        lane.wal_enabled = true;
-      }
-      if (config_.background_compaction) {
-        lane.partition.SetCompactionMode(SlackCsr::CompactionMode::kBackground);
+      if (lineage_) {
+        // The lineage survives restarts: it is a recovery source (Recover
+        // replays the lineages in parallel), so it is NOT reset here.
+        // Compaction drops records a retained checkpoint covers.
+        lane.wal.Open(config_.checkpoint_dir + "/shard-" + std::to_string(i) + ".wal", env);
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.shard_lanes = lanes_.size();
-    }
-    // One heartbeat slot table entry per (lane, stage); sized before the
-    // first worker can heartbeat.
+    default_tenant_ = TenantStateFor(std::string());
+    stats_.shard_lanes = lanes_.size();
+    // One heartbeat slot per (lane, stage); sized before the first worker
+    // can heartbeat.
     watchdog_.SetLanes(lanes_.size());
-    for (auto& lane : lanes_) {
-      Lane* raw = lane.get();
-      raw->worker = std::thread([this, raw] { LaneLoop(*raw); });
-    }
-    if (config_.watchdog_stall_seconds > 0.0) {
-      watchdog_.Start({config_.watchdog_poll_seconds, config_.watchdog_stall_seconds},
-                      [this](const StallCause& cause) { OnStall(cause); });
-    }
+    StartLanes();
+    StartWatchdog();
   }
 
   ~ShardedDriver() { Stop(); }
@@ -261,7 +268,7 @@ class ShardedDriver {
   // share quota state, so a tenant cannot widen its allowance by opening
   // more of them.
   Session OpenSession(const std::string& tenant) {
-    TenantState* state = GetTenantState(tenant);
+    TenantState* state = TenantStateFor(tenant);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.sessions_opened;
@@ -269,16 +276,35 @@ class ShardedDriver {
     return Session(this, state);
   }
 
-  // Legacy surface: the pre-session Ingest/IngestBatch API, delegating to
-  // the implicit default session (tenant "", config.default_quota).
-  bool Ingest(const EdgeMutation& mutation) {
-    return IngestFor(GetTenantState(std::string()), mutation);
-  }
+  // The default session's surface. Thread-safe. Ingest blocks only when a
+  // flush hits a full queue under kBlock; it returns false (the mutation
+  // counted dropped or quarantined) after Stop() or on a failed screen.
+  bool Ingest(const EdgeMutation& mutation) { return IngestFor(default_tenant_, mutation); }
+
+  // Single-update fast path (config.fast_path; see src/driver/fast_path.h
+  // and INTERNALS §11). Screens the mutation like Ingest, then asks the
+  // engine to classify it against its dependency state:
+  //
+  //   safe    journaled at the next global sequence number and spliced into
+  //           the graph in place — no gutter, no flush, no barrier, and no
+  //           engine_mu_: the apply serializes through journal_mu_ (against
+  //           promotions, maintenance, and checkpoints) plus per-vertex
+  //           claims, and flips the fast-path epoch around the splice.
+  //   unsafe  escalated into the owning lane as a refinement micro-batch
+  //           (counted fastpath_unsafe_escalated).
+  //
+  // When the journal mutex is contended the mutation escalates rather than
+  // blocking: the fast path never waits on batch-scale work. With fast_path
+  // off or an engine that cannot classify, this is exactly Ingest.
   bool IngestFast(const EdgeMutation& mutation) {
-    return IngestFastFor(GetTenantState(std::string()), mutation);
+    return IngestFastFor(default_tenant_, mutation);
   }
+
+  // Ingests a pre-built batch, routed per lane (flush boundaries still
+  // follow batch_size). Returns how many mutations were accepted; 0 with
+  // the whole batch quarantined when admission control rejects it.
   size_t IngestBatch(const MutationBatch& batch) {
-    return IngestBatchFor(GetTenantState(std::string()), batch);
+    return IngestBatchFor(default_tenant_, batch);
   }
 
   // Hands every lane's gutter remainder to its worker.
@@ -289,18 +315,14 @@ class ShardedDriver {
     }
   }
 
-  // Two-phase query barrier with a global shed-replay phase. Phase 1
-  // flushes every lane; phase 2 drains them; then any batches parked in
-  // the global shed log replay in shed-sequence order under the engine
-  // mutex — one deterministic order no matter which lane shed them — and
-  // the flush/drain/replay loop repeats until nothing is shed (a producer
-  // racing the barrier may shed behind the drain). On return every
-  // mutation ingested before the call has been promoted, so the engine
-  // holds an exact BSP snapshot of the admitted stream. Returns false on
-  // the fast path (nothing buffered, in flight, or shed anywhere — the
-  // previous snapshot is still current). Under kDegrade with the governor
-  // reporting overload, serves the last globally consistent snapshot
-  // immediately instead of waiting on the barrier.
+  // The query barrier (see the header comment): flush every lane, drain
+  // them, replay the shed log, and repeat until nothing is shed (a producer
+  // racing the barrier may shed behind the drain). Returns false on the
+  // cached-query fast path (the previous snapshot is still current). Under
+  // kDegrade with the governor reporting overload it serves the last
+  // consistent snapshot immediately instead. On a driver with a killed lane
+  // it returns at once with a stale snapshot; check healthy() and call
+  // Recover().
   bool PrepQuery() {
     bool idle = true;
     for (auto& lane : lanes_) {
@@ -310,29 +332,20 @@ class ShardedDriver {
         break;
       }
     }
-    if constexpr (AsyncDeltaEngine<Engine>) {
-      // An async-engaged engine holds eventually-consistent values, not an
-      // exact BSP snapshot — the fast path's "still current" claim would
-      // be a lie, so force the reconciling barrier instead.
-      if (async_engaged_.load(std::memory_order_acquire)) {
-        idle = false;
-      }
-    }
-    if (idle) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (shed_batches_ == 0) {
-        return false;
-      }
-      idle = false;
+    // An async-engaged engine holds eventually-consistent values, not an
+    // exact BSP snapshot, so "still current" would be a lie: force the
+    // reconciling barrier instead.
+    if (idle && !async_engaged_.load(std::memory_order_acquire) && shed_batches_.load() == 0) {
+      return false;
     }
     if (config_.overflow == OverflowPolicy::kDegrade && degraded()) {
       // Degraded serve: whole batches promote under engine_mu_, so in BSP
-      // mode the engine state is always the exact BSP fixpoint of *some*
-      // prefix of the admitted stream — stale, never inconsistent. With
-      // the async tier engaged the served values instead update
-      // continuously (eventually consistent; stats().async_residual bounds
-      // the distance to the fixed point). Clears on its own once pressure
-      // recedes on every lane.
+      // mode the engine state is the exact fixpoint of *some* prefix of the
+      // admitted stream — stale, never inconsistent. With the async tier
+      // engaged the served values instead update continuously (eventually
+      // consistent; stats().async_residual bounds the distance to the fixed
+      // point). Use QuerySnapshot() to read either race-free. Clears on its
+      // own once pressure recedes on every lane.
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.degraded_queries;
       if (async_engaged_.load(std::memory_order_acquire)) {
@@ -341,19 +354,28 @@ class ShardedDriver {
       return true;
     }
     for (;;) {
+      if (AnyLaneDead()) {
+        GB_LOG(kWarning) << "PrepQuery on a driver with a dead lane: snapshot is stale; "
+                            "Recover() first";
+        return true;
+      }
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
         FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
       }
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
-        lane->drained_cv.wait(lock, [&] { return lane->in_flight == 0; });
+        lane->drained_cv.wait(lock, [&] { return lane->in_flight == 0 || lane->dead; });
+      }
+      if (AnyLaneDead()) {
+        GB_LOG(kWarning) << "a lane died during the query barrier; Recover() first";
+        return true;
       }
       if constexpr (AsyncDeltaEngine<Engine>) {
         if (async_engaged_.load(std::memory_order_acquire)) {
-          // The barrier promises an exact BSP snapshot: run the reconciling
-          // barrier, then re-run the flush/drain loop (a producer may have
-          // raced in while the engine recomputed).
+          // The barrier promises an exact BSP snapshot: reconcile, then
+          // re-run the flush/drain loop (a producer may have raced in while
+          // the engine recomputed).
           {
             std::lock_guard<std::mutex> engine_lock(engine_mu_);
             ReconcileAsync();
@@ -361,18 +383,16 @@ class ShardedDriver {
           continue;
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (shed_batches_ == 0) {
-          return true;
-        }
+      if (shed_batches_.load() == 0) {
+        return true;
       }
       ReplayShed();  // the global replay barrier
     }
   }
 
-  // Barrier + reference to the engine's values (see StreamDriver::values
-  // for the aliasing caveats — meant for quiescent callers).
+  // Barrier + reference to the engine's values. The reference is an exact
+  // BSP snapshot at return; it stays valid but may be rewritten once
+  // another producer triggers a flush — see the header comment.
   const std::vector<Value>& values() {
     PrepQuery();
     return engine_->values();
@@ -394,14 +414,20 @@ class ShardedDriver {
     }
   }
 
-  // Cumulative driver statistics; the shard block (shard_lanes,
-  // shard_batches_staged, shard_wal_appends, cross_shard_mutations,
-  // sessions_opened, *_quota_rejected) is populated only here.
+  // Cumulative driver statistics (see stats.h: engine fields are summed
+  // over applied batches; driver fields count since construction; the
+  // durability block merges in the checkpointer's counters).
   EngineStats stats() const {
     EngineStats snapshot;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       snapshot = stats_;
+    }
+    for (const auto& lane : lanes_) {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      snapshot.mutations_enqueued += lane->enqueued;
+      snapshot.mutations_dropped += lane->dropped;
+      snapshot.cross_shard_mutations += lane->cross_shard;
     }
     {
       std::lock_guard<std::mutex> lock(governor_mu_);
@@ -418,17 +444,20 @@ class ShardedDriver {
     return snapshot;
   }
 
-  // False after the watchdog has declared a lane stalled, until the lane's
-  // local recovery (shed the in-hand batch, resume) or a global Recover()
-  // completes.
+  // False while a lane is dead (killed by fault injection, until Recover())
+  // or after the watchdog declared a lane stalled, until that lane's local
+  // release (shed the in-hand batch, resume) or a Recover() completes.
   bool healthy() const {
+    if (AnyLaneDead()) {
+      return false;
+    }
     std::lock_guard<std::mutex> lock(stats_mu_);
     return healthy_;
   }
 
   // True while the governor has the driver in degraded mode (overload):
-  // under kDegrade, PrepQuery serves the last globally consistent snapshot
-  // instead of blocking on the barrier.
+  // under kDegrade, PrepQuery serves the last consistent snapshot instead
+  // of blocking on the barrier.
   bool degraded() const {
     std::lock_guard<std::mutex> lock(governor_mu_);
     return governor_.degraded();
@@ -452,24 +481,18 @@ class ShardedDriver {
     observer_ = std::move(observer);
   }
 
-  // A quiescent snapshot of lane i's staging partition — the edges whose
-  // source vertex shard i owns. Call only while no producer can trigger a
-  // flush (after PrepQuery with ingestion paused, or after Stop); the
-  // barrier's lane handshake makes the worker's writes visible.
-  EdgeList ShardPartitionEdges(size_t lane) const {
-    GB_CHECK(lane < lanes_.size()) << "lane " << lane << " out of range";
-    return lanes_[lane]->partition.ToEdgeList();
-  }
-
   // The dead-letter quarantine; null unless config.quarantine_dir was set.
+  // Inspect parked batches with quarantine()->ForEach.
   Quarantine* quarantine() { return quarantine_.get(); }
   uint64_t quarantined_batches() const {
     return quarantine_ != nullptr ? quarantine_->parked_batches() : 0;
   }
 
-  // Drains the quarantine through fixup(reason, batch&) — see
-  // StreamDriver::ReplayQuarantine. Re-admission goes through the default
-  // session (an operator action, but still quota-accounted).
+  // Drains the quarantine through `fixup(RejectReason, MutationBatch&)`.
+  // fixup repairs the batch in place and returns true to re-admit it — the
+  // batch is re-screened, so a still-poison batch goes straight back to
+  // quarantine — or false to discard it. Re-admission goes through the
+  // default session. Returns the number of parked batches fed to fixup.
   template <typename Fixup>
   size_t ReplayQuarantine(Fixup&& fixup) {
     if (quarantine_ == nullptr) {
@@ -493,7 +516,8 @@ class ShardedDriver {
     return ReplayQuarantine([](RejectReason, MutationBatch&) { return true; });
   }
 
-  // Writes a global checkpoint of the current engine state immediately.
+  // Writes a checkpoint of the current engine state immediately — the
+  // baseline right after InitialCompute, or an explicit save point.
   bool CheckpointNow() {
     if constexpr (CheckpointableEngine<Engine>) {
       if (checkpointer_ == nullptr) {
@@ -508,17 +532,19 @@ class ShardedDriver {
     }
   }
 
-  // Global crash recovery — the escalation path behind the lane-local
-  // story. Stops every lane, joins the workers (a worker parked in an
-  // injected stall observes stall_abort_, sheds its in-hand batch, and
-  // exits), restores the newest valid checkpoint, replays the WAL tail,
-  // promotes the batches still queued in any lane (process memory, not
-  // crash casualties — applied in lane order, which is a legal
-  // interleaving), drains the shed log in shed-sequence order, and
-  // restarts the lanes. Exactly StreamDriver::Recover's protocol against
-  // the same on-disk state, so either driver shape restores the other's
-  // checkpoints. Returns false (lanes restarted, engine state left as-is)
-  // when no valid checkpoint exists.
+  // Crash recovery. Stops every lane and joins the workers (a worker parked
+  // in an injected stall observes stall_abort_, sheds its in-hand batch,
+  // and exits), restores the newest valid checkpoint from disk, replays the
+  // lane lineages and the WAL tail past it, promotes the batches still
+  // queued in any lane (process memory, not crash casualties — applied in
+  // lane order, a legal interleaving), drains the shed log in shed-sequence
+  // order, and restarts every lane. Queued-then-shed is the stream order:
+  // shedding only starts once a queue is full or closed. Works on a live
+  // driver whose lane died and as cold-start recovery on a freshly
+  // constructed graph/engine/driver (no InitialCompute needed), with any
+  // lane count against any other's directory. Always restores from disk,
+  // so the persisted path is the one being trusted. Returns false (lanes
+  // restarted, engine state left as-is) when no valid checkpoint exists.
   bool Recover() {
     if constexpr (!CheckpointableEngine<Engine>) {
       GB_LOG(kError) << "Recover() requires a CheckpointableEngine";
@@ -541,11 +567,7 @@ class ShardedDriver {
       // stall observes this token, sheds its in-hand batch, and exits so
       // the joins below return.
       stall_abort_.store(true);
-      for (auto& lane : lanes_) {
-        if (lane->worker.joinable()) {
-          lane->worker.join();
-        }
-      }
+      JoinLanes();
       // Queue leftovers, preserved per lane in pop order. Lane order is a
       // legal global order: the batches were concurrent at the crash.
       std::vector<std::pair<size_t, TimedBatch>> preserved;
@@ -564,8 +586,8 @@ class ShardedDriver {
         std::lock_guard<std::mutex> engine_lock(engine_mu_);
         if constexpr (AsyncDeltaEngine<Engine>) {
           // WAL replay goes through BSP ApplyMutations: a crash inside an
-          // async window reconciles first (force-checkpointing, so the
-          // reconciled fixpoint is the newest restore point).
+          // async window reconciles first. The reconcile force-checkpoints,
+          // so the reconciled fixpoint is the newest restore point.
           ReconcileAsync();
         }
         bool can_absorb = false;
@@ -577,14 +599,12 @@ class ShardedDriver {
           restored = checkpointer_->RestoreLatest(&ckpt_seq);
           if (restored) {
             applied_seq_ = ckpt_seq;
-            // Native sharded recovery: scan every lane's WAL lineage in
-            // parallel (one thread per lane — the scans are independent
-            // files), then apply the merged tail serially in global
-            // sequence order, so the promotion order is bit-identical to
-            // the pre-crash run. The global journal sweep below starts
-            // from wherever the lineages end: when they are complete it
-            // is a no-op, and when a lineage is gapped (lost lane file)
-            // it covers the remainder.
+            // The tail was journaled with its final sequence numbers: it
+            // replays without re-journaling or cadence checkpoints. The lane
+            // lineages go first (scanned in parallel, applied in global
+            // sequence order); the global journal sweep starts wherever
+            // they end — a no-op when they are complete, the remainder
+            // when a lineage is gapped or there are none.
             replayed_lanes = ReplayLaneLineages(ckpt_seq);
             replayed_wal = checkpointer_->ReplayWal(
                 applied_seq_, [&](uint64_t seq, MutationBatch&& batch) {
@@ -592,59 +612,48 @@ class ShardedDriver {
                   applied_seq_ = seq;
                 });
           }
+          // Restored state — or live in-memory state left at a batch
+          // boundary by the kill — can absorb the not-yet-applied
+          // remainder. A cold start without any valid checkpoint cannot
+          // (the engine was never initialized), so the shed log stays
+          // parked for a later attempt.
           can_absorb = restored || applied_seq_ > 0;
         }
         if (can_absorb) {
           // Preserved and shed batches are promoting for the FIRST time, so
-          // the observer sees them (the WAL tail above is a re-promotion of
-          // already-observed batches and stays silent) — an observer-recorded
-          // stream stays a complete, exactly-once record of the admitted
-          // stream even across recovery.
+          // the observer sees them (the WAL tail above re-promotes
+          // already-observed batches and stays silent): an observer-recorded
+          // stream stays an exactly-once record across recovery.
           for (auto& [lane_index, item] : preserved) {
-            // Keep the lane's staging partition in step with its lineage
-            // (the global engine is the recovery authority either way).
-            lanes_[lane_index]->partition.ApplyBatch(item.batch);
             ApplyJournaled(item.batch, lane_index);
           }
           applied_preserved = true;
           replayed_shed = checkpointer_->DrainShed(
               [&](MutationBatch&& batch) { ApplyJournaled(batch, lanes_.size()); });
         }
-        // Snapshot for the log line below: once the lanes respawn they
-        // advance applied_seq_ under journal_mu_, which the logging no
-        // longer holds.
         std::lock_guard<std::mutex> journal_lock(journal_mu_);
-        if (restored) {
-          if (checkpointer_->WriteCheckpoint(applied_seq_)) {
-            // The fresh checkpoint supersedes every lineage record at or
-            // below it; drop them so the lane WALs stay bounded.
-            CompactLaneWals();
-          }
+        if (restored && checkpointer_->WriteCheckpoint(applied_seq_)) {
+          // Fresh checkpoint at the recovered frontier: the next crash
+          // recovers from here, and the lineage records it supersedes drop.
+          CompactLaneWals();
         }
+        // Snapshot for the log line: once the lanes respawn they advance
+        // applied_seq_ under journal_mu_, which the logging does not hold.
         recovered_seq = applied_seq_;
-      }
-      for (auto& lane : lanes_) {
-        lane->queue.Reset();
-      }
-      for (size_t i = 0; i < lanes_.size(); ++i) {
-        size_t from_lane = 0;
-        for (const auto& [lane_index, item] : preserved) {
-          from_lane += lane_index == i ? 1 : 0;
-        }
-        std::lock_guard<std::mutex> lock(lanes_[i]->mu);
-        lanes_[i]->in_flight -= std::min(lanes_[i]->in_flight, from_lane);
-        if (lanes_[i]->in_flight == 0) {
-          lanes_[i]->drained_cv.notify_all();
-        }
       }
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        healthy_ = true;
+        // A watchdog escalation reports healthy only once it has counted
+        // this recovery (OnStall).
+        healthy_ = !escalating_;
         // Subtract only what DrainShed actually replayed: a producer racing
-        // against recovery may shed after the drain, and that batch must
-        // stay counted or the next barrier would never replay it.
-        shed_batches_ -= std::min(shed_batches_, static_cast<size_t>(replayed_shed));
+        // recovery may shed after the drain, and that batch must stay
+        // counted or the next barrier would never replay it.
+        const size_t shed = shed_batches_.load();
+        shed_batches_.store(shed - std::min(shed, static_cast<size_t>(replayed_shed)));
         if (applied_preserved) {
+          // First-time applies (queued + shed) count as applied; WAL-tail
+          // re-applications only as replayed.
           stats_.batches_applied += preserved.size() + replayed_shed;
         } else {
           for (const auto& [lane_index, item] : preserved) {
@@ -659,44 +668,52 @@ class ShardedDriver {
         }
       }
       stall_abort_.store(false);
-      for (auto& lane : lanes_) {
-        lane->stall_abort.store(false);
-        std::lock_guard<std::mutex> lock(lane->mu);
-        lane->accepting = true;
+      for (size_t i = 0; i < lanes_.size(); ++i) {
+        Lane& lane = *lanes_[i];
+        lane.queue.Reset();
+        lane.stall_abort.store(false);
+        size_t from_lane = 0;
+        for (const auto& [lane_index, item] : preserved) {
+          from_lane += lane_index == i ? 1 : 0;
+        }
+        std::lock_guard<std::mutex> lock(lane.mu);
+        lane.in_flight -= std::min(lane.in_flight, from_lane);
+        if (lane.in_flight == 0) {
+          lane.drained_cv.notify_all();
+        }
+        lane.dead = false;
+        lane.accepting = true;
       }
-      for (auto& lane : lanes_) {
-        Lane* raw = lane.get();
-        raw->worker = std::thread([this, raw] { LaneLoop(*raw); });
-      }
+      StartLanes();
       stopped_ = false;
       // Restart the watchdog after a Stop()-then-Recover() revival. No-op
       // when it is already running — including when this very call runs
       // *on* the watchdog thread (auto-recovery).
-      if (config_.watchdog_stall_seconds > 0.0 && !watchdog_.running()) {
-        watchdog_.Start({config_.watchdog_poll_seconds, config_.watchdog_stall_seconds},
-                        [this](const StallCause& cause) { OnStall(cause); });
-      }
+      StartWatchdog();
       if (restored) {
-        GB_LOG(kInfo) << "sharded recovery to batch " << recovered_seq << " ("
-                      << replayed_lanes << " lane-lineage, " << replayed_wal
-                      << " global-WAL, " << preserved.size() << " queued, "
-                      << replayed_shed << " shed batches replayed) in "
+        GB_LOG(kInfo) << "recovered to batch " << recovered_seq << " (" << replayed_lanes
+                      << " lane-lineage, " << replayed_wal << " WAL, " << preserved.size()
+                      << " queued, " << replayed_shed << " shed batches replayed) in "
                       << wall.Millis() << " ms";
       }
       return restored;
     }
   }
 
-  // Sequence number of the newest batch promoted through the global
-  // journal — the durable frontier (see StreamDriver::applied_seq).
+  // Sequence number of the newest batch promoted through the journal — the
+  // durable frontier. After Recover() it is exactly the number of batches
+  // the recovered state contains, which is what the crash harness diffs
+  // against a fresh prefix run.
   uint64_t applied_seq() {
     std::lock_guard<std::mutex> lock(journal_mu_);
     return applied_seq_;
   }
 
-  // One synchronous scrub pass: the checkpointer's artifacts (checkpoint
-  // chain, global journal, shed log) plus every lane lineage. Returns
-  // corrupt artifacts found; 0 is a healthy disk or no checkpointer.
+  // One synchronous scrub pass (see DriverConfig::scrub_interval_seconds):
+  // the checkpointer's artifacts (checkpoint chain, journal, shed log) plus
+  // every lane lineage. Returns corrupt artifacts found; 0 is a healthy disk
+  // or no checkpointer. Only the journal serialization is held, so queries
+  // and promotions wait at most one artifact verification.
   uint64_t ScrubNow() {
     if (checkpointer_ == nullptr) {
       return 0;
@@ -707,16 +724,13 @@ class ShardedDriver {
     // lock that serializes the global journal serializes this scan.
     uint64_t lane_corruptions = 0;
     for (auto& lane : lanes_) {
-      if (!lane->wal_enabled) {
+      if (!lineage_ || lane->wal.Verify().clean()) {
         continue;
       }
-      WalScanInfo info = lane->wal.Verify();
-      if (!info.clean()) {
-        ++lane_corruptions;
-        GB_LOG(kWarning) << "scrub: lane lineage " << lane->wal.path()
-                         << " torn/corrupt; healing to last checksummed record";
-        lane->wal.Heal();
-      }
+      ++lane_corruptions;
+      GB_LOG(kWarning) << "scrub: lane lineage " << lane->wal.path()
+                       << " torn/corrupt; healing to last checksummed record";
+      lane->wal.Heal();
     }
     if (lane_corruptions > 0) {
       // The checkpointer counts its own finds (surfaced via MergeStats);
@@ -728,10 +742,11 @@ class ShardedDriver {
   }
 
   // Drains and shuts down: lanes stop accepting, gutter remainders flush,
-  // every queued batch is promoted, workers join, and anything left shed
-  // replays. Idempotent; called by the destructor. After a stall the
+  // every queued batch is promoted, workers join, and anything shed
+  // replays. Idempotent; called by the destructor. After a lane death the
   // un-applied queue leftovers are parked in the durable shed log
-  // (recoverable by a later cold-start Recover) or counted dropped.
+  // (recoverable by a later cold-start Recover) or counted dropped, and
+  // nothing replays.
   void Stop() {
     // The watchdog's callback may be inside Recover() — which takes
     // stop_mu_ — so stop it *before* acquiring stop_mu_ or Stop deadlocks
@@ -750,42 +765,25 @@ class ShardedDriver {
     for (auto& lane : lanes_) {
       lane->queue.Close();
     }
-    for (auto& lane : lanes_) {
-      if (lane->worker.joinable()) {
-        lane->worker.join();
-      }
-    }
+    JoinLanes();
     for (auto& lane : lanes_) {
       while (std::optional<TimedBatch> leftover = lane->queue.Pop()) {
-        const bool shed = checkpointer_ != nullptr && checkpointer_->AppendShed(leftover->batch);
-        {
-          std::lock_guard<std::mutex> lock(lane->mu);
-          if (--lane->in_flight == 0) {
-            lane->drained_cv.notify_all();
-          }
-        }
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        if (shed) {
-          stats_.mutations_shed_to_wal += leftover->batch.size();
-          ++shed_batches_;
-        } else {
-          stats_.mutations_dropped += leftover->batch.size();
+        ShedOrDrop(leftover->batch);
+        std::lock_guard<std::mutex> lock(lane->mu);
+        if (--lane->in_flight == 0) {
+          lane->drained_cv.notify_all();
         }
       }
     }
     if constexpr (AsyncDeltaEngine<Engine>) {
-      // Lane workers have joined, so nothing ticks the mode again: leave
-      // the engine reconciled to bitwise-deterministic BSP state.
+      // The workers have joined, so nothing ticks the mode again: leave the
+      // engine reconciled to bitwise-deterministic BSP state (shed replay
+      // below and any later barrier go through BSP ApplyMutations).
       std::lock_guard<std::mutex> engine_lock(engine_mu_);
       ReconcileAsync();
     }
-    bool have_shed;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      have_shed = shed_batches_ > 0;
-    }
-    if (have_shed) {
-      ReplayShed();  // engines are idle: every worker has joined
+    if (!AnyLaneDead() && shed_batches_.load() > 0) {
+      ReplayShed();  // the engine is idle: every worker has joined
     }
     stopped_ = true;
   }
@@ -793,38 +791,81 @@ class ShardedDriver {
  private:
   struct TimedBatch {
     MutationBatch batch;
-    Timer since_flush;
+    Timer since_flush;  // epoch set at flush; read when the promotion ends
   };
 
   // One ingestion lane: everything shard i owns. The mutex guards the
-  // gutter, in_flight, and accepting; the queue synchronizes itself; the
-  // WAL, wal_seq, and partition are touched only by the lane worker (and
-  // by quiescent readers after the barrier handshake).
-  struct Lane {
+  // gutter, in_flight, accepting, dead, and the ingest counters; the queue
+  // synchronizes itself; the lineage WAL is written under journal_mu_.
+  // The first three members fill the first cache line with everything the
+  // cached-query check reads (the lock, in_flight, the gutter's begin/end),
+  // so an idle PrepQuery touches one line per lane.
+  struct alignas(64) Lane {
     Lane(size_t index, size_t queue_capacity) : index(index), queue(queue_capacity) {}
 
-    const size_t index;
-    mutable std::mutex mu;
-    std::condition_variable drained_cv;
-    GutterBuffer gutter;
     // Batches taken from the gutter but not yet promoted (queued, mid-push,
     // or being applied). The barrier's phase 2 waits for zero.
     size_t in_flight = 0;
+    mutable std::mutex mu;
+    GutterBuffer gutter;
+    const size_t index;
+    std::condition_variable drained_cv;
     bool accepting = true;
-    BoundedQueue<TimedBatch> queue;
+    // Killed by FaultSite::kWorkerKill: the worker exited and the queue is
+    // closed until Recover().
+    bool dead = false;
+    // Ingest-side counters, kept per lane so a routed mutation takes one
+    // lock; stats() sums them.
+    uint64_t enqueued = 0;
+    uint64_t dropped = 0;
+    uint64_t cross_shard = 0;
+    // On its own lines: the worker locks the queue on every wake.
+    alignas(64) BoundedQueue<TimedBatch> queue;
     std::thread worker;
     // Lane-local cooperative cancellation: set by the watchdog verdict so
     // a worker parked in an injected stall sheds its in-hand batch and
     // resumes; consumed (reset) by the worker.
     std::atomic<bool> stall_abort{false};
-    bool wal_enabled = false;
-    WriteAheadLog wal;
-    MutableGraph partition;
+    WriteAheadLog wal;  // the lineage; open only when lineage_ is set
   };
 
-  size_t ShardOf(VertexId v) const { return static_cast<size_t>(v) % lanes_.size(); }
+  size_t ShardOf(VertexId v) const {
+    return lanes_.size() == 1 ? 0 : static_cast<size_t>(v) % lanes_.size();
+  }
 
-  TenantState* GetTenantState(const std::string& tenant) {
+  void StartLanes() {
+    for (auto& lane : lanes_) {
+      Lane* raw = lane.get();
+      raw->worker = std::thread([this, raw] { LaneLoop(*raw); });
+    }
+  }
+
+  void JoinLanes() {
+    for (auto& lane : lanes_) {
+      if (lane->worker.joinable()) {
+        lane->worker.join();
+      }
+    }
+  }
+
+  void StartWatchdog() {
+    if (config_.watchdog_stall_seconds > 0.0 && !watchdog_.running()) {
+      watchdog_.Start({config_.watchdog_poll_seconds, config_.watchdog_stall_seconds},
+                      [this](const StallCause& cause) { OnStall(cause); });
+    }
+  }
+
+  bool AnyLaneDead() const {
+    for (const auto& lane : lanes_) {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      if (lane->dead) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  TenantState* TenantStateFor(const std::string& tenant) {
     std::lock_guard<std::mutex> lock(tenants_mu_);
     auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
@@ -835,7 +876,9 @@ class ShardedDriver {
     return it->second.get();
   }
 
-  bool IngestFor(TenantState* state, const EdgeMutation& mutation) {
+  // The screen-then-quota gate of the single-mutation paths. False when the
+  // mutation was quarantined or refused by the tenant's quota.
+  bool AdmitOne(TenantState* state, const EdgeMutation& mutation) {
     if (quarantine_ != nullptr) {
       const AdmissionVerdict verdict = ScreenMutation(mutation, config_.admission);
       if (!verdict.admitted()) {
@@ -849,43 +892,39 @@ class ShardedDriver {
       ++stats_.batches_quota_rejected;
       return false;
     }
-    return RouteAdmitted(mutation);
+    return true;
+  }
+
+  bool IngestFor(TenantState* state, const EdgeMutation& mutation) {
+    return AdmitOne(state, mutation) && RouteAdmitted(mutation);
   }
 
   // The lane-routing tail of IngestFor: the mutation has already passed the
   // sentinel screen and the quota gate. Also the fast path's escalation
   // target, so an unsafe mutation is never screened or quota-charged twice.
   bool RouteAdmitted(const EdgeMutation& mutation) {
-    const bool cross = ShardOf(mutation.src) != ShardOf(mutation.dst);
     Lane& lane = *lanes_[ShardOf(mutation.src)];
-    {
-      std::unique_lock<std::mutex> lock(lane.mu);
-      if (!lane.accepting) {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.mutations_dropped;
-        return false;
-      }
-      lane.gutter.Add(mutation);
-      if (lane.gutter.size() >= config_.batch_size) {
-        FlushLaneLocked(lane, lock);
-      }
+    std::unique_lock<std::mutex> lock(lane.mu);
+    if (!lane.accepting) {
+      ++lane.dropped;
+      return false;
     }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.mutations_enqueued;
-    stats_.cross_shard_mutations += cross ? 1 : 0;
+    lane.gutter.Add(mutation);
+    ++lane.enqueued;
+    lane.cross_shard += ShardOf(mutation.dst) != lane.index ? 1 : 0;
+    if (lane.gutter.size() >= config_.batch_size) {
+      FlushLaneLocked(lane, lock);
+    }
     return true;
   }
 
-  // Session::IngestFast's implementation (see StreamDriver::IngestFast for
-  // the protocol narrative). Screen and quota-admit exactly like IngestFor,
-  // then classify under a journal try-lock: safe mutations journal at the
-  // next global sequence number and splice in place — bypassing the lane
-  // gutters and their staging partitions, which remain lineage of the
-  // *batched* stream only — while unsafe (or journal-contended) ones
-  // escalate into the owning lane as a refinement micro-batch. Safe applies
-  // notify the observer under the journal serialization with pseudo-lane
-  // lanes_.size() + 1, so an observer-recorded stream stays a complete,
-  // in-order record of the admitted stream.
+  // IngestFast's implementation. Screen and quota-admit exactly like
+  // IngestFor, then classify under a journal try-lock: safe mutations
+  // journal at the next global sequence number and splice in place,
+  // bypassing the lane gutters, while unsafe (or journal-contended) ones
+  // escalate into the owning lane. Safe applies notify the observer under
+  // the journal serialization with pseudo-lane lanes_.size() + 1, so an
+  // observer-recorded stream stays a complete, in-order record.
   bool IngestFastFor(TenantState* state, const EdgeMutation& mutation) {
     if constexpr (!FastPathEngine<Engine>) {
       return IngestFor(state, mutation);
@@ -893,17 +932,7 @@ class ShardedDriver {
       if (!config_.fast_path) {
         return IngestFor(state, mutation);
       }
-      if (quarantine_ != nullptr) {
-        const AdmissionVerdict verdict = ScreenMutation(mutation, config_.admission);
-        if (!verdict.admitted()) {
-          QuarantineReject(verdict.reason, MutationBatch{mutation}, state);
-          return false;
-        }
-      }
-      if (!state->TryAdmit(1)) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.mutations_quota_rejected;
-        ++stats_.batches_quota_rejected;
+      if (!AdmitOne(state, mutation)) {
         return false;
       }
       {
@@ -915,15 +944,17 @@ class ShardedDriver {
         if (journal.owns_lock() && !async_engaged_.load(std::memory_order_acquire) &&
             engine_->ClassifyFast(mutation).safe) {
           {
+            // Admission bookkeeping before the point of no return: once the
+            // WAL record lands the mutation is part of the admitted stream.
             // The owning lane's accepting flag stands in for a driver-wide
             // gate: Stop/Recover flip every lane before touching the engine.
             Lane& lane = *lanes_[ShardOf(mutation.src)];
             std::lock_guard<std::mutex> lock(lane.mu);
             if (!lane.accepting) {
-              std::lock_guard<std::mutex> slock(stats_mu_);
-              ++stats_.mutations_dropped;
+              ++lane.dropped;
               return false;
             }
+            ++lane.enqueued;
           }
           const MutationBatch batch{mutation};
           if (observer_) {
@@ -943,14 +974,13 @@ class ShardedDriver {
           GB_CHECK(applied) << "fast-path re-validation failed under the journal lock";
           if (checkpointer_ != nullptr && !journaled) {
             // The WAL record was lost (injected fault): force a checkpoint
-            // so recovery still covers this splice.
+            // so recovery still covers this splice. Engine state cannot
+            // move while we hold journal_mu_.
             if constexpr (CheckpointableEngine<Engine>) {
               checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/true);
             }
           }
           fast_counters_.safe_applied.fetch_add(1, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.mutations_enqueued;
           return true;
         }
       }
@@ -978,62 +1008,78 @@ class ShardedDriver {
     }
     // Route by source shard, preserving intra-lane ingest order — all
     // mutations of one (src, dst) pair share a lane, so per-pair order is
-    // exactly the producer's.
-    std::vector<MutationBatch> per_lane(lanes_.size());
-    uint64_t cross = 0;
-    for (const EdgeMutation& m : batch) {
-      per_lane[ShardOf(m.src)].push_back(m);
-      cross += ShardOf(m.src) != ShardOf(m.dst) ? 1 : 0;
+    // exactly the producer's. One lane needs no routing copy.
+    std::vector<MutationBatch> routed;
+    std::vector<uint64_t> cross(lanes_.size(), 0);
+    if (lanes_.size() > 1) {
+      routed.resize(lanes_.size());
+      for (const EdgeMutation& m : batch) {
+        const size_t owner = ShardOf(m.src);
+        routed[owner].push_back(m);
+        cross[owner] += ShardOf(m.dst) != owner ? 1 : 0;
+      }
     }
     size_t accepted = 0;
-    size_t dropped = 0;
-    for (size_t i = 0; i < per_lane.size(); ++i) {
-      if (per_lane[i].empty()) {
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      const MutationBatch& part = lanes_.size() > 1 ? routed[i] : batch;
+      if (part.empty()) {
         continue;
       }
       Lane& lane = *lanes_[i];
       std::unique_lock<std::mutex> lock(lane.mu);
-      for (size_t j = 0; j < per_lane[i].size(); ++j) {
+      lane.cross_shard += cross[i];
+      for (size_t j = 0; j < part.size(); ++j) {
         if (!lane.accepting) {  // re-checked: FlushLaneLocked drops the lock
-          dropped += per_lane[i].size() - j;
+          lane.dropped += part.size() - j;
           break;
         }
-        lane.gutter.Add(per_lane[i][j]);
+        lane.gutter.Add(part[j]);
+        ++lane.enqueued;
         ++accepted;
         if (lane.gutter.size() >= config_.batch_size) {
           FlushLaneLocked(lane, lock);
         }
       }
     }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.mutations_enqueued += accepted;
-    stats_.mutations_dropped += dropped;
-    stats_.cross_shard_mutations += cross;
     return accepted;
   }
 
+  // Parks an un-applied batch in the durable shed log, or counts it
+  // dropped without a checkpointer (or when the append fails).
+  void ShedOrDrop(const MutationBatch& batch) {
+    const bool shed = checkpointer_ != nullptr && checkpointer_->AppendShed(batch);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (shed) {
+      stats_.mutations_shed_to_wal += batch.size();
+      shed_batches_.fetch_add(1);
+    } else {
+      stats_.mutations_dropped += batch.size();
+    }
+  }
+
   // Takes the lane's gutter as a batch and moves it toward the worker.
-  // Caller holds `lock` on lane.mu; the queue handoff happens unlocked
-  // (in_flight covers the window).
+  // Caller holds `lock` on lane.mu; the queue handoff happens unlocked so a
+  // blocked push stalls only the flushing producer (in_flight keeps the
+  // batch visible to PrepQuery and the stale-flush check meanwhile).
   //
   // Overflow on a full lane queue follows the policy: kBlock waits (the
   // backpressure this producer feels), kDropNewest drops, kShedToWal sheds
-  // into the *global* sequence-tagged shed log, kShedOldest evicts the
+  // into the global sequence-tagged shed log, kShedOldest evicts the
   // lane's oldest queued batch into the shed log (or drops it) to admit
   // the fresh one, and kDegrade puts the batch *back* into the lane's
   // gutter to be re-coalesced and retried — unless `allow_refill` is false
   // (query barrier / shutdown), where kDegrade falls back to a lossless
-  // blocking push. A closed queue (shutdown or recovery) sheds durably
-  // when a checkpointer is attached and drops otherwise, under every
-  // policy. The Refill keeps the gutter's age epoch (see GutterBuffer), so
-  // the lane's monotonic stale-flush deadline survives degrade churn.
+  // blocking push. A closed queue (shutdown, recovery, or a dead lane)
+  // sheds durably when a checkpointer is attached and drops otherwise,
+  // under every policy. The Refill keeps the gutter's age epoch (see
+  // GutterBuffer), so the lane's stale-flush deadline survives degrade
+  // churn.
   void FlushLaneLocked(Lane& lane, std::unique_lock<std::mutex>& lock,
                        bool allow_refill = true) {
     if (lane.gutter.empty()) {
       return;
     }
-    if (config_.overflow == OverflowPolicy::kDegrade && allow_refill &&
-        !lane.queue.closed() && lane.queue.size() >= lane.queue.capacity()) {
+    if (config_.overflow == OverflowPolicy::kDegrade && allow_refill && lane.queue.full()) {
       // Coalesce under pressure: leave the batch in the gutter (duplicates
       // die at the eventual Take) instead of churning Take/Refill on every
       // ingested mutation while the queue stays full.
@@ -1044,7 +1090,6 @@ class ShardedDriver {
     uint64_t coalesced = 0;
     item.batch = lane.gutter.Take(config_.coalesce, &coalesced);
     item.since_flush.Reset();
-    const size_t mutations = item.batch.size();
     ++lane.in_flight;
     lock.unlock();
     bool pushed = false;
@@ -1060,17 +1105,25 @@ class ShardedDriver {
     } else if (config_.overflow == OverflowPolicy::kShedOldest) {
       pushed = lane.queue.PushEvictOldest(std::move(item), &evicted);
     }
-    const bool closed = !pushed && lane.queue.closed();
-    const bool refill = !pushed && !closed && allow_refill &&
+    const bool refill = !pushed && !lane.queue.closed() && allow_refill &&
                         config_.overflow == OverflowPolicy::kDegrade;
-    bool shed = false;
-    if (!pushed && !refill && config_.overflow != OverflowPolicy::kDropNewest &&
-        checkpointer_ != nullptr) {
-      shed = checkpointer_->AppendShed(item.batch);
+    if (evicted.has_value()) {
+      // The evicted batch leaves the pipeline un-applied.
+      ShedOrDrop(evicted->batch);
     }
-    bool evicted_shed = false;
-    if (evicted.has_value() && checkpointer_ != nullptr) {
-      evicted_shed = checkpointer_->AppendShed(evicted->batch);
+    if (!pushed && !refill) {
+      if (config_.overflow == OverflowPolicy::kDropNewest) {
+        std::lock_guard<std::mutex> slock(stats_mu_);
+        stats_.mutations_dropped += item.batch.size();
+      } else {
+        ShedOrDrop(item.batch);
+      }
+    }
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      stats_.mutations_coalesced += coalesced;
+      stats_.queue_wait_seconds += waited;
+      stats_.shed_oldest_evictions += evicted.has_value() ? 1 : 0;
     }
     lock.lock();
     if (evicted.has_value() && --lane.in_flight == 0) {
@@ -1084,30 +1137,6 @@ class ShardedDriver {
         lane.drained_cv.notify_all();
       }
     }
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.mutations_coalesced += coalesced;
-      stats_.queue_wait_seconds += waited;
-      if (evicted.has_value()) {
-        // The evicted batch leaves the pipeline un-applied: account it
-        // shed (durable) or dropped; its in-flight slot was released above.
-        ++stats_.shed_oldest_evictions;
-        if (evicted_shed) {
-          stats_.mutations_shed_to_wal += evicted->batch.size();
-          ++shed_batches_;
-        } else {
-          stats_.mutations_dropped += evicted->batch.size();
-        }
-      }
-      if (!pushed && !refill) {
-        if (shed) {
-          stats_.mutations_shed_to_wal += mutations;
-          ++shed_batches_;
-        } else {
-          stats_.mutations_dropped += mutations;
-        }
-      }
-    }
     UpdateGovernorPressure();
   }
 
@@ -1117,8 +1146,13 @@ class ShardedDriver {
       std::optional<TimedBatch> item =
           lane.queue.PopFor(std::chrono::duration<double>(NextPollSeconds(lane)));
       if (item.has_value()) {
-        if (ApplyLane(lane, std::move(*item))) {
-          return;  // stall-aborted globally: recovery owns the pipeline now
+        if (ApplyLane(lane, std::move(*item)) || LaneKilled(lane)) {
+          return;  // stall-aborted globally or killed: recovery owns the lane
+        }
+        if (lane.index == 0) {
+          // One maintenance increment per batch keeps compaction overlapped
+          // with a saturated stream (the quiescent window between applies).
+          MaintenanceTick();
         }
       } else if (lane.queue.closed()) {
         if (lane.queue.Empty()) {
@@ -1131,22 +1165,25 @@ class ShardedDriver {
         // The empty poll is the idle window the adaptive budget sizes
         // ticks against; feed the observation before spending it.
         budget_.RecordIdle(poll.Seconds());
-        GlobalMaintenanceTick();
+        MaintenanceTick();
         AsyncTick();   // refresh overload state; propagate or reconcile
         MaybeScrub();  // cadence-gated artifact verification
       }
       // The stale check runs after *every* iteration — successful pops
       // included, so a busy lane queue cannot starve a stale gutter —
-      // against the monotonic deadline NextPollSeconds carries across
-      // polls (same contract as StreamDriver::WorkerLoop).
+      // against the monotonic deadline NextPollSeconds carries across polls.
       if (TryFlushStaleLane(lane)) {
-        return;  // stall-aborted globally during the direct apply
+        return;
       }
     }
   }
 
-  // The lane worker's next wait, shortened to expire exactly when the
-  // gutter's oldest mutation goes stale (see StreamDriver::NextPollSeconds).
+  // The lane worker's next wait: the flush interval, shortened so the wait
+  // expires exactly when the gutter's oldest mutation goes stale — the
+  // monotonic deadline carried across polls (a pop or short timeout does
+  // not re-arm the full interval). A gutter already past its deadline but
+  // blocked by an in-flight batch (direct apply would reorder) gets a short
+  // back-off instead of a spin.
   double NextPollSeconds(const Lane& lane) const {
     std::lock_guard<std::mutex> lock(lane.mu);
     if (lane.gutter.empty()) {
@@ -1161,8 +1198,9 @@ class ShardedDriver {
 
   // Flushes a stale lane gutter and applies it directly — never through
   // the queue (the worker must not block behind itself), and only when
-  // in_flight == 0 so ordering is preserved. Returns true when the worker
-  // must exit (globally stall-aborted mid-apply).
+  // in_flight == 0 so the gutter is strictly newer than anything already
+  // formed and ordering is preserved. Returns true when the worker must
+  // exit (killed, or globally stall-aborted mid-apply).
   bool TryFlushStaleLane(Lane& lane) {
     TimedBatch stale;
     uint64_t coalesced = 0;
@@ -1181,23 +1219,38 @@ class ShardedDriver {
       std::lock_guard<std::mutex> slock(stats_mu_);
       stats_.mutations_coalesced += coalesced;
     }
-    return ApplyLane(lane, std::move(stale));
+    return ApplyLane(lane, std::move(stale)) || LaneKilled(lane);
   }
 
-  // Stage, then promote. Staging (shard WAL append + partition apply) runs
-  // concurrently across lanes; promotion serializes on the engine mutex,
-  // whose acquisition order defines the global apply order. Returns true
-  // when the apply was cancelled by *global* stall recovery — the worker
-  // must exit so Recover() can join it; the in-hand batch has been shed
-  // durably (or counted dropped) so recovery's shed drain replays it. A
-  // *lane-local* cancellation sheds the in-hand batch the same way but
-  // returns false: the lane resumes on its own, siblings never noticed.
+  // The kWorkerKill site fires between batches (after a promotion
+  // completes), so the engine is always left at a batch boundary — a crash
+  // never tears a refinement. The lane's queue closes so producers stop
+  // blocking behind the dead consumer (their pushes fail over to the
+  // shed/drop path); queued batches stay poppable for Recover().
+  bool LaneKilled(Lane& lane) {
+    if (!GB_FAULT_POINT(injector_, FaultSite::kWorkerKill)) {
+      return false;
+    }
+    lane.queue.Close();
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.dead = true;
+    GB_LOG(kWarning) << "FaultInjector: lane " << lane.index << " worker killed";
+    lane.drained_cv.notify_all();
+    return true;
+  }
+
+  // Promotes one batch under the engine mutex, with the lane's kApply
+  // heartbeat. Returns true when the apply was cancelled by *global* stall
+  // recovery — the worker must exit so Recover() can join it; the in-hand
+  // batch has been shed durably (or counted dropped) so recovery's shed
+  // drain replays it. A *lane-local* cancellation sheds the in-hand batch
+  // the same way but returns false: the lane resumes on its own.
   bool ApplyLane(Lane& lane, TimedBatch item) {
     if (GB_FAULT_POINT(injector_, FaultSite::kStageStall)) {
       // Injected hung apply: park (cooperatively) with this lane's kApply
       // heartbeat reading busy until a cancellation token releases it.
-      // Parks *outside* engine_mu_ — sibling lanes keep promoting the
-      // whole time; a stage that wedged while holding the engine could be
+      // Parks *outside* engine_mu_ — sibling lanes keep promoting the whole
+      // time; a stage that wedged while holding the engine could be
       // detected but never joined (see watchdog.h).
       StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply, lane.index);
       GB_LOG(kWarning) << "FaultInjector: lane " << lane.index << " apply stage stalled";
@@ -1206,24 +1259,19 @@ class ShardedDriver {
       }
       const bool global_abort = stall_abort_.load();
       lane.stall_abort.store(false);  // consume the lane-local token
-      const bool shed = checkpointer_ != nullptr && checkpointer_->AppendShed(item.batch);
+      ShedOrDrop(item.batch);
       {
         std::lock_guard<std::mutex> lock(lane.mu);
         if (--lane.in_flight == 0) {
           lane.drained_cv.notify_all();
         }
       }
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      if (shed) {
-        stats_.mutations_shed_to_wal += item.batch.size();
-        ++shed_batches_;
-      } else {
-        stats_.mutations_dropped += item.batch.size();
-      }
       if (!global_abort) {
-        // Lane-local recovery is complete: the in-hand batch is parked in
+        // Lane-local release is complete: the in-hand batch is parked in
         // the shed log for the next barrier and this lane resumes popping.
-        healthy_ = true;
+        // Healthy again unless the verdict escalated to Recover().
+        std::lock_guard<std::mutex> slock(stats_mu_);
+        healthy_ = !escalating_;
       }
       return global_abort;
     }
@@ -1231,40 +1279,34 @@ class ShardedDriver {
     EngineStats applied;
     uint64_t rebuilds = 0;
     bool async_applied = false;
-    bool async_stepped = false;
-    double async_residual = 0.0;
     uint64_t priority_delta = 0;
     {
       StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply, lane.index);
-      // The lane lineage is journaled at promotion time (AppendLaneWal,
-      // under journal_mu_) so its records carry the same global sequence
-      // numbers as the checkpointer's journal — that alignment is what
-      // lets Recover replay the lineages in parallel and still land on
-      // the exact pre-crash promotion order.
-      lane.partition.ApplyBatch(item.batch);
-      if (config_.background_compaction) {
-        // One bounded increment per staged batch keeps the partition's
-        // rewrites overlapped with its own stream.
-        lane.partition.MaintenanceStep(config_.maintenance_budget_edges);
-      }
       std::lock_guard<std::mutex> engine_lock(engine_mu_);
       SyncAsyncMode();
       if constexpr (AsyncDeltaEngine<Engine>) {
         if (async_engaged_.load(std::memory_order_relaxed)) {
           AsyncApplyJournaled(item.batch, lane.index);  // reconciles on WAL loss
           async_applied = true;
+          bool stepped = false;
           if (async_engaged_.load(std::memory_order_relaxed) &&
               engine_->AsyncResidual() > 0.0) {
             // One bounded propagation round rides along with every promote,
             // so served values chase the mutations they absorb even when no
-            // lane ever goes idle. Priority-lane forks happen inside the
-            // engine; attribute them here where stats_mu_ is available.
+            // lane ever goes idle. The engine leaves async-round scheduler
+            // work unattributed; account the priority-lane pushes from the
+            // arena directly.
             const uint64_t before = TaskArena::Instance().counters().tasks_priority;
             engine_->AsyncStep(config_.async_step_budget);
             priority_delta = TaskArena::Instance().counters().tasks_priority - before;
-            async_stepped = true;
+            stepped = true;
           }
-          async_residual = engine_->AsyncResidual();
+          // Published under engine_mu_, like every residual write, so a
+          // reconcile that follows is never overwritten by this older value.
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++stats_.async_applies;
+          stats_.async_steps += stepped ? 1 : 0;
+          stats_.async_residual = engine_->AsyncResidual();
         }
       }
       if (!async_applied) {
@@ -1281,20 +1323,9 @@ class ShardedDriver {
       ++stats_.shard_batches_staged;
       // The graph's rebuild counter is cumulative; mirror, don't sum.
       stats_.adaptive_rebuilds = rebuilds;
-      stats_.seconds += applied.seconds;
-      stats_.mutation_seconds += applied.mutation_seconds;
-      stats_.edges_processed += applied.edges_processed;
-      stats_.iterations += applied.iterations;
-      stats_.tasks_forked += applied.tasks_forked;
-      stats_.tasks_stolen += applied.tasks_stolen;
-      stats_.inline_runs += applied.inline_runs;
-      stats_.tasks_priority += applied.tasks_priority + priority_delta;
+      AccumulateEngineStats(applied, &stats_);
+      stats_.tasks_priority += priority_delta;
       stats_.flush_latency_seconds += item.since_flush.Seconds();
-      if (async_applied) {
-        ++stats_.async_applies;
-        stats_.async_steps += async_stepped ? 1 : 0;
-        stats_.async_residual = async_residual;
-      }
     }
     {
       // Every lane's promote feeds the one global governor: the EWMA sees
@@ -1310,13 +1341,24 @@ class ShardedDriver {
     return false;
   }
 
-  // Every engine apply funnels through here: notify the observer, assign
-  // the next global sequence number, journal write-ahead, apply, checkpoint
-  // on cadence — StreamDriver's exact protocol, so recovery is
-  // interchangeable. Caller holds engine_mu_; journal_mu_ is taken here so
-  // fast-path splices interleave only at batch boundaries, and the observer
-  // runs under it so observer order is exactly WAL/apply order even with
-  // fast-path applies in the mix.
+  // Sums one apply's per-call engine counters into a cumulative total.
+  static void AccumulateEngineStats(const EngineStats& applied, EngineStats* total) {
+    total->seconds += applied.seconds;
+    total->mutation_seconds += applied.mutation_seconds;
+    total->edges_processed += applied.edges_processed;
+    total->iterations += applied.iterations;
+    total->tasks_forked += applied.tasks_forked;
+    total->tasks_stolen += applied.tasks_stolen;
+    total->inline_runs += applied.inline_runs;
+    total->tasks_priority += applied.tasks_priority;
+  }
+
+  // Every engine apply funnels through here (lane promotions, queued
+  // batches and shed replays during recovery): notify the observer, assign
+  // the next global sequence number, journal write-ahead, apply, then
+  // checkpoint on cadence. Caller holds engine_mu_; journal_mu_ is taken
+  // here so fast-path splices interleave only at batch boundaries, and the
+  // observer runs under it so observer order is exactly WAL/apply order.
   void ApplyJournaled(const MutationBatch& batch, size_t observer_lane) {
     std::lock_guard<std::mutex> journal_lock(journal_mu_);
     if (observer_) {
@@ -1331,6 +1373,9 @@ class ShardedDriver {
     engine_->ApplyMutations(batch);
     if (checkpointer_ != nullptr) {
       if constexpr (CheckpointableEngine<Engine>) {
+        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
+        // force: a batch whose WAL record was lost must be captured by a
+        // checkpoint before the next crash.
         checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
         CompactLaneWals();
       }
@@ -1343,7 +1388,7 @@ class ShardedDriver {
   // fast-path pseudo-lanes — hash by sequence so the lineages stay a
   // partition of the global journal.
   void AppendLaneWal(uint64_t seq, const MutationBatch& batch, size_t observer_lane) {
-    if (lanes_.empty() || !lanes_[0]->wal_enabled) {
+    if (!lineage_) {
       return;
     }
     const size_t target =
@@ -1354,12 +1399,12 @@ class ShardedDriver {
     }
   }
 
-  // Drops every lane-lineage record already covered by the oldest retained
+  // Drops every lineage record already covered by the oldest retained
   // checkpoint (no restore can start below it). Caller holds journal_mu_.
   // Cheap when nothing changed: one directory listing per call, rewrites
   // only on cutoff movement.
   void CompactLaneWals() {
-    if (checkpointer_ == nullptr || lanes_.empty() || !lanes_[0]->wal_enabled) {
+    if (!lineage_ || checkpointer_ == nullptr) {
       return;
     }
     const uint64_t cutoff = checkpointer_->OldestRetainedCheckpointSeq();
@@ -1379,7 +1424,7 @@ class ShardedDriver {
   // journal sweep, which starts from wherever this landed. Caller holds
   // engine_mu_ and journal_mu_; lanes are joined. Returns batches applied.
   uint64_t ReplayLaneLineages(uint64_t after_seq) {
-    if (lanes_.empty() || !lanes_[0]->wal_enabled) {
+    if (!lineage_) {
       return 0;
     }
     std::vector<std::vector<std::pair<uint64_t, MutationBatch>>> tails(lanes_.size());
@@ -1435,7 +1480,8 @@ class ShardedDriver {
 
   // Lane-0-only (single ticking thread, so the cadence timer needs no
   // lock): run a scrub pass once the configured interval of wall time has
-  // passed since the last one (see StreamDriver::MaybeScrub).
+  // passed since the last one. Rides the idle poll — a saturated pipeline
+  // defers scrubbing, which is the right priority order.
   void MaybeScrub() {
     if (checkpointer_ == nullptr || config_.scrub_interval_seconds <= 0.0 ||
         scrub_timer_.Seconds() < config_.scrub_interval_seconds) {
@@ -1445,9 +1491,12 @@ class ShardedDriver {
     ScrubNow();
   }
 
-  // One background-compaction increment on the global graph, in a lane's
-  // idle window (see StreamDriver::MaintenanceTick).
-  void GlobalMaintenanceTick() {
+  // One background-compaction increment on the global graph in lane 0's
+  // quiescent window (after each of its promotions and on its idle polls).
+  // Holding the engine mutex makes this the epoch barrier: no apply or
+  // query can observe a half-built shadow, and a completed rewrite flips in
+  // under the same lock every reader takes.
+  void MaintenanceTick() {
     if constexpr (GraphMaintainableEngine<Engine>) {
       if (!config_.background_compaction) {
         return;
@@ -1460,16 +1509,21 @@ class ShardedDriver {
       SlackCsr::CompactionStats compaction;
       Timer step;
       {
+        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kMaintenance);
         std::lock_guard<std::mutex> engine_lock(engine_mu_);
         std::lock_guard<std::mutex> journal_lock(journal_mu_);  // vs fast-path splices
         MutableGraph* graph = engine_->mutable_graph();
         graph->MaintenanceStep(budget);
         compaction = graph->compaction_stats();
       }
+      // Feed the cost signal with this step's delta (the graph counter is
+      // cumulative); lock wait counts as cost, which rightly shrinks the
+      // budget when the engine is contended.
       budget_.RecordStep(compaction.background_edges_copied - last_maintenance_edges_,
                          step.Seconds());
       last_maintenance_edges_ = compaction.background_edges_copied;
       std::lock_guard<std::mutex> lock(stats_mu_);
+      // The graph's counters are already cumulative; mirror, don't sum.
       stats_.maintenance_steps = compaction.maintenance_steps;
       stats_.background_compactions = compaction.background_compactions;
       stats_.background_compaction_edges = compaction.background_edges_copied;
@@ -1478,21 +1532,21 @@ class ShardedDriver {
     }
   }
 
-  // ----- Async delta-accumulative mode (INTERNALS §14) ---------------------
+  // ----- Async delta-accumulative mode (INTERNALS §12) ---------------------
   //
-  // The sharded variant of StreamDriver's async tier (see stream_driver.h
-  // for the full protocol). Same invariants, sharded lock map: mode flips
-  // hold BOTH engine_mu_ and journal_mu_ (fast-path splices run under
-  // journal_mu_ alone); the governor lives under governor_mu_; stats under
-  // stats_mu_. While engaged: IngestFastFor escalates, cadence checkpoints
-  // are suppressed, per-lane WAL staging and the global WAL both keep
-  // journaling every batch, and the observer stream stays a complete
-  // record — AsyncApplyJournaled invokes it under journal_mu_ exactly like
-  // the BSP path, so an observer-driven re-run reproduces the apply order.
+  // Mode flips hold BOTH engine_mu_ and journal_mu_: the fast path splices
+  // under journal_mu_ alone, and a splice racing EnterAsyncMode's aggregate
+  // rebuild (or the reconcile's recompute) would tear it. async_engaged_
+  // mirrors engine_->async_mode() so either lock — or neither, for advisory
+  // reads — observes the flip race-free. While engaged: IngestFast
+  // escalates (ClassifyFast reasons about the stale BSP dependency store),
+  // cadence checkpoints are suppressed (same staleness), and the global WAL
+  // and the lineages keep journaling every batch — recovery replays them
+  // through BSP ApplyMutations, landing on a legitimate BSP state of the
+  // final graph. The observer sees async applies exactly like BSP ones.
 
   // True when policy, overflow policy, and the governor agree the engine
-  // should be running async. kAuto and kDegradeOnly share the degrade
-  // trigger today (see AsyncModePolicy).
+  // should be running async.
   bool AsyncWanted() const {
     if (config_.async_mode == AsyncModePolicy::kOff ||
         config_.overflow != OverflowPolicy::kDegrade) {
@@ -1584,32 +1638,23 @@ class ShardedDriver {
   // while engaged and unconverged — run one bounded propagation round.
   // Running on every idle poll is what makes the mode self-clearing
   // without waiting for a query barrier, and what drives the residual to
-  // zero once ingestion pauses.
+  // zero once ingestion pauses: freshness progresses even with no queries
+  // observing it.
   void AsyncTick() {
     if constexpr (AsyncDeltaEngine<Engine>) {
       if (config_.async_mode == AsyncModePolicy::kOff ||
           config_.overflow != OverflowPolicy::kDegrade) {
         return;
       }
-      {
-        std::lock_guard<std::mutex> glock(governor_mu_);
-        governor_.Update(QueuedDepth());
-      }
-      bool stepped = false;
-      double residual = 0.0;
-      uint64_t priority_delta = 0;
-      {
-        std::lock_guard<std::mutex> engine_lock(engine_mu_);
-        SyncAsyncMode();
-        if (async_engaged_.load(std::memory_order_relaxed) &&
-            engine_->AsyncResidual() > 0.0) {
-          const uint64_t before = TaskArena::Instance().counters().tasks_priority;
-          residual = engine_->AsyncStep(config_.async_step_budget);
-          priority_delta = TaskArena::Instance().counters().tasks_priority - before;
-          stepped = true;
-        }
-      }
-      if (stepped) {
+      UpdateGovernorPressure();
+      std::lock_guard<std::mutex> engine_lock(engine_mu_);
+      SyncAsyncMode();
+      if (async_engaged_.load(std::memory_order_relaxed) && engine_->AsyncResidual() > 0.0) {
+        const uint64_t before = TaskArena::Instance().counters().tasks_priority;
+        const double residual = engine_->AsyncStep(config_.async_step_budget);
+        const uint64_t priority_delta =
+            TaskArena::Instance().counters().tasks_priority - before;
+        // Under engine_mu_ so a later reconcile's zero is never overwritten.
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.async_steps;
         stats_.async_residual = residual;
@@ -1618,13 +1663,12 @@ class ShardedDriver {
     }
   }
 
-  // Applies batches parked in the global shed log through the journaled
-  // path, in shed-sequence order — one deterministic global order no
-  // matter which lane shed them. shed_replay_mu_ serializes concurrent
-  // barriers so a batch is never applied twice; the engine lock orders the
-  // replay against every lane worker. The observer sees replayed batches
-  // with the pseudo-lane index lanes_.size() ("shed replay"), so an
-  // observer-driven re-run still captures the true global apply order.
+  // Applies batches parked in the shed log through the journaled path, in
+  // shed-sequence order — one deterministic global order no matter which
+  // lane shed them. shed_replay_mu_ serializes concurrent barriers so a
+  // batch is never applied twice; the engine lock orders the replay against
+  // every lane worker. The observer sees replayed batches with the
+  // pseudo-lane index lanes_.size() ("shed replay").
   void ReplayShed() {
     if (checkpointer_ == nullptr) {
       return;
@@ -1642,29 +1686,15 @@ class ShardedDriver {
       }
       replayed = checkpointer_->DrainShed([&](MutationBatch&& batch) {
         ApplyJournaled(batch, lanes_.size());
-        const EngineStats& applied = engine_->stats();
-        summed.seconds += applied.seconds;
-        summed.mutation_seconds += applied.mutation_seconds;
-        summed.edges_processed += applied.edges_processed;
-        summed.iterations += applied.iterations;
-        summed.tasks_forked += applied.tasks_forked;
-        summed.tasks_stolen += applied.tasks_stolen;
-        summed.inline_runs += applied.inline_runs;
-        summed.tasks_priority += applied.tasks_priority;
+        AccumulateEngineStats(engine_->stats(), &summed);
       });
     }
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.shed_batches_replayed += replayed;
     stats_.batches_applied += replayed;
-    stats_.seconds += summed.seconds;
-    stats_.mutation_seconds += summed.mutation_seconds;
-    stats_.edges_processed += summed.edges_processed;
-    stats_.iterations += summed.iterations;
-    stats_.tasks_forked += summed.tasks_forked;
-    stats_.tasks_stolen += summed.tasks_stolen;
-    stats_.inline_runs += summed.inline_runs;
-    stats_.tasks_priority += summed.tasks_priority;
-    shed_batches_ = shed_batches_ >= replayed ? shed_batches_ - replayed : 0;
+    AccumulateEngineStats(summed, &stats_);
+    const size_t shed = shed_batches_.load();
+    shed_batches_.store(shed >= replayed ? shed - replayed : 0);
   }
 
   // Watchdog verdict: some lane's stage exceeded the stall timeout. Runs
@@ -1672,24 +1702,30 @@ class ShardedDriver {
   // unhealthy, then releases the stalled lane's worker via its lane-local
   // token — the worker sheds its in-hand batch durably and resumes, and
   // sibling lanes never stop (the park is outside the engine mutex). With
-  // auto-recovery configured, escalates to the full global Recover() on
-  // top: restore, replay WAL + queued + shed, restart every lane.
+  // auto-recovery configured and a checkpointer attached, escalates to the
+  // full Recover() on top: restore, replay WAL + queued + shed, restart
+  // every lane.
   void OnStall(const StallCause& cause) {
     GB_LOG(kWarning) << "watchdog: lane " << cause.lane << " stage "
                      << PipelineStageName(cause.stage) << " stalled for "
                      << cause.stalled_seconds << " s";
+    const bool escalate = config_.watchdog_auto_recover && checkpointer_ != nullptr;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.stalls_detected;
       healthy_ = false;
+      escalating_ = escalate;
     }
     if (cause.lane < lanes_.size()) {
       lanes_[cause.lane]->stall_abort.store(true);  // lane-local release
     }
-    if (config_.watchdog_auto_recover && checkpointer_ != nullptr) {
-      if (Recover()) {
+    if (escalate) {
+      const bool recovered = Recover();
+      {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.watchdog_recoveries;
+        stats_.watchdog_recoveries += recovered ? 1 : 0;
+        escalating_ = false;
+        healthy_ = true;
       }
       watchdog_.ClearStall();
     }
@@ -1711,6 +1747,9 @@ class ShardedDriver {
     governor_.Update(QueuedDepth());
   }
 
+  // Parks a rejected batch in the dead-letter WAL, or counts it dropped
+  // when the dead-letter append itself fails — either way the reject is
+  // accounted for exactly once.
   void QuarantineReject(RejectReason reason, const MutationBatch& batch, TenantState* state) {
     const bool parked = quarantine_->Append(reason, batch);
     if (parked) {
@@ -1736,17 +1775,30 @@ class ShardedDriver {
   AdmissionGovernor governor_;
   Checkpointer<Engine>* checkpointer_;
   FaultInjector* injector_;
+  // Lane WAL lineages: only with shards > 1 and a checkpoint_dir. With one
+  // lane the lineage would duplicate the global journal record for record.
+  const bool lineage_;
 
   std::vector<std::unique_ptr<Lane>> lanes_;
+  // The two lock-free reads of the cached-query path sit beside lanes_.
+  // Batches currently parked in the shed log: written under stats_mu_
+  // (each drain subtracts only what it actually replayed — a producer
+  // racing a barrier may shed behind the drain).
+  std::atomic<size_t> shed_batches_{0};
+  // True while the engine runs the async delta-accumulative tier. Mirrors
+  // engine_->async_mode(): flips happen under engine_mu_ + journal_mu_
+  // together, so a holder of either lock reads it race-free; lock-free
+  // reads (acquire) are advisory (fast-path gate, stats labels).
+  std::atomic<bool> async_engaged_{false};
 
   std::mutex engine_mu_;  // held while the engine is applied or snapshotted
   // Journal mutex, nested strictly *inside* engine_mu_ (never the reverse):
   // serializes applied_seq_, observer_ invocation, the WAL append order,
-  // and every write to the engine/graph — batched promotions (via
-  // ApplyJournaled), global maintenance, checkpoint writes, recovery
-  // restore, and fast-path splices. The fast path takes only this mutex,
-  // never engine_mu_, which is what keeps safe single-update applies free
-  // of the engine lock. Lane mutexes may be taken under it (leafward).
+  // and every write to the engine/graph — promotions (via ApplyJournaled),
+  // graph maintenance, checkpoint writes, recovery restore, and fast-path
+  // splices. The fast path takes only this mutex, never engine_mu_, which
+  // is what keeps safe single-update applies free of the engine lock. Lane
+  // mutexes may be taken under it (leafward).
   std::mutex journal_mu_;
   uint64_t applied_seq_ = 0;
   // Oldest retained checkpoint seq the lane lineages were last compacted
@@ -1763,13 +1815,12 @@ class ShardedDriver {
 
   mutable std::mutex stats_mu_;
   EngineStats stats_;
-  // Batches currently parked in the global shed log, guarded by stats_mu_;
-  // each drain subtracts only what it actually replayed (a producer racing
-  // a barrier may shed behind the drain).
-  size_t shed_batches_ = 0;
-  // False from a watchdog verdict until the stalled lane's local recovery
-  // (shed the in-hand batch, resume) or a global Recover() completes.
+  // False from a watchdog verdict until the stalled lane's local release
+  // (shed the in-hand batch, resume) or a Recover() completes — or, when
+  // the verdict escalates (escalating_), until OnStall has counted the
+  // recovery, so a healthy() reader sees the recovery's stats too.
   bool healthy_ = true;
+  bool escalating_ = false;
 
   mutable std::mutex governor_mu_;
 
@@ -1783,25 +1834,24 @@ class ShardedDriver {
 
   std::mutex shed_replay_mu_;  // serializes concurrent shed-log drains
 
-  // True while the engine runs the async delta-accumulative tier. Mirrors
-  // engine_->async_mode(): flips happen under engine_mu_ + journal_mu_
-  // together, so a holder of either lock reads it race-free; lock-free
-  // reads (acquire) are advisory (fast-path gate, stats labels).
-  std::atomic<bool> async_engaged_{false};
+
   // Adaptive maintenance budget, fed from lane 0's idle polls and the
   // global graph's per-edge rewrite cost (declared after config_: seeded
   // from the already-moved-into config).
   MaintenanceBudget budget_{config_.maintenance_budget_edges};
-  // Cumulative background_edges_copied at the last global tick; only
-  // lane 0 ticks, so this needs no lock.
+  // Cumulative background_edges_copied at the last tick; only lane 0
+  // ticks, so this needs no lock.
   uint64_t last_maintenance_edges_ = 0;
 
   std::mutex tenants_mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
+  // The implicit session behind Ingest/IngestFast/IngestBatch, looked up
+  // once at construction so those calls take no tenants_mu_.
+  TenantState* default_tenant_ = nullptr;
 
   std::unique_ptr<Quarantine> quarantine_;
 
-  std::mutex stop_mu_;  // serializes Stop callers; guards stopped_
+  std::mutex stop_mu_;  // serializes Stop/Recover callers; guards stopped_
   bool stopped_ = false;
 };
 

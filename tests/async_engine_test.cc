@@ -1,4 +1,4 @@
-// Async delta-accumulative tier (INTERNALS §14): the Maiter-style
+// Async delta-accumulative tier (INTERNALS §12): the Maiter-style
 // barrier-free execution mode that eligible engines flip into under
 // kDegrade overload.
 //
@@ -312,10 +312,10 @@ TEST(AsyncDriver, DegradeFlipServesFreshThenSelfClears) {
                           .max_pending_batches = 1,
                           .overflow = Driver::OverflowPolicy::kDegrade,
                           .coalesce = false,
-                          .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0},
                           .async_mode = AsyncModePolicy::kDegradeOnly,
-                          .async_step_budget = 256});
+                          .async_step_budget = 256,
+                          .governor = {.degrade_pressure_seconds = 0.0,
+                                       .recover_pressure_seconds = 0.0}});
 
   // Warm the latency EWMA with one normally-applied batch.
   ASSERT_EQ(driver.IngestBatch(chunks[0]), chunks[0].size());
@@ -402,9 +402,9 @@ TEST(AsyncDriver, PolicyOffNeverEngages) {
                           .max_pending_batches = 1,
                           .overflow = Driver::OverflowPolicy::kDegrade,
                           .coalesce = false,
+                          .async_mode = AsyncModePolicy::kOff,
                           .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0},
-                          .async_mode = AsyncModePolicy::kOff});
+                                       .recover_pressure_seconds = 0.0}});
   for (const MutationBatch& chunk : chunks) {
     ASSERT_EQ(driver.IngestBatch(chunk), chunk.size());
     driver.Flush();

@@ -118,14 +118,15 @@ typename Checkpointer<CrashEngine>::Options CkptOptions(const std::string& dir,
   Checkpointer<CrashEngine> ckpt(&engine, &graph, CkptOptions(dir, &faulty));
   const std::vector<MutationBatch> batches = MakeAlignedBatches(/*seed=*/99);
   if (shards == 0) {
-    StreamDriver<CrashEngine> driver(&engine, {.batch_size = kBatchSize,
-                                               .flush_interval_seconds = 3600.0,
-                                               .overflow = OverflowPolicy::kBlock,
-                                               .coalesce = false,
-                                               .checkpointer = &ckpt,
-                                               .background_compaction = false,
-                                               .fast_path = false,
-                                               .async_mode = AsyncModePolicy::kOff});
+    StreamDriver<CrashEngine> driver(&engine,
+                                     {.batch_size = kBatchSize,
+                                      .flush_interval_seconds = 3600.0,
+                                      .overflow = OverflowPolicy::kBlock,
+                                      .coalesce = false,
+                                      .background_compaction = false,
+                                      .fast_path = false,
+                                      .async_mode = AsyncModePolicy::kOff},
+                                     &ckpt);
     driver.CheckpointNow();  // baseline: write 1 / rename 1
     for (const MutationBatch& batch : batches) {
       driver.IngestBatch(batch);  // exactly one gutter flush per call
@@ -211,14 +212,15 @@ RecoveryOutcome RecoverAndCheck(const std::string& dir, size_t shards,
   Checkpointer<CrashEngine> ckpt(&engine, &graph, CkptOptions(dir, nullptr));
   RecoveryOutcome outcome;
   if (shards == 0) {
-    StreamDriver<CrashEngine> driver(&engine, {.batch_size = kBatchSize,
-                                               .flush_interval_seconds = 3600.0,
-                                               .overflow = OverflowPolicy::kBlock,
-                                               .coalesce = false,
-                                               .checkpointer = &ckpt,
-                                               .background_compaction = false,
-                                               .fast_path = false,
-                                               .async_mode = AsyncModePolicy::kOff});
+    StreamDriver<CrashEngine> driver(&engine,
+                                     {.batch_size = kBatchSize,
+                                      .flush_interval_seconds = 3600.0,
+                                      .overflow = OverflowPolicy::kBlock,
+                                      .coalesce = false,
+                                      .background_compaction = false,
+                                      .fast_path = false,
+                                      .async_mode = AsyncModePolicy::kOff},
+                                     &ckpt);
     EXPECT_TRUE(driver.Recover()) << what;
     outcome.applied = driver.applied_seq();
     driver.Stop();

@@ -335,12 +335,10 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
     Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
         &engine, &graph, {.directory = tmp.path(), .cadence_batches = 1u << 20}, &injector);
     StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer,
-                  .fault_injector = &injector,
-                  .fast_path = true});
+        &engine,
+        {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false,
+         .fast_path = true},
+        &checkpointer, &injector);
     ASSERT_TRUE(driver.CheckpointNow());  // baseline
     injector.ArmOnce(FaultSite::kWalAppend, 5, /*burst=*/3);  // 5th append loses all retries
     for (size_t i = 0; i < mutations.size(); ++i) {
@@ -363,11 +361,10 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
   Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 1u << 20});
   StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fast_path = true});
+      &engine,
+      {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false,
+       .fast_path = true},
+      &checkpointer);
   ASSERT_TRUE(driver.Recover());
   ASSERT_EQ(engine.values().size(), live_values.size());
   EXPECT_TRUE(SameValueBits(live_values, engine.values()));

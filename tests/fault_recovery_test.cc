@@ -1,7 +1,7 @@
 // ChaosStream differential tier: every fault-injection site fired against a
-// checkpointing StreamDriver, and the recovered result compared bitwise
-// with a fault-free sequential ApplyMutations loop over the same
-// pre-generated batch stream. One pool thread keeps both paths
+// checkpointing driver (one lane and four), and the recovered result
+// compared bitwise with a fault-free sequential ApplyMutations loop over
+// the same pre-generated batch stream. One pool thread keeps both paths
 // deterministic, so equality is exact (==), not approximate.
 //
 // This target is compiled with GRAPHBOLT_FAULT_INJECTION=1 (the library,
@@ -50,7 +50,7 @@ std::vector<MutationBatch> MakeBatches(const StreamSplit& split, size_t count, s
 
 // Drives the barrier on a possibly-crashed driver: recover, then drain.
 // A kill can land during the barrier itself, so loop until a barrier
-// completes on a healthy worker.
+// completes on healthy workers.
 template <StreamingEngine Engine>
 void DrainWithRecovery(StreamDriver<Engine>& driver) {
   for (int attempt = 0; attempt < 8; ++attempt) {
@@ -66,29 +66,36 @@ void DrainWithRecovery(StreamDriver<Engine>& driver) {
 }
 
 // The full matrix: arm every site (seeded, one-shot) against one driver
-// run, recovering whenever the worker dies, and require the final state to
-// be bitwise identical to the fault-free sequential loop. The arm points
+// run, recovering whenever a lane worker dies, and require the final state
+// to be bitwise identical to the fault-free sequential loop. The arm points
 // are chosen so the injected faults compose: the WAL record for batch 6 is
 // lost past its retries (forcing a checkpoint), the cadence checkpoint at
 // batch 6 needs a retry, the committed checkpoint at batch 9 is torn (so
 // recovery must fall back to batch 6 and replay the WAL tail), a spurious
-// queue-full bounces one flush to the blocking path, and the worker is
-// killed after the 10th applied batch.
+// queue-full bounces one flush to the blocking path, and a lane worker is
+// killed after the 10th applied batch. With more than one lane each batch
+// splits into per-lane promotions whose interleaving is up to the lanes, so
+// the sequential loop replays exactly the promotions the apply observer
+// recorded (at one lane those are the batches themselves).
 template <StreamingEngine Engine>
 void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, Engine& reference,
                                          const std::vector<MutationBatch>& batches,
-                                         const std::string& dir) {
+                                         const std::string& dir, size_t shards) {
   engine.InitialCompute();
   reference.InitialCompute();
 
   FaultInjector injector(/*seed=*/0x5eed);
   Checkpointer<Engine> checkpointer(
       &engine, &graph, {.directory = dir, .cadence_batches = 3, .keep = 2}, &injector);
-  StreamDriver<Engine> driver(&engine, {.batch_size = 1u << 20,
-                                        .flush_interval_seconds = 3600.0,
-                                        .coalesce = false,
-                                        .checkpointer = &checkpointer,
-                                        .fault_injector = &injector});
+  StreamDriver<Engine> driver(&engine,
+                              {.shards = shards,
+                               .batch_size = 1u << 20,
+                               .flush_interval_seconds = 3600.0,
+                               .coalesce = false},
+                              &checkpointer, &injector);
+  std::vector<MutationBatch> promoted;  // global apply order, each exactly once
+  driver.set_apply_observer(
+      [&](size_t, const MutationBatch& batch) { promoted.push_back(batch); });
   ASSERT_TRUE(driver.CheckpointNow());  // baseline: recoverable before batch 1
 
   injector.ArmOnce(FaultSite::kWalAppend, 6, /*burst=*/3);  // batch 6 loses all 3 attempts
@@ -100,12 +107,25 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   for (size_t i = 0; i < batches.size(); ++i) {
     ASSERT_EQ(driver.IngestBatch(batches[i]), batches[i].size());
     driver.Flush();
-    reference.ApplyMutations(batches[i]);
+    if (shards > 1) {
+      // A killed lane's siblings keep draining their queues, so without a
+      // barrier they could run on to an intact checkpoint before Recover()
+      // lands and leave it no WAL tail. With one batch in flight the run
+      // stops inside the batch that killed the lane, past the checkpoint
+      // recovery falls back to, so there is always a tail to replay.
+      driver.PrepQuery();
+    }
     if (!driver.healthy()) {
       ASSERT_TRUE(driver.Recover());
     }
   }
   DrainWithRecovery(driver);
+  if (shards == 1) {
+    ASSERT_EQ(promoted.size(), batches.size());  // one lane promotes the batches as-is
+  }
+  for (const MutationBatch& batch : promoted) {
+    reference.ApplyMutations(batch);
+  }
 
   // Every armed site must actually have fired — otherwise the matrix is
   // vacuous. (The sentinel sites kQuarantineAppend/kStageStall have their
@@ -123,7 +143,7 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   }
 
   const EngineStats stats = driver.stats();
-  EXPECT_EQ(stats.batches_applied, batches.size());
+  EXPECT_EQ(stats.batches_applied, promoted.size());
   EXPECT_EQ(stats.mutations_dropped, 0u);
   EXPECT_GE(stats.recoveries, 1u);
   EXPECT_GE(stats.batches_replayed, 1u);
@@ -132,7 +152,11 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   EXPECT_GE(stats.checkpoints_written, 3u);
 }
 
-TEST(FaultMatrix, PageRankRecoversBitwise) {
+// The matrix runs on the one-lane driver and on four lanes, where the kill
+// takes down one lane while its siblings keep promoting.
+class FaultMatrix : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FaultMatrix, PageRankRecoversBitwise) {
   ThreadPool::SetNumThreads(1);  // deterministic summation order
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1500, 12000, {.seed = 11});
@@ -143,11 +167,12 @@ TEST(FaultMatrix, PageRankRecoversBitwise) {
   MutableGraph g_ref(split.initial);
   GraphBoltEngine<PageRank> engine(&g_driver, PageRank{});
   GraphBoltEngine<PageRank> reference(&g_ref, PageRank{});
-  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path());
+  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path(),
+                                      GetParam());
   EXPECT_EQ(g_driver.ToEdgeList().edges(), g_ref.ToEdgeList().edges());
 }
 
-TEST(FaultMatrix, SsspRecoversBitwise) {
+TEST_P(FaultMatrix, SsspRecoversBitwise) {
   ThreadPool::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 21, .assign_random_weights = true});
@@ -159,10 +184,11 @@ TEST(FaultMatrix, SsspRecoversBitwise) {
   const GraphBoltEngine<Sssp>::Options options{.max_iterations = 128, .run_to_convergence = true};
   GraphBoltEngine<Sssp> engine(&g_driver, Sssp(0), options);
   GraphBoltEngine<Sssp> reference(&g_ref, Sssp(0), options);
-  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path());
+  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path(),
+                                      GetParam());
 }
 
-TEST(FaultMatrix, KickStarterRecoversBitwise) {
+TEST_P(FaultMatrix, KickStarterRecoversBitwise) {
   ThreadPool::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1000, 8000, {.seed = 31, .assign_random_weights = true});
@@ -173,8 +199,14 @@ TEST(FaultMatrix, KickStarterRecoversBitwise) {
   MutableGraph g_ref(split.initial);
   KickStarterEngine<KsSsspTraits> engine(&g_driver, KsSsspTraits(0));
   KickStarterEngine<KsSsspTraits> reference(&g_ref, KsSsspTraits(0));
-  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path());
+  ExpectFaultyDriverMatchesSequential(engine, g_driver, reference, batches, tmp.path(),
+                                      GetParam());
 }
+
+INSTANTIATE_TEST_SUITE_P(Lanes, FaultMatrix, ::testing::Values(size_t{1}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
 
 // Cold-start recovery: a brand-new process (fresh graph, engine, driver)
 // pointed at the checkpoint directory of a finished run reconstructs the
@@ -205,10 +237,8 @@ TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
     Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
         &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
     StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer});
+        &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     for (size_t i = 0; i < kHandoff; ++i) {
       ASSERT_EQ(driver.IngestBatch(batches[i]), batches[i].size());
@@ -223,10 +253,8 @@ TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
   Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
   StreamDriver<KickStarterEngine<KsSsspTraits>> driver(
-      &engine, {.batch_size = 1u << 20,
-                .flush_interval_seconds = 3600.0,
-                .coalesce = false,
-                .checkpointer = &checkpointer});
+      &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+      &checkpointer);
   ASSERT_TRUE(driver.Recover());
   EXPECT_GE(driver.stats().recoveries, 1u);
 
@@ -252,8 +280,7 @@ TEST(ColdRecovery, EmptyDirectoryFailsCleanly) {
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   Checkpointer<GraphBoltEngine<PageRank>> checkpointer(&engine, &graph,
                                                        {.directory = tmp.path()});
-  StreamDriver<GraphBoltEngine<PageRank>> driver(
-      &engine, {.checkpointer = &checkpointer});
+  StreamDriver<GraphBoltEngine<PageRank>> driver(&engine, {}, &checkpointer);
   EXPECT_FALSE(driver.Recover());
   EXPECT_EQ(driver.stats().recoveries, 0u);
   EXPECT_TRUE(driver.healthy());  // pipeline restarted even without state
@@ -280,9 +307,8 @@ TEST(ShedToWal, SpuriousQueueFullLosesNothing) {
       &engine, {.batch_size = 1u << 20,
                 .flush_interval_seconds = 3600.0,
                 .overflow = StreamDriver<ResetEngine<PageRank>>::OverflowPolicy::kShedToWal,
-                .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fault_injector = &injector});
+                .coalesce = false},
+      &checkpointer, &injector);
   injector.ArmOnce(FaultSite::kQueueFull, 2, /*burst=*/3);  // flushes 2..4 shed
 
   constexpr size_t kBatch = 64;

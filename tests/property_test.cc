@@ -247,10 +247,8 @@ TEST_P(RecoveryReplaySweep, CoalescedJournalRecoversBitwise) {
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 4});
   {
     StreamDriver<GraphBoltEngine<PageRank>> driver(
-        &engine, {.batch_size = 48,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = true,
-                  .checkpointer = &checkpointer});
+        &engine, {.batch_size = 48, .flush_interval_seconds = 3600.0, .coalesce = true},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 2);
     for (int round = 0; round < 10; ++round) {
@@ -295,10 +293,8 @@ TEST_P(RecoveryReplaySweep, WalTailReplayedTwiceEqualsOnce) {
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 5});
   {
     StreamDriver<ResetEngine<PageRank>> driver(
-        &engine, {.batch_size = 1u << 20,
-                  .flush_interval_seconds = 3600.0,
-                  .coalesce = false,
-                  .checkpointer = &checkpointer});
+        &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false},
+        &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 102);
     for (int round = 0; round < 12; ++round) {

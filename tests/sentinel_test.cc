@@ -469,9 +469,8 @@ TEST(AdmissionDriver, QuarantineAppendFailureCountsDropped) {
   engine.InitialCompute();
   FaultInjector injector(/*seed=*/0xdead);
   StreamDriver<GraphBoltEngine<PageRank>> driver(
-      &engine, {.fault_injector = &injector,
-                .quarantine_dir = quarantine_dir.path(),
-                .admission = {.max_vertex_id = 1000}});
+      &engine, {.quarantine_dir = quarantine_dir.path(), .admission = {.max_vertex_id = 1000}},
+      nullptr, &injector);
   injector.ArmOnce(FaultSite::kQuarantineAppend, 1);
   MutationBatch poison = {EdgeMutation::Add(2000, 1), EdgeMutation::Add(2001, 2)};
   EXPECT_EQ(driver.IngestBatch(poison), 0u);
@@ -618,10 +617,9 @@ TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
       &engine, {.batch_size = 1u << 20,
                 .flush_interval_seconds = 3600.0,
                 .coalesce = false,
-                .checkpointer = &checkpointer,
-                .fault_injector = &injector,
                 .watchdog_stall_seconds = 0.3,
-                .watchdog_poll_seconds = 0.02});
+                .watchdog_poll_seconds = 0.02},
+      &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   injector.ArmOnce(FaultSite::kStageStall, 5);  // the 5th apply hangs
 
@@ -680,9 +678,8 @@ TEST(ShedOldest, EvictionsAreDurableAndReplayed) {
                           .flush_interval_seconds = 3600.0,
                           .max_pending_batches = 1,
                           .overflow = Driver::OverflowPolicy::kShedOldest,
-                          .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector});
+                          .coalesce = false},
+                &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   injector.ArmOnce(FaultSite::kStageStall, 1);
 
@@ -755,10 +752,9 @@ TEST(Degrade, ServesSnapshotUnderPressureThenSelfClears) {
                           .max_pending_batches = 1,
                           .overflow = Driver::OverflowPolicy::kDegrade,
                           .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector,
                           .governor = {.degrade_pressure_seconds = 0.0,
-                                       .recover_pressure_seconds = 0.0}});
+                                       .recover_pressure_seconds = 0.0}},
+                &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
 
   // Warm the latency EWMA with one normally-applied batch.
@@ -843,12 +839,11 @@ TEST(TortureSentinel, PoisonOverloadStallZeroLoss) {
                           .max_pending_batches = 2,
                           .overflow = Driver::OverflowPolicy::kShedToWal,
                           .coalesce = false,
-                          .checkpointer = &checkpointer,
-                          .fault_injector = &injector,
                           .quarantine_dir = quarantine_dir.path(),
                           .admission = {.max_vertex_id = 1u << 20},
                           .watchdog_stall_seconds = 0.5,
-                          .watchdog_poll_seconds = 0.02});
+                          .watchdog_poll_seconds = 0.02},
+                &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   // Arm low: under kShedToWal the unpaced flood sheds most batches before
   // they ever reach the apply stage, and shed batches replay only at the

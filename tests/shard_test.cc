@@ -80,7 +80,6 @@ TEST(DriverConfigCli, FastPathFlagRoundTrip) {
   config.shards = 4;
   config.checkpoint_dir = "/tmp/ckpt";
   EXPECT_TRUE(config.Validate().empty()) << config.Validate();
-  EXPECT_TRUE(config.ToStreamOptions<GraphBoltEngine<PageRank>>().fast_path);
 }
 
 TEST(DriverConfigCli, FullSurfaceParses) {
@@ -127,6 +126,8 @@ TEST(DriverConfigCli, RejectMatrix) {
       {{"--flush-ms", "0"}, "--flush-ms"},
       {{"--max-pending-batches", "0"}, "--max-pending-batches"},
       {{"--overflow", "sideways"}, "block | drop | shed | shed-oldest | degrade"},
+      // "auto" was an alias of degrade-only and is gone.
+      {{"--async-mode", "auto"}, "off | degrade-only"},
       {{"--maintenance-budget", "0"}, "--maintenance-budget"},
       {{"--checkpoint-every", "-1"}, "--checkpoint-every"},
       {{"--max-batch-edges", "-5"}, "--max-batch-edges"},
@@ -234,7 +235,8 @@ class DriverConfigEnvTest : public ::testing::Test {
           "GRAPHBOLT_FLUSH_MS", "GRAPHBOLT_TENANT_QUOTAS", "GRAPHBOLT_DEFAULT_QUOTA",
           "GRAPHBOLT_WATCHDOG_MS", "GRAPHBOLT_QUARANTINE_DIR",
           "GRAPHBOLT_MAX_BATCH_EDGES", "GRAPHBOLT_CHECKPOINT_DIR",
-          "GRAPHBOLT_MAX_PENDING_BATCHES", "GRAPHBOLT_FAST_PATH"}) {
+          "GRAPHBOLT_MAX_PENDING_BATCHES", "GRAPHBOLT_FAST_PATH", "GRAPHBOLT_BG_COMPACTION",
+          "GRAPHBOLT_ASYNC_MODE"}) {
       ::unsetenv(name);
     }
   }
@@ -277,6 +279,34 @@ TEST_F(DriverConfigEnvTest, FastPathEnvAcceptsBinaryRejectsElse) {
   DriverConfig bad;
   EXPECT_FALSE(bad.FromEnv(&error));
   EXPECT_NE(error.find("GRAPHBOLT_FAST_PATH"), std::string::npos) << error;
+}
+
+// The member defaults are constants: the environment reaches a config only
+// through FromEnv, which validates what it reads.
+TEST_F(DriverConfigEnvTest, DefaultsIgnoreEnvironmentUntilFromEnv) {
+  ::setenv("GRAPHBOLT_FAST_PATH", "1", 1);
+  ::setenv("GRAPHBOLT_BG_COMPACTION", "1", 1);
+  ::setenv("GRAPHBOLT_ASYNC_MODE", "degrade-only", 1);
+  DriverConfig config;
+  EXPECT_FALSE(config.fast_path);
+  EXPECT_FALSE(config.background_compaction);
+  EXPECT_EQ(config.async_mode, AsyncModePolicy::kOff);
+  std::string error;
+  ASSERT_TRUE(config.FromEnv(&error)) << error;
+  EXPECT_TRUE(config.fast_path);
+  EXPECT_TRUE(config.background_compaction);
+  EXPECT_EQ(config.async_mode, AsyncModePolicy::kDegradeOnly);
+}
+
+TEST_F(DriverConfigEnvTest, AsyncModeEnvRejectsUnknownNames) {
+  for (const char* bad : {"auto", "degrade_only"}) {
+    ::setenv("GRAPHBOLT_ASYNC_MODE", bad, 1);
+    DriverConfig config;
+    std::string error;
+    EXPECT_FALSE(config.FromEnv(&error)) << bad;
+    EXPECT_NE(error.find("GRAPHBOLT_ASYNC_MODE"), std::string::npos) << error;
+    EXPECT_NE(error.find("off | degrade-only"), std::string::npos) << error;
+  }
 }
 
 TEST_F(DriverConfigEnvTest, CrossFieldValidationStillRuns) {
@@ -646,8 +676,8 @@ std::vector<EdgeTuple> SortedEdges(const EdgeList& list) {
 }
 
 // Streaming an adds-only load into an initially empty engine graph: every
-// lane's staging partition holds exactly the edges whose source it owns,
-// and their union is exactly the global graph.
+// batch a lane promotes holds only edges whose source that lane owns, and
+// the union of the promoted batches is exactly the global graph.
 TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
   ThreadPool::SetNumThreads(1);
   constexpr size_t kShards = 4;
@@ -662,6 +692,15 @@ TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
   config.flush_interval_seconds = 3600.0;
   config.coalesce = false;
   ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config);
+  std::vector<EdgeTuple> unioned;
+  driver.set_apply_observer([&](size_t lane, const MutationBatch& promoted) {
+    EXPECT_LT(lane, kShards) << "batch promoted outside the lanes";
+    for (const EdgeMutation& m : promoted) {
+      EXPECT_EQ(static_cast<size_t>(m.src) % kShards, lane)
+          << "edge (" << m.src << ", " << m.dst << ") staged on the wrong lane";
+      unioned.emplace_back(m.src, m.dst, m.weight);
+    }
+  });
   auto session = driver.OpenSession("loader");
   MutationBatch batch;
   for (const Edge& e : full.edges()) {
@@ -677,15 +716,6 @@ TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
   driver.PrepQuery();
   driver.Stop();
 
-  std::vector<EdgeTuple> unioned;
-  for (size_t lane = 0; lane < kShards; ++lane) {
-    const EdgeList partition = driver.ShardPartitionEdges(lane);
-    for (const Edge& e : partition.edges()) {
-      EXPECT_EQ(static_cast<size_t>(e.src) % kShards, lane)
-          << "edge (" << e.src << ", " << e.dst << ") staged on the wrong lane";
-      unioned.emplace_back(e.src, e.dst, e.weight);
-    }
-  }
   std::sort(unioned.begin(), unioned.end());
   EXPECT_EQ(unioned, SortedEdges(graph.ToEdgeList()));
 }

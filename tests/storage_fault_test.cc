@@ -358,10 +358,10 @@ TEST(DriverFaultTest, FullDiskKeepsServingAndRecoversWhenSpaceReturns) {
                                .flush_interval_seconds = 3600.0,
                                .overflow = OverflowPolicy::kBlock,
                                .coalesce = false,
-                               .checkpointer = rig.ckpt.get(),
                                .background_compaction = false,
                                .fast_path = false,
-                               .async_mode = AsyncModePolicy::kOff});
+                               .async_mode = AsyncModePolicy::kOff},
+                              rig.ckpt.get());
   ASSERT_TRUE(driver.CheckpointNow());
   const std::vector<double> at_baseline = rig.engine->values();
 
@@ -382,11 +382,15 @@ TEST(DriverFaultTest, FullDiskKeepsServingAndRecoversWhenSpaceReturns) {
     ADD_FAILURE() << "graph is complete";
     return EdgeMutation::Add(0, 1);
   };
-  for (int i = 0; i < 3; ++i) {
-    MutationBatch batch;
+  // All batches are drawn before the first is ingested: the lane worker
+  // applies each one as it flushes, so reading the graph in between races.
+  std::vector<MutationBatch> batches(3);
+  for (MutationBatch& batch : batches) {
     for (int m = 0; m < 4; ++m) {
       batch.push_back(next_fresh());
     }
+  }
+  for (const MutationBatch& batch : batches) {
     driver.IngestBatch(batch);
   }
   driver.PrepQuery();  // barrier: everything ingested above is applied

@@ -213,7 +213,7 @@ TEST(TaskArena, SetNumThreadsWhileLoopsRunOnOtherThreads) {
   ThreadPool::SetNumThreads(1);
 }
 
-// ----- Priority lane (async delta rounds; see INTERNALS §14) -----------------
+// ----- Priority lane (async delta rounds; see INTERNALS §12) -----------------
 
 TEST(PriorityLane, RunPriorityExecutesAllAndCounts) {
   ThreadPool::SetNumThreads(4);

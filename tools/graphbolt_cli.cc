@@ -9,25 +9,23 @@
 // Driver configuration goes through DriverConfig (src/shard/driver_config.h):
 // one validated surface registered by DriverConfig::RegisterFlags, read back
 // by FromCli, with GRAPHBOLT_* environment overrides applied on top by
-// FromEnv. --shards N with N > 1 runs the stream through the sharded
-// multi-tenant driver (src/shard/sharded_driver.h); N = 1 (the default)
-// uses the single-lane StreamDriver.
+// FromEnv. Any driver option routes the stream through the driver
+// (src/shard/sharded_driver.h) with --shards lanes (1 by default).
 //
 // With --checkpoint-dir the stream journals through the global checkpointer
 // (WAL + cadence checkpoints); --verify-recovery then cold-recovers into a
 // fresh engine afterwards and exits nonzero unless the recovered values match
 // the live ones — bitwise with one worker thread, within a relative 1e-9
 // with more (parallel refine applies floating-point scatter contributions
-// in schedule order; see docs/INTERNALS.md §10). The sharded driver shares
-// the protocol, so recovery of a sharded run goes through the same cold
-// unsharded path.
+// in schedule order; see docs/INTERNALS.md §10). The recovery always runs on
+// a one-lane driver, whatever --shards the live run used: every lane count
+// restores every other's checkpoints.
 //
-// The sentinel layer (docs/INTERNALS.md §11-§12) is armed by
-// --quarantine-dir (admission control + dead-letter WAL; tune with
-// --max-batch-edges, demo with --poison-batches), --watchdog-ms (stall
-// watchdog), and the --overflow family. All of it works on both driver
-// shapes: under --shards N the watchdog heartbeats per lane, the shed
-// policies divert to the shared sequence-tagged shed log, and degrade
+// The sentinel layer (docs/INTERNALS.md §6) is armed by --quarantine-dir
+// (admission control + dead-letter WAL; tune with --max-batch-edges, demo
+// with --poison-batches), --watchdog-ms (stall watchdog), and the
+// --overflow family. Under --shards N the watchdog heartbeats per lane, the
+// shed policies divert to the shared sequence-tagged shed log, and degrade
 // coordinates stale reads across lanes.
 #include <cstdio>
 #include <fstream>
@@ -108,9 +106,9 @@ bool ValueClose(const std::array<T, N>& a, const std::array<T, N>& b, double rel
   return true;
 }
 
-// Cold recovery + diff against the live engine; shared by the sharded and
-// unsharded streaming paths (both journal through the same global
-// checkpointer protocol, so the unsharded recovery path restores either).
+// Cold recovery on a one-lane driver + diff against the live engine. The
+// checkpointer protocol is the same at every lane count, so this restores a
+// run of any --shards.
 template <typename Engine, typename MakeEngine>
 int VerifyRecovery(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
                    const DriverConfig& driver_config) {
@@ -120,7 +118,7 @@ int VerifyRecovery(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph
   Checkpointer<Engine> restorer(&cold, &cold_graph,
                                 {.directory = driver_config.checkpoint_dir,
                                  .cadence_batches = driver_config.checkpoint_every});
-  StreamDriver<Engine> cold_driver(&cold, {.checkpointer = &restorer});
+  StreamDriver<Engine> cold_driver(&cold, {}, &restorer);
   if (!cold_driver.Recover()) {
     std::printf("recovery FAILED: no valid checkpoint in %s\n",
                 driver_config.checkpoint_dir.c_str());
@@ -180,13 +178,13 @@ void PrintDurability(const EngineStats& stats, const DriverConfig& driver) {
               driver.checkpoint_dir.c_str());
 }
 
-// Streams through a StreamDriver with the durability and/or sentinel layers
-// armed (the --shards 1 path). `make_engine` constructs an identically-
-// configured engine on a new graph for --verify-recovery.
+// Streams through the driver with --shards lanes and the durability,
+// sentinel, and fast-path layers the flags arm: one session carries the
+// stream and the query barrier closes each batch. `make_engine` constructs
+// an identically-configured engine on a new graph for --verify-recovery.
 template <typename Engine, typename MakeEngine>
 int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
                  StreamSplit& split, const CliConfig& config) {
-  using Driver = StreamDriver<Engine>;
   const bool durable = !config.driver.checkpoint_dir.empty();
   const bool sentinel = !config.driver.quarantine_dir.empty() ||
                         config.driver.watchdog_stall_seconds > 0.0 ||
@@ -208,17 +206,17 @@ int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
                              .cadence_batches = config.driver.checkpoint_every});
   }
   {
-    typename Driver::Options driver_options =
-        config.driver.template ToStreamOptions<Engine>(durable ? &*checkpointer : nullptr);
     // The loop below drives flushes explicitly (IngestBatch + Flush +
     // PrepQuery per batch), so the staleness flush and coalescing would
     // only blur the per-batch numbers.
-    driver_options.flush_interval_seconds = 3600.0;
-    driver_options.coalesce = false;
-    Driver driver(&engine, driver_options);
+    DriverConfig driver_config = config.driver;
+    driver_config.flush_interval_seconds = 3600.0;
+    driver_config.coalesce = false;
+    StreamDriver<Engine> driver(&engine, driver_config, durable ? &*checkpointer : nullptr);
     if (durable) {
-      driver.CheckpointNow();  // baseline: recoverable before the first batch
+      driver.CheckpointNow();
     }
+    auto session = driver.OpenSession("cli");
 
     UpdateStream stream(split.held_back, 99);
     for (size_t b = 0; b < config.batches; ++b) {
@@ -229,114 +227,9 @@ int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
       size_t accepted = 0;
       if (config.driver.fast_path) {
         // Single-update serving: each mutation classifies against the
-        // dependency store and splices in place when safe; unsafe ones
-        // escalate into the gutter and drain at the flush below.
-        for (const EdgeMutation& m : batch) {
-          accepted += driver.IngestFast(m) ? 1 : 0;
-        }
-      } else {
-        accepted = driver.IngestBatch(batch);
-      }
-      driver.Flush();
-      driver.PrepQuery();
-      std::printf("batch %zu: %zu/%zu mutations, refine %.2f ms, structure %.2f ms\n", b + 1,
-                  accepted, batch.size(), engine.stats().seconds * 1e3,
-                  engine.stats().mutation_seconds * 1e3);
-    }
-    // Demo of the poison path: deliberately malformed batches (NaN weights)
-    // that admission control must bounce into the dead-letter WAL.
-    if (config.poison_batches > 0 && !config.driver.quarantine_dir.empty()) {
-      const float nan = std::numeric_limits<float>::quiet_NaN();
-      for (size_t p = 0; p < config.poison_batches; ++p) {
-        MutationBatch poison = {EdgeMutation::Add(1, static_cast<VertexId>(2 + p), nan)};
-        driver.IngestBatch(poison);
-      }
-      std::printf("poison: %zu bad batches offered, %llu parked in %s\n", config.poison_batches,
-                  static_cast<unsigned long long>(driver.quarantined_batches()),
-                  driver.quarantine()->path().c_str());
-    }
-    driver.Stop();
-    const EngineStats stats = driver.stats();
-    if (config.driver.fast_path) {
-      PrintFastPath(stats);
-    }
-    if (durable) {
-      PrintDurability(stats, config.driver);
-    }
-    if (sentinel) {
-      std::printf(
-          "sentinel: %llu quarantined batches (%llu mutations), %llu shed-oldest evictions, "
-          "%llu degraded entries / %llu degraded queries, %llu stalls / %llu auto-recoveries, "
-          "apply EWMA %.2f ms\n",
-          static_cast<unsigned long long>(stats.batches_quarantined),
-          static_cast<unsigned long long>(stats.mutations_quarantined),
-          static_cast<unsigned long long>(stats.shed_oldest_evictions),
-          static_cast<unsigned long long>(stats.degraded_entries),
-          static_cast<unsigned long long>(stats.degraded_queries),
-          static_cast<unsigned long long>(stats.stalls_detected),
-          static_cast<unsigned long long>(stats.watchdog_recoveries),
-          stats.apply_ewma_seconds * 1e3);
-    }
-    if (config.driver.async_mode != AsyncModePolicy::kOff) {
-      PrintAsync(stats);
-    }
-  }
-  std::printf("total wall time: %.2f ms; final graph: %u vertices, %llu edges\n",
-              total.Seconds() * 1e3, graph.num_vertices(),
-              static_cast<unsigned long long>(graph.num_edges()));
-
-  if (config.verify_recovery) {
-    return VerifyRecovery(engine, make_engine, graph, config.driver);
-  }
-  return 0;
-}
-
-// Streams through the sharded multi-tenant driver (--shards N > 1): one
-// session carries the stream, lanes stage + promote, and the two-phase
-// barrier closes each batch.
-template <typename Engine, typename MakeEngine>
-int ShardedStreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
-                        StreamSplit& split, const CliConfig& config) {
-  const bool durable = !config.driver.checkpoint_dir.empty();
-  const bool sentinel = !config.driver.quarantine_dir.empty() ||
-                        config.driver.watchdog_stall_seconds > 0.0 ||
-                        config.driver.overflow == OverflowPolicy::kShedOldest ||
-                        config.driver.overflow == OverflowPolicy::kDegrade;
-
-  Timer total;
-  engine.InitialCompute();
-  std::printf("initial compute: %.2f ms, %llu edge computations, %u iterations\n",
-              engine.stats().seconds * 1e3,
-              static_cast<unsigned long long>(engine.stats().edges_processed),
-              engine.stats().iterations);
-
-  std::optional<Checkpointer<Engine>> checkpointer;
-  if (durable) {
-    checkpointer.emplace(&engine, &graph,
-                         typename Checkpointer<Engine>::Options{
-                             .directory = config.driver.checkpoint_dir,
-                             .cadence_batches = config.driver.checkpoint_every});
-  }
-  {
-    DriverConfig driver_config = config.driver;
-    driver_config.flush_interval_seconds = 3600.0;  // explicit driving, as above
-    driver_config.coalesce = false;
-    ShardedDriver<Engine> driver(&engine, driver_config,
-                                 durable ? &*checkpointer : nullptr);
-    if (durable) {
-      driver.CheckpointNow();
-    }
-    auto session = driver.OpenSession("cli");
-
-    UpdateStream stream(split.held_back, 99);
-    for (size_t b = 0; b < config.batches; ++b) {
-      const MutationBatch batch = stream.NextBatch(
-          graph, {.size = config.driver.batch_size, .add_fraction = config.add_fraction});
-      size_t accepted = 0;
-      if (config.driver.fast_path) {
-        // Same single-update serving shape as the unsharded path: safe
-        // splices bypass the lanes entirely, unsafe ones route to their
-        // home lane as micro-batches.
+        // dependency store and splices in place when safe, bypassing the
+        // lanes; unsafe ones escalate into their home lane's gutter and
+        // drain at the flush below.
         for (const EdgeMutation& m : batch) {
           accepted += session.IngestFast(m) ? 1 : 0;
         }
@@ -349,6 +242,8 @@ int ShardedStreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& 
                   accepted, batch.size(), engine.stats().seconds * 1e3,
                   engine.stats().mutation_seconds * 1e3);
     }
+    // Demo of the poison path: deliberately malformed batches (NaN weights)
+    // that admission control must bounce into the dead-letter WAL.
     if (config.poison_batches > 0 && !config.driver.quarantine_dir.empty()) {
       const float nan = std::numeric_limits<float>::quiet_NaN();
       for (size_t p = 0; p < config.poison_batches; ++p) {
@@ -405,11 +300,9 @@ int ShardedStreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& 
 template <typename Engine, typename MakeEngine>
 int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, StreamSplit& split,
            const CliConfig& config) {
-  if (config.driver.shards > 1) {
-    return ShardedStreamDriven(engine, make_engine, graph, split, config);
-  }
-  if (!config.driver.checkpoint_dir.empty() || !config.driver.quarantine_dir.empty() ||
-      config.driver.watchdog_stall_seconds > 0.0 || config.driver.fast_path) {
+  if (config.driver.shards > 1 || !config.driver.checkpoint_dir.empty() ||
+      !config.driver.quarantine_dir.empty() || config.driver.watchdog_stall_seconds > 0.0 ||
+      config.driver.fast_path) {
     return StreamDriven(engine, make_engine, graph, split, config);
   }
   Timer total;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the concurrency + fault + graph test tiers under AddressSanitizer,
 # ThreadSanitizer, and UndefinedBehaviorSanitizer. These are the tiers that
-# exercise the StreamDriver pipeline, fault-injection sites,
+# exercise the driver's lanes (one and many), fault-injection sites,
 # checkpoint/recovery paths, the sentinel layer (admission / quarantine /
 # watchdog), and the slack-CSR in-place mutation arena (pointer arithmetic
 # + parallel splices: prime sanitizer material), so they are the ones most
