@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -347,8 +348,12 @@ void Run() {
   std::printf("\n%12s %10s %11s %8s %9s %7s %9s %9s %9s\n", "policy", "ingest(s)",
               "barrier(s)", "shed", "replayed", "evict", "degr.in", "degr.qry",
               "ewma(ms)");
+  // The one-lane runs fill both this table and the shards=1 rows of the
+  // sharded table below.
+  std::vector<OverloadRow> one_lane;
   for (const auto& entry : kPolicies) {
     const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, 1, dir);
+    one_lane.push_back(row);
     std::printf("%12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu %9.3f\n", row.policy,
                 row.ingest_seconds, row.barrier_seconds,
                 static_cast<unsigned long long>(row.shed_to_wal),
@@ -377,7 +382,7 @@ void Run() {
   PrintHeader(
       "Sharded overload sweep: the same flood through the driver's lanes\n"
       "(shared shed log, lane-coordinated degrade, global replay barrier).\n"
-      "shards=1 repeats the sweep above; shards=4 shows lanes absorbing\n"
+      "shards=1 rows are the runs above; shards=4 shows lanes absorbing\n"
       "overload before the sentinel engages.");
 
   constexpr size_t kShardCounts[] = {1, 4};
@@ -385,8 +390,11 @@ void Run() {
               "ingest(s)", "barrier(s)", "shed", "replayed", "evict", "degr.in",
               "degr.qry");
   for (const size_t shards : kShardCounts) {
-    for (const auto& entry : kPolicies) {
-      const OverloadRow row = RunOverload(split, flood, entry.policy, entry.name, shards, dir);
+    for (size_t p = 0; p < std::size(kPolicies); ++p) {
+      const OverloadRow row =
+          shards == 1 ? one_lane[p]
+                      : RunOverload(split, flood, kPolicies[p].policy, kPolicies[p].name, shards,
+                                    dir);
       std::printf("%7zu %12s %10.3f %11.3f %8llu %9llu %7llu %9llu %9llu\n", shards,
                   row.policy, row.ingest_seconds, row.barrier_seconds,
                   static_cast<unsigned long long>(row.shed_to_wal),

@@ -523,9 +523,11 @@ class ShardedDriver {
       if (checkpointer_ == nullptr) {
         return false;
       }
-      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
       std::lock_guard<std::mutex> engine_lock(engine_mu_);
       std::lock_guard<std::mutex> journal_lock(journal_mu_);
+      // Lane 0's slot; every kCheckpoint scope runs under engine_mu_, so no
+      // two share a slot at once.
+      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
       return checkpointer_->WriteCheckpoint(applied_seq_);
     } else {
       return false;
@@ -797,19 +799,16 @@ class ShardedDriver {
   // One ingestion lane: everything shard i owns. The mutex guards the
   // gutter, in_flight, accepting, dead, and the ingest counters; the queue
   // synchronizes itself; the lineage WAL is written under journal_mu_.
-  // The first three members fill the first cache line with everything the
-  // cached-query check reads (the lock, in_flight, the gutter's begin/end),
-  // so an idle PrepQuery touches one line per lane.
-  struct alignas(64) Lane {
+  struct Lane {
     Lane(size_t index, size_t queue_capacity) : index(index), queue(queue_capacity) {}
 
+    const size_t index;
+    mutable std::mutex mu;
+    std::condition_variable drained_cv;
+    GutterBuffer gutter;
     // Batches taken from the gutter but not yet promoted (queued, mid-push,
     // or being applied). The barrier's phase 2 waits for zero.
     size_t in_flight = 0;
-    mutable std::mutex mu;
-    GutterBuffer gutter;
-    const size_t index;
-    std::condition_variable drained_cv;
     bool accepting = true;
     // Killed by FaultSite::kWorkerKill: the worker exited and the queue is
     // closed until Recover().
@@ -819,8 +818,7 @@ class ShardedDriver {
     uint64_t enqueued = 0;
     uint64_t dropped = 0;
     uint64_t cross_shard = 0;
-    // On its own lines: the worker locks the queue on every wake.
-    alignas(64) BoundedQueue<TimedBatch> queue;
+    BoundedQueue<TimedBatch> queue;
     std::thread worker;
     // Lane-local cooperative cancellation: set by the watchdog verdict so
     // a worker parked in an injected stall sheds its in-hand batch and
@@ -1373,7 +1371,9 @@ class ShardedDriver {
     engine_->ApplyMutations(batch);
     if (checkpointer_ != nullptr) {
       if constexpr (CheckpointableEngine<Engine>) {
-        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint);
+        // The promoting lane's slot; promotions outside any lane use lane 0's.
+        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint,
+                                        observer_lane < lanes_.size() ? observer_lane : 0);
         // force: a batch whose WAL record was lost must be captured by a
         // checkpoint before the next crash.
         checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
@@ -1509,7 +1509,7 @@ class ShardedDriver {
       SlackCsr::CompactionStats compaction;
       Timer step;
       {
-        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kMaintenance);
+        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kMaintenance, /*lane=*/0);
         std::lock_guard<std::mutex> engine_lock(engine_mu_);
         std::lock_guard<std::mutex> journal_lock(journal_mu_);  // vs fast-path splices
         MutableGraph* graph = engine_->mutable_graph();
@@ -1716,8 +1716,11 @@ class ShardedDriver {
       healthy_ = false;
       escalating_ = escalate;
     }
-    if (cause.lane < lanes_.size()) {
-      lanes_[cause.lane]->stall_abort.store(true);  // lane-local release
+    if (cause.stage == PipelineStage::kApply && cause.lane < lanes_.size()) {
+      // Lane-local release. Only the apply stage parks on this token; a
+      // token set for any other stage would linger and cut short the
+      // lane's next stall.
+      lanes_[cause.lane]->stall_abort.store(true);
     }
     if (escalate) {
       const bool recovered = Recover();

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/algorithms/pagerank.h"
@@ -25,6 +26,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
+#include "src/graph/mutation.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/parallel/thread_pool.h"
 #include "src/stream/update_stream.h"
@@ -65,6 +67,34 @@ void DrainWithRecovery(StreamDriver<Engine>& driver) {
   FAIL() << "worker kept dying across 8 recovery attempts";
 }
 
+// With more than one lane the driver promotes per-lane slices of the input
+// batches. Concatenated per source shard, the promotions must be exactly
+// that shard's mutations of the input stream in input order: none
+// reordered, altered, duplicated or skipped.
+void ExpectPromotionsSliceInput(const std::vector<MutationBatch>& batches,
+                                const std::vector<MutationBatch>& promoted, size_t shards) {
+  using Key = std::tuple<MutationKind, VertexId, VertexId, Weight>;
+  auto key = [](const EdgeMutation& m) { return Key{m.kind, m.src, m.dst, m.weight}; };
+  std::vector<std::vector<Key>> want(shards);
+  std::vector<std::vector<Key>> got(shards);
+  for (const MutationBatch& batch : batches) {
+    for (const EdgeMutation& m : batch) {
+      want[m.src % shards].push_back(key(m));
+    }
+  }
+  for (const MutationBatch& batch : promoted) {
+    ASSERT_FALSE(batch.empty());
+    const size_t shard = batch.front().src % shards;
+    for (const EdgeMutation& m : batch) {
+      ASSERT_EQ(m.src % shards, shard) << "one promotion spans two lanes";
+      got[shard].push_back(key(m));
+    }
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    EXPECT_EQ(got[s], want[s]) << "shard " << s;
+  }
+}
+
 // The full matrix: arm every site (seeded, one-shot) against one driver
 // run, recovering whenever a lane worker dies, and require the final state
 // to be bitwise identical to the fault-free sequential loop. The arm points
@@ -73,10 +103,11 @@ void DrainWithRecovery(StreamDriver<Engine>& driver) {
 // batch 6 needs a retry, the committed checkpoint at batch 9 is torn (so
 // recovery must fall back to batch 6 and replay the WAL tail), a spurious
 // queue-full bounces one flush to the blocking path, and a lane worker is
-// killed after the 10th applied batch. With more than one lane each batch
-// splits into per-lane promotions whose interleaving is up to the lanes, so
-// the sequential loop replays exactly the promotions the apply observer
-// recorded (at one lane those are the batches themselves).
+// killed after the 10th applied batch. At one lane the sequential loop
+// applies the input batches. With more than one lane each batch splits
+// into per-lane promotions whose interleaving is up to the lanes, so the
+// loop replays the promotions the apply observer recorded, once they are
+// checked against the input stream.
 template <StreamingEngine Engine>
 void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, Engine& reference,
                                          const std::vector<MutationBatch>& batches,
@@ -93,7 +124,7 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
                                .flush_interval_seconds = 3600.0,
                                .coalesce = false},
                               &checkpointer, &injector);
-  std::vector<MutationBatch> promoted;  // global apply order, each exactly once
+  std::vector<MutationBatch> promoted;  // global apply order (more than one lane)
   driver.set_apply_observer(
       [&](size_t, const MutationBatch& batch) { promoted.push_back(batch); });
   ASSERT_TRUE(driver.CheckpointNow());  // baseline: recoverable before batch 1
@@ -107,7 +138,9 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   for (size_t i = 0; i < batches.size(); ++i) {
     ASSERT_EQ(driver.IngestBatch(batches[i]), batches[i].size());
     driver.Flush();
-    if (shards > 1) {
+    if (shards == 1) {
+      reference.ApplyMutations(batches[i]);
+    } else {
       // A killed lane's siblings keep draining their queues, so without a
       // barrier they could run on to an intact checkpoint before Recover()
       // lands and leave it no WAL tail. With one batch in flight the run
@@ -120,11 +153,11 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
     }
   }
   DrainWithRecovery(driver);
-  if (shards == 1) {
-    ASSERT_EQ(promoted.size(), batches.size());  // one lane promotes the batches as-is
-  }
-  for (const MutationBatch& batch : promoted) {
-    reference.ApplyMutations(batch);
+  if (shards > 1) {
+    ExpectPromotionsSliceInput(batches, promoted, shards);
+    for (const MutationBatch& batch : promoted) {
+      reference.ApplyMutations(batch);
+    }
   }
 
   // Every armed site must actually have fired — otherwise the matrix is
@@ -143,7 +176,7 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   }
 
   const EngineStats stats = driver.stats();
-  EXPECT_EQ(stats.batches_applied, promoted.size());
+  EXPECT_EQ(stats.batches_applied, shards == 1 ? batches.size() : promoted.size());
   EXPECT_EQ(stats.mutations_dropped, 0u);
   EXPECT_GE(stats.recoveries, 1u);
   EXPECT_GE(stats.batches_replayed, 1u);

@@ -251,8 +251,11 @@ TEST_P(RecoveryReplaySweep, CoalescedJournalRecoversBitwise) {
         &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 2);
+    // Batches are drawn against a shadow: the driver's worker writes `graph`.
+    MutableGraph shadow(split.initial);
     for (int round = 0; round < 10; ++round) {
-      const MutationBatch batch = stream.NextBatch(graph, {.size = 30, .add_fraction = 0.6});
+      const MutationBatch batch = stream.NextBatch(shadow, {.size = 30, .add_fraction = 0.6});
+      shadow.ApplyBatch(batch);
       for (size_t i = 0; i < batch.size(); ++i) {
         ASSERT_TRUE(driver.Ingest(batch[i]));
         if (i % 7 == 0) {
@@ -297,8 +300,11 @@ TEST_P(RecoveryReplaySweep, WalTailReplayedTwiceEqualsOnce) {
         &checkpointer);
     ASSERT_TRUE(driver.CheckpointNow());
     UpdateStream stream(split.held_back, seed + 102);
+    // Batches are drawn against a shadow: the driver's worker writes `graph`.
+    MutableGraph shadow(split.initial);
     for (int round = 0; round < 12; ++round) {
-      const MutationBatch batch = stream.NextBatch(graph, {.size = 30, .add_fraction = 0.6});
+      const MutationBatch batch = stream.NextBatch(shadow, {.size = 30, .add_fraction = 0.6});
+      shadow.ApplyBatch(batch);
       ASSERT_EQ(driver.IngestBatch(batch), batch.size());
       driver.Flush();
     }
