@@ -10,10 +10,15 @@
 // waiting moved. Fault-injection hooks are NOT compiled into this binary —
 // GB_FAULT_POINT is the literal `false` — so the numbers also bound the cost
 // of the disabled hooks themselves. Both sweeps land in BENCH_recovery.json
-// (BenchJson) for CI trend-diffing.
+// (BenchJson) for CI trend-diffing. Every row runs kRepetitions times and
+// reports the median of each timing field: single checkpoint and flood
+// timings are a few milliseconds and swing far more than the trajectory
+// band between runs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -39,6 +44,28 @@ constexpr size_t kBatchSize = 512;
 // of the same 63 batches actually hits the overflow policy instead of just
 // draining through.
 constexpr size_t kOverloadQueueDepth = 2;
+constexpr int kRepetitions = 3;
+
+// Runs `run` kRepetitions times and returns the first run's row with each
+// of `timings` replaced by its median across the runs. Counters keep the
+// first run's value.
+template <typename RowT, typename RunFn>
+RowT MedianRow(RunFn run, std::initializer_list<double RowT::*> timings) {
+  std::vector<RowT> rows;
+  for (int i = 0; i < kRepetitions; ++i) {
+    rows.push_back(run());
+  }
+  RowT median = rows.front();
+  for (double RowT::*field : timings) {
+    std::vector<double> samples;
+    for (const RowT& row : rows) {
+      samples.push_back(row.*field);
+    }
+    std::nth_element(samples.begin(), samples.begin() + kRepetitions / 2, samples.end());
+    median.*field = samples[kRepetitions / 2];
+  }
+  return median;
+}
 
 struct Row {
   uint64_t cadence = 0;
@@ -197,9 +224,9 @@ struct OverloadRow {
 // tagged, replayed behind the global PrepQuery barrier), and the degrade
 // governor coordinates across lanes. shards=4 shows how much of the
 // overload the extra lanes absorb before the sentinel engages.
-OverloadRow RunOverload(const StreamSplit& split, const std::vector<MutationBatch>& batches,
-                        OverflowPolicy policy, const char* policy_name, size_t shards,
-                        const std::string& dir) {
+OverloadRow RunOverloadOnce(const StreamSplit& split, const std::vector<MutationBatch>& batches,
+                            OverflowPolicy policy, const char* policy_name, size_t shards,
+                            const std::string& dir) {
   std::filesystem::remove_all(dir);
   OverloadRow row;
   row.policy = policy_name;
@@ -263,12 +290,22 @@ OverloadRow RunOverload(const StreamSplit& split, const std::vector<MutationBatc
   return row;
 }
 
+OverloadRow RunOverload(const StreamSplit& split, const std::vector<MutationBatch>& batches,
+                        OverflowPolicy policy, const char* policy_name, size_t shards,
+                        const std::string& dir) {
+  return MedianRow<OverloadRow>(
+      [&] { return RunOverloadOnce(split, batches, policy, policy_name, shards, dir); },
+      {&OverloadRow::ingest_seconds, &OverloadRow::barrier_seconds,
+       &OverloadRow::apply_ewma_ms});
+}
+
 void Run() {
   PrintHeader(
       "Checkpoint cadence sweep (WK* surrogate, PageRank engine, 63 batches\n"
       "x 512 mutations). 'stream' is ingest + barrier through a journaling\n"
       "driver; 'recover' is a cold-process Recover() from the same directory\n"
-      "afterwards. Cadence 0 = WAL-only (full-log replay).");
+      "afterwards. Cadence 0 = WAL-only (full-log replay). Timings in every\n"
+      "table are the median of 3 runs.");
 
   const StreamSplit split = MakeStream(kWiki);
   const std::vector<MutationBatch> batches =
@@ -281,7 +318,8 @@ void Run() {
   std::printf("\n%8s %10s %8s %10s %8s %12s %10s\n", "cadence", "stream(s)", "ckpts",
               "ckpt(ms)", "wal", "recover(ms)", "replayed");
   for (const uint64_t cadence : kCadences) {
-    const Row row = RunOnce(split, batches, cadence, dir);
+    const Row row = MedianRow<Row>([&] { return RunOnce(split, batches, cadence, dir); },
+                                   {&Row::stream_seconds, &Row::checkpoint_ms, &Row::recovery_ms});
     std::printf("%8llu %10.3f %8llu %10.2f %8llu %12.2f %10llu\n",
                 static_cast<unsigned long long>(row.cadence), row.stream_seconds,
                 static_cast<unsigned long long>(row.checkpoints), row.checkpoint_ms,
@@ -313,7 +351,8 @@ void Run() {
   std::printf("\n%7s %10s %12s %10s %10s\n", "shards", "stream(s)", "recover(ms)",
               "lane", "replayed");
   for (const size_t shards : kRtoShards) {
-    const RtoRow row = RunRto(split, batches, shards, dir);
+    const RtoRow row = MedianRow<RtoRow>([&] { return RunRto(split, batches, shards, dir); },
+                                         {&RtoRow::stream_seconds, &RtoRow::recovery_ms});
     std::printf("%7zu %10.3f %12.2f %10llu %10llu\n", row.shards, row.stream_seconds,
                 row.recovery_ms, static_cast<unsigned long long>(row.lane_replayed),
                 static_cast<unsigned long long>(row.replayed_total));

@@ -35,6 +35,9 @@ class BeliefPropagation {
   using Contribution = std::array<double, kStates>;  // log message
 
   static constexpr AggregationKind kKind = AggregationKind::kComplex;
+  // The message is a function of the source alone; ψ is shared by every
+  // edge, so the edge weight plays no part (IsWeightFreeAlgorithm).
+  static constexpr bool kWeightFree = true;
 
   explicit BeliefPropagation(uint64_t prior_seed = 13, double tolerance = 1e-9)
       : prior_seed_(prior_seed), tolerance_(tolerance) {}

@@ -20,6 +20,8 @@ class PageRank {
   using Contribution = double;
 
   static constexpr AggregationKind kKind = AggregationKind::kDecomposable;
+  // value / out_degree: the edge weight plays no part (IsWeightFreeAlgorithm).
+  static constexpr bool kWeightFree = true;
 
   explicit PageRank(double damping = 0.85, double tolerance = 1e-9)
       : damping_(damping), tolerance_(tolerance) {}

@@ -26,6 +26,8 @@ class PersonalizedPageRank {
   using Contribution = double;
 
   static constexpr AggregationKind kKind = AggregationKind::kDecomposable;
+  // value / out_degree: the edge weight plays no part (IsWeightFreeAlgorithm).
+  static constexpr bool kWeightFree = true;
 
   PersonalizedPageRank(std::vector<VertexId> sources, VertexId num_vertices,
                        double damping = 0.85, double tolerance = 1e-9)

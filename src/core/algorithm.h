@@ -56,9 +56,23 @@ struct VertexContext {
   friend bool operator==(const VertexContext&, const VertexContext&) = default;
 };
 
+// Computes the context of one vertex of `graph` from its adjacency, summing
+// weights in stored (target-sorted) order.
+VertexContext ComputeVertexContext(const MutableGraph& graph, VertexId v);
+
 // Computes the context of every vertex of `graph` (one pass over both edge
 // directions).
 std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph);
+
+// Brings `contexts`, computed for `graph` before a splice, up to date with
+// it: grows the array to the new vertex count and recomputes the new
+// vertices and `touched` (the endpoints of every spliced edge; any order,
+// duplicates allowed). Per-vertex adjacency stays target-sorted through
+// splice, rebuild and compaction, so the result equals
+// ComputeVertexContexts(graph) bit for bit, at O(batch impact) instead of
+// O(V + E).
+void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touched,
+                          std::vector<VertexContext>* contexts);
 
 // Optional marker: the aggregation absorbs improved inputs without
 // retraction (min/max-style idempotent domination). When a mutation batch
@@ -87,6 +101,24 @@ template <typename A>
 constexpr bool IsContextFreeAlgorithm() {
   if constexpr (requires { A::kContextFree; }) {
     return A::kContextFree;
+  } else {
+    return false;
+  }
+}
+
+// Optional marker: ContributionOf (and DeltaContribution, when offered)
+// ignore the edge weight `w`, so a source's contribution, and its change,
+// is the same along every out-edge (PageRank divides by the out-degree, BP
+// transforms the source's distribution). GraphBoltEngine then evaluates each
+// frontier source's change once per level and adds that one value on every
+// out-edge, instead of re-deriving it per edge from the source's old and
+// new value and context. The staged value is the same function of the same
+// arguments, so results keep their bits. Weighted algorithms (CoEM, LP, CF,
+// SSSP) must not set it.
+template <typename A>
+constexpr bool IsWeightFreeAlgorithm() {
+  if constexpr (requires { A::kWeightFree; }) {
+    return A::kWeightFree;
   } else {
     return false;
   }

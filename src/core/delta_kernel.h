@@ -12,6 +12,10 @@
 //   PullAggregate  rebuild a vertex's aggregation from its full
 //                  in-neighborhood under a given value assignment.
 //
+// For weight-free algorithms (IsWeightFreeAlgorithm) PushChange splits in
+// two: StageChange evaluates a source's change once, and PushStaged adds
+// it along each out-edge, the way Maiter accumulates one Δ per vertex.
+//
 // Extracting them here keeps the two modes numerically identical edge by
 // edge: an async step propagating a delta along (u, w) computes exactly the
 // arithmetic the BSP transitive-impact pass would (atomically when it
@@ -33,6 +37,7 @@ template <GraphAlgorithm Algo>
 struct DeltaKernel {
   using Value = typename Algo::Value;
   using Aggregate = typename Algo::Aggregate;
+  using Contribution = typename Algo::Contribution;
 
   // Applies one change (retract old / aggregate new, or a combined delta) to
   // a target aggregation cell. `use_retract_propagate` forces the two-call
@@ -56,6 +61,48 @@ struct DeltaKernel {
     Accumulate<kOwned>(algo, agg, algo.ContributionOf(u, new_value, w, new_ctx));
   }
 
+  // Weight-free algorithms: a source's change is the same along every
+  // out-edge. StageChange writes it to `staged[0, StagedWidth)`: the
+  // combined delta, or the retract-old / aggregate-new pair. PushStaged then
+  // applies it to one cell. Together they are PushChange's arithmetic bit
+  // for bit, with the contributions evaluated once per source, not per edge.
+  static constexpr bool kWeightFree = IsWeightFreeAlgorithm<Algo>();
+  static constexpr size_t kMaxStagedWidth = 2;
+
+  static constexpr size_t StagedWidth(bool use_retract_propagate) {
+    return HasDeltaContribution<Algo> && !use_retract_propagate ? 1 : 2;
+  }
+
+  static void StageChange(const Algo& algo, bool use_retract_propagate, VertexId u,
+                          const Value& old_value, const Value& new_value,
+                          const VertexContext& old_ctx, const VertexContext& new_ctx,
+                          Contribution* staged)
+    requires(kWeightFree)
+  {
+    if constexpr (HasDeltaContribution<Algo>) {
+      if (!use_retract_propagate) {
+        staged[0] =
+            algo.DeltaContribution(u, old_value, new_value, kDefaultWeight, old_ctx, new_ctx);
+        return;
+      }
+    }
+    staged[0] = algo.ContributionOf(u, old_value, kDefaultWeight, old_ctx);
+    staged[1] = algo.ContributionOf(u, new_value, kDefaultWeight, new_ctx);
+  }
+
+  template <bool kOwned = false>
+  static void PushStaged(const Algo& algo, bool use_retract_propagate, const Contribution* staged,
+                         Aggregate* agg)
+    requires(kWeightFree)
+  {
+    if (StagedWidth(use_retract_propagate) == 1) {
+      Accumulate<kOwned>(algo, agg, staged[0]);
+      return;
+    }
+    Retract<kOwned>(algo, agg, staged[0]);
+    Accumulate<kOwned>(algo, agg, staged[1]);
+  }
+
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals` under
   // `contexts`. `edge_counter` accumulates the in-degree for stats.
   static Aggregate PullAggregate(const Algo& algo, const MutableGraph& graph,
@@ -73,8 +120,6 @@ struct DeltaKernel {
   }
 
  private:
-  using Contribution = typename Algo::Contribution;
-
   template <bool kOwned>
   static void Accumulate(const Algo& algo, Aggregate* agg, const Contribution& c) {
     if constexpr (kOwned) {

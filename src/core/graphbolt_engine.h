@@ -358,15 +358,18 @@ class GraphBoltEngine {
   // Applies a mutation previously classified safe as a bare graph splice.
   // Re-validates first (the caller serializes this against batched applies,
   // but classification may have run before an intervening batch); returns
-  // false to send the mutation down the batched path instead. Leaves
-  // contexts_ untouched: the next batched Refine recomputes them and treats
-  // the endpoints as context-changed, which is value-preserving for the
-  // context-free algorithms real mutations are classified safe under.
+  // false to send the mutation down the batched path instead. A real
+  // splice also recomputes its endpoints' contexts: batched applies update
+  // contexts_ only at their own mutations' endpoints, so it must describe
+  // the current graph between batches.
   bool ApplyFastSafe(const EdgeMutation& m) {
     if (!ClassifyFast(m).safe) {
       return false;
     }
-    graph_->ApplySingle(m);
+    if (!graph_->ApplySingle(m).Empty()) {
+      contexts_[m.src] = ComputeVertexContext(*graph_, m.src);
+      contexts_[m.dst] = ComputeVertexContext(*graph_, m.dst);
+    }
     return true;
   }
 
@@ -450,9 +453,7 @@ class GraphBoltEngine {
 
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = static_cast<VertexId>(prop_values_.size());
-    std::vector<VertexContext> old_contexts = std::move(contexts_);
-    old_contexts.resize(n);  // new vertices: empty old context
-    contexts_ = ComputeVertexContexts(*graph_);
+    const std::vector<VertexContext>& old_contexts = RefreshContexts(applied);
     values_.resize(n, Value{});
     prop_values_.resize(n, Value{});
     aggregates_.resize(n, algo_.IdentityAggregate());
@@ -619,7 +620,13 @@ class GraphBoltEngine {
   }
 
  private:
+  using Contribution = typename Algo::Contribution;
+
   static constexpr bool kPullBased = Algo::kKind == AggregationKind::kNonDecomposable;
+  // Weight-free algorithms evaluate each frontier source's change once per
+  // level, not once per edge (IsWeightFreeAlgorithm); pull-based ones
+  // re-evaluate whole in-neighbourhoods instead and never stage.
+  static constexpr bool kStaged = DeltaKernel<Algo>::kWeightFree && !kPullBased;
   static constexpr uint64_t kStateMagic = 0x47424f4c54535431ULL;  // "GBOLTST1"
 
   // Bitwise equality — the fast path's safety contract is stated in bits,
@@ -745,11 +752,20 @@ class GraphBoltEngine {
           const auto& [u, old_value] = frontier[i];
           const auto out_nbrs = graph_->OutNeighbors(u);
           const auto out_wts = graph_->OutWeights(u);
-          for (size_t e = 0; e < out_nbrs.size(); ++e) {
-            const VertexId w = out_nbrs[e];
-            PushChange(u, old_value, values_[u], out_wts[e], contexts_[u], contexts_[u],
-                       &aggregates_[w]);
-            touched.Claim(w);
+          if constexpr (kStaged) {
+            Contribution change[DeltaKernel<Algo>::kMaxStagedWidth]{};
+            StageChange(u, old_value, values_[u], contexts_[u], change);
+            for (const VertexId w : out_nbrs) {
+              PushStaged(change, &aggregates_[w]);
+              touched.Claim(w);
+            }
+          } else {
+            for (size_t e = 0; e < out_nbrs.size(); ++e) {
+              const VertexId w = out_nbrs[e];
+              PushChange(u, old_value, values_[u], out_wts[e], contexts_[u], contexts_[u],
+                         &aggregates_[w]);
+              touched.Claim(w);
+            }
           }
           local_edges += out_nbrs.size();
         }
@@ -763,16 +779,22 @@ class GraphBoltEngine {
   // Dense direction of TrackedIteration: every vertex pulls the changes of
   // its frontier in-neighbours into its own aggregation cell, in in-edge
   // order, and commits its value in the same visit. The sources' old and
-  // new values are staged in a LevelScratch first, so the in-place commit
-  // of values_ never races with a read of them.
+  // new values (or, for weight-free algorithms, their staged changes) are
+  // recorded first, so the in-place commit of values_ never races with a
+  // read of them.
   std::vector<std::pair<VertexId, Value>> TrackedIterationPull(
       const std::vector<std::pair<VertexId, Value>>& frontier) {
     const VertexId n = graph_->num_vertices();
     LevelScratch& sources = value_scratch_[0];
     sources.Prepare(n);
+    PrepareStaged(n);
     ParallelFor(0, frontier.size(), [&](size_t i) {
       const auto& [u, old_value] = frontier[i];
-      sources.Record(u, old_value, values_[u]);
+      if constexpr (kStaged) {
+        StageChange(u, old_value, values_[u], contexts_[u], StagedSlot(u));
+      } else {
+        sources.Record(u, old_value, values_[u]);
+      }
       sources.frontier.Set(u);
     }, /*grain=*/256);
 
@@ -858,6 +880,37 @@ class GraphBoltEngine {
                                   new_value, w, old_ctx, new_ctx, agg);
   }
 
+  // Weight-free algorithms stage a source's change once and add it on each
+  // out-edge (DeltaKernel::StageChange). `old_ctx` is the source's context
+  // before the change; its current one is contexts_[u].
+  void StageChange(VertexId u, const Value& old_value, const Value& new_value,
+                   const VertexContext& old_ctx, Contribution* staged) const {
+    DeltaKernel<Algo>::StageChange(algo_, options_.use_retract_propagate, u, old_value,
+                                   new_value, old_ctx, contexts_[u], staged);
+  }
+
+  template <bool kOwned = false>
+  void PushStaged(const Contribution* staged, Aggregate* agg) const {
+    DeltaKernel<Algo>::template PushStaged<kOwned>(algo_, options_.use_retract_propagate, staged,
+                                                   agg);
+  }
+
+  // staged_ holds one staged change per vertex for the dense sweeps; only
+  // the current level's frontier sources' slots are live. Sources are
+  // unique per level, so a parallel fill writes distinct slots.
+  void PrepareStaged(VertexId n) {
+    if constexpr (kStaged) {
+      staged_.resize(size_t{n} * StagedWidth());
+    }
+  }
+  size_t StagedWidth() const {
+    return DeltaKernel<Algo>::StagedWidth(options_.use_retract_propagate);
+  }
+  Contribution* StagedSlot(VertexId u) { return &staged_[size_t{u} * StagedWidth()]; }
+  const Contribution* StagedSlot(VertexId u) const {
+    return &staged_[size_t{u} * StagedWidth()];
+  }
+
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals`.
   Aggregate PullAggregate(VertexId v, const std::vector<Value>& vals, uint64_t* edge_counter) {
     return DeltaKernel<Algo>::PullAggregate(algo_, *graph_, contexts_, v, vals, edge_counter);
@@ -876,23 +929,35 @@ class GraphBoltEngine {
   // The pull form of the push loops: folds the change of every in-neighbour
   // of v marked in `sources.frontier` (old → new value, old → new context)
   // into v's cell, in in-edge order. The caller is the cell's only writer.
-  // Counts one processed edge per change applied, like the push it
-  // replaces, and returns whether v had any frontier in-neighbour.
+  // Weight-free algorithms read each source's change from staged_ (one
+  // load and one add per frontier in-edge); the others evaluate it per
+  // edge from `sources` and `old_contexts`. Counts one processed edge per
+  // change applied, like the push it replaces, and returns whether v had
+  // any frontier in-neighbour.
   bool PullChanges(VertexId v, const LevelScratch& sources,
                    const std::vector<VertexContext>& old_contexts, Aggregate* agg,
                    uint64_t* edge_counter) const {
     const auto in_nbrs = graph_->InNeighbors(v);
-    const auto in_wts = graph_->InWeights(v);
     uint64_t pulled = 0;
-    for (size_t e = 0; e < in_nbrs.size(); ++e) {
-      const VertexId u = in_nbrs[e];
-      if (!sources.frontier.Test(u)) {
-        continue;
+    if constexpr (kStaged) {
+      for (const VertexId u : in_nbrs) {
+        if (sources.frontier.Test(u)) {
+          PushStaged</*kOwned=*/true>(StagedSlot(u), agg);
+          ++pulled;
+        }
       }
-      DeltaKernel<Algo>::template PushChange</*kOwned=*/true>(
-          algo_, options_.use_retract_propagate, u, sources.old_values[u], sources.new_values[u],
-          in_wts[e], old_contexts[u], contexts_[u], agg);
-      ++pulled;
+    } else {
+      const auto in_wts = graph_->InWeights(v);
+      for (size_t e = 0; e < in_nbrs.size(); ++e) {
+        const VertexId u = in_nbrs[e];
+        if (!sources.frontier.Test(u)) {
+          continue;
+        }
+        DeltaKernel<Algo>::template PushChange</*kOwned=*/true>(
+            algo_, options_.use_retract_propagate, u, sources.old_values[u],
+            sources.new_values[u], in_wts[e], old_contexts[u], contexts_[u], agg);
+        ++pulled;
+      }
     }
     *edge_counter += pulled;
     return pulled > 0;
@@ -928,12 +993,27 @@ class GraphBoltEngine {
     return NewValueAt(level, v);
   }
 
+  // Keeps the pre-batch contexts in old_contexts_ (grown to the new vertex
+  // count with empty contexts) and brings contexts_ up to date at the
+  // endpoints of `applied` and at new vertices. Returns old_contexts_.
+  const std::vector<VertexContext>& RefreshContexts(const AppliedMutations& applied) {
+    old_contexts_.assign(contexts_.begin(), contexts_.end());
+    old_contexts_.resize(graph_->num_vertices());
+    std::vector<VertexId> touched;
+    for (const std::vector<Edge>* edges : {&applied.added, &applied.deleted}) {
+      for (const Edge& e : *edges) {
+        touched.push_back(e.src);
+        touched.push_back(e.dst);
+      }
+    }
+    UpdateVertexContexts(*graph_, std::move(touched), &contexts_);
+    return old_contexts_;
+  }
+
   void Refine(const AppliedMutations& applied) {
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = store_.num_vertices();
-    std::vector<VertexContext> old_contexts = std::move(contexts_);
-    old_contexts.resize(n);  // new vertices: empty old context
-    contexts_ = ComputeVertexContexts(*graph_);
+    const std::vector<VertexContext>& old_contexts = RefreshContexts(applied);
     store_.GrowVertices(n, algo_.IdentityAggregate());
     values_.resize(n, Value{});
     // New vertices behave as if they had existed isolated all along; the
@@ -1030,7 +1110,7 @@ class GraphBoltEngine {
     AtomicBitset& changed_bits = store_.MutableChangedAt(level);
     std::vector<FrontierEntry> next =
         PullPays(frontier, [](const FrontierEntry& entry) { return entry.v; })
-            ? RefineLevelPull(level, batch, prev, cur, &changed_bits)
+            ? RefineLevelPull(level, batch, frontier, prev, cur, &changed_bits)
             : RefineLevelPush(level, batch, frontier, prev, cur, &changed_bits);
 
     // Context-changed contributors stay in the frontier at every level even
@@ -1173,14 +1253,23 @@ class GraphBoltEngine {
           const FrontierEntry& entry = frontier[i];
           const auto out_nbrs = graph_->OutNeighbors(entry.v);
           const auto out_wts = graph_->OutWeights(entry.v);
-          for (size_t e = 0; e < out_nbrs.size(); ++e) {
-            if constexpr (kPullBased) {
-              algo_.AggregateAtomic(&agg[out_nbrs[e]],
-                                    algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
-                                                         contexts_[entry.v]));
-            } else {
-              PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
-                         batch.old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+          if constexpr (kStaged) {
+            Contribution change[DeltaKernel<Algo>::kMaxStagedWidth]{};
+            StageChange(entry.v, entry.old_value, entry.new_value, batch.old_contexts[entry.v],
+                        change);
+            for (const VertexId w : out_nbrs) {
+              PushStaged(change, &agg[w]);
+            }
+          } else {
+            for (size_t e = 0; e < out_nbrs.size(); ++e) {
+              if constexpr (kPullBased) {
+                algo_.AggregateAtomic(&agg[out_nbrs[e]],
+                                      algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
+                                                           contexts_[entry.v]));
+              } else {
+                PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
+                           batch.old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
+              }
             }
           }
           local_edges += out_nbrs.size();
@@ -1220,11 +1309,13 @@ class GraphBoltEngine {
 
   // Dense direction: the direct impact goes into the whole materialized
   // level first; then one sweep visits every vertex w, pulls the change of
-  // each frontier in-neighbour (read from `prev`) into w's own cell in
-  // in-edge order, and settles w in the same visit. No atomics touch an
+  // each frontier in-neighbour (read from `prev`, or from staged_ once
+  // per source for weight-free algorithms) into w's own cell in in-edge
+  // order, and settles w in the same visit. No atomics touch an
   // aggregation and the summation order is fixed, so the level is bitwise
   // reproducible at any worker count.
   std::vector<FrontierEntry> RefineLevelPull(uint32_t level, const RefinedBatch& batch,
+                                             const std::vector<FrontierEntry>& frontier,
                                              const LevelScratch& prev, LevelScratch* cur,
                                              AtomicBitset* changed_bits) {
     const VertexId n = graph_->num_vertices();
@@ -1233,6 +1324,14 @@ class GraphBoltEngine {
     std::vector<Aggregate>& agg = level_scratch_;
     if (!reevaluate) {
       ApplyDirectImpact(level, batch, prev, &agg);
+    }
+    if constexpr (kStaged) {
+      PrepareStaged(n);
+      ParallelFor(0, frontier.size(), [&](size_t i) {
+        const FrontierEntry& entry = frontier[i];
+        StageChange(entry.v, entry.old_value, entry.new_value, batch.old_contexts[entry.v],
+                    StagedSlot(entry.v));
+      }, /*grain=*/256);
     }
 
     std::vector<FrontierEntry> next;
@@ -1426,11 +1525,19 @@ class GraphBoltEngine {
     }
     const auto out_nbrs = graph_->OutNeighbors(v);
     const auto out_wts = graph_->OutWeights(v);
-    for (size_t e = 0; e < out_nbrs.size(); ++e) {
-      DeltaKernel<Algo>::PushChange(algo_, options_.use_retract_propagate, v, cur, next,
-                                    out_wts[e], contexts_[v], contexts_[v],
-                                    &aggregates_[out_nbrs[e]]);
-      async_active_.Set(out_nbrs[e]);
+    if constexpr (kStaged) {
+      Contribution change[DeltaKernel<Algo>::kMaxStagedWidth]{};
+      StageChange(v, cur, next, contexts_[v], change);
+      for (const VertexId w : out_nbrs) {
+        PushStaged(change, &aggregates_[w]);
+        async_active_.Set(w);
+      }
+    } else {
+      for (size_t e = 0; e < out_nbrs.size(); ++e) {
+        PushChange(v, cur, next, out_wts[e], contexts_[v], contexts_[v],
+                   &aggregates_[out_nbrs[e]]);
+        async_active_.Set(out_nbrs[e]);
+      }
     }
     prop_values_[v] = next;
     values_[v] = next;
@@ -1457,10 +1564,12 @@ class GraphBoltEngine {
   Algo algo_;
   Options options_;
   std::vector<VertexContext> contexts_;
+  std::vector<VertexContext> old_contexts_;  // pre-batch contexts while a batch refines
   std::vector<Value> values_;
   std::vector<Aggregate> aggregates_;    // scratch for the initial run
   std::vector<Aggregate> level_scratch_;  // refinement working copy of one level
   LevelScratch value_scratch_[2];         // alternating per-level old/new values
+  std::vector<Contribution> staged_;       // per-source staged changes of one dense level
   StoreT store_;
   EngineStats stats_;
   MutationBatch pending_;  // mutations buffered during refinement

@@ -1,29 +1,49 @@
-#include "src/core/algorithm.h"
+#include <algorithm>
 
+#include "src/core/algorithm.h"
 #include "src/parallel/parallel_for.h"
 
 namespace graphbolt {
+
+VertexContext ComputeVertexContext(const MutableGraph& graph, VertexId v) {
+  VertexContext ctx;
+  ctx.out_degree = static_cast<uint32_t>(graph.OutDegree(v));
+  ctx.in_degree = static_cast<uint32_t>(graph.InDegree(v));
+  double out_sum = 0.0;
+  for (const Weight w : graph.OutWeights(v)) {
+    out_sum += w;
+  }
+  double in_sum = 0.0;
+  for (const Weight w : graph.InWeights(v)) {
+    in_sum += w;
+  }
+  ctx.out_weight_sum = out_sum;
+  ctx.in_weight_sum = in_sum;
+  return ctx;
+}
 
 std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexContext> contexts(n);
   ParallelFor(0, n, [&](size_t vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    VertexContext& ctx = contexts[vi];
-    ctx.out_degree = static_cast<uint32_t>(graph.OutDegree(v));
-    ctx.in_degree = static_cast<uint32_t>(graph.InDegree(v));
-    double out_sum = 0.0;
-    for (const Weight w : graph.OutWeights(v)) {
-      out_sum += w;
-    }
-    double in_sum = 0.0;
-    for (const Weight w : graph.InWeights(v)) {
-      in_sum += w;
-    }
-    ctx.out_weight_sum = out_sum;
-    ctx.in_weight_sum = in_sum;
+    contexts[vi] = ComputeVertexContext(graph, static_cast<VertexId>(vi));
   }, /*grain=*/512);
   return contexts;
+}
+
+void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touched,
+                          std::vector<VertexContext>* contexts) {
+  const VertexId n = graph.num_vertices();
+  for (VertexId v = static_cast<VertexId>(contexts->size()); v < n; ++v) {
+    touched.push_back(v);
+  }
+  contexts->resize(n);
+  // Unique vertices, so the parallel recompute writes distinct cells.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  ParallelFor(0, touched.size(), [&](size_t i) {
+    (*contexts)[touched[i]] = ComputeVertexContext(graph, touched[i]);
+  }, /*grain=*/64);
 }
 
 }  // namespace graphbolt

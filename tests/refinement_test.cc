@@ -3,6 +3,11 @@
 // dependency-store bookkeeping, and refinement edge cases.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <type_traits>
+
 #include "src/algorithms/belief_propagation.h"
 #include "src/algorithms/coem.h"
 #include "src/algorithms/collaborative_filtering.h"
@@ -12,8 +17,11 @@
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
+#include "src/engine/reset_engine.h"  // HasDeltaContribution
 #include "src/graph/generators.h"
+#include "src/parallel/thread_pool.h"
 #include "src/stream/update_stream.h"
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace graphbolt {
@@ -316,6 +324,28 @@ void ExpectMatchesFreshRun(const MutableGraph& graph, const GraphBoltEngine<Algo
   EXPECT_LT(MaxGap(bolt.values(), fresh.values()), tolerance) << what;
 }
 
+// A batch whose every level is dense: the added edges alone carry more than
+// |E|/20 out-edges of their sources, which stay in the frontier at every
+// level (their degree context changed), so every level takes the pull sweep.
+MutationBatch AllDenseBatch(const MutableGraph& graph, const std::vector<Edge>& held_back,
+                            uint64_t seed) {
+  UpdateStream stream(held_back, seed);
+  return stream.NextBatch(graph, {.size = graph.num_edges() / 8, .add_fraction = 0.6});
+}
+
+// One edge between two low-degree vertices: level 1's frontier is its two
+// endpoints, far below |E|/20 out-edges, so the early levels push.
+EdgeMutation SparseSingleEdge(const MutableGraph& graph) {
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    for (VertexId v = u + 1; v < graph.num_vertices(); ++v) {
+      if (graph.OutDegree(u) + graph.OutDegree(v) <= 4 && !graph.HasEdge(u, v)) {
+        return EdgeMutation::Add(u, v, 0.5);
+      }
+    }
+  }
+  return EdgeMutation::Add(0, 0);
+}
+
 // Refines one batch whose levels are all dense and then one single-mutation
 // batch whose early levels are sparse, checking each against a from-scratch
 // InitialCompute on the mutated graph.
@@ -327,32 +357,16 @@ void RefineBothDirections(const Algo& algo, uint64_t seed, double tolerance) {
   GraphBoltEngine<Algo> bolt(&graph, algo);
   bolt.InitialCompute();
 
-  // The added edges alone carry more than |E|/20 out-edges of their
-  // sources, which stay in the frontier at every level (their degree
-  // context changed), so every level takes the pull sweep.
-  UpdateStream stream(split.held_back, seed + 2);
-  const MutationBatch dense =
-      stream.NextBatch(graph, {.size = graph.num_edges() / 8, .add_fraction = 0.6});
-  const AppliedMutations applied = bolt.ApplyMutations(dense);
+  const AppliedMutations applied =
+      bolt.ApplyMutations(AllDenseBatch(graph, split.held_back, seed + 2));
   ASSERT_GT(applied.added.size(), graph.num_edges() / 20);
   ExpectMatchesFreshRun(graph, bolt, algo, tolerance, "dense batch");
 
-  // One edge between two low-degree vertices: level 1's frontier is its two
-  // endpoints, far below |E|/20 out-edges, so the early levels push.
-  VertexId src = 0;
-  VertexId dst = 0;
-  for (VertexId u = 0; u < graph.num_vertices() && src == dst; ++u) {
-    for (VertexId v = u + 1; v < graph.num_vertices(); ++v) {
-      if (graph.OutDegree(u) + graph.OutDegree(v) <= 4 && !graph.HasEdge(u, v)) {
-        src = u;
-        dst = v;
-        break;
-      }
-    }
-  }
-  ASSERT_NE(src, dst);
-  ASSERT_LT(graph.OutDegree(src) + graph.OutDegree(dst) + 1, graph.num_edges() / 20);
-  bolt.ApplyMutations({EdgeMutation::Add(src, dst, 0.5)});
+  const EdgeMutation single = SparseSingleEdge(graph);
+  ASSERT_NE(single.src, single.dst);
+  ASSERT_LT(graph.OutDegree(single.src) + graph.OutDegree(single.dst) + 1,
+            graph.num_edges() / 20);
+  bolt.ApplyMutations({single});
   ExpectMatchesFreshRun(graph, bolt, algo, tolerance, "single mutation");
 }
 
@@ -374,6 +388,253 @@ TEST(RefinementDirection, BeliefPropagation) {
 
 TEST(RefinementDirection, CollaborativeFiltering) {
   RefineBothDirections(CollaborativeFiltering<4>{}, 125, 1e-5);
+}
+
+// ----- Weight-free staging keeps the per-edge bits ---------------------------------
+
+// FNV-1a over the bytes of `cells`, continuing from `hash`.
+template <typename T>
+uint64_t Fnv1a(const std::vector<T>& cells, uint64_t hash = 0xcbf29ce484222325ULL) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(cells.data());
+  for (size_t i = 0; i < cells.size() * sizeof(T); ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Digests of values() and of every tracked level array after the initial
+// run, an all-dense batch and a single-edge batch, on one worker.
+template <typename Algo>
+std::vector<uint64_t> RefinementDigests(const Algo& algo, uint64_t seed,
+                                        typename GraphBoltEngine<Algo>::Options options = {}) {
+  const size_t original = ThreadPool::Instance().num_threads();
+  ThreadPool::SetNumThreads(1);
+  EdgeList full = GenerateRmat(600, 6000, {.seed = seed, .assign_random_weights = true});
+  StreamSplit split = SplitForStreaming(full, 0.5, seed + 1);
+  MutableGraph graph(split.initial);
+  GraphBoltEngine<Algo> bolt(&graph, algo, options);
+  std::vector<uint64_t> digests;
+  auto record = [&] {
+    uint64_t levels = Fnv1a(std::vector<uint64_t>{});
+    for (uint32_t level = 1; level <= bolt.store().tracked_levels(); ++level) {
+      levels = Fnv1a(bolt.store().LevelArray(level), levels);
+    }
+    digests.push_back(Fnv1a(bolt.values()));
+    digests.push_back(levels);
+  };
+  bolt.InitialCompute();
+  record();
+  const AppliedMutations dense =
+      bolt.ApplyMutations(AllDenseBatch(graph, split.held_back, seed + 2));
+  EXPECT_GT(dense.added.size(), graph.num_edges() / 20);
+  record();
+  bolt.ApplyMutations({SparseSingleEdge(graph)});
+  record();
+  ThreadPool::SetNumThreads(original);
+  return digests;
+}
+
+std::string Hex(const std::vector<uint64_t>& digests) {
+  std::string out;
+  char buf[32];
+  for (const uint64_t d : digests) {
+    std::snprintf(buf, sizeof(buf), "0x%016llxULL, ", static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  return out;
+}
+
+// Weight-free algorithms evaluate each frontier source's change once per
+// level instead of once per edge. The staged value is the same function of
+// the same arguments, added in the same order, so the refined values and
+// every level array keep the bits of the per-edge evaluation; the constants
+// were recorded with it (initial run, dense batch, single-edge batch; values
+// digest then level digest for each).
+TEST(Refinement, WeightFreeStagingKeepsParentBits) {
+  auto expect_digests = [](const std::vector<uint64_t>& got, const std::vector<uint64_t>& want,
+                           const char* what) { EXPECT_EQ(got, want) << what << ": " << Hex(got); };
+  expect_digests(RefinementDigests(PageRank{}, 140),
+                 {0x5d52b76230bb1d1dULL, 0x04adc74743b9a946ULL, 0x9784c99d2bb9eee3ULL,
+                  0x8d6e35168e2829b1ULL, 0xe544656ff79d939aULL, 0x03755363491a1949ULL},
+                 "PageRank");
+  expect_digests(RefinementDigests(PageRank{}, 140, {.use_retract_propagate = true}),
+                 {0x7c222d6a19e1074eULL, 0x93cb49bc3e3a44a4ULL, 0xbe808cc3a9d9d18bULL,
+                  0x2c6b8d11550e4fa5ULL, 0xd7e1b79c993d4895ULL, 0x6d4b8f5d37084875ULL},
+                 "PageRank, retract/propagate pairs");
+  expect_digests(RefinementDigests(PersonalizedPageRank({0, 1, 2}, 600), 141),
+                 {0xeab34d849015863fULL, 0xd7a1ad89fc1c4dc9ULL, 0xa203846f95674e0aULL,
+                  0x4b579752be587ed6ULL, 0x4027922f17742115ULL, 0x0e6c536af8823aebULL},
+                 "PersonalizedPageRank");
+  expect_digests(RefinementDigests(BeliefPropagation<3>{}, 142),
+                 {0x5ae130b438d5cac4ULL, 0x7e129af1579e8924ULL, 0xb63f64db33a2b81cULL,
+                  0x4589898269a5cce7ULL, 0x283e2ac6e4093f97ULL, 0x7dcf73550ca264e1ULL},
+                 "BeliefPropagation");
+}
+
+// ----- The weight-free marker is honest --------------------------------------------
+
+static_assert(IsWeightFreeAlgorithm<PageRank>());
+static_assert(IsWeightFreeAlgorithm<PersonalizedPageRank>());
+static_assert(IsWeightFreeAlgorithm<BeliefPropagation<3>>());
+static_assert(!IsWeightFreeAlgorithm<CoEM>());
+static_assert(!IsWeightFreeAlgorithm<LabelPropagation<2>>());
+static_assert(!IsWeightFreeAlgorithm<CollaborativeFiltering<4>>());
+
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+double RandomScalar(Rng* rng) { return (rng->NextDouble() - 0.5) * 8.0; }
+
+template <typename Value>
+Value RandomValue(Rng* rng) {
+  if constexpr (std::is_arithmetic_v<Value>) {
+    return RandomScalar(rng);
+  } else {
+    Value value{};
+    for (auto& x : value) {
+      x = rng->NextDouble();
+    }
+    return value;
+  }
+}
+
+VertexContext RandomContext(Rng* rng) {
+  VertexContext ctx;
+  ctx.out_degree = static_cast<uint32_t>(rng->NextBounded(4));  // 0: dangling
+  if (rng->NextBounded(2) == 0) {
+    ctx.out_degree = static_cast<uint32_t>(rng->NextBounded(100000));
+  }
+  ctx.in_degree = static_cast<uint32_t>(rng->NextBounded(1000));
+  ctx.out_weight_sum = RandomScalar(rng) * 100.0;
+  ctx.in_weight_sum = RandomScalar(rng) * 100.0;
+  return ctx;
+}
+
+// Whether ContributionOf (and DeltaContribution, when offered) return the
+// same bits for every weight as for the unit weight, over random sources,
+// values and contexts.
+template <typename Algo>
+bool ContributionIgnoresWeight(const Algo& algo, uint64_t seed) {
+  using Value = typename Algo::Value;
+  Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(600));
+    const Value old_value = RandomValue<Value>(&rng);
+    const Value new_value = RandomValue<Value>(&rng);
+    const VertexContext old_ctx = RandomContext(&rng);
+    const VertexContext new_ctx = RandomContext(&rng);
+    const auto unit = algo.ContributionOf(u, new_value, kDefaultWeight, new_ctx);
+    for (const Weight w : {0.0f, -0.0f, -3.5f, 1e30f, -1e30f,
+                           static_cast<Weight>(RandomScalar(&rng))}) {
+      if (!SameBits(algo.ContributionOf(u, new_value, w, new_ctx), unit)) {
+        return false;
+      }
+      if constexpr (HasDeltaContribution<Algo>) {
+        const auto delta = algo.DeltaContribution(u, old_value, new_value, kDefaultWeight,
+                                                  old_ctx, new_ctx);
+        if (!SameBits(algo.DeltaContribution(u, old_value, new_value, w, old_ctx, new_ctx),
+                      delta)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+template <typename Algo>
+Algo MakeAlgorithm() {
+  if constexpr (std::is_same_v<Algo, PersonalizedPageRank>) {
+    return PersonalizedPageRank({0, 1, 2}, 600);
+  } else {
+    return Algo{};
+  }
+}
+
+template <typename Algo>
+class WeightFreeMarker : public ::testing::Test {};
+using WeightFreeAlgorithms = ::testing::Types<PageRank, PersonalizedPageRank, BeliefPropagation<3>>;
+TYPED_TEST_SUITE(WeightFreeMarker, WeightFreeAlgorithms);
+
+// The engine adds one staged change on every out-edge of a marked
+// algorithm, so its contributions must not read the weight at all.
+TYPED_TEST(WeightFreeMarker, ContributionIgnoresTheEdgeWeight) {
+  EXPECT_TRUE(ContributionIgnoresWeight(MakeAlgorithm<TypeParam>(), 160));
+}
+
+// Negative control: the check sees a weighted contribution.
+TEST(WeightFreeMarkerControl, CheckCatchesAWeightedContribution) {
+  EXPECT_FALSE(ContributionIgnoresWeight(CoEM(600, 0.08, 161), 161));
+}
+
+// ----- Incremental vertex contexts ----------------------------------------------------
+
+// Recomputing only the spliced edges' endpoints and new vertices yields the
+// bits of a full pass, through splices with deletions and weight updates,
+// vertex growth, a forced rebuild and a background compaction.
+TEST(VertexContexts, IncrementalMatchesFullPass) {
+  static_assert(sizeof(VertexContext) == 2 * sizeof(uint32_t) + 2 * sizeof(double));
+  EdgeList full = GenerateRmat(2000, 24000, {.seed = 170, .assign_random_weights = true});
+  StreamSplit split = SplitForStreaming(full, 0.5, 171);
+  MutableGraph graph(split.initial);
+  graph.SetCompactionMode(SlackCsr::CompactionMode::kBackground);
+  std::vector<VertexContext> contexts = ComputeVertexContexts(graph);
+  UpdateStream stream(split.held_back, 172);
+  Rng rng(173);
+
+  auto apply = [&](const MutationBatch& batch, const char* what) {
+    const AppliedMutations applied = graph.ApplyBatch(batch);
+    std::vector<VertexId> touched;
+    for (const std::vector<Edge>* edges : {&applied.added, &applied.deleted}) {
+      for (const Edge& e : *edges) {
+        touched.push_back(e.src);
+        touched.push_back(e.dst);
+      }
+    }
+    UpdateVertexContexts(graph, std::move(touched), &contexts);
+    const std::vector<VertexContext> expected = ComputeVertexContexts(graph);
+    ASSERT_EQ(contexts.size(), expected.size()) << what;
+    EXPECT_EQ(std::memcmp(contexts.data(), expected.data(),
+                          expected.size() * sizeof(VertexContext)),
+              0)
+        << what;
+  };
+
+  for (int round = 0; round < 6; ++round) {
+    MutationBatch batch = stream.NextBatch(graph, {.size = 600, .add_fraction = 0.4});
+    for (int i = 0; i < 20; ++i) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
+      const auto out = graph.OutNeighbors(u);
+      if (!out.empty()) {
+        batch.push_back(EdgeMutation::UpdateWeight(u, out[rng.NextBounded(out.size())],
+                                                   static_cast<Weight>(rng.NextDouble())));
+      }
+    }
+    apply(batch, "splice");
+  }
+
+  const VertexId n = graph.num_vertices();
+  apply({EdgeMutation::Add(n + 3, 5, 0.25f), EdgeMutation::Add(7, n + 1, 2.5f),
+         EdgeMutation::Delete(0, graph.OutDegree(0) > 0 ? graph.OutNeighbors(0)[0] : 1)},
+        "vertex growth");
+  ASSERT_EQ(graph.num_vertices(), n + 4);
+
+  graph.SetApplyStrategy(MutableGraph::ApplyStrategy::kRebuild);
+  apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.5}), "rebuild");
+  EXPECT_EQ(graph.adaptive_rebuilds(), 1u);
+  graph.SetApplyStrategy(MutableGraph::ApplyStrategy::kSplice);
+
+  // Deletions leave slack until a background compaction rewrites the arena.
+  while (graph.compaction_stats().background_compactions == 0) {
+    apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.2}), "slack");
+    while (graph.MaintenanceStep(1u << 20)) {
+    }
+  }
+  apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.5}), "after compaction");
 }
 
 }  // namespace

@@ -22,8 +22,9 @@ if [[ ${#SANITIZERS[@]} -eq 0 ]]; then
   SANITIZERS=(address thread undefined)
 fi
 
-# Test targets carrying the `concurrency`, `fault`, `graph`, `parallel`, or
-# `chaos` ctest labels (see tests/CMakeLists.txt and tools/CMakeLists.txt).
+# Test targets carrying the `concurrency`, `fault`, `graph`, `parallel`,
+# `refinement`, or `chaos` ctest labels (see tests/CMakeLists.txt and
+# tools/CMakeLists.txt).
 # The `parallel` tier is the work-stealing runtime: the Chase-Lev deque and
 # the fork-join scheduler are exactly the code whose correctness *is* its
 # memory ordering, so TSan here is load-bearing, not belt-and-braces. The
@@ -34,7 +35,7 @@ fi
 TARGETS=(driver_test shard_test shard_sentinel_test fastpath_test parallel_test
          task_arena_test async_engine_test fault_recovery_test
          store_serialization_test sentinel_test graph_test mutable_graph_test
-         slack_csr_fuzz_test storage_fault_test crash_harness_test
+         slack_csr_fuzz_test storage_fault_test crash_harness_test refinement_test
          graphbolt_cli example_streaming_service)
 
 for san in "${SANITIZERS[@]}"; do
@@ -47,8 +48,8 @@ for san in "${SANITIZERS[@]}"; do
   echo "=== sanitizer: $san (build dir: $dir) ==="
   case "$san" in
     # Fork-based chaos tests are excluded from TSan (see TARGETS comment).
-    thread) labels="concurrency|fault|graph|parallel" ;;
-    *) labels="concurrency|fault|graph|parallel|chaos" ;;
+    thread) labels="concurrency|fault|graph|parallel|refinement" ;;
+    *) labels="concurrency|fault|graph|parallel|refinement|chaos" ;;
   esac
   cmake -B "$dir" -S . -DGRAPHBOLT_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j "$(nproc)" --target "${TARGETS[@]}"
