@@ -358,17 +358,24 @@ class GraphBoltEngine {
   // Applies a mutation previously classified safe as a bare graph splice.
   // Re-validates first (the caller serializes this against batched applies,
   // but classification may have run before an intervening batch); returns
-  // false to send the mutation down the batched path instead. A real
-  // splice also recomputes its endpoints' contexts: batched applies update
-  // contexts_ only at their own mutations' endpoints, so it must describe
-  // the current graph between batches.
+  // false to send the mutation down the batched path instead. Leaves
+  // contexts_ untouched, which is value-preserving for the context-free
+  // algorithms real mutations are classified safe under: a real splice
+  // only queues its endpoints, whose contexts the next batched apply
+  // recomputes along with its own (O(1) here, off the fast path's cost).
+  // Past |V| queued endpoints a full recompute settles the queue, so
+  // splices alone cannot grow it without bound.
   bool ApplyFastSafe(const EdgeMutation& m) {
     if (!ClassifyFast(m).safe) {
       return false;
     }
     if (!graph_->ApplySingle(m).Empty()) {
-      contexts_[m.src] = ComputeVertexContext(*graph_, m.src);
-      contexts_[m.dst] = ComputeVertexContext(*graph_, m.dst);
+      spliced_endpoints_.push_back(m.src);
+      spliced_endpoints_.push_back(m.dst);
+      if (spliced_endpoints_.size() > graph_->num_vertices()) {
+        contexts_ = ComputeVertexContexts(*graph_);
+        spliced_endpoints_.clear();
+      }
     }
     return true;
   }
@@ -995,11 +1002,13 @@ class GraphBoltEngine {
 
   // Keeps the pre-batch contexts in old_contexts_ (grown to the new vertex
   // count with empty contexts) and brings contexts_ up to date at the
-  // endpoints of `applied` and at new vertices. Returns old_contexts_.
+  // endpoints of `applied`, at the endpoints of fast-path splices since the
+  // last batch, and at new vertices. Returns old_contexts_.
   const std::vector<VertexContext>& RefreshContexts(const AppliedMutations& applied) {
     old_contexts_.assign(contexts_.begin(), contexts_.end());
     old_contexts_.resize(graph_->num_vertices());
-    std::vector<VertexId> touched;
+    std::vector<VertexId> touched = std::move(spliced_endpoints_);
+    spliced_endpoints_.clear();
     for (const std::vector<Edge>* edges : {&applied.added, &applied.deleted}) {
       for (const Edge& e : *edges) {
         touched.push_back(e.src);
@@ -1565,6 +1574,7 @@ class GraphBoltEngine {
   Options options_;
   std::vector<VertexContext> contexts_;
   std::vector<VertexContext> old_contexts_;  // pre-batch contexts while a batch refines
+  std::vector<VertexId> spliced_endpoints_;  // fast-path splice endpoints since the last batch
   std::vector<Value> values_;
   std::vector<Aggregate> aggregates_;    // scratch for the initial run
   std::vector<Aggregate> level_scratch_;  // refinement working copy of one level
