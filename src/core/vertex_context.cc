@@ -1,6 +1,5 @@
-#include <algorithm>
-
 #include "src/core/algorithm.h"
+
 #include "src/parallel/parallel_for.h"
 
 namespace graphbolt {
@@ -38,9 +37,17 @@ void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touch
     touched.push_back(v);
   }
   contexts->resize(n);
-  // Unique vertices, so the parallel recompute writes distinct cells.
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // Unique vertices, so the parallel recompute writes distinct cells. A
+  // bitmap, not a sort: a batch near |E| touches millions of endpoints.
+  std::vector<bool> seen(n);
+  size_t unique = 0;
+  for (const VertexId v : touched) {
+    if (!seen[v]) {
+      seen[v] = true;
+      touched[unique++] = v;
+    }
+  }
+  touched.resize(unique);
   ParallelFor(0, touched.size(), [&](size_t i) {
     (*contexts)[touched[i]] = ComputeVertexContext(graph, touched[i]);
   }, /*grain=*/64);
