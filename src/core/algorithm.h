@@ -67,7 +67,7 @@ std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph);
 // Brings `contexts`, computed for `graph` before a splice, up to date with
 // it: grows the array to the new vertex count and recomputes the new
 // vertices and `touched` (the endpoints of every spliced edge; any order,
-// duplicates allowed). Per-vertex adjacency stays target-sorted through
+// duplicates allowed; each one a vertex of `graph`, checked). Per-vertex adjacency stays target-sorted through
 // splice, rebuild and compaction, so the result equals
 // ComputeVertexContexts(graph) bit for bit, at O(batch impact) instead of
 // O(V + E).

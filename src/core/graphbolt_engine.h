@@ -110,7 +110,7 @@ class GraphBoltEngine {
     Timer timer;
     SchedulerCounterScope scheduler(&stats_);
     stats_.Clear();
-    contexts_ = ComputeVertexContexts(*graph_);
+    ResetContexts();
     const VertexId n = graph_->num_vertices();
     store_.Reset(n, options_.history_size);
     values_.assign(n, Value{});
@@ -218,7 +218,7 @@ class GraphBoltEngine {
       GB_LOG(kError) << "engine state truncated or malformed";
       return false;
     }
-    contexts_ = ComputeVertexContexts(*graph_);
+    ResetContexts();
     return true;
   }
 
@@ -363,8 +363,8 @@ class GraphBoltEngine {
   // algorithms real mutations are classified safe under: a real splice
   // only queues its endpoints, whose contexts the next batched apply
   // recomputes along with its own (O(1) here, off the fast path's cost).
-  // Past |V| queued endpoints a full recompute settles the queue, so
-  // splices alone cannot grow it without bound.
+  // Past |V| queued endpoints a full pass settles the queue, so splices
+  // alone cannot grow it without bound.
   bool ApplyFastSafe(const EdgeMutation& m) {
     if (!ClassifyFast(m).safe) {
       return false;
@@ -373,8 +373,7 @@ class GraphBoltEngine {
       spliced_endpoints_.push_back(m.src);
       spliced_endpoints_.push_back(m.dst);
       if (spliced_endpoints_.size() > graph_->num_vertices()) {
-        contexts_ = ComputeVertexContexts(*graph_);
-        spliced_endpoints_.clear();
+        ResetContexts();
       }
     }
     return true;
@@ -420,7 +419,7 @@ class GraphBoltEngine {
       return;
     }
     const VertexId n = graph_->num_vertices();
-    contexts_ = ComputeVertexContexts(*graph_);
+    RefreshContexts();
     prop_values_ = values_;
     aggregates_.assign(n, algo_.IdentityAggregate());
     async_active_.Resize(n);
@@ -460,7 +459,7 @@ class GraphBoltEngine {
 
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = static_cast<VertexId>(prop_values_.size());
-    const std::vector<VertexContext>& old_contexts = RefreshContexts(applied);
+    const std::vector<VertexContext>& old_contexts = RefreshContextsKeepingOld(applied);
     values_.resize(n, Value{});
     prop_values_.resize(n, Value{});
     aggregates_.resize(n, algo_.IdentityAggregate());
@@ -1000,13 +999,22 @@ class GraphBoltEngine {
     return NewValueAt(level, v);
   }
 
-  // Keeps the pre-batch contexts in old_contexts_ (grown to the new vertex
-  // count with empty contexts) and brings contexts_ up to date at the
-  // endpoints of `applied`, at the endpoints of fast-path splices since the
-  // last batch, and at new vertices. Returns old_contexts_.
-  const std::vector<VertexContext>& RefreshContexts(const AppliedMutations& applied) {
-    old_contexts_.assign(contexts_.begin(), contexts_.end());
-    old_contexts_.resize(graph_->num_vertices());
+  // contexts_ equals ComputeVertexContexts(*graph_) except at the vertices
+  // queued in spliced_endpoints_. Only these two helpers write contexts_.
+  //
+  // Recomputes every context in one pass and drops the queue, which the
+  // pass covers. For (re)starts, where the graph may have been replaced
+  // wholesale — a restored snapshot can be smaller than the graph the
+  // queue was filled on.
+  void ResetContexts() {
+    contexts_ = ComputeVertexContexts(*graph_);
+    spliced_endpoints_.clear();
+  }
+
+  // Drains the queue: brings contexts_ up to date at the endpoints of
+  // fast-path splices since the last refresh, at the endpoints of
+  // `applied`, and at new vertices.
+  void RefreshContexts(const AppliedMutations& applied = {}) {
     std::vector<VertexId> touched = std::move(spliced_endpoints_);
     spliced_endpoints_.clear();
     for (const std::vector<Edge>* edges : {&applied.added, &applied.deleted}) {
@@ -1016,13 +1024,22 @@ class GraphBoltEngine {
       }
     }
     UpdateVertexContexts(*graph_, std::move(touched), &contexts_);
+  }
+
+  // RefreshContexts(applied), keeping the pre-batch contexts in
+  // old_contexts_ (grown to the new vertex count with empty contexts).
+  // Returns old_contexts_.
+  const std::vector<VertexContext>& RefreshContextsKeepingOld(const AppliedMutations& applied) {
+    old_contexts_.assign(contexts_.begin(), contexts_.end());
+    old_contexts_.resize(graph_->num_vertices());
+    RefreshContexts(applied);
     return old_contexts_;
   }
 
   void Refine(const AppliedMutations& applied) {
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = store_.num_vertices();
-    const std::vector<VertexContext>& old_contexts = RefreshContexts(applied);
+    const std::vector<VertexContext>& old_contexts = RefreshContextsKeepingOld(applied);
     store_.GrowVertices(n, algo_.IdentityAggregate());
     values_.resize(n, Value{});
     // New vertices behave as if they had existed isolated all along; the

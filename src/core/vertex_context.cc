@@ -1,6 +1,7 @@
 #include "src/core/algorithm.h"
 
 #include "src/parallel/parallel_for.h"
+#include "src/util/logging.h"
 
 namespace graphbolt {
 
@@ -42,6 +43,7 @@ void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touch
   std::vector<bool> seen(n);
   size_t unique = 0;
   for (const VertexId v : touched) {
+    GB_CHECK(v < n) << "vertex " << v << " is not in a graph of " << n << " vertices";
     if (!seen[v]) {
       seen[v] = true;
       touched[unique++] = v;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -371,6 +372,42 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
   for (size_t v = 0; v < live_parents.size(); ++v) {
     ASSERT_EQ(engine.parents()[v], live_parents[v]) << "parent of " << v;
   }
+}
+
+// In-process recovery reuses the engine: the graph is replaced by a
+// checkpoint snapshot taken before the graph grew, while a fast-path splice
+// since the last batch has queued a vertex the snapshot does not have.
+// Restoring the state must drop that queue, or the next batch that does not
+// grow the graph back refreshes the context of a vertex past |V|.
+TEST(FastPathRecovery, RestoreToSmallerGraphDropsQueuedSpliceEndpoints) {
+  const GraphBoltEngine<Sssp>::Options options{.max_iterations = 128,
+                                               .run_to_convergence = true};
+  const EdgeList snapshot = SmallWeightedGraph();
+  MutableGraph graph(snapshot);
+  GraphBoltEngine<Sssp> engine(&graph, Sssp(0), options);
+  engine.InitialCompute();
+  std::stringstream state;
+  ASSERT_TRUE(engine.SaveStateTo(state));
+
+  engine.ApplyMutations({EdgeMutation::Add(7, 6, 1.0f)});
+  ASSERT_EQ(graph.num_vertices(), 8u);
+  // 7 is unreachable, so its new out-edge cannot relax 4: a safe splice
+  // that queues vertex 7.
+  ASSERT_TRUE(engine.ClassifyFast(EdgeMutation::Add(7, 4, 1.0f)).safe);
+  ASSERT_TRUE(engine.ApplyFastSafe(EdgeMutation::Add(7, 4, 1.0f)));
+
+  graph = MutableGraph(snapshot);
+  ASSERT_TRUE(engine.LoadStateFrom(state));
+  const MutationBatch replay{EdgeMutation::Add(1, 4, 2.0f)};
+  engine.ApplyMutations(replay);
+  ASSERT_EQ(graph.num_vertices(), 5u);
+
+  MutableGraph fresh_graph(snapshot);
+  fresh_graph.ApplyBatch(replay);
+  GraphBoltEngine<Sssp> fresh(&fresh_graph, Sssp(0), options);
+  fresh.InitialCompute();
+  EXPECT_TRUE(SameValueBits(fresh.values(), engine.values()));
+  EXPECT_EQ(engine.values()[4], 3.0);
 }
 
 // ----- Sharded torture -------------------------------------------------------
