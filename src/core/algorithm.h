@@ -67,10 +67,11 @@ std::vector<VertexContext> ComputeVertexContexts(const MutableGraph& graph);
 // Brings `contexts`, computed for `graph` before a splice, up to date with
 // it: grows the array to the new vertex count and recomputes the new
 // vertices and `touched` (the endpoints of every spliced edge; any order,
-// duplicates allowed; each one a vertex of `graph`, checked). Per-vertex adjacency stays target-sorted through
-// splice, rebuild and compaction, so the result equals
-// ComputeVertexContexts(graph) bit for bit, at O(batch impact) instead of
-// O(V + E).
+// duplicates allowed; each one a vertex of `graph`, checked). Per-vertex
+// adjacency stays target-sorted through splice, rebuild and compaction, so
+// the result equals ComputeVertexContexts(graph) bit for bit, at O(batch
+// impact) instead of O(V + E). From |V|/2 endpoints on it runs the full
+// pass instead, which is cheaper there.
 void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touched,
                           std::vector<VertexContext>* contexts);
 

@@ -575,7 +575,9 @@ TEST(WeightFreeMarkerControl, CheckCatchesAWeightedContribution) {
 
 // Recomputing only the spliced edges' endpoints and new vertices yields the
 // bits of a full pass, through splices with deletions and weight updates,
-// vertex growth, a forced rebuild and a background compaction.
+// vertex growth, a forced rebuild and a background compaction. Batches of
+// up to 200 mutations touch fewer than |V|/2 endpoints and take the
+// per-vertex path; the 600-mutation rounds take the full-pass branch.
 TEST(VertexContexts, IncrementalMatchesFullPass) {
   static_assert(sizeof(VertexContext) == 2 * sizeof(uint32_t) + 2 * sizeof(double));
   EdgeList full = GenerateRmat(2000, 24000, {.seed = 170, .assign_random_weights = true});
@@ -605,7 +607,8 @@ TEST(VertexContexts, IncrementalMatchesFullPass) {
   };
 
   for (int round = 0; round < 6; ++round) {
-    MutationBatch batch = stream.NextBatch(graph, {.size = 600, .add_fraction = 0.4});
+    const size_t size = round % 2 == 0 ? 150 : 600;
+    MutationBatch batch = stream.NextBatch(graph, {.size = size, .add_fraction = 0.4});
     for (int i = 0; i < 20; ++i) {
       const auto u = static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
       const auto out = graph.OutNeighbors(u);
@@ -624,17 +627,17 @@ TEST(VertexContexts, IncrementalMatchesFullPass) {
   ASSERT_EQ(graph.num_vertices(), n + 4);
 
   graph.SetApplyStrategy(MutableGraph::ApplyStrategy::kRebuild);
-  apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.5}), "rebuild");
+  apply(stream.NextBatch(graph, {.size = 200, .add_fraction = 0.5}), "rebuild");
   EXPECT_EQ(graph.adaptive_rebuilds(), 1u);
   graph.SetApplyStrategy(MutableGraph::ApplyStrategy::kSplice);
 
   // Deletions leave slack until a background compaction rewrites the arena.
   while (graph.compaction_stats().background_compactions == 0) {
-    apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.2}), "slack");
+    apply(stream.NextBatch(graph, {.size = 200, .add_fraction = 0.2}), "slack");
     while (graph.MaintenanceStep(1u << 20)) {
     }
   }
-  apply(stream.NextBatch(graph, {.size = 600, .add_fraction = 0.5}), "after compaction");
+  apply(stream.NextBatch(graph, {.size = 200, .add_fraction = 0.5}), "after compaction");
 }
 
 }  // namespace
