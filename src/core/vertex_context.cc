@@ -56,8 +56,9 @@ void UpdateVertexContexts(const MutableGraph& graph, std::vector<VertexId> touch
   }
   // From n/2 endpoints on, one in-order pass over every vertex is cheaper
   // than the dedup and the scattered recomputes. On a 40K-vertex,
-  // 600K-edge RMAT graph both cost 0.6 ms at 20K endpoints; at 195K the
-  // pass still costs 0.6 ms, the scattered recompute 1.9 ms.
+  // 600K-edge RMAT graph (shared 4-vCPU VM) both cost 0.6 ms at 20K
+  // endpoints; at 195K the pass still costs 0.6 ms, the scattered
+  // recompute 1.9 ms.
   if (touched.size() >= n / 2) {
     RecomputeAll(graph, contexts);
     return;
