@@ -13,7 +13,7 @@
 #include "bench/harness.h"
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/kickstarter/kickstarter.h"
+#include "src/kickstarter/kickstarter_engine.h"
 #include "src/minidd/dataflow.h"
 
 namespace graphbolt {
@@ -30,7 +30,7 @@ void SweepCase(const char* title, const StreamSplit& split, double add_fraction,
     double ks_time = 0.0;
     {
       MutableGraph graph(split.initial);
-      KickStarterSssp engine(&graph, 0);
+      KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
       ks_time = RunStreaming(engine, batches).avg_batch_seconds;
     }
     double bolt_time = 0.0;
@@ -74,7 +74,7 @@ void Run() {
     uint64_t bolt_edges = 0;
     {
       MutableGraph graph(split.initial);
-      KickStarterSssp engine(&graph, 0);
+      KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
       ks_edges = RunStreaming(engine, batches).avg_edges;
     }
     {

@@ -13,11 +13,8 @@
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
-#include <functional>
-
 #include "src/parallel/atomics.h"
 #include "src/parallel/parallel_for.h"
-#include "src/parallel/thread_pool.h"
 #include "src/util/random.h"
 
 namespace graphbolt {
@@ -53,28 +50,8 @@ void BM_ParallelForOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
-// The same loop through the legacy boxed-body shim: one std::function
-// (type-erased) call per chunk, the indirection every loop in the old
-// runtime paid. Compare against BM_ParallelForOverhead (template dispatch,
-// body inlined into the range tasks) at equal n.
-void BM_ParallelForBoxedShim(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> data(n, 1.0);
-  const std::function<void(size_t, size_t)> body = [&data](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      data[i] = data[i] * 1.0000001 + 0.1;
-    }
-  };
-  for (auto _ : state) {
-    ThreadPool::Instance().ParallelForChunked(0, n, kDefaultGrain, body);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForBoxedShim)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
 // Per-chunk dispatch cost isolated: tiny chunks (grain 1) maximize the
-// number of boxed calls, making the erasure overhead visible even when the
-// loop body is trivial.
+// number of chunk calls, so scheduling overhead dominates the trivial body.
 void BM_ParallelForChunkDispatchTemplate(benchmark::State& state) {
   const size_t n = 4096;
   std::vector<uint32_t> data(n, 1);
@@ -85,19 +62,6 @@ void BM_ParallelForChunkDispatchTemplate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_ParallelForChunkDispatchTemplate);
-
-void BM_ParallelForChunkDispatchBoxed(benchmark::State& state) {
-  const size_t n = 4096;
-  std::vector<uint32_t> data(n, 1);
-  const std::function<void(size_t, size_t)> body = [&data](size_t lo, size_t) {
-    data[lo] += 1;
-  };
-  for (auto _ : state) {
-    ThreadPool::Instance().ParallelForChunked(0, n, /*grain=*/1, body);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForChunkDispatchBoxed);
 
 void BM_CsrConstruction(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));

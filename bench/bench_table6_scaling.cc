@@ -16,7 +16,7 @@
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
 #include "src/engine/reset_engine.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 
 namespace graphbolt {
 namespace {
@@ -63,7 +63,7 @@ void Run() {
   const size_t thread_counts[] = {1, 2, 4};
   auto sweep = [&](const char* name, auto make_algo) {
     for (const size_t threads : thread_counts) {
-      ThreadPool::SetNumThreads(threads);
+      TaskArena::SetNumThreads(threads);
       const Row row = RunRow(split, make_algo(), batches);
       std::printf("%-6s %-8zu %10.2f %10.2f %10.2f %8.2fx %8.2fx\n", name, threads,
                   row.ligra * 1e3, row.reset * 1e3, row.bolt * 1e3, row.ligra / row.bolt,
@@ -84,7 +84,7 @@ void Run() {
 
   // Triangle counting (Ligra == GB-Reset).
   for (const size_t threads : thread_counts) {
-    ThreadPool::SetNumThreads(threads);
+    TaskArena::SetNumThreads(threads);
     double reset_time = 0.0;
     double bolt_time = 0.0;
     {
@@ -108,7 +108,7 @@ void Run() {
         .Num("speedup_vs_ligra", reset_time / bolt_time)
         .Num("speedup_vs_reset", reset_time / bolt_time);
   }
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   if (json.WriteFile(json.DefaultPath())) {
     std::printf("\nwrote %s\n", json.DefaultPath().c_str());
   }

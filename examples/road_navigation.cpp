@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   GraphBoltEngine<Sssp> bolt(&g_bolt, Sssp(depot),
                              {.max_iterations = 4096, .run_to_convergence = true});
   bolt.InitialCompute();
-  KickStarterSssp kick(&g_ks, depot);
+  KickStarterEngine<KsSsspTraits> kick(&g_ks, KsSsspTraits(depot));
   kick.InitialCompute();
   std::printf("initial distance depot->corner: %.2f\n", bolt.values()[destination]);
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     // The two engines must agree on every distance.
     for (VertexId v = 0; v < g_bolt.num_vertices(); ++v) {
       const double a = bolt.values()[v];
-      const double b = kick.distances()[v];
+      const double b = kick.values()[v];
       if (std::fabs(a - b) > 1e-6 && !(a >= kUnreachable && b >= kUnreachable)) {
         std::printf("MISMATCH at vertex %u: %.4f vs %.4f\n", v, a, b);
         return 1;

@@ -16,6 +16,7 @@
 
 #include "src/core/algorithm.h"
 #include "src/parallel/atomics.h"
+#include "src/util/logging.h"
 
 namespace graphbolt {
 
@@ -35,6 +36,7 @@ class PersonalizedPageRank {
         damping_(damping),
         tolerance_(tolerance) {
     for (const VertexId s : sources) {
+      GB_CHECK(s < num_vertices) << "source out of range";
       (*in_source_set_)[s] = 1;
     }
     size_t count = 0;

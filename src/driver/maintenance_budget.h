@@ -14,9 +14,8 @@
 //         that copied at least one edge.
 //
 // Next() sizes a tick to fill about half the typical idle window at the
-// observed per-edge cost, clamped to [min(configured, 4096), 2^22] edges.
-// Until both signals have data it returns the configured static budget, so
-// a driver's first ticks behave exactly as before.
+// observed per-edge cost, clamped to [4096, 2^22] edges. Until both
+// signals have data it returns a fixed starting budget of 2^16 edges.
 #ifndef SRC_DRIVER_MAINTENANCE_BUDGET_H_
 #define SRC_DRIVER_MAINTENANCE_BUDGET_H_
 
@@ -29,8 +28,6 @@ namespace graphbolt {
 
 class MaintenanceBudget {
  public:
-  explicit MaintenanceBudget(size_t configured) : configured_(configured) {}
-
   // The worker waited `seconds` on an empty queue before its poll expired.
   void RecordIdle(double seconds) {
     if (seconds <= 0.0) {
@@ -57,11 +54,11 @@ class MaintenanceBudget {
   size_t Next() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (idle_ewma_ == 0.0 || cost_ewma_ == 0.0) {
-      return configured_;  // no measurements yet: static behavior
+      return kInitial;  // no measurements yet
     }
     const double edges = idle_ewma_ * kIdleFraction / cost_ewma_;
-    const double floor = static_cast<double>(std::min(configured_, kFloor));
-    return static_cast<size_t>(std::clamp(edges, floor, static_cast<double>(kCap)));
+    return static_cast<size_t>(
+        std::clamp(edges, static_cast<double>(kFloor), static_cast<double>(kCap)));
   }
 
  private:
@@ -69,8 +66,8 @@ class MaintenanceBudget {
   static constexpr double kIdleFraction = 0.5;  // fill half the idle window
   static constexpr size_t kFloor = 4096;        // never starve maintenance
   static constexpr size_t kCap = size_t{1} << 22;  // bound a single tick
+  static constexpr size_t kInitial = size_t{1} << 16;  // before measurements
 
-  const size_t configured_;
   mutable std::mutex mu_;
   double idle_ewma_ = 0.0;
   double cost_ewma_ = 0.0;

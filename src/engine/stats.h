@@ -112,9 +112,9 @@ struct EngineStats {
   // kBackground-mode batches that still compacted synchronously because
   // slack hit the kForcedSyncSlack backstop (0 when maintenance keeps up).
   uint64_t forced_sync_compactions = 0;
-  // The adaptive per-tick compaction budget currently in force (edges); the
-  // configured maintenance_budget_edges until idle-window measurements
-  // accumulate, then derived from observed idle time and per-edge cost.
+  // The adaptive per-tick compaction budget currently in force (edges); a
+  // fixed starting budget until idle-window measurements accumulate, then
+  // derived from observed idle time and per-edge cost.
   uint64_t maintenance_budget_edges = 0;
 
   // ----- Sentinel counters (populated by the driver when admission

@@ -47,7 +47,6 @@
 #include "src/graph/io.h"
 #include "src/graph/mutable_graph.h"
 #include "src/graph/mutation.h"
-#include "src/kickstarter/kickstarter.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/minidd/dataflow.h"
 #include "src/sentinel/admission.h"

@@ -28,7 +28,7 @@ TaskArena::~TaskArena() { StopWorkersLocked(); }
 void TaskArena::SetNumThreads(size_t num_threads) {
   num_threads = std::min(std::max<size_t>(1, num_threads), kMaxWorkers);
   if (InParallelRegion()) {
-    // The old ThreadPool deadlocked here (the rebuild joined workers that
+    // The old pool deadlocked here (the rebuild joined workers that
     // were waiting on the very loop the caller was inside). Surface the
     // contract violation instead.
     GB_DCHECK(false) << "SetNumThreads called from inside a parallel region";
@@ -97,10 +97,9 @@ void TaskArena::WorkerLoop(arena_internal::WorkerSlot* slot) {
     if (shutdown_.load(std::memory_order_acquire)) {
       break;
     }
-    sleepers_.fetch_add(1, std::memory_order_release);
+    sleepers_.fetch_add(1);
     sleep_cv_.wait(lock, [this] {
-      return shutdown_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
+      return shutdown_.load(std::memory_order_acquire) || queued_.load() > 0;
     });
     sleepers_.fetch_sub(1, std::memory_order_release);
     if (shutdown_.load(std::memory_order_acquire)) {

@@ -1,13 +1,12 @@
 // Work-stealing task arena: the parallel runtime under every loop in the
 // repository.
 //
-// The previous runtime (a single-job ThreadPool, kept as a shim in
-// thread_pool.h) ran one blocked-range loop at a time and executed nested
-// parallel calls inline, which load-balances poorly on the two workloads
-// this codebase actually has: skewed per-vertex splice work (hub vertices
-// in a power-law graph) and ragged frontier maps whose chunk costs differ
-// by orders of magnitude. The arena replaces it with the classic
-// work-stealing design:
+// The previous runtime (a single-job thread pool) ran one blocked-range
+// loop at a time and executed nested parallel calls inline, which
+// load-balances poorly on the two workloads this codebase actually has:
+// skewed per-vertex splice work (hub vertices in a power-law graph) and
+// ragged frontier maps whose chunk costs differ by orders of magnitude.
+// The arena replaces it with the classic work-stealing design:
 //
 //   - One WorkerSlot per participating thread, each owning a Chase-Lev
 //     deque (owner pushes/pops the bottom without locks; idle threads
@@ -36,7 +35,7 @@
 // The arena is a process-wide singleton that is resized in place
 // (SetNumThreads joins the old workers and spawns new ones) rather than
 // replaced, so references handed out by Instance() are never invalidated —
-// that was the rebuild race in the old ThreadPool. Resizing from inside a
+// that was the rebuild race in the old pool. Resizing from inside a
 // parallel region is a programming error: it GB_DCHECK-fails in debug
 // builds and is ignored with a warning in release builds (the old pool
 // deadlocked).
@@ -230,7 +229,7 @@ class TaskArena {
   // Waits for in-flight root regions to drain, and blocks new ones while
   // the worker set is swapped. Calling from inside a parallel region is a
   // programming error: GB_DCHECK in debug, warn-and-ignore in release
-  // (the old ThreadPool deadlocked here).
+  // (the old pool deadlocked here).
   static void SetNumThreads(size_t num_threads);
 
   // True while the calling thread is inside a task or owns a root region.
@@ -300,8 +299,18 @@ class TaskArena {
   void OnPush(arena_internal::WorkerSlot* slot, arena_internal::Task* task) {
     slot->deque.Push(task);
     slot->forks.fetch_add(1, std::memory_order_relaxed);
-    queued_.fetch_add(1, std::memory_order_release);
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
+    queued_.fetch_add(1);
+    NotifyPush();
+  }
+
+  // Wakes one sleeper for a task just counted in queued_. A sleeper checks
+  // queued_ under sleep_mu_ and then blocks; a notify sent between the two
+  // would be lost and leave it asleep beside the queued task, so the
+  // notifier takes sleep_mu_ first. queued_ and sleepers_ are a Dekker
+  // pair (each side writes one and reads the other), hence seq_cst.
+  void NotifyPush() {
+    if (sleepers_.load() > 0) {
+      std::lock_guard<std::mutex> lock(sleep_mu_);
       sleep_cv_.notify_one();
     }
   }
@@ -321,10 +330,8 @@ class TaskArena {
       std::push_heap(priority_lane_.begin(), priority_lane_.end(), PriorityBefore);
     }
     priority_pushes_.fetch_add(1, std::memory_order_relaxed);
-    queued_.fetch_add(1, std::memory_order_release);
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
-      sleep_cv_.notify_one();
-    }
+    queued_.fetch_add(1);
+    NotifyPush();
   }
 
   // Pops the highest-priority queued task; nullptr when the lane is empty.
@@ -344,10 +351,9 @@ class TaskArena {
   // completes. `pending` is the group's pending counter.
   void WaitForGroupOrWork(const std::atomic<size_t>& pending) {
     std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_release);
+    sleepers_.fetch_add(1);
     sleep_cv_.wait(lock, [&] {
-      return queued_.load(std::memory_order_acquire) > 0 ||
-             pending.load(std::memory_order_acquire) == 0;
+      return queued_.load() > 0 || pending.load(std::memory_order_acquire) == 0;
     });
     sleepers_.fetch_sub(1, std::memory_order_release);
   }

@@ -168,9 +168,6 @@ void DriverConfig::RegisterFlags(ArgParser& args) {
                "reclaim arena slack in background maintenance steps");
   args.AddBool("fast-path", defaults.fast_path,
                "splice safe single updates in place, bypassing gutter batching");
-  args.AddInt("maintenance-budget", static_cast<int64_t>(defaults.maintenance_budget_edges),
-              "edge budget per background maintenance step (adapted to observed "
-              "idle windows once the driver has measurements)");
   args.AddString("async-mode", AsyncModeName(defaults.async_mode),
                  "async delta-accumulative tier: off | degrade-only "
                  "(needs --overflow degrade and a decomposable engine)");
@@ -225,12 +222,6 @@ bool DriverConfig::FromCli(const ArgParser& args, std::string* error) {
   coalesce = args.GetBool("coalesce");
   background_compaction = args.GetBool("bg-compaction");
   fast_path = args.GetBool("fast-path");
-  const int64_t budget = args.GetInt("maintenance-budget");
-  if (budget < 1) {
-    *error = "--maintenance-budget must be >= 1 (got " + std::to_string(budget) + ")";
-    return false;
-  }
-  maintenance_budget_edges = static_cast<size_t>(budget);
   if (!ParseAsyncMode(args.GetString("async-mode"), &async_mode)) {
     *error = "--async-mode \"" + args.GetString("async-mode") +
              "\" is unknown; use off | degrade-only";
@@ -374,17 +365,6 @@ bool DriverConfig::FromEnv(std::string* error) {
       })) {
     return false;
   }
-  if (!EnvOverride("GRAPHBOLT_MAINTENANCE_BUDGET", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a positive integer edge budget";
-        if (!ParseUint(v, &parsed) || parsed == 0) {
-          return false;
-        }
-        maintenance_budget_edges = static_cast<size_t>(parsed);
-        return true;
-      })) {
-    return false;
-  }
   if (!EnvOverride("GRAPHBOLT_ASYNC_MODE", error, [&](const std::string& v) {
         *error = "expected off | degrade-only";
         return ParseAsyncMode(v, &async_mode);
@@ -506,9 +486,6 @@ std::string DriverConfig::Validate(bool durable) const {
   if (max_pending_batches < 1) {
     return "max_pending_batches must be >= 1 (the queue needs one slot)";
   }
-  if (maintenance_budget_edges < 1) {
-    return "maintenance_budget_edges must be >= 1";
-  }
   if (overflow == OverflowPolicy::kShedToWal && !durable) {
     return "overflow policy \"shed\" parks batches in the durable shed log; "
            "set checkpoint_dir (--checkpoint-dir) or pick block | drop";
@@ -522,9 +499,6 @@ std::string DriverConfig::Validate(bool durable) const {
   }
   if (watchdog_stall_seconds < 0.0) {
     return "watchdog_stall_seconds must be >= 0 (0 disables the watchdog)";
-  }
-  if (watchdog_stall_seconds > 0.0 && watchdog_poll_seconds <= 0.0) {
-    return "watchdog_poll_seconds must be > 0 when the watchdog is armed";
   }
   auto check_quota = [](const std::string& who, const TenantQuota& q) -> std::string {
     if (q.mutations_per_second < 0.0 || q.burst_mutations < 0.0) {

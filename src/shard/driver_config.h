@@ -89,11 +89,9 @@ struct DriverConfig {
   // Background SlackCsr compaction: lane 0 runs graph maintenance steps in
   // the windows between batches (under the engine mutex), so ApplyBatch
   // never pays a synchronous compaction pass — see slack_csr.h. Requires a
-  // GraphMaintainableEngine; ignored (with a warning) otherwise.
+  // GraphMaintainableEngine; ignored (with a warning) otherwise. Each step's
+  // edge budget adapts to the observed idle windows (maintenance_budget.h).
   bool background_compaction = false;
-  // Edge budget per maintenance step, per adjacency view (adapted to the
-  // observed idle windows once the driver has measurements).
-  size_t maintenance_budget_edges = 1u << 16;
 
   // ----- Single-update fast path ------------------------------------------
   // Enables IngestFast: single mutations the engine classifies safe splice
@@ -137,9 +135,9 @@ struct DriverConfig {
   // the apply-latency EWMA (see sentinel/admission.h).
   GovernorOptions governor;
   // Stall watchdog: a pipeline stage continuously busy for this many
-  // seconds is declared stalled. 0 disables the watchdog thread.
+  // seconds is declared stalled. 0 disables the watchdog thread, which
+  // polls every min(0.05 s, watchdog_stall_seconds / 16).
   double watchdog_stall_seconds = 0.0;
-  double watchdog_poll_seconds = 0.05;
   // On a detected stall, escalate to Recover() (needs a checkpointer).
   bool watchdog_auto_recover = true;
 
@@ -165,8 +163,8 @@ struct DriverConfig {
 
   // Registers the canonical driver flag surface on `args` (shards,
   // batch-size, flush-ms, max-pending-batches, overflow, coalesce,
-  // bg-compaction, fast-path, maintenance-budget, checkpoint-dir,
-  // checkpoint-every, quarantine-dir, max-batch-edges, watchdog-ms,
+  // bg-compaction, fast-path, async-mode, checkpoint-dir, checkpoint-every,
+  // scrub-interval-s, quarantine-dir, max-batch-edges, watchdog-ms,
   // default-quota, tenant-quotas). Binaries add their own non-driver flags
   // around it.
   static void RegisterFlags(ArgParser& args);
@@ -179,9 +177,8 @@ struct DriverConfig {
   //   GRAPHBOLT_SHARDS, GRAPHBOLT_BATCH_SIZE, GRAPHBOLT_FLUSH_MS,
   //   GRAPHBOLT_MAX_PENDING_BATCHES, GRAPHBOLT_OVERFLOW,
   //   GRAPHBOLT_BG_COMPACTION, GRAPHBOLT_FAST_PATH,
-  //   GRAPHBOLT_MAINTENANCE_BUDGET,
   //   GRAPHBOLT_ASYNC_MODE, GRAPHBOLT_CHECKPOINT_DIR,
-  //   GRAPHBOLT_CHECKPOINT_EVERY,
+  //   GRAPHBOLT_CHECKPOINT_EVERY, GRAPHBOLT_SCRUB_INTERVAL_S,
   //   GRAPHBOLT_QUARANTINE_DIR, GRAPHBOLT_MAX_BATCH_EDGES,
   //   GRAPHBOLT_WATCHDOG_MS, GRAPHBOLT_DEFAULT_QUOTA,
   //   GRAPHBOLT_TENANT_QUOTAS ("alice=5000,bob=0:0:1000").

@@ -847,8 +847,10 @@ class ShardedDriver {
   }
 
   void StartWatchdog() {
-    if (config_.watchdog_stall_seconds > 0.0 && !watchdog_.running()) {
-      watchdog_.Start({config_.watchdog_poll_seconds, config_.watchdog_stall_seconds},
+    const double stall = config_.watchdog_stall_seconds;
+    if (stall > 0.0 && !watchdog_.running()) {
+      // Poll often enough to catch a stall within ~1/16 of its timeout.
+      watchdog_.Start({std::min(0.05, stall / 16), stall},
                       [this](const StallCause& cause) { OnStall(cause); });
     }
   }
@@ -1839,9 +1841,8 @@ class ShardedDriver {
 
 
   // Adaptive maintenance budget, fed from lane 0's idle polls and the
-  // global graph's per-edge rewrite cost (declared after config_: seeded
-  // from the already-moved-into config).
-  MaintenanceBudget budget_{config_.maintenance_budget_edges};
+  // global graph's per-edge rewrite cost.
+  MaintenanceBudget budget_;
   // Cumulative background_edges_copied at the last tick; only lane 0
   // ticks, so this needs no lock.
   uint64_t last_maintenance_edges_ = 0;

@@ -72,7 +72,7 @@ class LogMessage {
 // Debug-only assertion: compiles to GB_CHECK in debug builds and to nothing
 // (condition not evaluated) when NDEBUG is set. Used for contract violations
 // that are programming errors, not data errors — e.g. calling
-// ThreadPool::SetNumThreads from inside a parallel region.
+// TaskArena::SetNumThreads from inside a parallel region.
 #ifdef NDEBUG
 #define GB_DCHECK(cond) \
   if (true) {           \

@@ -40,7 +40,7 @@
 #include "src/engine/reset_engine.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
@@ -158,18 +158,18 @@ void RunAsyncConvergence(Algo algo, uint64_t graph_seed) {
 }
 
 TEST(AsyncConvergence, PageRankMatchesBspFixedPoint) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   RunAsyncConvergence(PageRank(0.85, /*tolerance=*/1e-12), /*graph_seed=*/211);
 }
 
 TEST(AsyncConvergence, CoEMMatchesBspFixedPoint) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   RunAsyncConvergence(CoEM(400, /*seed_fraction=*/0.05, /*seed=*/11, /*tolerance=*/1e-12),
                       /*graph_seed=*/221);
 }
 
 TEST(AsyncConvergence, LabelPropagationMatchesBspFixedPoint) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   RunAsyncConvergence(
       LabelPropagation<2>(400, /*seed_fraction=*/0.1, /*seed=*/7, /*tolerance=*/1e-12),
       /*graph_seed=*/231);
@@ -179,7 +179,7 @@ TEST(AsyncConvergence, LabelPropagationMatchesBspFixedPoint) {
 // exercised hard; the invariant must survive edges vanishing under live
 // aggregates.
 TEST(AsyncConvergence, PageRankSurvivesDeletionHeavyStream) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   const EdgeList full = GenerateRmat(300, 2400, {.seed = 241});
   const StreamSplit split = SplitForStreaming(full, 0.5, 242);
 
@@ -217,7 +217,7 @@ TEST(AsyncConvergence, PageRankSurvivesDeletionHeavyStream) {
 // async window deliberately stops short of convergence: reconciliation must
 // not depend on the async values having settled.
 TEST(AsyncReconcile, RestoresBitwiseBspState) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(350, 2800, {.seed = 251});
   const StreamSplit split = SplitForStreaming(full, 0.6, 252);
 
@@ -254,7 +254,7 @@ TEST(AsyncReconcile, RestoresBitwiseBspState) {
 
 // Re-entry is idempotent: enter/exit/enter leaves a consistent engine.
 TEST(AsyncReconcile, ReentryAfterReconcile) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(200, 1400, {.seed = 261});
   const StreamSplit split = SplitForStreaming(full, 0.5, 262);
   const std::vector<MutationBatch> chunks = AdditionChunks(split.held_back, 32);
@@ -295,7 +295,7 @@ TEST(AsyncReconcile, ReentryAfterReconcile) {
 // barrier; the final exact barrier then compares against a from-scratch
 // engine on the full graph.
 TEST(AsyncDriver, DegradeFlipServesFreshThenSelfClears) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(800, 30000, {.seed = 271});
   const StreamSplit split = SplitForStreaming(full, 0.2, 272);
   const std::vector<MutationBatch> chunks = AdditionChunks(split.held_back, 100);
@@ -387,7 +387,7 @@ TEST(AsyncDriver, DegradeFlipServesFreshThenSelfClears) {
 
 // kOff never flips the engine, no matter the pressure.
 TEST(AsyncDriver, PolicyOffNeverEngages) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(300, 4000, {.seed = 281});
   const StreamSplit split = SplitForStreaming(full, 0.4, 282);
   const std::vector<MutationBatch> chunks = AdditionChunks(split.held_back, 8);
@@ -428,7 +428,7 @@ TEST(AsyncDriver, PolicyOffNeverEngages) {
 // order (observer under journal_mu_), and the mode self-clears through one
 // reconciling barrier.
 TEST(AsyncSharded, FloodEngagesAndSelfClears) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(800, 30000, {.seed = 291});
   const StreamSplit split = SplitForStreaming(full, 0.2, 292);
   const std::vector<MutationBatch> chunks = AdditionChunks(split.held_back, 100);

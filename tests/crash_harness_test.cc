@@ -24,7 +24,7 @@
 //
 // The fork is bare (no exec): the child rebuilds all state from scratch
 // post-fork and the parent holds no extra live threads at fork time
-// (ThreadPool is pinned to 1 thread; each recovery driver is stopped
+// (the TaskArena is pinned to 1 thread; each recovery driver is stopped
 // before the next fork).
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -46,7 +46,7 @@
 #include "src/fault/storage_env.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
 #include "tests/test_util.h"
@@ -104,7 +104,7 @@ typename Checkpointer<CrashEngine>::Options CkptOptions(const std::string& dir,
 // exits kSurvivedExit if the kill point lay beyond the run's IO.
 [[noreturn]] void RunChildWorkload(const std::string& dir, const KillSpec& kill,
                                    size_t shards) {
-  ThreadPool::SetNumThreads(1);  // deterministic summation order
+  TaskArena::SetNumThreads(1);  // deterministic summation order
   EdgeList initial = GenerateRmat(kVertices, kInitialEdges, {.seed = 7});
   MutableGraph graph(initial);
   CrashEngine engine(&graph, PageRank{});
@@ -276,7 +276,7 @@ std::vector<KillSpec> MakeKillMatrix(uint64_t seed) {
 }
 
 void RunKillMatrix(size_t shards, uint64_t seed) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const Prefixes ref = ComputePrefixes();
   uint64_t lane_replayed_total = 0;
   for (const KillSpec& kill : MakeKillMatrix(seed)) {

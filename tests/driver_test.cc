@@ -21,7 +21,7 @@
 #include "src/graph/generators.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/parallel/bounded_queue.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -96,7 +96,7 @@ void ExpectDriverMatchesSequential(Engine& engine, Engine& reference,
 }
 
 TEST(DriverEquivalence, PageRankBitwiseIdenticalToSequentialLoop) {
-  ThreadPool::SetNumThreads(1);  // deterministic summation order
+  TaskArena::SetNumThreads(1);  // deterministic summation order
   EdgeList full = GenerateRmat(1500, 12000, {.seed = 11});
   StreamSplit split = SplitForStreaming(full, 0.5, 12);
   std::vector<MutationBatch> batches = MakeBatches(split, 24, 80, 13);
@@ -109,7 +109,7 @@ TEST(DriverEquivalence, PageRankBitwiseIdenticalToSequentialLoop) {
 }
 
 TEST(DriverEquivalence, SsspBitwiseIdenticalToSequentialLoop) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 21, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 22);
   std::vector<MutationBatch> batches = MakeBatches(split, 22, 60, 23);
@@ -123,7 +123,7 @@ TEST(DriverEquivalence, SsspBitwiseIdenticalToSequentialLoop) {
 }
 
 TEST(DriverEquivalence, KickStarterThroughDriverMatchesSequential) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(1000, 8000, {.seed = 31, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 32);
   std::vector<MutationBatch> batches = MakeBatches(split, 20, 50, 33);
@@ -136,7 +136,7 @@ TEST(DriverEquivalence, KickStarterThroughDriverMatchesSequential) {
 }
 
 TEST(DriverEquivalence, BackgroundCompactionBitwiseIdenticalAndNeverSynchronous) {
-  ThreadPool::SetNumThreads(1);  // deterministic summation order
+  TaskArena::SetNumThreads(1);  // deterministic summation order
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 41});
   StreamSplit split = SplitForStreaming(full, 0.5, 42);
 
@@ -167,8 +167,7 @@ TEST(DriverEquivalence, BackgroundCompactionBitwiseIdenticalAndNeverSynchronous)
         &engine, {.batch_size = 1u << 20,
                   .flush_interval_seconds = 3600.0,
                   .coalesce = false,
-                  .background_compaction = true,
-                  .maintenance_budget_edges = 4096});
+                  .background_compaction = true});
     for (const MutationBatch& batch : batches) {
       ASSERT_EQ(driver.IngestBatch(batch), batch.size());
       driver.Flush();
@@ -192,7 +191,7 @@ TEST(DriverEquivalence, BackgroundCompactionBitwiseIdenticalAndNeverSynchronous)
 }
 
 TEST(StreamDriverTest, MultiProducerIngestUnderLoadWithMidStreamQuery) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   // Addition-only stream: the final graph is order-independent across the
   // racing producers, so the drained result is checkable against a
   // from-scratch run on the final snapshot (the BSP guarantee).
@@ -256,7 +255,7 @@ TEST(StreamDriverTest, MultiProducerIngestUnderLoadWithMidStreamQuery) {
 }
 
 TEST(StreamDriverTest, ShutdownDrainsPendingMutations) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(600, 5000, {.seed = 51});
   StreamSplit split = SplitForStreaming(full, 0.5, 52);
   std::vector<MutationBatch> batches = MakeBatches(split, 1, 40, 53);
@@ -327,7 +326,7 @@ TEST(StreamDriverTest, StalenessDeadlineFlushesPartialGutter) {
 }
 
 TEST(StreamDriverTest, BackpressureBlocksProducersWithoutLossOrDeadlock) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   EdgeList full = GenerateRmat(800, 8000, {.seed = 81});
   StreamSplit split = SplitForStreaming(full, 0.5, 82);
 

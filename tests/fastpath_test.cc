@@ -28,7 +28,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/kickstarter/kickstarter_engine.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
@@ -197,7 +197,7 @@ std::pair<uint64_t, uint64_t> SweepOracle(Engine& engine,
 }
 
 TEST(FastPathOracle, SafeVerdictImpliesBitwiseNoopAcrossSeeds) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   uint64_t ks_safe = 0;
   uint64_t gb_safe = 0;
   for (const uint64_t seed : FuzzSeeds()) {
@@ -264,7 +264,7 @@ void ExpectFastPathMatchesBatchedReplay(Engine& engine, Engine& reference,
 }
 
 TEST(FastPathDriver, KickStarterBitwiseEqualsBatchedReplayAcrossSeeds) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const uint64_t seed : FuzzSeeds()) {
     EdgeList full = GenerateRmat(700, 5500, {.seed = seed + 10, .assign_random_weights = true});
     StreamSplit split = SplitForStreaming(full, 0.5, seed + 11);
@@ -279,7 +279,7 @@ TEST(FastPathDriver, KickStarterBitwiseEqualsBatchedReplayAcrossSeeds) {
 }
 
 TEST(FastPathDriver, SsspBitwiseEqualsBatchedReplayAcrossSeeds) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const uint64_t seed : FuzzSeeds()) {
     EdgeList full = GenerateRmat(500, 4000, {.seed = seed + 20, .assign_random_weights = true});
     StreamSplit split = SplitForStreaming(full, 0.5, seed + 21);
@@ -319,7 +319,7 @@ TEST(FastPathDriver, DisabledOptionFallsBackToBatched) {
 // fault is armed so the lost-append → forced-checkpoint branch of the fast
 // path is exercised too.
 TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir tmp("fastpath_recovery");
   EdgeList full = GenerateRmat(800, 6500, {.seed = 91, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 92);
@@ -417,7 +417,7 @@ TEST(FastPathRecovery, RestoreToSmallerGraphDropsQueuedSpliceEndpoints) {
 // The stream is addition-only, so the SSSP fixpoint is order-independent
 // and the drained state must equal a from-scratch run on the final graph.
 TEST(FastPathSharded, MixedFastBatchedTortureOnFourLanes) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   EdgeList full = GenerateRmat(1000, 12000, {.seed = 95, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 96);
 

@@ -28,7 +28,7 @@
 #include "src/graph/mutable_graph.h"
 #include "src/graph/mutation.h"
 #include "src/kickstarter/kickstarter_engine.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -190,7 +190,7 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
 class FaultMatrix : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(FaultMatrix, PageRankRecoversBitwise) {
-  ThreadPool::SetNumThreads(1);  // deterministic summation order
+  TaskArena::SetNumThreads(1);  // deterministic summation order
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1500, 12000, {.seed = 11});
   StreamSplit split = SplitForStreaming(full, 0.5, 12);
@@ -206,7 +206,7 @@ TEST_P(FaultMatrix, PageRankRecoversBitwise) {
 }
 
 TEST_P(FaultMatrix, SsspRecoversBitwise) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 21, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 22);
@@ -222,7 +222,7 @@ TEST_P(FaultMatrix, SsspRecoversBitwise) {
 }
 
 TEST_P(FaultMatrix, KickStarterRecoversBitwise) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(1000, 8000, {.seed = 31, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 32);
@@ -246,7 +246,7 @@ INSTANTIATE_TEST_SUITE_P(Lanes, FaultMatrix, ::testing::Values(size_t{1}, size_t
 // exact state — including KickStarter's dependence tree, which the
 // post-recovery deletion batches then exercise.
 TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(900, 7000, {.seed = 41, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 42);
@@ -325,7 +325,7 @@ TEST(ColdRecovery, EmptyDirectoryFailsCleanly) {
 // equivalent — ResetEngine recomputes from scratch per batch, making the
 // final values bitwise equal to a fresh run on the final graph.
 TEST(ShedToWal, SpuriousQueueFullLosesNothing) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(800, 8000, {.seed = 51});
   StreamSplit split = SplitForStreaming(full, 0.5, 52);

@@ -21,7 +21,6 @@
 #include "src/parallel/parallel_for.h"
 #include "src/parallel/reducer.h"
 #include "src/parallel/task_arena.h"
-#include "src/parallel/thread_pool.h"
 #include "src/stream/update_stream.h"
 
 namespace graphbolt {
@@ -79,7 +78,7 @@ TEST(Atomics, ConcurrentDoubleAddIsExactUnderReordering) {
   EXPECT_DOUBLE_EQ(value, 100000.0);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
+TEST(ParallelFor, ParallelForCoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(10000);
   ParallelFor(0, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); }, /*grain=*/16);
   for (const auto& hit : hits) {
@@ -87,13 +86,13 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, EmptyRangeIsNoop) {
+TEST(ParallelFor, EmptyRangeIsNoop) {
   bool ran = false;
   ParallelFor(5, 5, [&ran](size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPool, ChunkedCoversRange) {
+TEST(ParallelFor, ChunkedCoversRange) {
   std::atomic<uint64_t> sum{0};
   ParallelForChunks(0, 1000, [&sum](size_t lo, size_t hi) {
     uint64_t local = 0;
@@ -105,7 +104,7 @@ TEST(ThreadPool, ChunkedCoversRange) {
   EXPECT_EQ(sum.load(), 999ull * 1000 / 2);
 }
 
-TEST(ThreadPool, NestedParallelForCoversRange) {
+TEST(ParallelFor, NestedParallelForCoversRange) {
   std::atomic<int> total{0};
   ParallelFor(0, 8, [&total](size_t) {
     ParallelFor(0, 8, [&total](size_t) { total.fetch_add(1); }, /*grain=*/1);
@@ -113,14 +112,14 @@ TEST(ThreadPool, NestedParallelForCoversRange) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, NestedParallelForActuallyRunsOnMultipleWorkers) {
+TEST(ParallelFor, NestedParallelForActuallyRunsOnMultipleWorkers) {
   // The old runtime executed nested loops inline on the calling worker;
   // the arena forks them into the worker's deque where thieves pick them
   // up. Assert real nested parallelism with a rendezvous: a single outer
   // task runs an inner loop whose bodies wait (bounded) until two of them
   // are inside *the same inner loop* concurrently — impossible if the
   // inner loop is serialized onto one worker.
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   std::atomic<int> inside{0};
   std::atomic<bool> met{false};
   std::mutex ids_mu;
@@ -146,10 +145,10 @@ TEST(ThreadPool, NestedParallelForActuallyRunsOnMultipleWorkers) {
   }, /*grain=*/1);
   EXPECT_TRUE(met.load()) << "no two workers were ever inside the nested loop";
   EXPECT_GE(ids.size(), 2u);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
-TEST(ThreadPool, SkewedWorkIsBalancedByStealing) {
+TEST(ParallelFor, SkewedWorkIsBalancedByStealing) {
   // Power-law chunk costs (the hub-vertex profile): item cost ~ 1/(i+1),
   // so chunk 0 dominates. Lazy binary splitting must leave the cheap tail
   // available for thieves while the owner grinds the head — observable as
@@ -158,7 +157,7 @@ TEST(ThreadPool, SkewedWorkIsBalancedByStealing) {
   // core, where thieves only run when the grinding thread gives up its
   // quantum: while nothing has been stolen yet, the splitter's own deque
   // still holds the forked upper half, so a thief always has a target.
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   const ArenaCounters before = TaskArena::Instance().counters();
   std::atomic<uint64_t> sum{0};
   ParallelFor(0, 256, [&sum, &before](size_t i) {
@@ -181,30 +180,30 @@ TEST(ThreadPool, SkewedWorkIsBalancedByStealing) {
   const ArenaCounters after = TaskArena::Instance().counters();
   EXPECT_GT(after.tasks_stolen, before.tasks_stolen)
       << "skewed loop never produced a cross-worker steal";
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
-TEST(ThreadPool, SetNumThreadsRebuilds) {
-  ThreadPool::SetNumThreads(2);
-  EXPECT_EQ(ThreadPool::Instance().num_threads(), 2u);
+TEST(ParallelFor, SetNumThreadsRebuilds) {
+  TaskArena::SetNumThreads(2);
+  EXPECT_EQ(TaskArena::Instance().num_threads(), 2u);
   std::atomic<int> count{0};
   ParallelFor(0, 100, [&count](size_t) { count.fetch_add(1); }, /*grain=*/4);
   EXPECT_EQ(count.load(), 100);
-  ThreadPool::SetNumThreads(1);
-  EXPECT_EQ(ThreadPool::Instance().num_threads(), 1u);
+  TaskArena::SetNumThreads(1);
+  EXPECT_EQ(TaskArena::Instance().num_threads(), 1u);
   count = 0;
   ParallelFor(0, 100, [&count](size_t) { count.fetch_add(1); }, /*grain=*/4);
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ManySmallLoopsDoNotDeadlock) {
-  ThreadPool::SetNumThreads(4);
+TEST(ParallelFor, ManySmallLoopsDoNotDeadlock) {
+  TaskArena::SetNumThreads(4);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> count{0};
     ParallelFor(0, 64, [&count](size_t) { count.fetch_add(1); }, /*grain=*/1);
     ASSERT_EQ(count.load(), 64);
   }
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(Reducer, SumMatchesSerial) {
@@ -245,7 +244,7 @@ TEST(Reducer, ExclusivePrefixSumEmpty) {
 }
 
 TEST(Reducer, ParallelPrefixSumMatchesSerial) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   std::vector<uint64_t> values(50000);
   uint64_t seed = 0x9e3779b97f4a7c15ULL;
   for (auto& v : values) {
@@ -257,14 +256,14 @@ TEST(Reducer, ParallelPrefixSumMatchesSerial) {
   const uint64_t total = ParallelPrefixSum(values, /*grain=*/512);
   EXPECT_EQ(total, expected_total);
   EXPECT_EQ(values, expected);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(Reducer, FloatingPointSumIsDeterministicUnderStealing) {
   // The reduction tree is fixed by (begin, end, grain), not by which
   // worker computed which leaf, so repeated runs — each with different
   // steal interleavings — must agree bitwise even in floating point.
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   std::vector<double> data(100000);
   uint64_t seed = 1;
   for (auto& v : data) {
@@ -280,7 +279,7 @@ TEST(Reducer, FloatingPointSumIsDeterministicUnderStealing) {
     const double again = sum();
     EXPECT_EQ(first, again) << "round " << round << " diverged";
   }
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
@@ -291,7 +290,7 @@ TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
   const size_t n = 12345;
   const uint64_t expected = static_cast<uint64_t>(n - 1) * n / 2;
   for (const size_t threads : {1u, 2u, 4u}) {
-    ThreadPool::SetNumThreads(threads);
+    TaskArena::SetNumThreads(threads);
     for (const size_t grain : {1u, 7u, 64u, 100000u}) {
       const uint64_t total = ParallelReduce<uint64_t>(
           0, n,
@@ -306,7 +305,7 @@ TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
       EXPECT_EQ(total, expected) << "threads=" << threads << " grain=" << grain;
     }
   }
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 // Dense refinement levels pull into cells their chunk owns, with no atomics
@@ -314,10 +313,10 @@ TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
 // dense refines to the same bits at any worker count. Under TSan this also
 // checks that each owned cell has a single writer.
 TEST(Refinement, DenseLevelsAreBitwiseEqualAcrossWorkerCounts) {
-  const size_t original = ThreadPool::Instance().num_threads();
+  const size_t original = TaskArena::Instance().num_threads();
   EdgeList full = GenerateRmat(4000, 48000, {.seed = 130});
   StreamSplit split = SplitForStreaming(full, 0.5, 131);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   MutableGraph graph_one(split.initial);
   MutableGraph graph_four(split.initial);
   GraphBoltEngine<PageRank> one(&graph_one, PageRank{});
@@ -333,9 +332,9 @@ TEST(Refinement, DenseLevelsAreBitwiseEqualAcrossWorkerCounts) {
       stream.NextBatch(graph_one, {.size = graph_one.num_edges() / 8, .add_fraction = 0.6});
   const AppliedMutations applied = one.ApplyMutations(batch);
   ASSERT_GT(applied.added.size(), graph_one.num_edges() / 20);
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   four.ApplyMutations(batch);
-  ThreadPool::SetNumThreads(original);
+  TaskArena::SetNumThreads(original);
 
   auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
     return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;

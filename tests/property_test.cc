@@ -16,7 +16,7 @@
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/graph/generators.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/stream/update_stream.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -234,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(Fractions, LabelSweep, testing::Values(0.0, 0.05, 0.25,
 class RecoveryReplaySweep : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(RecoveryReplaySweep, CoalescedJournalRecoversBitwise) {
-  ThreadPool::SetNumThreads(1);  // bitwise comparison needs one summation order
+  TaskArena::SetNumThreads(1);  // bitwise comparison needs one summation order
   const uint64_t seed = GetParam();
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(400, 3200, {.seed = seed});
@@ -281,7 +281,7 @@ TEST_P(RecoveryReplaySweep, CoalescedJournalRecoversBitwise) {
 }
 
 TEST_P(RecoveryReplaySweep, WalTailReplayedTwiceEqualsOnce) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const uint64_t seed = GetParam();
   ScopedTempDir tmp;
   EdgeList full = GenerateRmat(400, 3200, {.seed = seed + 100});

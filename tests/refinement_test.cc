@@ -19,7 +19,7 @@
 #include "src/engine/ligra_engine.h"
 #include "src/engine/reset_engine.h"  // HasDeltaContribution
 #include "src/graph/generators.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/stream/update_stream.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -408,8 +408,8 @@ uint64_t Fnv1a(const std::vector<T>& cells, uint64_t hash = 0xcbf29ce484222325UL
 template <typename Algo>
 std::vector<uint64_t> RefinementDigests(const Algo& algo, uint64_t seed,
                                         typename GraphBoltEngine<Algo>::Options options = {}) {
-  const size_t original = ThreadPool::Instance().num_threads();
-  ThreadPool::SetNumThreads(1);
+  const size_t original = TaskArena::Instance().num_threads();
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(600, 6000, {.seed = seed, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, seed + 1);
   MutableGraph graph(split.initial);
@@ -431,7 +431,7 @@ std::vector<uint64_t> RefinementDigests(const Algo& algo, uint64_t seed,
   record();
   bolt.ApplyMutations({SparseSingleEdge(graph)});
   record();
-  ThreadPool::SetNumThreads(original);
+  TaskArena::SetNumThreads(original);
   return digests;
 }
 

@@ -34,7 +34,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/parallel/bounded_queue.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/sentinel/admission.h"
 #include "src/sentinel/quarantine.h"
 #include "src/sentinel/watchdog.h"
@@ -370,7 +370,7 @@ TEST(QuarantineFuzz, DeadLetterRoundTripsBitwise) {
 // ----- Driver integration: poison never reaches the engine -------------------
 
 TEST(AdmissionDriver, PoisonBatchesQuarantinedBitwiseCleanResult) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir quarantine_dir;
   const EdgeList full = GenerateRmat(600, 5000, {.seed = 31});
   const StreamSplit split = SplitForStreaming(full, 0.5, 32);
@@ -495,7 +495,7 @@ TEST(AdmissionDriver, QuarantineAppendFailureCountsDropped) {
 // the repaired batches — i.e. a replayed batch is indistinguishable from a
 // batch that was never poisoned.
 TEST(ReplayQuarantineTest, FixupEquivalenceBitwise) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir quarantine_dir;
   const EdgeList full = GenerateRmat(600, 5000, {.seed = 41});
   const StreamSplit split = SplitForStreaming(full, 0.5, 42);
@@ -597,7 +597,7 @@ TEST(ReplayQuarantineTest, DiscardAndStillPoisonPaths) {
 // ----- Stall watchdog drives Recover() automatically -------------------------
 
 TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(600, 5000, {.seed = 61});
   const StreamSplit split = SplitForStreaming(full, 0.5, 62);
@@ -617,8 +617,7 @@ TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
       &engine, {.batch_size = 1u << 20,
                 .flush_interval_seconds = 3600.0,
                 .coalesce = false,
-                .watchdog_stall_seconds = 0.3,
-                .watchdog_poll_seconds = 0.02},
+                .watchdog_stall_seconds = 0.3},
       &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   injector.ArmOnce(FaultSite::kStageStall, 5);  // the 5th apply hangs
@@ -659,7 +658,7 @@ TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
 // never shed. Addition-only + ResetEngine keeps the comparison exact under
 // the reordering that shedding introduces.
 TEST(ShedOldest, EvictionsAreDurableAndReplayed) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(500, 4000, {.seed = 71});
   StreamSplit split = SplitForStreaming(full, 0.5, 72);
@@ -725,7 +724,7 @@ TEST(ShedOldest, EvictionsAreDurableAndReplayed) {
 // ----- kDegrade: queries serve the last snapshot under overload --------------
 
 TEST(Degrade, ServesSnapshotUnderPressureThenSelfClears) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(500, 4000, {.seed = 81});
   StreamSplit split = SplitForStreaming(full, 0.5, 82);
@@ -819,7 +818,7 @@ TEST(Degrade, ServesSnapshotUnderPressureThenSelfClears) {
 // is accounted for in the dead-letter WAL, and the final result is
 // bitwise-identical to a from-scratch run over the admitted stream.
 TEST(TortureSentinel, PoisonOverloadStallZeroLoss) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   ScopedTempDir quarantine_dir;
   const EdgeList full = GenerateRmat(1000, 9000, {.seed = 91});
@@ -841,8 +840,7 @@ TEST(TortureSentinel, PoisonOverloadStallZeroLoss) {
                           .coalesce = false,
                           .quarantine_dir = quarantine_dir.path(),
                           .admission = {.max_vertex_id = 1u << 20},
-                          .watchdog_stall_seconds = 0.5,
-                          .watchdog_poll_seconds = 0.02},
+                          .watchdog_stall_seconds = 0.5},
                 &checkpointer, &injector);
   ASSERT_TRUE(driver.CheckpointNow());
   // Arm low: under kShedToWal the unpaced flood sheds most batches before

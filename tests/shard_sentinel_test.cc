@@ -34,7 +34,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/sentinel/watchdog.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
@@ -144,7 +144,7 @@ void ExpectMatchesFromScratch(const Values& got, MutableGraph* final_graph) {
 // the lane heals itself, the next barrier replays the shed batch so
 // nothing is lost.
 TEST(ShardedWatchdog, LaneStallIsolationShedsAndResumes) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(600, 5000, {.seed = 111});
   const StreamSplit split = SplitForStreaming(full, 0.5, 112);
@@ -174,7 +174,6 @@ TEST(ShardedWatchdog, LaneStallIsolationShedsAndResumes) {
   config.coalesce = false;
   config.checkpoint_dir = ckpt_dir.path();
   config.watchdog_stall_seconds = 1.5;
-  config.watchdog_poll_seconds = 0.02;
   config.watchdog_auto_recover = false;  // lane-local recovery only
   ShardedDriver<ResetEngine<PageRank>> driver(&engine, config, &checkpointer, &injector);
 
@@ -243,7 +242,7 @@ TEST(ShardedWatchdog, LaneStallIsolationShedsAndResumes) {
 // that exact stream through the unsharded StreamDriver must reproduce the
 // sharded engine state bitwise.
 TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   const EdgeList full = GenerateRmat(800, 6000, {.seed = 201});
   const StreamSplit split = SplitForStreaming(full, 0.5, 202);
@@ -270,7 +269,6 @@ TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
     config.coalesce = false;
     config.checkpoint_dir = ckpt_dir.path();
     config.watchdog_stall_seconds = 0.3;
-    config.watchdog_poll_seconds = 0.02;
     ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config, &checkpointer, &injector);
     // Runs under the engine mutex, so the recording needs no extra lock.
     driver.set_apply_observer(
@@ -323,7 +321,7 @@ TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
 // parked worker and the barrier replays the log in shed-sequence order;
 // the result must match a run that never shed.
 TEST(ShardedShedToWal, OverflowIsDurableAndReplayedAtBarrier) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ScopedTempDir ckpt_dir;
@@ -396,7 +394,7 @@ TEST(ShardedShedToWal, OverflowIsDurableAndReplayedAtBarrier) {
 // ----- kShedOldest differential at shards = 1 | 2 | 4 -------------------------
 
 TEST(ShardedShedOldest, EvictionsAreDurableAcrossLanes) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ScopedTempDir ckpt_dir;
@@ -469,7 +467,7 @@ TEST(ShardedShedOldest, EvictionsAreDurableAcrossLanes) {
 // EWMA is warm is pressure, and pressure clears exactly when every lane's
 // queue is empty.
 TEST(ShardedDegrade, ServesSnapshotUnderPressureThenSelfClears) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ScopedTempDir ckpt_dir;
@@ -503,7 +501,6 @@ TEST(ShardedDegrade, ServesSnapshotUnderPressureThenSelfClears) {
     config.checkpoint_dir = ckpt_dir.path();
     config.governor = {.degrade_pressure_seconds = 0.0, .recover_pressure_seconds = 0.0};
     config.watchdog_stall_seconds = 30.0;  // armed, silent at test timescales
-    config.watchdog_poll_seconds = 0.05;
     ShardedDriver<ResetEngine<PageRank>> driver(&engine, config, &checkpointer, &injector);
     ASSERT_TRUE(driver.CheckpointNow());
 
@@ -567,7 +564,7 @@ TEST(ShardedDegrade, ServesSnapshotUnderPressureThenSelfClears) {
 // monotonic deadline across poll timeouts (NextPollSeconds), exactly like
 // the PR 5 StreamDriver fix. A second wave proves the deadline re-arms.
 TEST(ShardedStaleGutter, FlushDeadlineIsMonotonicAcrossPolls) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const EdgeList full = GenerateRmat(200, 1200, {.seed = 151});
   const StreamSplit split = SplitForStreaming(full, 0.5, 152);
   ASSERT_GE(split.held_back.size(), 16u);
@@ -615,7 +612,7 @@ TEST(ShardedStaleGutter, FlushDeadlineIsMonotonicAcrossPolls) {
 // queues under kShedToWal: whatever interleaving a seed produces, nothing
 // may be lost and the barrier must land the exact final graph.
 TEST(ShardedShedFuzz, ConcurrentFloodZeroLossBitwise) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   for (const uint64_t seed : FuzzSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ScopedTempDir ckpt_dir;
@@ -675,7 +672,7 @@ TEST(ShardedShedFuzz, ConcurrentFloodZeroLossBitwise) {
 // zero-loss claim is structural: observed == accepted, and a from-scratch
 // run over the shadow graph must be bitwise-identical.
 TEST(TortureShardedSentinel, PoisonOverloadStallZeroLossFourLanes) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir ckpt_dir;
   ScopedTempDir quarantine_dir;
   const EdgeList full = GenerateRmat(1000, 9000, {.seed = 301});
@@ -700,7 +697,6 @@ TEST(TortureShardedSentinel, PoisonOverloadStallZeroLossFourLanes) {
   config.quarantine_dir = quarantine_dir.path();
   config.admission = {.max_vertex_id = 1u << 20};
   config.watchdog_stall_seconds = 0.5;
-  config.watchdog_poll_seconds = 0.02;
   ShardedDriver<ResetEngine<PageRank>> driver(&engine, config, &checkpointer, &injector);
 
   MutableGraph shadow(split.initial);  // the admitted stream, promotion order

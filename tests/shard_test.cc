@@ -25,7 +25,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/kickstarter/kickstarter_engine.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/shard/driver_config.h"
 #include "src/shard/sharded_driver.h"
 #include "src/stream/update_stream.h"
@@ -86,7 +86,7 @@ TEST(DriverConfigCli, FullSurfaceParses) {
   ArgParser args("t");
   ASSERT_TRUE(ParseFlags({"--shards", "4", "--batch-size", "512", "--flush-ms", "20",
                           "--max-pending-batches", "8", "--overflow", "drop",
-                          "--maintenance-budget", "4096", "--checkpoint-every", "3",
+                          "--checkpoint-every", "3",
                           "--max-batch-edges", "9000", "--default-quota", "100:200:300",
                           "--tenant-quotas", "alice=5000:20000,bob=0:0:1000"},
                          &args));
@@ -98,7 +98,6 @@ TEST(DriverConfigCli, FullSurfaceParses) {
   EXPECT_DOUBLE_EQ(config.flush_interval_seconds, 0.02);
   EXPECT_EQ(config.max_pending_batches, 8u);
   EXPECT_EQ(config.overflow, OverflowPolicy::kDropNewest);
-  EXPECT_EQ(config.maintenance_budget_edges, 4096u);
   EXPECT_EQ(config.checkpoint_every, 3u);
   EXPECT_EQ(config.admission.max_batch_mutations, 9000u);
   EXPECT_DOUBLE_EQ(config.default_quota.mutations_per_second, 100.0);
@@ -128,7 +127,6 @@ TEST(DriverConfigCli, RejectMatrix) {
       {{"--overflow", "sideways"}, "block | drop | shed | shed-oldest | degrade"},
       // "auto" was an alias of degrade-only and is gone.
       {{"--async-mode", "auto"}, "off | degrade-only"},
-      {{"--maintenance-budget", "0"}, "--maintenance-budget"},
       {{"--checkpoint-every", "-1"}, "--checkpoint-every"},
       {{"--max-batch-edges", "-5"}, "--max-batch-edges"},
       {{"--watchdog-ms", "-1"}, "--watchdog-ms"},
@@ -414,7 +412,7 @@ MutationBatch AddBatch(VertexId base, size_t count) {
 }
 
 TEST(SessionQuota, LifetimeCapAdmitsExactlyTheAllowance) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   DriverConfig config;
   config.shards = 4;
   config.tenant_quotas["greedy"] = TenantQuota{0.0, 0.0, 1000};
@@ -439,7 +437,7 @@ TEST(SessionQuota, LifetimeCapAdmitsExactlyTheAllowance) {
 }
 
 TEST(SessionQuota, WholeBatchOrNothingNeverPartiallyAdmits) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   DriverConfig config;
   config.tenant_quotas["capped"] = TenantQuota{0.0, 0.0, 1000};
   SmallService service(std::move(config));
@@ -456,7 +454,7 @@ TEST(SessionQuota, WholeBatchOrNothingNeverPartiallyAdmits) {
 }
 
 TEST(SessionQuota, SessionsOfOneTenantShareTheAllowance) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   DriverConfig config;
   config.shards = 2;
   config.tenant_quotas["shared"] = TenantQuota{0.0, 0.0, 500};
@@ -474,7 +472,7 @@ TEST(SessionQuota, SessionsOfOneTenantShareTheAllowance) {
 }
 
 TEST(SessionQuota, GreedyTenantCannotStarveOthers) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   DriverConfig config;
   config.shards = 4;
   config.tenant_quotas["greedy"] = TenantQuota{0.0, 0.0, 200};
@@ -493,7 +491,7 @@ TEST(SessionQuota, GreedyTenantCannotStarveOthers) {
 }
 
 TEST(SessionQuota, BurstBucketBoundsFrontLoading) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   DriverConfig config;
   // Negligible refill rate: the bucket is effectively just its burst
   // capacity for the duration of the test.
@@ -507,7 +505,7 @@ TEST(SessionQuota, BurstBucketBoundsFrontLoading) {
 }
 
 TEST(SessionQuota, QuarantinedBatchDoesNotDebitTheAllowance) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   ScopedTempDir quarantine_dir("shard_quarantine");
   DriverConfig config;
   config.quarantine_dir = quarantine_dir.path();
@@ -622,7 +620,7 @@ void ExpectShardedMatchesUnsharded(Engine& engine, Engine& reference,
 }
 
 TEST(ShardedEquivalence, PageRankBitwiseIdenticalToUnshardedDriver) {
-  ThreadPool::SetNumThreads(1);  // deterministic summation order
+  TaskArena::SetNumThreads(1);  // deterministic summation order
   EdgeList full = GenerateRmat(1500, 12000, {.seed = 11});
   StreamSplit split = SplitForStreaming(full, 0.5, 12);
   std::vector<MutationBatch> batches = MakeBatches(split, 24, 80, 13);
@@ -635,7 +633,7 @@ TEST(ShardedEquivalence, PageRankBitwiseIdenticalToUnshardedDriver) {
 }
 
 TEST(ShardedEquivalence, SsspBitwiseIdenticalToUnshardedDriver) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(1200, 9000, {.seed = 21, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 22);
   std::vector<MutationBatch> batches = MakeBatches(split, 22, 60, 23);
@@ -649,7 +647,7 @@ TEST(ShardedEquivalence, SsspBitwiseIdenticalToUnshardedDriver) {
 }
 
 TEST(ShardedEquivalence, KickStarterBitwiseIdenticalToUnshardedDriver) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   EdgeList full = GenerateRmat(1000, 8000, {.seed = 31, .assign_random_weights = true});
   StreamSplit split = SplitForStreaming(full, 0.5, 32);
   std::vector<MutationBatch> batches = MakeBatches(split, 20, 50, 33);
@@ -679,7 +677,7 @@ std::vector<EdgeTuple> SortedEdges(const EdgeList& list) {
 // batch a lane promotes holds only edges whose source that lane owns, and
 // the union of the promoted batches is exactly the global graph.
 TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   constexpr size_t kShards = 4;
   EdgeList full = GenerateRmat(800, 6000, {.seed = 71, .assign_random_weights = true});
   MutableGraph graph(EdgeList(full.num_vertices(), {}));

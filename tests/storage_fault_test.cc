@@ -23,7 +23,7 @@
 #include "src/fault/wal.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "tests/test_util.h"
 
 namespace graphbolt {
@@ -228,7 +228,7 @@ TEST(WalFaultTest, V1RecordsStillReplayAndUpgradeOnCompaction) {
 struct Rig {
   explicit Rig(const std::string& dir, StorageEnv* env,
                uint64_t cadence = 0) {
-    ThreadPool::SetNumThreads(1);
+    TaskArena::SetNumThreads(1);
     EdgeList initial = GenerateRmat(64, 200, {.seed = 11});
     graph = std::make_unique<MutableGraph>(initial);
     engine = std::make_unique<Engine>(graph.get(), PageRank{});

@@ -1,6 +1,6 @@
 // Scheduler-level tests for the work-stealing TaskArena: the Chase-Lev
 // deque protocol, fork-join TaskGroup semantics, nested parallelism, and
-// the SetNumThreads resize contract the old ThreadPool got wrong.
+// the SetNumThreads resize contract the single-job pool it replaced got wrong.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "src/parallel/parallel_for.h"
 #include "src/parallel/task_arena.h"
-#include "src/parallel/thread_pool.h"
 
 namespace graphbolt {
 namespace {
@@ -122,7 +121,7 @@ TEST(WorkStealingDeque, ConcurrentStealersEachTaskTakenOnce) {
 }
 
 TEST(TaskGroup, ForkJoinRunsEveryClosure) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   std::atomic<int> ran{0};
   {
     TaskGroup group;
@@ -132,11 +131,11 @@ TEST(TaskGroup, ForkJoinRunsEveryClosure) {
     group.Wait();
     EXPECT_EQ(ran.load(), 100);
   }
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(TaskGroup, SerialArenaRunsInline) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const ArenaCounters before = TaskArena::Instance().counters();
   int ran = 0;  // non-atomic: inline execution means no concurrency
   TaskGroup group;
@@ -148,7 +147,7 @@ TEST(TaskGroup, SerialArenaRunsInline) {
 }
 
 TEST(TaskGroup, NestedGroupsJoinInnerBeforeOuter) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   std::atomic<int> inner_total{0};
   std::atomic<int> outer_done{0};
   {
@@ -168,11 +167,11 @@ TEST(TaskGroup, NestedGroupsJoinInnerBeforeOuter) {
   }
   EXPECT_EQ(inner_total.load(), 64);
   EXPECT_EQ(outer_done.load(), 8);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(TaskArena, InParallelRegionReflectsTaskContext) {
-  ThreadPool::SetNumThreads(2);
+  TaskArena::SetNumThreads(2);
   EXPECT_FALSE(TaskArena::InParallelRegion());
   std::atomic<bool> saw_region{false};
   ParallelFor(0, 32, [&saw_region](size_t) {
@@ -182,11 +181,11 @@ TEST(TaskArena, InParallelRegionReflectsTaskContext) {
   }, /*grain=*/1);
   EXPECT_TRUE(saw_region.load());
   EXPECT_FALSE(TaskArena::InParallelRegion());
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(TaskArena, SetNumThreadsWhileLoopsRunOnOtherThreads) {
-  // The old ThreadPool's rebuild race: SetNumThreads deleted the pool while
+  // The single-job pool's rebuild race: SetNumThreads deleted the pool while
   // another thread's loop was using it. The arena resizes behind the root-
   // region guard, so concurrent loops and resizes interleave safely.
   std::atomic<bool> stop{false};
@@ -203,20 +202,20 @@ TEST(TaskArena, SetNumThreadsWhileLoopsRunOnOtherThreads) {
     });
   }
   for (int round = 0; round < 20; ++round) {
-    ThreadPool::SetNumThreads(1 + round % 4);
+    TaskArena::SetNumThreads(1 + round % 4);
   }
   stop.store(true);
   for (auto& runner : runners) {
     runner.join();
   }
   EXPECT_GT(loops.load(), 0u);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 // ----- Priority lane (async delta rounds; see INTERNALS §12) -----------------
 
 TEST(PriorityLane, RunPriorityExecutesAllAndCounts) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   const ArenaCounters before = TaskArena::Instance().counters();
   std::atomic<int> ran{0};
   {
@@ -229,11 +228,11 @@ TEST(PriorityLane, RunPriorityExecutesAllAndCounts) {
   EXPECT_EQ(ran.load(), 64);
   const ArenaCounters after = TaskArena::Instance().counters();
   EXPECT_EQ(after.tasks_priority - before.tasks_priority, 64u);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(PriorityLane, SerialArenaRunsInline) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   const ArenaCounters before = TaskArena::Instance().counters();
   int ran = 0;  // non-atomic: inline execution means no concurrency
   TaskGroup group;
@@ -252,7 +251,7 @@ TEST(PriorityLane, SerialArenaRunsInline) {
 // lowest-priority task — executed last — releases the blockers so Wait()
 // can join the group.
 TEST(PriorityLane, GroupWaiterDrainsHighestPriorityFirst) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   const size_t workers = TaskArena::Instance().num_threads() - 1;
   ASSERT_GE(workers, 1u);
   std::atomic<size_t> started{0};
@@ -275,6 +274,9 @@ TEST(PriorityLane, GroupWaiterDrainsHighestPriorityFirst) {
     for (int i = 0; i < 100000 && started.load() < workers; ++i) {
       std::this_thread::yield();
     }
+    if (started.load() != workers) {
+      release.store(true);  // let the blockers finish: fail, don't hang the join
+    }
     ASSERT_EQ(started.load(), workers);
     for (const double p : priorities) {
       group.RunPriority(p, [&, p] {
@@ -291,18 +293,18 @@ TEST(PriorityLane, GroupWaiterDrainsHighestPriorityFirst) {
   std::vector<double> want = priorities;
   std::sort(want.begin(), want.end(), std::greater<double>());
   EXPECT_EQ(order, want);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 TEST(TaskArena, CountersAdvanceWithForkedWork) {
-  ThreadPool::SetNumThreads(4);
+  TaskArena::SetNumThreads(4);
   const ArenaCounters before = TaskArena::Instance().counters();
   std::atomic<uint64_t> sum{0};
   ParallelFor(0, 4096, [&sum](size_t i) { sum.fetch_add(i); }, /*grain=*/1);
   const ArenaCounters after = TaskArena::Instance().counters();
   EXPECT_EQ(sum.load(), 4095ull * 4096 / 2);
   EXPECT_GT(after.tasks_forked, before.tasks_forked);
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@
 #include <string>
 
 #include "src/graphbolt.h"
-#include "src/parallel/thread_pool.h"
+#include "src/parallel/task_arena.h"
 #include "src/util/cli.h"
 
 namespace graphbolt {
@@ -130,7 +130,7 @@ int VerifyRecovery(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph
                 engine.values().size());
     return 1;
   }
-  const bool serial = ThreadPool::Instance().num_threads() == 1;
+  const bool serial = TaskArena::Instance().num_threads() == 1;
   const double rel = serial ? 0.0 : 1e-9;
   size_t mismatches = 0;
   for (size_t v = 0; v < cold.values().size(); ++v) {
@@ -443,7 +443,7 @@ int FsckMain(int argc, char** argv) {
 // pass is clean, and the runtime's own RestoreLatest agrees by restoring
 // the surviving checkpoint.
 int FsckSelftestMain(const std::string& dir) {
-  ThreadPool::SetNumThreads(1);
+  TaskArena::SetNumThreads(1);
   using Engine = GraphBoltEngine<PageRank>;
   StorageEnv* env = StorageEnv::Default();
   env->CreateDirectories(dir);
@@ -534,9 +534,9 @@ int Main(int argc, char** argv) {
               "offer this many deliberately malformed batches (demo of --quarantine-dir)");
   // The canonical driver surface: --shards, --batch-size, --flush-ms,
   // --max-pending-batches, --overflow, --coalesce, --bg-compaction,
-  // --maintenance-budget, --checkpoint-dir, --checkpoint-every,
-  // --quarantine-dir, --max-batch-edges, --watchdog-ms, --default-quota,
-  // --tenant-quotas.
+  // --fast-path, --async-mode, --checkpoint-dir, --checkpoint-every,
+  // --scrub-interval-s, --quarantine-dir, --max-batch-edges, --watchdog-ms,
+  // --default-quota, --tenant-quotas.
   DriverConfig::RegisterFlags(args);
   if (!args.Parse(argc, argv)) {
     return 1;
@@ -555,7 +555,7 @@ int Main(int argc, char** argv) {
   }
 
   if (args.GetInt("threads") > 0) {
-    ThreadPool::SetNumThreads(static_cast<size_t>(args.GetInt("threads")));
+    TaskArena::SetNumThreads(static_cast<size_t>(args.GetInt("threads")));
   }
 
   EdgeList full;
@@ -571,6 +571,12 @@ int Main(int argc, char** argv) {
                         {.seed = 1, .assign_random_weights = args.GetBool("weighted")});
   }
   std::printf("graph: %u vertices, %zu edges\n", full.num_vertices(), full.num_edges());
+  const int64_t source = args.GetInt("source");
+  if (source < 0 || source >= static_cast<int64_t>(full.num_vertices())) {
+    std::printf("--source must be in [0, %u) (got %lld)\n", full.num_vertices(),
+                static_cast<long long>(source));
+    return 1;
+  }
 
   StreamSplit split = SplitForStreaming(full, args.GetDouble("load-fraction"), 2);
   MutableGraph graph(split.initial);
@@ -583,7 +589,7 @@ int Main(int argc, char** argv) {
       .history = static_cast<uint32_t>(args.GetInt("history")),
       .batches = static_cast<size_t>(args.GetInt("batches")),
       .add_fraction = args.GetDouble("add-fraction"),
-      .source = static_cast<VertexId>(args.GetInt("source")),
+      .source = static_cast<VertexId>(source),
       .output = args.GetString("output"),
       .verify_recovery = args.GetBool("verify-recovery"),
       .poison_batches = static_cast<size_t>(args.GetInt("poison-batches")),
