@@ -170,12 +170,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.mutations_dropped));
     // The operator's dashboard line: lanes, staging, tenancy, and admission
     // health in one place (all mirrored into EngineStats by the driver).
-    std::printf("shards: %llu lanes, %llu batches staged, %llu shard-WAL appends, "
+    std::printf("shards: %llu lanes, %llu batches staged, "
                 "%llu cross-shard mutations, %llu sessions, "
                 "%llu mutations quota-rejected, %llu batches/%llu mutations quarantined\n",
                 static_cast<unsigned long long>(stats.shard_lanes),
                 static_cast<unsigned long long>(stats.shard_batches_staged),
-                static_cast<unsigned long long>(stats.shard_wal_appends),
                 static_cast<unsigned long long>(stats.cross_shard_mutations),
                 static_cast<unsigned long long>(stats.sessions_opened),
                 static_cast<unsigned long long>(stats.mutations_quota_rejected),

@@ -133,11 +133,6 @@ class DependencyStore {
     return levels_[level - 1];
   }
 
-  std::vector<AggregateT>& MutableLevelArray(uint32_t level) {
-    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
-    return levels_[level - 1];
-  }
-
   // Copies the current aggregations of `targets` at `level` into `scratch`
   // (resized to cover all vertices; non-target cells are unspecified).
   // Refinement mutates the scratch concurrently and writes it back through

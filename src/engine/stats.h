@@ -94,10 +94,6 @@ struct EngineStats {
   // corrupt artifacts they found (quarantined checkpoints, healed WALs).
   uint64_t scrub_passes = 0;
   uint64_t scrub_corruptions = 0;
-  // Batches recovered through the driver's lane-parallel lineage
-  // replay (vs. batches_replayed, which also counts the serial global-WAL
-  // path).
-  uint64_t lane_batches_replayed = 0;
 
   // ----- Background-compaction counters (populated by the driver when the
   // engine exposes its MutableGraph; mirrors SlackCsr::CompactionStats
@@ -163,8 +159,8 @@ struct EngineStats {
   uint64_t shard_lanes = 0;
   // Batches lane workers promoted into the global engine.
   uint64_t shard_batches_staged = 0;
-  // Per-shard WAL lineage records (distinct from the global wal_appends the
-  // checkpointer writes under the engine mutex).
+  // Always 0: the driver keeps one journal (wal_appends), no per-lane
+  // copies. Kept only because the benchmark harness still reports it.
   uint64_t shard_wal_appends = 0;
   // Mutations whose endpoints are owned by different shards (routed to the
   // source's owner; see src/shard/sharded_driver.h).

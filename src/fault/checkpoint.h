@@ -372,26 +372,8 @@ class Checkpointer {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.checkpoints_written;
       stats_.checkpoint_seconds += timer.Seconds();
-      last_checkpoint_seq_ = seq;
     }
     return true;
-  }
-
-  // Seq of the most recent successfully committed checkpoint (0 if none
-  // this run). Drivers use it to compact per-lane WAL lineages in step
-  // with the global journal.
-  uint64_t last_checkpoint_seq() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return last_checkpoint_seq_;
-  }
-
-  // Seq of the *oldest* checkpoint still on disk (0 if none). Records at
-  // or below this seq can never be needed by a restore — every fallback
-  // in the keep-N chain starts at least here — so lane WALs may drop
-  // through it.
-  uint64_t OldestRetainedCheckpointSeq() const {
-    std::vector<std::pair<uint64_t, std::string>> files = ListCheckpoints();
-    return files.empty() ? 0 : files.front().first;
   }
 
   // Restores the newest valid checkpoint into *graph_ and *engine_. Invalid
@@ -638,7 +620,6 @@ class Checkpointer {
 
   mutable std::mutex stats_mu_;
   Stats stats_;
-  uint64_t last_checkpoint_seq_ = 0;
 };
 
 }  // namespace graphbolt

@@ -2,7 +2,8 @@
 //
 // Fsck walks every artifact a checkpoint directory can hold — the committed
 // checkpoint chain, the global journal, the shed log, the quarantine
-// dead-letter log, and the per-lane shard lineages — and verifies each one
+// dead-letter log, and any other `*.wal` (such as the per-lane
+// `shard-<i>.wal` lineages older builds wrote) — and verifies each one
 // with the *same* predicates the runtime uses (InspectCheckpointBytes for
 // checkpoints, the WAL checksum scan for logs). An artifact fsck flags is
 // exactly an artifact RestoreLatest or Replay would reject; an artifact

@@ -139,7 +139,6 @@ class MutableGraph {
   // Selects the ApplyBatch strategy (default kAuto). Forcing kSplice or
   // kRebuild pins the path for differential tests and benchmarks.
   void SetApplyStrategy(ApplyStrategy strategy) { strategy_ = strategy; }
-  ApplyStrategy apply_strategy() const { return strategy_; }
 
   // Batches applied via the rebuild path since construction (cumulative;
   // drivers mirror this into EngineStats::adaptive_rebuilds).

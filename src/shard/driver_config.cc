@@ -1,7 +1,9 @@
 #include "src/shard/driver_config.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <map>
 #include <string>
 
 namespace graphbolt {
@@ -51,6 +53,34 @@ bool EnvOverride(const char* name, std::string* error, Apply&& apply) {
     *error = std::string(name) + "=\"" + raw + "\" is not a valid value; " +
              *error;
     return false;
+  }
+  return true;
+}
+
+// Parses a tenant-quota list, "tenant=rate[:burst[:total]]" entries joined
+// by commas, into *quotas. On a bad entry returns false with *error naming
+// it; the caller prefixes the flag or variable the list came from.
+bool ParseTenantQuotas(const std::string& list, std::map<std::string, TenantQuota>* quotas,
+                       std::string* error) {
+  size_t begin = 0;
+  while (begin <= list.size()) {
+    const size_t end = std::min(list.find(',', begin), list.size());
+    const std::string entry = list.substr(begin, end - begin);
+    begin = end + 1;
+    if (entry.empty()) {
+      continue;
+    }
+    const size_t eq = entry.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      *error = "entry \"" + entry + "\" is malformed; expected tenant=rate[:burst[:total]]";
+      return false;
+    }
+    TenantQuota quota;
+    if (!DriverConfig::ParseQuota(entry.substr(eq + 1), &quota, error)) {
+      *error = "entry \"" + entry + "\": " + *error;
+      return false;
+    }
+    (*quotas)[entry.substr(0, eq)] = quota;
   }
   return true;
 }
@@ -260,30 +290,9 @@ bool DriverConfig::FromCli(const ArgParser& args, std::string* error) {
     *error = "--default-quota: " + *error;
     return false;
   }
-  const std::string quotas = args.GetString("tenant-quotas");
-  if (!quotas.empty()) {
-    std::string entry;
-    for (size_t i = 0; i <= quotas.size(); ++i) {
-      if (i < quotas.size() && quotas[i] != ',') {
-        entry.push_back(quotas[i]);
-        continue;
-      }
-      if (!entry.empty()) {
-        const size_t eq = entry.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          *error = "--tenant-quotas entry \"" + entry +
-                   "\" is malformed; expected tenant=rate[:burst[:total]]";
-          return false;
-        }
-        TenantQuota quota;
-        if (!ParseQuota(entry.substr(eq + 1), &quota, error)) {
-          *error = "--tenant-quotas entry \"" + entry + "\": " + *error;
-          return false;
-        }
-        tenant_quotas[entry.substr(0, eq)] = quota;
-        entry.clear();
-      }
-    }
+  if (!ParseTenantQuotas(args.GetString("tenant-quotas"), &tenant_quotas, error)) {
+    *error = "--tenant-quotas " + *error;
+    return false;
   }
   const std::string valid = Validate();
   if (!valid.empty()) {
@@ -438,28 +447,7 @@ bool DriverConfig::FromEnv(std::string* error) {
     return false;
   }
   if (!EnvOverride("GRAPHBOLT_TENANT_QUOTAS", error, [&](const std::string& v) {
-        std::string entry;
-        for (size_t i = 0; i <= v.size(); ++i) {
-          if (i < v.size() && v[i] != ',') {
-            entry.push_back(v[i]);
-            continue;
-          }
-          if (!entry.empty()) {
-            const size_t eq = entry.find('=');
-            std::string quota_error;
-            TenantQuota quota;
-            if (eq == std::string::npos || eq == 0 ||
-                !ParseQuota(entry.substr(eq + 1), &quota, &quota_error)) {
-              *error = "entry \"" + entry +
-                       "\" is malformed; expected tenant=rate[:burst[:total]]" +
-                       (quota_error.empty() ? "" : " (" + quota_error + ")");
-              return false;
-            }
-            tenant_quotas[entry.substr(0, eq)] = quota;
-            entry.clear();
-          }
-        }
-        return true;
+        return ParseTenantQuotas(v, &tenant_quotas, error);
       })) {
     return false;
   }
@@ -488,14 +476,16 @@ std::string DriverConfig::Validate(bool durable) const {
   }
   if (overflow == OverflowPolicy::kShedToWal && !durable) {
     return "overflow policy \"shed\" parks batches in the durable shed log; "
-           "set checkpoint_dir (--checkpoint-dir) or pick block | drop";
+           "set checkpoint_dir (--checkpoint-dir) and hand the driver its Checkpointer, "
+           "or pick block | drop";
   }
   if (scrub_interval_seconds < 0.0) {
     return "scrub_interval_seconds must be >= 0 (0 disables scrubbing)";
   }
   if (scrub_interval_seconds > 0.0 && !durable) {
     return "scrubbing verifies durability artifacts; set checkpoint_dir "
-           "(--checkpoint-dir) or leave scrub_interval_seconds at 0";
+           "(--checkpoint-dir) and hand the driver its Checkpointer, or leave "
+           "scrub_interval_seconds at 0";
   }
   if (watchdog_stall_seconds < 0.0) {
     return "watchdog_stall_seconds must be >= 0 (0 disables the watchdog)";

@@ -68,9 +68,8 @@ struct TenantQuota {
 struct DriverConfig {
   // ----- Sharding ---------------------------------------------------------
   // Ingestion lanes: the vertex space is partitioned shard_of(v) = v % N,
-  // and each lane owns its own gutter, queue, and worker (plus a WAL
-  // lineage when N > 1 and checkpoint_dir is set). 1 = the single-lane
-  // pipeline.
+  // and each lane owns its own gutter, queue, and worker. Every lane
+  // journals into the one global WAL. 1 = the single-lane pipeline.
   size_t shards = 1;
 
   // ----- Batching ---------------------------------------------------------
@@ -119,9 +118,9 @@ struct DriverConfig {
   std::string checkpoint_dir;
   uint64_t checkpoint_every = 8;
   // Background scrub cadence in seconds of worker idle time: verify every
-  // durability artifact (checkpoint chain, journal, shed log, lane
-  // lineages) with the predicates recovery uses, quarantining corrupt
-  // checkpoints and healing torn WAL tails. 0 disables.
+  // durability artifact (checkpoint chain, journal, shed log) with the
+  // predicates recovery uses, quarantining corrupt checkpoints and healing
+  // torn WAL tails. 0 disables.
   double scrub_interval_seconds = 0.0;
 
   // ----- Sentinel ---------------------------------------------------------
@@ -187,8 +186,9 @@ struct DriverConfig {
 
   // Cross-field validation. Returns the empty string when the config is
   // usable, else one actionable message naming the offending field.
-  // Shedding and scrubbing need durability: checkpoint_dir here; a driver
-  // handed a Checkpointer directly validates with durable = true.
+  // Shedding and scrubbing need durability: checkpoint_dir here; the
+  // driver validates with durable = (a Checkpointer is attached) and does
+  // not read checkpoint_dir itself.
   std::string Validate() const { return Validate(!checkpoint_dir.empty()); }
   std::string Validate(bool durable) const;
 

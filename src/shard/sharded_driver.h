@@ -46,11 +46,9 @@
 // the shed log, and restarts every lane; with a single producer the restored
 // values are bitwise identical to a fault-free run, and a driver of any lane
 // count restores the checkpoints of any other. A WAL append that fails past
-// its retry budget forces an immediate checkpoint. With shards > 1 and a
-// checkpoint_dir each lane also keeps a WAL lineage
-// (`<checkpoint_dir>/shard-<i>.wal`) of the batches it promoted, keyed by the
-// global sequence number; Recover() scans the lineages lane-parallel and
-// hands off to the global journal at the first gap.
+// its retry budget forces an immediate checkpoint. The checkpointer's journal
+// is the only one: promotion is serialized, so one global log records the
+// one apply order at every lane count.
 //
 // Sentinel (src/sentinel/).
 //   - Admission: a non-empty quarantine_dir screens every ingested mutation
@@ -91,7 +89,6 @@
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -108,7 +105,6 @@
 #include "src/engine/stats.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
-#include "src/fault/wal.h"
 #include "src/graph/mutable_graph.h"
 #include "src/graph/mutation.h"
 #include "src/parallel/bounded_queue.h"
@@ -209,13 +205,9 @@ class ShardedDriver {
         config_(std::move(config)),
         governor_(config_.governor),
         checkpointer_(checkpointer),
-        injector_(fault_injector),
-        lineage_(config_.shards > 1 && !config_.checkpoint_dir.empty()) {
-    const std::string invalid =
-        config_.Validate(checkpointer_ != nullptr || !config_.checkpoint_dir.empty());
+        injector_(fault_injector) {
+    const std::string invalid = config_.Validate(/*durable=*/checkpointer_ != nullptr);
     GB_CHECK(invalid.empty()) << "DriverConfig: " << invalid;
-    GB_CHECK(config_.overflow != OverflowPolicy::kShedToWal || checkpointer_ != nullptr)
-        << "OverflowPolicy::kShedToWal requires a Checkpointer";
     if (config_.background_compaction) {
       if constexpr (GraphMaintainableEngine<Engine>) {
         engine_->mutable_graph()->SetCompactionMode(SlackCsr::CompactionMode::kBackground);
@@ -225,27 +217,17 @@ class ShardedDriver {
         config_.background_compaction = false;
       }
     }
-    StorageEnv* env = checkpointer_ != nullptr ? checkpointer_->env() : StorageEnv::Default();
     if (!config_.quarantine_dir.empty()) {
       std::error_code ec;
       std::filesystem::create_directories(config_.quarantine_dir, ec);
       quarantine_ = std::make_unique<Quarantine>(
-          config_.quarantine_dir, injector_, checkpointer_ != nullptr ? env : nullptr);
-    }
-    if (lineage_) {
-      env->CreateDirectories(config_.checkpoint_dir);
+          config_.quarantine_dir, injector_,
+          checkpointer_ != nullptr ? checkpointer_->env() : nullptr);
     }
     lanes_.reserve(config_.shards);
     for (size_t i = 0; i < config_.shards; ++i) {
       lanes_.push_back(std::make_unique<Lane>(i, config_.max_pending_batches));
-      Lane& lane = *lanes_.back();
-      lane.queue.ArmFaultInjector(injector_);
-      if (lineage_) {
-        // The lineage survives restarts: it is a recovery source (Recover
-        // replays the lineages in parallel), so it is NOT reset here.
-        // Compaction drops records a retained checkpoint covers.
-        lane.wal.Open(config_.checkpoint_dir + "/shard-" + std::to_string(i) + ".wal", env);
-      }
+      lanes_.back()->queue.ArmFaultInjector(injector_);
     }
     default_tenant_ = TenantStateFor(std::string());
     stats_.shard_lanes = lanes_.size();
@@ -537,16 +519,16 @@ class ShardedDriver {
   // Crash recovery. Stops every lane and joins the workers (a worker parked
   // in an injected stall observes stall_abort_, sheds its in-hand batch,
   // and exits), restores the newest valid checkpoint from disk, replays the
-  // lane lineages and the WAL tail past it, promotes the batches still
-  // queued in any lane (process memory, not crash casualties — applied in
-  // lane order, a legal interleaving), drains the shed log in shed-sequence
-  // order, and restarts every lane. Queued-then-shed is the stream order:
-  // shedding only starts once a queue is full or closed. Works on a live
-  // driver whose lane died and as cold-start recovery on a freshly
-  // constructed graph/engine/driver (no InitialCompute needed), with any
-  // lane count against any other's directory. Always restores from disk,
-  // so the persisted path is the one being trusted. Returns false (lanes
-  // restarted, engine state left as-is) when no valid checkpoint exists.
+  // WAL tail past it, promotes the batches still queued in any lane (process
+  // memory, not crash casualties — applied in lane order, a legal
+  // interleaving), drains the shed log in shed-sequence order, and restarts
+  // every lane. Queued-then-shed is the stream order: shedding only starts
+  // once a queue is full or closed. Works on a live driver whose lane died
+  // and as cold-start recovery on a freshly constructed graph/engine/driver
+  // (no InitialCompute needed), with any lane count against any other's
+  // directory. Always restores from disk, so the persisted path is the one
+  // being trusted. Returns false (lanes restarted, engine state left as-is)
+  // when no valid checkpoint exists.
   bool Recover() {
     if constexpr (!CheckpointableEngine<Engine>) {
       GB_LOG(kError) << "Recover() requires a CheckpointableEngine";
@@ -580,7 +562,6 @@ class ShardedDriver {
       }
       bool restored = false;
       bool applied_preserved = false;
-      uint64_t replayed_lanes = 0;
       uint64_t replayed_wal = 0;
       uint64_t replayed_shed = 0;
       uint64_t recovered_seq = 0;
@@ -602,12 +583,7 @@ class ShardedDriver {
           if (restored) {
             applied_seq_ = ckpt_seq;
             // The tail was journaled with its final sequence numbers: it
-            // replays without re-journaling or cadence checkpoints. The lane
-            // lineages go first (scanned in parallel, applied in global
-            // sequence order); the global journal sweep starts wherever
-            // they end — a no-op when they are complete, the remainder
-            // when a lineage is gapped or there are none.
-            replayed_lanes = ReplayLaneLineages(ckpt_seq);
+            // replays without re-journaling or cadence checkpoints.
             replayed_wal = checkpointer_->ReplayWal(
                 applied_seq_, [&](uint64_t seq, MutationBatch&& batch) {
                   engine_->ApplyMutations(batch);
@@ -634,10 +610,10 @@ class ShardedDriver {
               [&](MutationBatch&& batch) { ApplyJournaled(batch, lanes_.size()); });
         }
         std::lock_guard<std::mutex> journal_lock(journal_mu_);
-        if (restored && checkpointer_->WriteCheckpoint(applied_seq_)) {
+        if (restored) {
           // Fresh checkpoint at the recovered frontier: the next crash
-          // recovers from here, and the lineage records it supersedes drop.
-          CompactLaneWals();
+          // recovers from here.
+          checkpointer_->WriteCheckpoint(applied_seq_);
         }
         // Snapshot for the log line: once the lanes respawn they advance
         // applied_seq_ under journal_mu_, which the logging does not hold.
@@ -664,8 +640,7 @@ class ShardedDriver {
         }
         if (restored) {
           ++stats_.recoveries;
-          stats_.batches_replayed += replayed_lanes + replayed_wal + replayed_shed;
-          stats_.lane_batches_replayed += replayed_lanes;
+          stats_.batches_replayed += replayed_wal + replayed_shed;
           stats_.shed_batches_replayed += replayed_shed;
         }
       }
@@ -693,10 +668,9 @@ class ShardedDriver {
       // *on* the watchdog thread (auto-recovery).
       StartWatchdog();
       if (restored) {
-        GB_LOG(kInfo) << "recovered to batch " << recovered_seq << " (" << replayed_lanes
-                      << " lane-lineage, " << replayed_wal << " WAL, " << preserved.size()
-                      << " queued, " << replayed_shed << " shed batches replayed) in "
-                      << wall.Millis() << " ms";
+        GB_LOG(kInfo) << "recovered to batch " << recovered_seq << " (" << replayed_wal
+                      << " WAL, " << preserved.size() << " queued, " << replayed_shed
+                      << " shed batches replayed) in " << wall.Millis() << " ms";
       }
       return restored;
     }
@@ -711,36 +685,18 @@ class ShardedDriver {
     return applied_seq_;
   }
 
-  // One synchronous scrub pass (see DriverConfig::scrub_interval_seconds):
-  // the checkpointer's artifacts (checkpoint chain, journal, shed log) plus
-  // every lane lineage. Returns corrupt artifacts found; 0 is a healthy disk
-  // or no checkpointer. Only the journal serialization is held, so queries
-  // and promotions wait at most one artifact verification.
+  // One synchronous scrub pass (see DriverConfig::scrub_interval_seconds)
+  // over the checkpointer's artifacts: checkpoint chain, journal, shed log.
+  // Returns corrupt artifacts found (the checkpointer counts them into
+  // scrub_corruptions); 0 is a healthy disk or no checkpointer. Only the
+  // journal serialization is held, so queries and promotions wait at most
+  // one artifact verification.
   uint64_t ScrubNow() {
     if (checkpointer_ == nullptr) {
       return 0;
     }
     std::lock_guard<std::mutex> journal_lock(journal_mu_);
-    const uint64_t checkpointer_corruptions = checkpointer_->Scrub().corruptions;
-    // Lane lineages append under journal_mu_ (AppendLaneWal), so the same
-    // lock that serializes the global journal serializes this scan.
-    uint64_t lane_corruptions = 0;
-    for (auto& lane : lanes_) {
-      if (!lineage_ || lane->wal.Verify().clean()) {
-        continue;
-      }
-      ++lane_corruptions;
-      GB_LOG(kWarning) << "scrub: lane lineage " << lane->wal.path()
-                       << " torn/corrupt; healing to last checksummed record";
-      lane->wal.Heal();
-    }
-    if (lane_corruptions > 0) {
-      // The checkpointer counts its own finds (surfaced via MergeStats);
-      // only the lane lineages are accounted here.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.scrub_corruptions += lane_corruptions;
-    }
-    return checkpointer_corruptions + lane_corruptions;
+    return checkpointer_->Scrub().corruptions;
   }
 
   // Drains and shuts down: lanes stop accepting, gutter remainders flush,
@@ -798,7 +754,7 @@ class ShardedDriver {
 
   // One ingestion lane: everything shard i owns. The mutex guards the
   // gutter, in_flight, accepting, dead, and the ingest counters; the queue
-  // synchronizes itself; the lineage WAL is written under journal_mu_.
+  // synchronizes itself.
   struct Lane {
     Lane(size_t index, size_t queue_capacity) : index(index), queue(queue_capacity) {}
 
@@ -824,7 +780,6 @@ class ShardedDriver {
     // a worker parked in an injected stall sheds its in-hand batch and
     // resumes; consumed (reset) by the worker.
     std::atomic<bool> stall_abort{false};
-    WriteAheadLog wal;  // the lineage; open only when lineage_ is set
   };
 
   size_t ShardOf(VertexId v) const {
@@ -965,7 +920,6 @@ class ShardedDriver {
           if (checkpointer_ != nullptr) {
             journaled = checkpointer_->AppendWal(applied_seq_, batch);
           }
-          AppendLaneWal(applied_seq_, batch, ShardOf(mutation.src));
           epoch_.BeginApply();
           const bool applied = engine_->ApplyFastSafe(mutation);
           epoch_.EndApply();
@@ -1369,7 +1323,6 @@ class ShardedDriver {
     if (checkpointer_ != nullptr) {
       journaled = checkpointer_->AppendWal(applied_seq_, batch);
     }
-    AppendLaneWal(applied_seq_, batch, observer_lane);
     engine_->ApplyMutations(batch);
     if (checkpointer_ != nullptr) {
       if constexpr (CheckpointableEngine<Engine>) {
@@ -1379,105 +1332,8 @@ class ShardedDriver {
         // force: a batch whose WAL record was lost must be captured by a
         // checkpoint before the next crash.
         checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
-        CompactLaneWals();
       }
     }
-  }
-
-  // Appends one promoted batch to its owning lane's WAL lineage, keyed by
-  // the GLOBAL sequence number just assigned under journal_mu_ (held by
-  // every caller). Batches promoted outside any lane — shed replays and
-  // fast-path pseudo-lanes — hash by sequence so the lineages stay a
-  // partition of the global journal.
-  void AppendLaneWal(uint64_t seq, const MutationBatch& batch, size_t observer_lane) {
-    if (!lineage_) {
-      return;
-    }
-    const size_t target =
-        observer_lane < lanes_.size() ? observer_lane : static_cast<size_t>(seq % lanes_.size());
-    if (lanes_[target]->wal.Append(seq, batch)) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shard_wal_appends;
-    }
-  }
-
-  // Drops every lineage record already covered by the oldest retained
-  // checkpoint (no restore can start below it). Caller holds journal_mu_.
-  // Cheap when nothing changed: one directory listing per call, rewrites
-  // only on cutoff movement.
-  void CompactLaneWals() {
-    if (!lineage_ || checkpointer_ == nullptr) {
-      return;
-    }
-    const uint64_t cutoff = checkpointer_->OldestRetainedCheckpointSeq();
-    if (cutoff == 0 || cutoff == lane_wal_cutoff_) {
-      return;
-    }
-    lane_wal_cutoff_ = cutoff;
-    for (auto& lane : lanes_) {
-      lane->wal.DropThrough(cutoff);
-    }
-  }
-
-  // Lane-parallel native recovery: scan every lane lineage concurrently
-  // for records past `after_seq`, merge by global sequence number, apply
-  // serially in that order. Stops at the first gap or duplicate (a lost or
-  // compacted lineage segment) and leaves the rest to the caller's global
-  // journal sweep, which starts from wherever this landed. Caller holds
-  // engine_mu_ and journal_mu_; lanes are joined. Returns batches applied.
-  uint64_t ReplayLaneLineages(uint64_t after_seq) {
-    if (!lineage_) {
-      return 0;
-    }
-    std::vector<std::vector<std::pair<uint64_t, MutationBatch>>> tails(lanes_.size());
-    {
-      std::vector<std::thread> scanners;
-      scanners.reserve(lanes_.size());
-      for (size_t i = 0; i < lanes_.size(); ++i) {
-        scanners.emplace_back([this, i, after_seq, &tails] {
-          WalScanInfo info;
-          lanes_[i]->wal.Replay(
-              after_seq,
-              [&](uint64_t seq, MutationBatch&& batch) {
-                tails[i].emplace_back(seq, std::move(batch));
-              },
-              static_cast<size_t>(-1), &info);
-          if (!info.clean()) {
-            // A kill mid-append tore this lineage's tail. Truncate it back
-            // to the last checksummed record NOW, so post-recovery appends
-            // extend a verifiable lineage instead of landing after garbage.
-            lanes_[i]->wal.Heal();
-          }
-        });
-      }
-      for (std::thread& t : scanners) {
-        t.join();
-      }
-    }
-    std::vector<std::pair<uint64_t, MutationBatch>> merged;
-    for (auto& tail : tails) {
-      merged.insert(merged.end(), std::make_move_iterator(tail.begin()),
-                    std::make_move_iterator(tail.end()));
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    uint64_t replayed = 0;
-    uint64_t expect = after_seq + 1;
-    for (auto& [seq, batch] : merged) {
-      if (seq != expect) {
-        GB_LOG(kWarning) << "lane lineage gap at seq " << expect << " (next record " << seq
-                         << "); handing off to the global journal sweep";
-        break;
-      }
-      // Lineage records are re-promotions of already-observed batches:
-      // apply without re-journaling, observer silent (same contract as
-      // the global WAL tail).
-      engine_->ApplyMutations(batch);
-      applied_seq_ = seq;
-      ++expect;
-      ++replayed;
-    }
-    return replayed;
   }
 
   // Lane-0-only (single ticking thread, so the cadence timer needs no
@@ -1542,10 +1398,10 @@ class ShardedDriver {
   // mirrors engine_->async_mode() so either lock — or neither, for advisory
   // reads — observes the flip race-free. While engaged: IngestFast
   // escalates (ClassifyFast reasons about the stale BSP dependency store),
-  // cadence checkpoints are suppressed (same staleness), and the global WAL
-  // and the lineages keep journaling every batch — recovery replays them
-  // through BSP ApplyMutations, landing on a legitimate BSP state of the
-  // final graph. The observer sees async applies exactly like BSP ones.
+  // cadence checkpoints are suppressed (same staleness), and the WAL keeps
+  // journaling every batch — recovery replays it through BSP
+  // ApplyMutations, landing on a legitimate BSP state of the final graph.
+  // The observer sees async applies exactly like BSP ones.
 
   // True when policy, overflow policy, and the governor agree the engine
   // should be running async.
@@ -1625,7 +1481,6 @@ class ShardedDriver {
         if (checkpointer_ != nullptr) {
           journaled = checkpointer_->AppendWal(applied_seq_, batch);
         }
-        AppendLaneWal(applied_seq_, batch, observer_lane);
         engine_->AsyncApplyMutations(batch);
       }
       if (checkpointer_ != nullptr && !journaled) {
@@ -1780,9 +1635,6 @@ class ShardedDriver {
   AdmissionGovernor governor_;
   Checkpointer<Engine>* checkpointer_;
   FaultInjector* injector_;
-  // Lane WAL lineages: only with shards > 1 and a checkpoint_dir. With one
-  // lane the lineage would duplicate the global journal record for record.
-  const bool lineage_;
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   // The two lock-free reads of the cached-query path sit beside lanes_.
@@ -1806,9 +1658,6 @@ class ShardedDriver {
   // mutexes may be taken under it (leafward).
   std::mutex journal_mu_;
   uint64_t applied_seq_ = 0;
-  // Oldest retained checkpoint seq the lane lineages were last compacted
-  // through (guarded by journal_mu_; see CompactLaneWals).
-  uint64_t lane_wal_cutoff_ = 0;
   // Lane-0-only scrub cadence (see MaybeScrub).
   Timer scrub_timer_;
   ApplyObserver observer_;

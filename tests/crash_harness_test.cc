@@ -15,9 +15,8 @@
 // torn artifact ever silently replayed.
 //
 // Both driver shapes run the same matrix: the unsharded StreamDriver and
-// the 4-lane ShardedDriver, whose recovery replays the per-lane WAL
-// lineages in parallel (native sharded recovery) before the global
-// journal sweep. Batches are lane-aligned (batch i's sources all live on
+// the 4-lane ShardedDriver, which journal into the same one global WAL.
+// Batches are lane-aligned (batch i's sources all live on
 // shard i % 4) and the sharded child barriers per batch, so the global
 // promotion order equals the ingest order and "first n batches" is
 // well-defined on both shapes.
@@ -198,19 +197,13 @@ void SpawnChildExpectKilled(const std::string& dir, const KillSpec& kill,
 }
 
 // Cold-start recovery in the parent against the child's corpse directory,
-// plus the bitwise prefix assertion. Returns the recovered frontier and
-// the lane-lineage replay count (0 on the unsharded shape).
-struct RecoveryOutcome {
-  uint64_t applied = 0;
-  uint64_t lane_replayed = 0;
-};
-
-RecoveryOutcome RecoverAndCheck(const std::string& dir, size_t shards,
-                                const Prefixes& ref, const std::string& what) {
+// plus the bitwise prefix assertion.
+void RecoverAndCheck(const std::string& dir, size_t shards, const Prefixes& ref,
+                     const std::string& what) {
   MutableGraph graph;
   CrashEngine engine(&graph, PageRank{});
   Checkpointer<CrashEngine> ckpt(&engine, &graph, CkptOptions(dir, nullptr));
-  RecoveryOutcome outcome;
+  uint64_t applied = 0;
   if (shards == 0) {
     StreamDriver<CrashEngine> driver(&engine,
                                      {.batch_size = kBatchSize,
@@ -222,7 +215,7 @@ RecoveryOutcome RecoverAndCheck(const std::string& dir, size_t shards,
                                       .async_mode = AsyncModePolicy::kOff},
                                      &ckpt);
     EXPECT_TRUE(driver.Recover()) << what;
-    outcome.applied = driver.applied_seq();
+    applied = driver.applied_seq();
     driver.Stop();
   } else {
     DriverConfig config;
@@ -238,18 +231,16 @@ RecoveryOutcome RecoverAndCheck(const std::string& dir, size_t shards,
     config.checkpoint_every = kCadence;
     ShardedDriver<CrashEngine> driver(&engine, config, &ckpt);
     EXPECT_TRUE(driver.Recover()) << what;
-    outcome.applied = driver.applied_seq();
-    outcome.lane_replayed = driver.stats().lane_batches_replayed;
+    applied = driver.applied_seq();
     driver.Stop();
   }
   // Recovery's own post-restore checkpoint re-journals nothing, so the
   // frontier is exactly a batch count into the reference stream.
-  EXPECT_LE(outcome.applied, kBatches) << what;
-  const size_t n = static_cast<size_t>(std::min<uint64_t>(outcome.applied, kBatches));
+  EXPECT_LE(applied, kBatches) << what;
+  const size_t n = static_cast<size_t>(std::min<uint64_t>(applied, kBatches));
   EXPECT_EQ(engine.values(), ref.values[n]) << what << " (values diverge at prefix " << n << ")";
   EXPECT_EQ(graph.ToEdgeList().edges(), ref.edges[n])
       << what << " (graph diverges at prefix " << n << ")";
-  return outcome;
 }
 
 // The seeded kill matrix for one driver shape: 10 write kills drawn
@@ -278,7 +269,6 @@ std::vector<KillSpec> MakeKillMatrix(uint64_t seed) {
 void RunKillMatrix(size_t shards, uint64_t seed) {
   TaskArena::SetNumThreads(1);
   const Prefixes ref = ComputePrefixes();
-  uint64_t lane_replayed_total = 0;
   for (const KillSpec& kill : MakeKillMatrix(seed)) {
     ScopedTempDir tmp("graphbolt_crash");
     const std::string what =
@@ -289,14 +279,7 @@ void RunKillMatrix(size_t shards, uint64_t seed) {
     if (testing::Test::HasFatalFailure()) {
       return;
     }
-    lane_replayed_total += RecoverAndCheck(tmp.path(), shards, ref, what).lane_replayed;
-  }
-  if (shards != 0) {
-    // The native lane-parallel path must have carried real weight across
-    // the matrix (individual points may legally land on a checkpoint
-    // boundary with an empty tail).
-    EXPECT_GT(lane_replayed_total, 0u)
-        << "no kill point ever exercised lane-lineage replay";
+    RecoverAndCheck(tmp.path(), shards, ref, what);
   }
 }
 

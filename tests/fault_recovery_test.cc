@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/algorithms/pagerank.h"
@@ -24,11 +26,13 @@
 #include "src/engine/reset_engine.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
+#include "src/fault/wal.h"
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/graph/mutation.h"
 #include "src/kickstarter/kickstarter_engine.h"
 #include "src/parallel/task_arena.h"
+#include "src/shard/driver_config.h"
 #include "src/stream/update_stream.h"
 #include "tests/test_util.h"
 
@@ -302,6 +306,80 @@ TEST(ColdRecovery, KickStarterStateSurvivesProcessRestart) {
   for (size_t v = 0; v < engine.values().size(); ++v) {
     ASSERT_EQ(engine.values()[v], reference.values()[v]) << "vertex " << v;
     ASSERT_EQ(engine.parents()[v], reference.parents()[v]) << "parent of " << v;
+  }
+}
+
+// A four-lane run journals into the one global WAL and nothing else: its
+// checkpoint directory holds no per-lane `shard-<i>.wal`, and a cold
+// Recover() at four lanes or at one reproduces the live state bitwise. A
+// stale `shard-0.wal` planted before recovery — records past the checkpoint
+// whose mutations the run never saw — must be ignored.
+TEST(ColdRecovery, FourLaneRunKeepsOneJournal) {
+  TaskArena::SetNumThreads(1);
+  ScopedTempDir tmp;
+  ScopedTempDir copy;
+  EdgeList full = GenerateRmat(1000, 8000, {.seed = 61});
+  StreamSplit split = SplitForStreaming(full, 0.5, 62);
+  const std::vector<MutationBatch> batches = MakeBatches(split, 10, 60, 63);
+  using Engine = GraphBoltEngine<PageRank>;
+  // Not a multiple of the four promotions per batch, so the last
+  // checkpoint leaves a journal tail to replay.
+  const uint64_t kCadence = 7;
+  auto config_for = [&](const std::string& dir, size_t shards) {
+    DriverConfig config;
+    config.shards = shards;
+    config.batch_size = 1u << 20;
+    config.flush_interval_seconds = 3600.0;
+    config.coalesce = false;
+    config.checkpoint_dir = dir;
+    config.checkpoint_every = kCadence;
+    return config;
+  };
+
+  MutableGraph graph(split.initial);
+  Engine engine(&graph, PageRank{});
+  engine.InitialCompute();
+  uint64_t live_seq = 0;
+  {
+    Checkpointer<Engine> checkpointer(&engine, &graph,
+                                      {.directory = tmp.path(), .cadence_batches = kCadence});
+    StreamDriver<Engine> driver(&engine, config_for(tmp.path(), 4), &checkpointer);
+    ASSERT_TRUE(driver.CheckpointNow());
+    for (const MutationBatch& batch : batches) {
+      ASSERT_EQ(driver.IngestBatch(batch), batch.size());
+      driver.PrepQuery();
+    }
+    live_seq = driver.applied_seq();
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(tmp.path())) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard-", 0), 0u)
+        << "per-lane journal left behind: " << entry.path();
+  }
+  std::filesystem::copy(tmp.path(), copy.path(),
+                        std::filesystem::copy_options::recursive);
+
+  for (const auto& [dir, shards] :
+       {std::pair{tmp.path(), size_t{4}}, std::pair{copy.path(), size_t{1}}}) {
+    SCOPED_TRACE("recovering at " + std::to_string(shards) + " lane(s)");
+    {
+      WriteAheadLog stale;
+      stale.Open(dir + "/shard-0.wal");
+      for (uint64_t seq = 1; seq <= live_seq + 4; ++seq) {
+        const auto v = static_cast<VertexId>(seq % 1000);
+        ASSERT_TRUE(stale.Append(seq, {EdgeMutation::Add(v, (v * 7 + 3) % 1000)}));
+      }
+    }
+    MutableGraph cold_graph;
+    Engine cold(&cold_graph, PageRank{});
+    Checkpointer<Engine> restorer(&cold, &cold_graph,
+                                  {.directory = dir, .cadence_batches = kCadence});
+    StreamDriver<Engine> driver(&cold, config_for(dir, shards), &restorer);
+    ASSERT_TRUE(driver.Recover());
+    EXPECT_GE(driver.stats().batches_replayed, 1u);
+    EXPECT_EQ(driver.applied_seq(), live_seq);
+    driver.Stop();
+    EXPECT_EQ(cold.values(), engine.values());
+    EXPECT_EQ(cold_graph.ToEdgeList().edges(), graph.ToEdgeList().edges());
   }
 }
 

@@ -256,11 +256,10 @@ int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
     }
     driver.Stop();
     const EngineStats stats = driver.stats();
-    std::printf("shards: %llu lanes, %llu batches staged, %llu shard-WAL appends, "
+    std::printf("shards: %llu lanes, %llu batches staged, "
                 "%llu cross-shard mutations, %llu sessions\n",
                 static_cast<unsigned long long>(stats.shard_lanes),
                 static_cast<unsigned long long>(stats.shard_batches_staged),
-                static_cast<unsigned long long>(stats.shard_wal_appends),
                 static_cast<unsigned long long>(stats.cross_shard_mutations),
                 static_cast<unsigned long long>(stats.sessions_opened));
     if (config.driver.fast_path) {
@@ -381,8 +380,9 @@ int Dispatch(Algo algo, MutableGraph& graph, StreamSplit& split, const CliConfig
 
 // `graphbolt_cli fsck <dir> [--repair]` — offline integrity check over a
 // durability directory: the checkpoint chain, the global journal, the shed
-// log, the quarantine dead-letter log, and every per-lane shard lineage,
-// verified with the same predicates recovery uses (src/fault/fsck.h).
+// log, the quarantine dead-letter log, and any other `*.wal` (older builds
+// wrote per-lane `shard-<i>.wal` lineages), verified with the same
+// predicates recovery uses (src/fault/fsck.h).
 // Exit 0 = every artifact would load; 1 = corruption found (and, with
 // --repair, anything left unrepairable); 2 = usage error.
 int FsckMain(int argc, char** argv) {
@@ -436,12 +436,13 @@ int FsckMain(int argc, char** argv) {
 }
 
 // `graphbolt_cli fsck-selftest <dir>` (hidden) — the cli_fsck ctest. Builds
-// a real durability directory (two checkpoints, a journal, a lane lineage),
-// seeds the three corruption classes (checkpoint bit flip, WAL bit flip,
-// orphaned .tmp), then asserts the full contract: fsck detects exactly what
-// it should, --repair narrows the directory to a loadable state, a second
-// pass is clean, and the runtime's own RestoreLatest agrees by restoring
-// the surviving checkpoint.
+// a real durability directory (two checkpoints, a journal, and a
+// `shard-0.wal` lane lineage like those older builds left behind, since
+// fsck still verifies every `*.wal`), seeds the three corruption classes
+// (checkpoint bit flip, WAL bit flip, orphaned .tmp), then asserts the full
+// contract: fsck detects exactly what it should, --repair narrows the
+// directory to a loadable state, a second pass is clean, and the runtime's
+// own RestoreLatest agrees by restoring the surviving checkpoint.
 int FsckSelftestMain(const std::string& dir) {
   TaskArena::SetNumThreads(1);
   using Engine = GraphBoltEngine<PageRank>;
@@ -529,7 +530,8 @@ int Main(int argc, char** argv) {
   args.AddInt("threads", 0, "worker threads (0 = hardware)");
   args.AddString("output", "", "write final per-vertex values to this file");
   args.AddBool("verify-recovery", false,
-               "after streaming, cold-recover from --checkpoint-dir and diff bitwise");
+               "after streaming, cold-recover from --checkpoint-dir and compare with the "
+               "live values: bitwise with one worker thread, within 1e-9 relative otherwise");
   args.AddInt("poison-batches", 0,
               "offer this many deliberately malformed batches (demo of --quarantine-dir)");
   // The canonical driver surface: --shards, --batch-size, --flush-ms,
