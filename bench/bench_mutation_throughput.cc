@@ -17,12 +17,8 @@
 // plus a delete-heavy sweep asserting that background compaction keeps
 // every ApplyBatch free of synchronous compaction (counters, then a p99
 // apply-latency comparison against the sync baseline). Exits nonzero on
-// violation. Wired as the `perf`-labeled ctest.
-//
-// GRAPHBOLT_BG_COMPACTION=1 switches the full (timed) sweep to background
-// compaction too — maintenance runs untimed between batches, mirroring the
-// StreamDriver quiescent-window placement — and the JSON rows record which
-// mode produced them in `compaction_mode`.
+// violation. Wired as the `perf`-labeled ctest. The timed sweep always runs
+// with synchronous compaction.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -93,24 +89,15 @@ constexpr SweepPoint kSweep[] = {
     {100, 8}, {1000, 8}, {10000, 5}, {100000, 3}, {1000000, 1},
 };
 
-bool BackgroundCompactionRequested() {
-  const char* value = std::getenv("GRAPHBOLT_BG_COMPACTION");
-  return value != nullptr && std::strcmp(value, "1") == 0;
-}
-
 // One (input graph, batch size) cell: streams `point.batches` identical
 // mutation batches through both representations and reports mean latency.
 void SweepInput(const char* label, const EdgeList& full, BenchJson& json) {
-  const bool background = BackgroundCompactionRequested();
   StreamSplit split = SplitForStreaming(full, 0.5, /*seed=*/77);
   std::printf("\n%s: |V|=%u initial |E|=%zu\n", label, split.initial.num_vertices(),
               static_cast<size_t>(split.initial.num_edges()));
   std::printf("%-10s %14s %14s %9s\n", "batch", "rebuild(ms)", "slack(ms)", "speedup");
   for (const SweepPoint& point : kSweep) {
     MutableGraph graph(split.initial);
-    if (background) {
-      graph.SetCompactionMode(SlackCsr::CompactionMode::kBackground);
-    }
     RebuildGraph rebuild(split.initial);
     UpdateStream stream(split.held_back, /*seed=*/91);
     const BatchOptions options{.size = point.batch_size, .add_fraction = 0.5};
@@ -125,12 +112,6 @@ void SweepInput(const char* label, const EdgeList& full, BenchJson& json) {
       timer.Reset();
       graph.ApplyBatch(batch);
       new_seconds += timer.Seconds();
-      if (background) {
-        // Untimed, like the StreamDriver quiescent window the maintenance
-        // steps normally run in: reclamation cost stays off the apply path.
-        while (graph.MaintenanceStep(1 << 15)) {
-        }
-      }
     }
     const double old_ms = old_seconds * 1e3 / static_cast<double>(point.batches);
     const double new_ms = new_seconds * 1e3 / static_cast<double>(point.batches);
@@ -138,7 +119,6 @@ void SweepInput(const char* label, const EdgeList& full, BenchJson& json) {
                 old_ms / new_ms);
     json.Row()
         .Str("graph", label)
-        .Str("compaction_mode", background ? "background" : "sync")
         .Num("initial_edges", static_cast<double>(split.initial.num_edges()))
         .Num("batch_size", static_cast<double>(point.batch_size))
         .Num("batches", static_cast<double>(point.batches))

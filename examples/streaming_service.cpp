@@ -16,9 +16,8 @@
 //
 // Configuration is one DriverConfig: DriverConfig::RegisterFlags puts the
 // canonical driver surface (--shards, --batch-size, --overflow,
-// --checkpoint-dir, --quarantine-dir, --default-quota, ...) on the parser,
-// FromCli reads it back with actionable errors, FromEnv applies GRAPHBOLT_*
-// overrides on top.
+// --checkpoint-dir, --quarantine-dir, --default-quota, ...) on the parser
+// and FromCli reads it back with actionable errors.
 //
 // With --checkpoint-dir the driver journals every promoted batch through
 // the global checkpointer (WAL + cadence snapshots); after the stream
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   }
   DriverConfig config;
   std::string config_error;
-  if (!config.FromCli(args, &config_error) || !config.FromEnv(&config_error)) {
+  if (!config.FromCli(args, &config_error)) {
     std::printf("driver config: %s\n", config_error.c_str());
     return 1;
   }
@@ -110,9 +109,9 @@ int main(int argc, char** argv) {
       producers.emplace_back([&, p] {
         auto session = driver.OpenSession("producer-" + std::to_string(p));
         for (const Edge& e : slices[p]) {
-          // IngestFast == Ingest unless --fast-path (or GRAPHBOLT_FAST_PATH=1)
-          // armed the single-update path; then arrivals the engine proves
-          // safe splice in place without waiting for a barrier.
+          // IngestFast == Ingest unless --fast-path armed the single-update
+          // path; then arrivals the engine proves safe splice in place
+          // without waiting for a barrier.
           session.IngestFast(EdgeMutation::Add(e.src, e.dst, e.weight));
           ingested.fetch_add(1, std::memory_order_relaxed);
         }
@@ -181,9 +180,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.batches_quarantined),
                 static_cast<unsigned long long>(stats.mutations_quarantined));
     // Serving-latency half of the dashboard: single-update fast-path
-    // counters (nonzero only when --fast-path / GRAPHBOLT_FAST_PATH=1 is
-    // set — PageRank proves only graph no-ops safe, so real arrivals show
-    // up as escalations here, not safe applies).
+    // counters (nonzero only when --fast-path is set — PageRank proves only
+    // graph no-ops safe, so real arrivals show up as escalations here, not
+    // safe applies).
     std::printf("fast path: %llu safe applied in place, %llu escalated to refinement, "
                 "%llu epoch flips\n",
                 static_cast<unsigned long long>(stats.fastpath_safe_applied),

@@ -43,9 +43,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <fstream>
+#include <istream>
 #include <mutex>
-#include <string>
+#include <ostream>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -161,30 +161,12 @@ class GraphBoltEngine {
     return applied;
   }
 
-  // Buffers mutations that arrive while a refinement is in flight (§4.1:
-  // "Mutations arriving during refinement are buffered to prioritize
-  // latency of the ongoing refinement step, and are applied immediately
-  // after refining finishes"). Call ProcessPending() at the next quiescent
-  // point to apply everything buffered so far as one batch.
-  void EnqueueMutations(const MutationBatch& batch) {
-    pending_.insert(pending_.end(), batch.begin(), batch.end());
-  }
-
-  size_t pending_mutation_count() const { return pending_.size(); }
-
-  AppliedMutations ProcessPending() {
-    MutationBatch batch;
-    batch.swap(pending_);
-    return ApplyMutations(batch);
-  }
-
   // Streams the engine's computed state (values + dependency store) so a
   // streaming session can resume in a fresh process — or so a Checkpointer
   // (src/fault/checkpoint.h) can embed it in a checkpoint file. The graph
   // itself is saved separately; LoadStateFrom must be called on an engine
   // whose graph already holds the same snapshot (contexts are recomputed
-  // from it). Mutations buffered via EnqueueMutations are not part of the
-  // persisted state. Returns false on IO failure or mismatched state.
+  // from it). Returns false on IO failure or mismatched state.
   bool SaveStateTo(std::ostream& out) const {
     static_assert(std::is_trivially_copyable_v<Value>);
     const uint64_t magic = kStateMagic;
@@ -220,25 +202,6 @@ class GraphBoltEngine {
     }
     ResetContexts();
     return true;
-  }
-
-  // Path-based convenience wrappers over the stream API.
-  bool SaveState(const std::string& path) const {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      GB_LOG(kError) << "cannot open " << path << " for writing";
-      return false;
-    }
-    return SaveStateTo(out);
-  }
-
-  bool LoadState(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      GB_LOG(kError) << "cannot open " << path;
-      return false;
-    }
-    return LoadStateFrom(in);
   }
 
   const std::vector<Value>& values() const { return values_; }
@@ -1599,7 +1562,6 @@ class GraphBoltEngine {
   std::vector<Contribution> staged_;       // per-source staged changes of one dense level
   StoreT store_;
   EngineStats stats_;
-  MutationBatch pending_;  // mutations buffered during refinement
 
   // Async-mode state (empty while in BSP mode).
   bool async_mode_ = false;

@@ -306,12 +306,15 @@ class Checkpointer {
 
   // ----- Checkpoints --------------------------------------------------------
 
-  // Cadence gate: writes a checkpoint when `seq` lands on the configured
-  // cadence or when forced (lost WAL record). Returns false only when a
-  // write was attempted and failed.
+  // Cadence gate: writes a checkpoint once `seq` is a full cadence past the
+  // last checkpoint written or restored, or when forced (lost WAL record).
+  // Measuring from the last checkpoint rather than testing `seq % cadence`
+  // keeps the cadence when sequence numbers are consumed without reaching
+  // this gate (fast-path splices, async applies). Returns false only when
+  // a write was attempted and failed.
   bool MaybeCheckpoint(uint64_t seq, bool force = false) {
-    const bool due =
-        force || (options_.cadence_batches > 0 && seq % options_.cadence_batches == 0);
+    const bool due = force || (options_.cadence_batches > 0 &&
+                               seq >= last_checkpoint_seq_ + options_.cadence_batches);
     if (!due) {
       return true;
     }
@@ -321,10 +324,12 @@ class Checkpointer {
   // Snapshots graph + engine state as of applied batch `seq`, with
   // rename-on-commit, retry-with-backoff (ENOSPC fatal-fast), retention
   // pruning, and WAL compaction (records at or before the oldest retained
-  // checkpoint are dropped).
+  // checkpoint are dropped). A failed attempt still restarts the cadence,
+  // so a failing disk is retried once per cadence, not on every batch.
   bool WriteCheckpoint(uint64_t seq) {
     static_assert(CheckpointableEngine<Engine>,
                   "checkpointing requires Engine::SaveStateTo/LoadStateFrom");
+    last_checkpoint_seq_ = seq;
     Timer timer;
     const std::string final_path = PathFor(seq);
     const std::string tmp_path = final_path + ".tmp";
@@ -386,6 +391,7 @@ class Checkpointer {
     std::vector<std::pair<uint64_t, std::string>> files = ListCheckpoints();
     for (auto it = files.rbegin(); it != files.rend(); ++it) {
       if (LoadCheckpointFile(it->second, seq_out)) {
+        last_checkpoint_seq_ = *seq_out;
         return true;
       }
       GB_LOG(kWarning) << "checkpoint " << it->second
@@ -611,6 +617,9 @@ class Checkpointer {
   MutableGraph* graph_;
   const Options options_;
   FaultInjector* injector_;
+  // Sequence number of the last checkpoint written (or attempted) or
+  // restored: the origin of the cadence. Caller-serialized, like the WAL.
+  uint64_t last_checkpoint_seq_ = 0;
   StorageEnv* env_ = nullptr;
   WriteAheadLog wal_;
 

@@ -39,27 +39,9 @@ bool ParseNonNegativeDouble(const std::string& text, double* value) {
   return true;
 }
 
-const char* Getenv(const char* name) { return std::getenv(name); }
-
-// One env override: returns false (with *error set) only when the variable
-// is present and malformed.
-template <typename Apply>
-bool EnvOverride(const char* name, std::string* error, Apply&& apply) {
-  const char* raw = Getenv(name);
-  if (raw == nullptr) {
-    return true;
-  }
-  if (!apply(std::string(raw))) {
-    *error = std::string(name) + "=\"" + raw + "\" is not a valid value; " +
-             *error;
-    return false;
-  }
-  return true;
-}
-
 // Parses a tenant-quota list, "tenant=rate[:burst[:total]]" entries joined
 // by commas, into *quotas. On a bad entry returns false with *error naming
-// it; the caller prefixes the flag or variable the list came from.
+// it; the caller prefixes the flag the list came from.
 bool ParseTenantQuotas(const std::string& list, std::map<std::string, TenantQuota>* quotas,
                        std::string* error) {
   size_t begin = 0;
@@ -299,164 +281,6 @@ bool DriverConfig::FromCli(const ArgParser& args, std::string* error) {
     *error = valid;
     return false;
   }
-  return true;
-}
-
-bool DriverConfig::FromEnv(std::string* error) {
-  *error = "";
-  if (!EnvOverride("GRAPHBOLT_SHARDS", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a positive integer shard count";
-        if (!ParseUint(v, &parsed) || parsed == 0) {
-          return false;
-        }
-        shards = static_cast<size_t>(parsed);
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_BATCH_SIZE", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a positive integer batch size";
-        if (!ParseUint(v, &parsed) || parsed == 0) {
-          return false;
-        }
-        batch_size = static_cast<size_t>(parsed);
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_FLUSH_MS", error, [&](const std::string& v) {
-        double parsed = 0.0;
-        *error = "expected a positive flush interval in milliseconds";
-        if (!ParseNonNegativeDouble(v, &parsed) || parsed <= 0.0) {
-          return false;
-        }
-        flush_interval_seconds = parsed * 1e-3;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_MAX_PENDING_BATCHES", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a positive integer queue capacity";
-        if (!ParseUint(v, &parsed) || parsed == 0) {
-          return false;
-        }
-        max_pending_batches = static_cast<size_t>(parsed);
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_OVERFLOW", error, [&](const std::string& v) {
-        *error = "expected block | drop | shed | shed-oldest | degrade";
-        return ParseOverflow(v, &overflow);
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_BG_COMPACTION", error, [&](const std::string& v) {
-        *error = "expected 0 or 1";
-        if (v != "0" && v != "1") {
-          return false;
-        }
-        background_compaction = v == "1";
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_FAST_PATH", error, [&](const std::string& v) {
-        *error = "expected 0 or 1";
-        if (v != "0" && v != "1") {
-          return false;
-        }
-        fast_path = v == "1";
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_ASYNC_MODE", error, [&](const std::string& v) {
-        *error = "expected off | degrade-only";
-        return ParseAsyncMode(v, &async_mode);
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_CHECKPOINT_DIR", error, [&](const std::string& v) {
-        checkpoint_dir = v;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_CHECKPOINT_EVERY", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a non-negative integer cadence";
-        if (!ParseUint(v, &parsed)) {
-          return false;
-        }
-        checkpoint_every = parsed;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_SCRUB_INTERVAL_S", error, [&](const std::string& v) {
-        double parsed = 0.0;
-        *error = "expected a non-negative interval in seconds";
-        if (!ParseNonNegativeDouble(v, &parsed)) {
-          return false;
-        }
-        scrub_interval_seconds = parsed;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_QUARANTINE_DIR", error, [&](const std::string& v) {
-        quarantine_dir = v;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_MAX_BATCH_EDGES", error, [&](const std::string& v) {
-        uint64_t parsed = 0;
-        *error = "expected a positive integer mutation ceiling";
-        if (!ParseUint(v, &parsed) || parsed == 0) {
-          return false;
-        }
-        admission.max_batch_mutations = static_cast<size_t>(parsed);
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_WATCHDOG_MS", error, [&](const std::string& v) {
-        double parsed = 0.0;
-        *error = "expected a non-negative timeout in milliseconds";
-        if (!ParseNonNegativeDouble(v, &parsed)) {
-          return false;
-        }
-        watchdog_stall_seconds = parsed * 1e-3;
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_DEFAULT_QUOTA", error, [&](const std::string& v) {
-        std::string quota_error;
-        if (!ParseQuota(v, &default_quota, &quota_error)) {
-          *error = quota_error;
-          return false;
-        }
-        return true;
-      })) {
-    return false;
-  }
-  if (!EnvOverride("GRAPHBOLT_TENANT_QUOTAS", error, [&](const std::string& v) {
-        return ParseTenantQuotas(v, &tenant_quotas, error);
-      })) {
-    return false;
-  }
-  const std::string valid = Validate();
-  if (!valid.empty()) {
-    *error = valid;
-    return false;
-  }
-  *error = "";
   return true;
 }
 

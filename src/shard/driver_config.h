@@ -4,11 +4,8 @@
 // durability, sentinel knobs, and per-tenant quotas, with
 //
 //   - RegisterFlags(args) + FromCli(args, &err): the canonical flag
-//     surface, registered once and parsed back with actionable errors;
-//   - FromEnv(&err): GRAPHBOLT_* overrides (GRAPHBOLT_SHARDS,
-//     GRAPHBOLT_BATCH_SIZE, GRAPHBOLT_OVERFLOW, ...), applied on top of
-//     the current values. It is the only place the environment is read:
-//     the member defaults below are plain constants;
+//     surface, registered once and parsed back with actionable errors
+//     (the library reads no environment variables);
 //   - Validate(): cross-field checks returning an empty string or a
 //     message that says what to change.
 //
@@ -171,18 +168,6 @@ struct DriverConfig {
   // Reads the registered flags back into *this. Returns false with *error
   // holding an actionable message (which flag, what it got, what it takes).
   bool FromCli(const ArgParser& args, std::string* error);
-
-  // Applies GRAPHBOLT_* environment overrides onto *this:
-  //   GRAPHBOLT_SHARDS, GRAPHBOLT_BATCH_SIZE, GRAPHBOLT_FLUSH_MS,
-  //   GRAPHBOLT_MAX_PENDING_BATCHES, GRAPHBOLT_OVERFLOW,
-  //   GRAPHBOLT_BG_COMPACTION, GRAPHBOLT_FAST_PATH,
-  //   GRAPHBOLT_ASYNC_MODE, GRAPHBOLT_CHECKPOINT_DIR,
-  //   GRAPHBOLT_CHECKPOINT_EVERY, GRAPHBOLT_SCRUB_INTERVAL_S,
-  //   GRAPHBOLT_QUARANTINE_DIR, GRAPHBOLT_MAX_BATCH_EDGES,
-  //   GRAPHBOLT_WATCHDOG_MS, GRAPHBOLT_DEFAULT_QUOTA,
-  //   GRAPHBOLT_TENANT_QUOTAS ("alice=5000,bob=0:0:1000").
-  // Returns false with *error set on an unparsable value.
-  bool FromEnv(std::string* error);
 
   // Cross-field validation. Returns the empty string when the config is
   // usable, else one actionable message naming the offending field.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "src/algorithms/coem.h"
@@ -211,11 +212,17 @@ TEST(CompactEngineTest, SaveLoadRoundTrip) {
   CompactEngine<PageRank> original(&g1, PageRank{});
   original.InitialCompute();
   const std::string path = testing::TempDir() + "/compact_state.bin";
-  ASSERT_TRUE(original.SaveState(path));
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(original.SaveStateTo(out));
+  }
 
   MutableGraph g2(g1.ToEdgeList());
   CompactEngine<PageRank> resumed(&g2, PageRank{});
-  ASSERT_TRUE(resumed.LoadState(path));
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(resumed.LoadStateFrom(in));
+  }
   EXPECT_LT(MaxGap(resumed.values(), original.values()), 1e-15);
 
   const MutationBatch batch{EdgeMutation::Add(0, 7), EdgeMutation::Delete(1, 2)};

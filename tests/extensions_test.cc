@@ -1,5 +1,5 @@
 // Tests for the extension surface: Connected Components, Widest Path,
-// Personalized PageRank, buffered mutations (§4.1), and GB-Reset's
+// Personalized PageRank, weight updates, state serialization, and GB-Reset's
 // direction optimization.
 #include <gtest/gtest.h>
 
@@ -208,44 +208,6 @@ TEST(PersonalizedPageRank, StreamingMatchesRestart) {
   }
 }
 
-// ----- Buffered mutations (§4.1) ----------------------------------------------------
-
-TEST(BufferedMutations, EnqueueThenProcessMatchesDirectApply) {
-  EdgeList full = GenerateRmat(400, 3000, {.seed = 160});
-  StreamSplit split = SplitForStreaming(full, 0.5, 161);
-  MutableGraph g1(split.initial);
-  MutableGraph g2(split.initial);
-  GraphBoltEngine<PageRank> buffered(&g1, PageRank{});
-  GraphBoltEngine<PageRank> direct(&g2, PageRank{});
-  buffered.InitialCompute();
-  direct.InitialCompute();
-
-  UpdateStream stream(split.held_back, 162);
-  const MutationBatch b1 = stream.NextBatch(g1, {.size = 20, .add_fraction = 0.6});
-  const MutationBatch b2 = stream.NextBatch(g1, {.size = 20, .add_fraction = 0.6});
-  buffered.EnqueueMutations(b1);
-  buffered.EnqueueMutations(b2);
-  EXPECT_EQ(buffered.pending_mutation_count(), b1.size() + b2.size());
-  buffered.ProcessPending();
-  EXPECT_EQ(buffered.pending_mutation_count(), 0u);
-
-  MutationBatch combined = b1;
-  combined.insert(combined.end(), b2.begin(), b2.end());
-  direct.ApplyMutations(combined);
-  EXPECT_LT(MaxGap(buffered.values(), direct.values()), 1e-9);
-}
-
-TEST(BufferedMutations, ProcessPendingWithEmptyBufferIsNoop) {
-  EdgeList list = GenerateRmat(200, 1000, {.seed = 163});
-  MutableGraph graph(list);
-  GraphBoltEngine<PageRank> engine(&graph, PageRank{});
-  engine.InitialCompute();
-  const std::vector<double> before = engine.values();
-  const AppliedMutations applied = engine.ProcessPending();
-  EXPECT_TRUE(applied.Empty());
-  EXPECT_LT(MaxGap(before, engine.values()), 1e-15);
-}
-
 // ----- Weight-update mutations ---------------------------------------------------------
 
 TEST(WeightUpdates, RefinementMatchesRestartForWeightedAlgorithms) {
@@ -342,12 +304,18 @@ TEST(StateSerialization, SaveLoadResumesStreamingExactly) {
   original.ApplyMutations(warmup);
 
   const std::string path = testing::TempDir() + "/engine_state.bin";
-  ASSERT_TRUE(original.SaveState(path));
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(original.SaveStateTo(out));
+  }
 
   // Resume in a "fresh process": same graph snapshot, new engine.
   MutableGraph g2(g1.ToEdgeList());
   GraphBoltEngine<PageRank> resumed(&g2, PageRank{});
-  ASSERT_TRUE(resumed.LoadState(path));
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(resumed.LoadStateFrom(in));
+  }
   EXPECT_LT(MaxGap(resumed.values(), original.values()), 1e-15);
   EXPECT_EQ(resumed.store().tracked_levels(), original.store().tracked_levels());
   EXPECT_EQ(resumed.store().total_levels(), original.store().total_levels());
@@ -366,11 +334,15 @@ TEST(StateSerialization, LoadRejectsWrongGraph) {
   GraphBoltEngine<PageRank> engine(&g1, PageRank{});
   engine.InitialCompute();
   const std::string path = testing::TempDir() + "/engine_state_bad.bin";
-  ASSERT_TRUE(engine.SaveState(path));
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(engine.SaveStateTo(out));
+  }
 
   MutableGraph g2(GenerateRmat(50, 300, {.seed = 184}));  // different vertex count
   GraphBoltEngine<PageRank> other(&g2, PageRank{});
-  EXPECT_FALSE(other.LoadState(path));
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_FALSE(other.LoadStateFrom(in));
   std::remove(path.c_str());
 }
 
@@ -382,7 +354,8 @@ TEST(StateSerialization, LoadRejectsGarbage) {
   }
   MutableGraph graph(GenerateRmat(50, 300, {.seed = 185}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
-  EXPECT_FALSE(engine.LoadState(path));
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_FALSE(engine.LoadStateFrom(in));
   std::remove(path.c_str());
 }
 

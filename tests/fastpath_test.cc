@@ -410,6 +410,46 @@ TEST(FastPathRecovery, RestoreToSmallerGraphDropsQueuedSpliceEndpoints) {
   EXPECT_EQ(engine.values()[4], 3.0);
 }
 
+// A fast-path splice consumes a sequence number without passing the
+// checkpoint cadence gate. When it takes the cadence multiple, the next
+// promotion must still checkpoint: the cadence counts from the last
+// checkpoint, not from multiples of the cadence.
+TEST(FastPathRecovery, SpliceOnCadenceMultipleDefersCheckpointToNextPromotion) {
+  ScopedTempDir tmp("fastpath_cadence");
+  using Engine = KickStarterEngine<KsSsspTraits>;
+  MutableGraph graph(SmallWeightedGraph());
+  Engine engine(&graph, KsSsspTraits(0));
+  engine.InitialCompute();
+  Checkpointer<Engine> checkpointer(&engine, &graph,
+                                    {.directory = tmp.path(), .cadence_batches = 2});
+  StreamDriver<Engine> driver(
+      &engine, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .fast_path = true},
+      &checkpointer);
+  ASSERT_TRUE(driver.CheckpointNow());  // baseline at seq 0
+
+  ASSERT_TRUE(driver.Ingest(EdgeMutation::Add(0, 4, 7.0f)));
+  driver.PrepQuery();  // promotion: seq 1
+  // d2 + 10 cannot beat d0 = 0: a safe splice, which takes seq 2.
+  ASSERT_TRUE(driver.IngestFast(EdgeMutation::Add(2, 0, 10.0f)));
+  ASSERT_EQ(driver.stats().fastpath_safe_applied, 1u);
+  ASSERT_EQ(driver.applied_seq(), 2u);
+  EXPECT_EQ(driver.stats().checkpoints_written, 1u);
+
+  ASSERT_TRUE(driver.Ingest(EdgeMutation::Add(4, 3, 1.0f)));
+  driver.PrepQuery();  // promotion: seq 3, a full cadence past the baseline
+  ASSERT_EQ(driver.applied_seq(), 3u);
+  EXPECT_EQ(driver.stats().checkpoints_written, 2u);
+  driver.Stop();
+
+  MutableGraph cold_graph;
+  Engine cold(&cold_graph, KsSsspTraits(0));
+  Checkpointer<Engine> restorer(&cold, &cold_graph,
+                                {.directory = tmp.path(), .cadence_batches = 2});
+  uint64_t seq = 0;
+  ASSERT_TRUE(restorer.RestoreLatest(&seq));
+  EXPECT_EQ(seq, 3u);
+}
+
 // ----- Sharded torture -------------------------------------------------------
 
 // Four producers hammer a 4-lane sharded driver, each alternating the fast

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -109,6 +108,22 @@ TEST(DriverConfigCli, FullSurfaceParses) {
   EXPECT_EQ(config.tenant_quotas.at("bob").max_total_mutations, 1000u);
   EXPECT_DOUBLE_EQ(config.QuotaFor("alice").mutations_per_second, 5000.0);
   EXPECT_DOUBLE_EQ(config.QuotaFor("nobody").mutations_per_second, 100.0);
+
+  // The sentinel flags each move their field off its default.
+  const DriverConfig defaults;
+  ArgParser sentinel_args("t");
+  ASSERT_TRUE(ParseFlags({"--watchdog-ms", "200", "--overflow", "shed-oldest",
+                          "--quarantine-dir", "/tmp/cli-q", "--max-batch-edges", "777",
+                          "--max-pending-batches", "16"},
+                         &sentinel_args));
+  DriverConfig sentinel;
+  ASSERT_TRUE(sentinel.FromCli(sentinel_args, &error)) << error;
+  EXPECT_NE(sentinel.watchdog_stall_seconds, defaults.watchdog_stall_seconds);
+  EXPECT_DOUBLE_EQ(sentinel.watchdog_stall_seconds, 0.2);
+  EXPECT_EQ(sentinel.overflow, OverflowPolicy::kShedOldest);
+  EXPECT_EQ(sentinel.quarantine_dir, "/tmp/cli-q");
+  EXPECT_EQ(sentinel.admission.max_batch_mutations, 777u);
+  EXPECT_EQ(sentinel.max_pending_batches, 16u);
 }
 
 // Each rejection must carry an actionable message naming the flag and what
@@ -221,165 +236,6 @@ TEST(DriverConfigOverflow, NamesRoundTrip) {
   OverflowPolicy untouched = OverflowPolicy::kBlock;
   EXPECT_FALSE(DriverConfig::ParseOverflow("sideways", &untouched));
   EXPECT_EQ(untouched, OverflowPolicy::kBlock);
-}
-
-// Environment overrides apply on top of the current values; the test
-// scrubs every GRAPHBOLT_* it sets.
-class DriverConfigEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* name :
-         {"GRAPHBOLT_SHARDS", "GRAPHBOLT_BATCH_SIZE", "GRAPHBOLT_OVERFLOW",
-          "GRAPHBOLT_FLUSH_MS", "GRAPHBOLT_TENANT_QUOTAS", "GRAPHBOLT_DEFAULT_QUOTA",
-          "GRAPHBOLT_WATCHDOG_MS", "GRAPHBOLT_QUARANTINE_DIR",
-          "GRAPHBOLT_MAX_BATCH_EDGES", "GRAPHBOLT_CHECKPOINT_DIR",
-          "GRAPHBOLT_MAX_PENDING_BATCHES", "GRAPHBOLT_FAST_PATH", "GRAPHBOLT_BG_COMPACTION",
-          "GRAPHBOLT_ASYNC_MODE"}) {
-      ::unsetenv(name);
-    }
-  }
-};
-
-TEST_F(DriverConfigEnvTest, OverridesApplyOnTop) {
-  ::setenv("GRAPHBOLT_SHARDS", "8", 1);
-  ::setenv("GRAPHBOLT_OVERFLOW", "drop", 1);
-  ::setenv("GRAPHBOLT_TENANT_QUOTAS", "carol=0:0:42", 1);
-  DriverConfig config;
-  config.batch_size = 2048;  // untouched by env
-  std::string error;
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_EQ(config.shards, 8u);
-  EXPECT_EQ(config.overflow, OverflowPolicy::kDropNewest);
-  EXPECT_EQ(config.batch_size, 2048u);
-  EXPECT_EQ(config.tenant_quotas.at("carol").max_total_mutations, 42u);
-}
-
-TEST_F(DriverConfigEnvTest, MalformedValueNamesTheVariable) {
-  ::setenv("GRAPHBOLT_SHARDS", "many", 1);
-  DriverConfig config;
-  std::string error;
-  EXPECT_FALSE(config.FromEnv(&error));
-  EXPECT_NE(error.find("GRAPHBOLT_SHARDS"), std::string::npos) << error;
-  EXPECT_NE(error.find("many"), std::string::npos) << error;
-}
-
-TEST_F(DriverConfigEnvTest, FastPathEnvAcceptsBinaryRejectsElse) {
-  ::setenv("GRAPHBOLT_FAST_PATH", "1", 1);
-  DriverConfig config;
-  std::string error;
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_TRUE(config.fast_path);
-  ::setenv("GRAPHBOLT_FAST_PATH", "0", 1);
-  DriverConfig off;
-  ASSERT_TRUE(off.FromEnv(&error)) << error;
-  EXPECT_FALSE(off.fast_path);
-  ::setenv("GRAPHBOLT_FAST_PATH", "yes", 1);
-  DriverConfig bad;
-  EXPECT_FALSE(bad.FromEnv(&error));
-  EXPECT_NE(error.find("GRAPHBOLT_FAST_PATH"), std::string::npos) << error;
-}
-
-// The member defaults are constants: the environment reaches a config only
-// through FromEnv, which validates what it reads.
-TEST_F(DriverConfigEnvTest, DefaultsIgnoreEnvironmentUntilFromEnv) {
-  ::setenv("GRAPHBOLT_FAST_PATH", "1", 1);
-  ::setenv("GRAPHBOLT_BG_COMPACTION", "1", 1);
-  ::setenv("GRAPHBOLT_ASYNC_MODE", "degrade-only", 1);
-  DriverConfig config;
-  EXPECT_FALSE(config.fast_path);
-  EXPECT_FALSE(config.background_compaction);
-  EXPECT_EQ(config.async_mode, AsyncModePolicy::kOff);
-  std::string error;
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_TRUE(config.fast_path);
-  EXPECT_TRUE(config.background_compaction);
-  EXPECT_EQ(config.async_mode, AsyncModePolicy::kDegradeOnly);
-}
-
-TEST_F(DriverConfigEnvTest, AsyncModeEnvRejectsUnknownNames) {
-  for (const char* bad : {"auto", "degrade_only"}) {
-    ::setenv("GRAPHBOLT_ASYNC_MODE", bad, 1);
-    DriverConfig config;
-    std::string error;
-    EXPECT_FALSE(config.FromEnv(&error)) << bad;
-    EXPECT_NE(error.find("GRAPHBOLT_ASYNC_MODE"), std::string::npos) << error;
-    EXPECT_NE(error.find("off | degrade-only"), std::string::npos) << error;
-  }
-}
-
-TEST_F(DriverConfigEnvTest, CrossFieldValidationStillRuns) {
-  // Sharded watchdog/shed/degrade are legal now, so the cross-field check
-  // that still has teeth is shed-without-a-shed-log.
-  ::setenv("GRAPHBOLT_SHARDS", "4", 1);
-  ::setenv("GRAPHBOLT_OVERFLOW", "shed", 1);
-  DriverConfig config;
-  std::string error;
-  EXPECT_FALSE(config.FromEnv(&error));
-  EXPECT_NE(error.find("checkpoint"), std::string::npos) << error;
-  // The same config with a checkpoint dir in the environment passes.
-  ::setenv("GRAPHBOLT_CHECKPOINT_DIR", "/tmp/ckpt", 1);
-  DriverConfig fixed;
-  std::string fixed_error;
-  EXPECT_TRUE(fixed.FromEnv(&fixed_error)) << fixed_error;
-  EXPECT_EQ(fixed.overflow, OverflowPolicy::kShedToWal);
-}
-
-TEST_F(DriverConfigEnvTest, WatchdogAndDegradeAcceptedShardedFromEnv) {
-  ::setenv("GRAPHBOLT_SHARDS", "4", 1);
-  ::setenv("GRAPHBOLT_WATCHDOG_MS", "100", 1);
-  ::setenv("GRAPHBOLT_OVERFLOW", "degrade", 1);
-  DriverConfig config;
-  std::string error;
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_EQ(config.shards, 4u);
-  EXPECT_DOUBLE_EQ(config.watchdog_stall_seconds, 0.1);
-  EXPECT_EQ(config.overflow, OverflowPolicy::kDegrade);
-}
-
-// The documented precedence chain: defaults, then FromCli overwrites them,
-// then FromEnv applies on top of the CLI values — for every sentinel flag.
-TEST_F(DriverConfigEnvTest, PrecedenceEnvOverCliOverDefaultPerSentinelFlag) {
-  const DriverConfig defaults;
-  ArgParser args("t");
-  ASSERT_TRUE(ParseFlags({"--watchdog-ms", "200", "--overflow", "shed-oldest",
-                          "--quarantine-dir", "/tmp/cli-q", "--max-batch-edges", "777",
-                          "--max-pending-batches", "16"},
-                         &args));
-  DriverConfig config;
-  std::string error;
-  ASSERT_TRUE(config.FromCli(args, &error)) << error;
-  // CLI over default.
-  EXPECT_NE(config.watchdog_stall_seconds, defaults.watchdog_stall_seconds);
-  EXPECT_DOUBLE_EQ(config.watchdog_stall_seconds, 0.2);
-  EXPECT_EQ(config.overflow, OverflowPolicy::kShedOldest);
-  EXPECT_EQ(config.quarantine_dir, "/tmp/cli-q");
-  EXPECT_EQ(config.admission.max_batch_mutations, 777u);
-  EXPECT_EQ(config.max_pending_batches, 16u);
-
-  // Env over CLI, but only for the variables actually set: watchdog-ms and
-  // overflow move, the rest keep their CLI values.
-  ::setenv("GRAPHBOLT_WATCHDOG_MS", "500", 1);
-  ::setenv("GRAPHBOLT_OVERFLOW", "degrade", 1);
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_DOUBLE_EQ(config.watchdog_stall_seconds, 0.5);
-  EXPECT_EQ(config.overflow, OverflowPolicy::kDegrade);
-  EXPECT_EQ(config.quarantine_dir, "/tmp/cli-q");
-  EXPECT_EQ(config.admission.max_batch_mutations, 777u);
-  EXPECT_EQ(config.max_pending_batches, 16u);
-
-  // And the remaining sentinel surface overrides too.
-  ::setenv("GRAPHBOLT_QUARANTINE_DIR", "/tmp/env-q", 1);
-  ::setenv("GRAPHBOLT_MAX_BATCH_EDGES", "888", 1);
-  ::setenv("GRAPHBOLT_MAX_PENDING_BATCHES", "32", 1);
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_EQ(config.quarantine_dir, "/tmp/env-q");
-  EXPECT_EQ(config.admission.max_batch_mutations, 888u);
-  EXPECT_EQ(config.max_pending_batches, 32u);
-
-  // GRAPHBOLT_WATCHDOG_MS=0 is an explicit off switch, not "unset".
-  ::setenv("GRAPHBOLT_WATCHDOG_MS", "0", 1);
-  ASSERT_TRUE(config.FromEnv(&error)) << error;
-  EXPECT_DOUBLE_EQ(config.watchdog_stall_seconds, 0.0);
 }
 
 // ----- Session quotas -------------------------------------------------------

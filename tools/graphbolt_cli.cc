@@ -7,10 +7,10 @@
 //                 --engine graphbolt --source 0 --output dists.txt
 //
 // Driver configuration goes through DriverConfig (src/shard/driver_config.h):
-// one validated surface registered by DriverConfig::RegisterFlags, read back
-// by FromCli, with GRAPHBOLT_* environment overrides applied on top by
-// FromEnv. Any driver option routes the stream through the driver
-// (src/shard/sharded_driver.h) with --shards lanes (1 by default).
+// one validated surface registered by DriverConfig::RegisterFlags and read
+// back by FromCli. Every algorithm but tc streams through the driver
+// (src/shard/sharded_driver.h) with --shards lanes (1 by default) and the
+// layers the flags arm; tc streams straight into its engine.
 //
 // With --checkpoint-dir the stream journals through the global checkpointer
 // (WAL + cadence checkpoints); --verify-recovery then cold-recovers into a
@@ -179,12 +179,13 @@ void PrintDurability(const EngineStats& stats, const DriverConfig& driver) {
 }
 
 // Streams through the driver with --shards lanes and the durability,
-// sentinel, and fast-path layers the flags arm: one session carries the
-// stream and the query barrier closes each batch. `make_engine` constructs
+// sentinel, and fast-path layers the flags arm: one session offers the
+// stream one mutation at a time, so a tenant quota admits a prefix of a
+// batch, and the query barrier closes each batch. `make_engine` constructs
 // an identically-configured engine on a new graph for --verify-recovery.
 template <typename Engine, typename MakeEngine>
-int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
-                 StreamSplit& split, const CliConfig& config) {
+int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, StreamSplit& split,
+           const CliConfig& config) {
   const bool durable = !config.driver.checkpoint_dir.empty();
   const bool sentinel = !config.driver.quarantine_dir.empty() ||
                         config.driver.watchdog_stall_seconds > 0.0 ||
@@ -206,41 +207,44 @@ int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
                              .cadence_batches = config.driver.checkpoint_every});
   }
   {
-    // The loop below drives flushes explicitly (IngestBatch + Flush +
-    // PrepQuery per batch), so the staleness flush and coalescing would
-    // only blur the per-batch numbers.
-    DriverConfig driver_config = config.driver;
-    driver_config.flush_interval_seconds = 3600.0;
-    driver_config.coalesce = false;
-    StreamDriver<Engine> driver(&engine, driver_config, durable ? &*checkpointer : nullptr);
+    StreamDriver<Engine> driver(&engine, config.driver, durable ? &*checkpointer : nullptr);
     if (durable) {
       driver.CheckpointNow();
     }
     auto session = driver.OpenSession("cli");
 
+    // Batch generation inspects a graph for deletable edges. It reads a
+    // private copy that replays every admitted mutation, not `graph`: with
+    // --bg-compaction lane 0 compacts `graph` between batches, under the
+    // driver's engine lock, which this thread does not hold.
+    MutableGraph shadow(split.initial);
     UpdateStream stream(split.held_back, 99);
     for (size_t b = 0; b < config.batches; ++b) {
-      // The barrier below keeps `graph` quiescent here, so batch generation
-      // (which inspects it for deletable edges) sees applied state.
       const MutationBatch batch = stream.NextBatch(
-          graph, {.size = config.driver.batch_size, .add_fraction = config.add_fraction});
-      size_t accepted = 0;
-      if (config.driver.fast_path) {
-        // Single-update serving: each mutation classifies against the
-        // dependency store and splices in place when safe, bypassing the
-        // lanes; unsafe ones escalate into their home lane's gutter and
-        // drain at the flush below.
-        for (const EdgeMutation& m : batch) {
-          accepted += session.IngestFast(m) ? 1 : 0;
+          shadow, {.size = config.driver.batch_size, .add_fraction = config.add_fraction});
+      const EngineStats before = driver.stats();
+      MutationBatch admitted;
+      for (const EdgeMutation& m : batch) {
+        // Under --fast-path each mutation classifies against the dependency
+        // store and splices in place when safe, bypassing the lanes; the
+        // rest wait in their home lane's gutter for the flush below.
+        if (config.driver.fast_path ? session.IngestFast(m) : session.Ingest(m)) {
+          admitted.push_back(m);
         }
-      } else {
-        accepted = session.IngestBatch(batch);
       }
+      shadow.ApplyBatch(admitted);
+      const size_t accepted = admitted.size();
       driver.Flush();
       driver.PrepQuery();
-      std::printf("batch %zu: %zu/%zu mutations, refine %.2f ms, structure %.2f ms\n", b + 1,
-                  accepted, batch.size(), engine.stats().seconds * 1e3,
-                  engine.stats().mutation_seconds * 1e3);
+      // The driver sums every lane's promotions, so the difference is this
+      // batch's work at any --shards, and zero when nothing was admitted.
+      const EngineStats after = driver.stats();
+      std::printf("batch %zu: %zu/%zu mutations, refine %.2f ms, structure %.2f ms, "
+                  "%llu edge comps\n",
+                  b + 1, accepted, batch.size(), (after.seconds - before.seconds) * 1e3,
+                  (after.mutation_seconds - before.mutation_seconds) * 1e3,
+                  static_cast<unsigned long long>(after.edges_processed -
+                                                  before.edges_processed));
     }
     // Demo of the poison path: deliberately malformed batches (NaN weights)
     // that admission control must bounce into the dead-letter WAL.
@@ -290,41 +294,6 @@ int StreamDriven(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph,
               total.Seconds() * 1e3, graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()));
 
-  if (config.verify_recovery) {
-    return VerifyRecovery(engine, make_engine, graph, config.driver);
-  }
-  return 0;
-}
-
-template <typename Engine, typename MakeEngine>
-int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, StreamSplit& split,
-           const CliConfig& config) {
-  if (config.driver.shards > 1 || !config.driver.checkpoint_dir.empty() ||
-      !config.driver.quarantine_dir.empty() || config.driver.watchdog_stall_seconds > 0.0 ||
-      config.driver.fast_path) {
-    return StreamDriven(engine, make_engine, graph, split, config);
-  }
-  Timer total;
-  engine.InitialCompute();
-  std::printf("initial compute: %.2f ms, %llu edge computations, %u iterations\n",
-              engine.stats().seconds * 1e3,
-              static_cast<unsigned long long>(engine.stats().edges_processed),
-              engine.stats().iterations);
-
-  UpdateStream stream(split.held_back, 99);
-  for (size_t b = 0; b < config.batches; ++b) {
-    const MutationBatch batch = stream.NextBatch(
-        graph, {.size = config.driver.batch_size, .add_fraction = config.add_fraction});
-    engine.ApplyMutations(batch);
-    std::printf("batch %zu: %zu mutations, refine %.2f ms, structure %.2f ms, %llu edge comps\n",
-                b + 1, batch.size(), engine.stats().seconds * 1e3,
-                engine.stats().mutation_seconds * 1e3,
-                static_cast<unsigned long long>(engine.stats().edges_processed));
-  }
-  std::printf("total wall time: %.2f ms; final graph: %u vertices, %llu edges\n",
-              total.Seconds() * 1e3, graph.num_vertices(),
-              static_cast<unsigned long long>(graph.num_edges()));
-
   if (!config.output.empty()) {
     std::ofstream out(config.output);
     if (!out) {
@@ -335,6 +304,9 @@ int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, Stream
       WriteScalar(out, v, engine.values()[v]);
     }
     std::printf("values written to %s\n", config.output.c_str());
+  }
+  if (config.verify_recovery) {
+    return VerifyRecovery(engine, make_engine, graph, config.driver);
   }
   return 0;
 }
@@ -546,8 +518,7 @@ int Main(int argc, char** argv) {
 
   DriverConfig driver_config;
   std::string config_error;
-  if (!driver_config.FromCli(args, &config_error) ||
-      !driver_config.FromEnv(&config_error)) {
+  if (!driver_config.FromCli(args, &config_error)) {
     std::printf("driver config: %s\n", config_error.c_str());
     return 1;
   }
