@@ -60,8 +60,9 @@ struct EngineStats {
   // Producer wall-clock seconds spent blocked on bounded-queue
   // backpressure (summed across producers).
   double queue_wait_seconds = 0.0;
-  // Seconds from a batch leaving the gutter to its application completing
-  // (summed across batches; divide by batches_applied for the mean).
+  // Seconds from a promotion's oldest member batch leaving its gutter to the
+  // promotion completing (summed once per promotion; divide by
+  // batches_applied for the mean).
   double flush_latency_seconds = 0.0;
 
   // ----- Durability counters (populated when a Checkpointer is attached) ---
@@ -157,7 +158,9 @@ struct EngineStats {
   // ----- Lane/session counters (populated by the driver only) ---------------
   // Ingestion lanes the driver runs (DriverConfig::shards).
   uint64_t shard_lanes = 0;
-  // Batches lane workers promoted into the global engine.
+  // Lane batches absorbed into promotions. One promotion fuses the queue
+  // head of every lane that has one, so shard_batches_staged /
+  // batches_applied is the fusion factor (1 at one lane).
   uint64_t shard_batches_staged = 0;
   // Always 0: the driver keeps one journal (wal_appends), no per-lane
   // copies. Kept only because the benchmark harness still reports it.

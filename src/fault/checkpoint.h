@@ -401,6 +401,22 @@ class Checkpointer {
     return false;
   }
 
+  // Starts a new lineage in a reused directory: removes every checkpoint and
+  // empties the journal and the shed log. For a caller about to stream from
+  // a fresh initial state, whose sequence numbers restart at 0 — an earlier
+  // run's artifacts would otherwise be restored, replayed or pruned against
+  // them.
+  void DiscardLineage() {
+    for (const auto& [seq, path] : ListCheckpoints()) {
+      env_->Remove(path);
+    }
+    wal_.Reset();
+    std::lock_guard<std::mutex> lock(shed_mu_);
+    shed_.Reset();
+    shed_seq_ = 0;
+    last_checkpoint_seq_ = 0;
+  }
+
   // Verifies every artifact this checkpointer owns (checkpoint chain,
   // journal, shed log) the same way the runtime would, demoting corrupt
   // checkpoints to `.quarantined` siblings and healing torn/corrupt WAL

@@ -1,7 +1,7 @@
 // A bounded multi-producer/multi-consumer blocking queue.
 //
-// This is the handoff primitive between StreamDriver's producers and its
-// worker thread: the fixed capacity is what turns a fast producer into
+// This is the handoff primitive between the driver's producers and its lane
+// workers: the fixed capacity is what turns a fast producer into
 // backpressure (Push blocks while the consumer is behind) instead of
 // unbounded memory growth. Close() makes shutdown race-free: pushes fail
 // immediately, pops drain whatever is already buffered and then return
@@ -89,13 +89,22 @@ class BoundedQueue {
     return PopFrontLocked();
   }
 
-  // Waits up to `timeout` for an item; empty on timeout or closed-and-
-  // drained (disambiguate with closed()).
-  template <typename Rep, typename Period>
-  std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait_for(lock, timeout, [&] { return closed_ || !items_.empty(); });
+  // Non-blocking pop; empty when nothing is buffered.
+  std::optional<T> TryPop() {
+    std::lock_guard<std::mutex> lock(mutex_);
     return PopFrontLocked();
+  }
+
+  // Waits up to `timeout` for an item without taking it: true when one is
+  // buffered, false on timeout or once closed and drained (disambiguate
+  // with closed()). A consumer that must pop under a lock of its own waits
+  // here, then takes that lock and TryPops — another consumer may have
+  // taken the item in between.
+  template <typename Rep, typename Period>
+  bool WaitNonEmptyFor(std::chrono::duration<Rep, Period> timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return not_empty_.wait_for(lock, timeout, [&] { return closed_ || !items_.empty(); }) &&
+           !items_.empty();
   }
 
   // After Close(), pushes fail and pops drain the remaining items. Wakes
@@ -130,8 +139,6 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
-
-  bool Empty() const { return size() == 0; }
 
   // Open and at capacity: a TryPush would fail for lack of room.
   bool full() const {

@@ -6,19 +6,26 @@
 //   sessions ──route by src──► lane gutter ──flush──► lane queue ──► lane
 //   (tenant quota gate)        (batch by size          (backpressure) worker
 //                               or staleness)                         promotes
+//                                                                     every
+//                                                                     lane's head
 //
 // Lanes. The vertex space is partitioned shard_of(v) = v % N over
 // DriverConfig::shards lanes. Each lane owns a gutter, a bounded queue, and a
-// worker thread. A lane worker pops a flushed batch and *promotes* it into
-// the global engine under the engine mutex. Promotion is serialized (the
-// engines are synchronous BSP refiners and cannot apply concurrently), so the
-// engine-lock acquisition order IS the global apply order; an observer hook
-// (set_apply_observer) records it. Every mutation is routed by its source
-// vertex, so all mutations of one (src, dst) pair traverse the same lane in
-// ingest order: the engine sees a legal interleaving of the producers'
-// streams. The queue bound is the backpressure: when refinement falls behind,
-// producers block inside the flush (kBlock) or the overflow policy diverts
-// the batch, so memory stays bounded.
+// worker thread. A lane worker waits until its queue holds a flushed batch,
+// takes the engine mutex, pops the head of every live lane's queue in lane
+// order, and *promotes* their concatenation into the global engine as one
+// batch: one sequence number, one WAL record, one refinement (GraphBolt's
+// batch amortization, §4.1). Promotion is serialized (the engines are
+// synchronous BSP refiners and cannot apply concurrently) and queue heads
+// leave only under the engine mutex, so each lane's batches promote in queue
+// order and the engine-lock acquisition order IS the global apply order; an
+// observer hook (set_apply_observer) records it. Every mutation is routed by
+// its source vertex, so all mutations of one (src, dst) pair traverse the
+// same lane in ingest order, and lanes own disjoint sources, so a fused
+// promotion keeps every pair's order: the engine sees a legal interleaving of
+// the producers' streams. The queue bound is the backpressure: when
+// refinement falls behind, producers block inside the flush (kBlock) or the
+// overflow policy diverts the batch, so memory stays bounded.
 //
 // Producers open a Session (OpenSession(tenant_id)) whose tenant quota —
 // token bucket + lifetime cap, shared across all sessions of the tenant
@@ -127,7 +134,8 @@ class ShardedDriver {
   using Options = DriverConfig;
   using OverflowPolicy = ::graphbolt::OverflowPolicy;
   // Called under the journal serialization immediately before each
-  // promotion, in global apply order: (owning lane, the batch as applied).
+  // promotion, in global apply order: (lane, the batch as applied). A fused
+  // promotion is reported once, whole, with the promoting worker's lane.
   // Shed replays report the pseudo-lane lanes_.size(); fast-path safe
   // applies report lanes_.size() + 1 (they bypass the lanes entirely).
   using ApplyObserver = std::function<void(size_t lane, const MutationBatch& batch)>;
@@ -1094,25 +1102,32 @@ class ShardedDriver {
     UpdateGovernorPressure();
   }
 
+  // What one PromoteHeads call did.
+  enum class Promotion { kNone, kPromoted, kExit };
+
   void LaneLoop(Lane& lane) {
     for (;;) {
       Timer poll;
-      std::optional<TimedBatch> item =
-          lane.queue.PopFor(std::chrono::duration<double>(NextPollSeconds(lane)));
-      if (item.has_value()) {
-        if (ApplyLane(lane, std::move(*item)) || LaneKilled(lane)) {
-          return;  // stall-aborted globally or killed: recovery owns the lane
+      if (lane.queue.WaitNonEmptyFor(std::chrono::duration<double>(NextPollSeconds(lane)))) {
+        const Promotion promotion = PromoteHeads(lane);
+        if (promotion == Promotion::kExit) {
+          return;  // stall-aborted globally: recovery owns the lane
         }
-        if (lane.index == 0) {
-          // One maintenance increment per batch keeps compaction overlapped
-          // with a saturated stream (the quiescent window between applies).
-          MaintenanceTick();
+        // A sibling may have fused this lane's head (kNone): only a real
+        // promotion hits the kill site or earns lane 0's maintenance tick.
+        if (promotion == Promotion::kPromoted) {
+          if (LaneKilled(lane)) {
+            return;  // recovery owns the lane
+          }
+          if (lane.index == 0) {
+            // One maintenance increment per promotion keeps compaction
+            // overlapped with a saturated stream (the quiescent window
+            // between applies).
+            MaintenanceTick();
+          }
         }
       } else if (lane.queue.closed()) {
-        if (lane.queue.Empty()) {
-          break;
-        }
-        continue;
+        break;  // closed and drained
       } else if (lane.index == 0) {
         // Idle poll: advance a pending global rewrite. One lane suffices —
         // the budget bounds each step, not the number of ticking threads.
@@ -1123,21 +1138,19 @@ class ShardedDriver {
         AsyncTick();   // refresh overload state; propagate or reconcile
         MaybeScrub();  // cadence-gated artifact verification
       }
-      // The stale check runs after *every* iteration — successful pops
-      // included, so a busy lane queue cannot starve a stale gutter —
-      // against the monotonic deadline NextPollSeconds carries across polls.
-      if (TryFlushStaleLane(lane)) {
-        return;
-      }
+      // The stale check runs after *every* iteration — promotions included,
+      // so a busy lane queue cannot starve a stale gutter — against the
+      // monotonic deadline NextPollSeconds carries across polls.
+      FlushStaleLane(lane);
     }
   }
 
   // The lane worker's next wait: the flush interval, shortened so the wait
   // expires exactly when the gutter's oldest mutation goes stale — the
-  // monotonic deadline carried across polls (a pop or short timeout does
-  // not re-arm the full interval). A gutter already past its deadline but
-  // blocked by an in-flight batch (direct apply would reorder) gets a short
-  // back-off instead of a spin.
+  // monotonic deadline carried across polls (a promotion or short timeout
+  // does not re-arm the full interval). A gutter already past its deadline
+  // but blocked by an in-flight batch (FlushStaleLane waits for an empty
+  // queue) gets a short back-off instead of a spin.
   double NextPollSeconds(const Lane& lane) const {
     std::lock_guard<std::mutex> lock(lane.mu);
     if (lane.gutter.empty()) {
@@ -1150,30 +1163,32 @@ class ShardedDriver {
     return remaining;
   }
 
-  // Flushes a stale lane gutter and applies it directly — never through
-  // the queue (the worker must not block behind itself), and only when
-  // in_flight == 0 so the gutter is strictly newer than anything already
-  // formed and ordering is preserved. Returns true when the worker must
-  // exit (killed, or globally stall-aborted mid-apply).
-  bool TryFlushStaleLane(Lane& lane) {
-    TimedBatch stale;
+  // Moves a stale lane gutter into the lane's queue, where the next
+  // promotion — this worker's or a sibling's — takes it like any flushed
+  // batch. Only when in_flight == 0: the queue is then empty, so the push
+  // cannot block the worker behind itself, and the gutter is strictly newer
+  // than anything already formed. A queue closed by Stop() or Recover()
+  // leaves the batch in the gutter.
+  void FlushStaleLane(Lane& lane) {
     uint64_t coalesced = 0;
     {
-      std::unique_lock<std::mutex> lock(lane.mu);
+      std::lock_guard<std::mutex> lock(lane.mu);
       if (lane.in_flight != 0 || lane.gutter.empty() ||
           lane.gutter.AgeSeconds() < config_.flush_interval_seconds) {
-        return false;
+        return;
       }
       StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kGutterFlush, lane.index);
+      TimedBatch stale;
       stale.batch = lane.gutter.Take(config_.coalesce, &coalesced);
       stale.since_flush.Reset();
-      ++lane.in_flight;
+      if (lane.queue.Push(std::move(stale))) {
+        ++lane.in_flight;
+      } else {
+        lane.gutter.Refill(std::move(stale.batch));
+      }
     }
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.mutations_coalesced += coalesced;
-    }
-    return ApplyLane(lane, std::move(stale)) || LaneKilled(lane);
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    stats_.mutations_coalesced += coalesced;
   }
 
   // The kWorkerKill site fires between batches (after a promotion
@@ -1193,54 +1208,72 @@ class ShardedDriver {
     return true;
   }
 
-  // Promotes one batch under the engine mutex, with the lane's kApply
-  // heartbeat. Returns true when the apply was cancelled by *global* stall
-  // recovery — the worker must exit so Recover() can join it; the in-hand
-  // batch has been shed durably (or counted dropped) so recovery's shed
-  // drain replays it. A *lane-local* cancellation sheds the in-hand batch
-  // the same way but returns false: the lane resumes on its own.
-  bool ApplyLane(Lane& lane, TimedBatch item) {
-    if (GB_FAULT_POINT(injector_, FaultSite::kStageStall)) {
-      // Injected hung apply: park (cooperatively) with this lane's kApply
-      // heartbeat reading busy until a cancellation token releases it.
-      // Parks *outside* engine_mu_ — sibling lanes keep promoting the whole
-      // time; a stage that wedged while holding the engine could be
-      // detected but never joined (see watchdog.h).
-      StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply, lane.index);
-      GB_LOG(kWarning) << "FaultInjector: lane " << lane.index << " apply stage stalled";
-      while (!stall_abort_.load() && !lane.stall_abort.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      const bool global_abort = stall_abort_.load();
-      lane.stall_abort.store(false);  // consume the lane-local token
-      ShedOrDrop(item.batch);
-      {
-        std::lock_guard<std::mutex> lock(lane.mu);
-        if (--lane.in_flight == 0) {
-          lane.drained_cv.notify_all();
-        }
-      }
-      if (!global_abort) {
-        // Lane-local release is complete: the in-hand batch is parked in
-        // the shed log for the next barrier and this lane resumes popping.
-        // Healthy again unless the verdict escalated to Recover().
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        healthy_ = !escalating_;
-      }
-      return global_abort;
+  // Takes `member`'s queue head for a promotion. Caller holds engine_mu_:
+  // while the workers run, heads leave a queue only here, so each lane's
+  // batches promote in queue order. A dead lane keeps its queue intact for
+  // Recover().
+  std::optional<TimedBatch> PopHead(Lane& member) {
+    std::lock_guard<std::mutex> lock(member.mu);
+    if (member.dead) {
+      return std::nullopt;
     }
+    return member.queue.TryPop();
+  }
+
+  // One fused promotion, under the engine mutex and the worker's kApply
+  // heartbeat: pops at most one head from every live lane, in lane order,
+  // and promotes their concatenation once — one observer call (reported
+  // with this worker's lane), one sequence number, one WAL record, one
+  // cadence check, one refinement. Lanes own disjoint sources, so the
+  // concatenation keeps the order of every (src, dst) pair. Returns kNone
+  // when siblings had already drained every queue.
+  //
+  // An injected kStageStall pops only this lane's head and parks with it
+  // outside engine_mu_ (siblings keep promoting) until a cancellation token
+  // releases it; the batch is then shed durably (or counted dropped), so a
+  // shed drain replays it. Returns kExit when the release was *global*
+  // stall recovery — the worker must exit so Recover() can join it; a
+  // lane-local release returns kNone and the lane resumes on its own.
+  Promotion PromoteHeads(Lane& lane) {
     Timer wall;
+    std::vector<Lane*> members;  // lanes whose head the promotion holds
+    Timer oldest_flush;
     EngineStats applied;
     uint64_t rebuilds = 0;
-    bool async_applied = false;
     uint64_t priority_delta = 0;
     {
       StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply, lane.index);
-      std::lock_guard<std::mutex> engine_lock(engine_mu_);
+      std::unique_lock<std::mutex> engine_lock(engine_mu_);
+      std::optional<TimedBatch> own = PopHead(lane);
+      if (own.has_value() && GB_FAULT_POINT(injector_, FaultSite::kStageStall)) {
+        engine_lock.unlock();
+        return ParkStalled(lane, std::move(own->batch)) ? Promotion::kExit : Promotion::kNone;
+      }
+      MutationBatch fused;
+      for (auto& member : lanes_) {
+        std::optional<TimedBatch> head =
+            member.get() == &lane ? std::move(own) : PopHead(*member);
+        if (!head.has_value()) {
+          continue;
+        }
+        if (members.empty() || head->since_flush.Seconds() > oldest_flush.Seconds()) {
+          oldest_flush = head->since_flush;
+        }
+        members.push_back(member.get());
+        if (fused.empty()) {
+          fused = std::move(head->batch);
+        } else {
+          fused.insert(fused.end(), head->batch.begin(), head->batch.end());
+        }
+      }
+      if (members.empty()) {
+        return Promotion::kNone;
+      }
       SyncAsyncMode();
+      bool async_applied = false;
       if constexpr (AsyncDeltaEngine<Engine>) {
         if (async_engaged_.load(std::memory_order_relaxed)) {
-          AsyncApplyJournaled(item.batch, lane.index);  // reconciles on WAL loss
+          AsyncApplyJournaled(fused, lane.index);  // reconciles on WAL loss
           async_applied = true;
           bool stepped = false;
           if (async_engaged_.load(std::memory_order_relaxed) &&
@@ -1264,7 +1297,7 @@ class ShardedDriver {
         }
       }
       if (!async_applied) {
-        ApplyJournaled(item.batch, lane.index);
+        ApplyJournaled(fused, lane.index);
       }
       applied = engine_->stats();
       if constexpr (GraphMaintainableEngine<Engine>) {
@@ -1274,25 +1307,56 @@ class ShardedDriver {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.batches_applied;
-      ++stats_.shard_batches_staged;
+      stats_.shard_batches_staged += members.size();
       // The graph's rebuild counter is cumulative; mirror, don't sum.
       stats_.adaptive_rebuilds = rebuilds;
       AccumulateEngineStats(applied, &stats_);
       stats_.tasks_priority += priority_delta;
-      stats_.flush_latency_seconds += item.since_flush.Seconds();
+      stats_.flush_latency_seconds += oldest_flush.Seconds();
     }
     {
-      // Every lane's promote feeds the one global governor: the EWMA sees
-      // all apply latencies, the pressure input sees the total depth.
+      // Every promotion feeds the one global governor: the EWMA sees all
+      // apply latencies, the pressure input sees the total depth.
       std::lock_guard<std::mutex> glock(governor_mu_);
       governor_.RecordApply(wall.Seconds());
       governor_.Update(QueuedDepth());
     }
-    std::lock_guard<std::mutex> lock(lane.mu);
-    if (--lane.in_flight == 0) {
-      lane.drained_cv.notify_all();
+    for (Lane* member : members) {
+      std::lock_guard<std::mutex> lock(member->mu);
+      if (--member->in_flight == 0) {
+        member->drained_cv.notify_all();
+      }
     }
-    return false;
+    return Promotion::kPromoted;
+  }
+
+  // The injected hung apply (see PromoteHeads): parks cooperatively, with
+  // the caller's kApply heartbeat reading busy, until a cancellation token
+  // releases it, then sheds the in-hand batch. Parks *outside* engine_mu_ —
+  // a stage that wedged while holding the engine could be detected but
+  // never joined (see watchdog.h). True on a global release.
+  bool ParkStalled(Lane& lane, const MutationBatch& batch) {
+    GB_LOG(kWarning) << "FaultInjector: lane " << lane.index << " apply stage stalled";
+    while (!stall_abort_.load() && !lane.stall_abort.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool global_abort = stall_abort_.load();
+    lane.stall_abort.store(false);  // consume the lane-local token
+    ShedOrDrop(batch);
+    {
+      std::lock_guard<std::mutex> lock(lane.mu);
+      if (--lane.in_flight == 0) {
+        lane.drained_cv.notify_all();
+      }
+    }
+    if (!global_abort) {
+      // Lane-local release is complete: the in-hand batch is parked in the
+      // shed log for the next barrier and this lane resumes popping.
+      // Healthy again unless the verdict escalated to Recover().
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      healthy_ = !escalating_;
+    }
+    return global_abort;
   }
 
   // Sums one apply's per-call engine counters into a cumulative total.

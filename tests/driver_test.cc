@@ -411,6 +411,21 @@ TEST(BoundedQueueTest, CloseDrainsThenReportsEmpty) {
   EXPECT_EQ(queue.Pop(), std::nullopt);  // drained
 }
 
+// The lane workers' handoff: wait for an item without taking it, then pop
+// it separately (another consumer may have taken it in between).
+TEST(BoundedQueueTest, WaitNonEmptyLeavesTheItemForTryPop) {
+  BoundedQueue<int> queue(2);
+  EXPECT_FALSE(queue.WaitNonEmptyFor(std::chrono::milliseconds(1)));  // timed out
+  EXPECT_EQ(queue.TryPop(), std::nullopt);
+  EXPECT_TRUE(queue.Push(7));
+  EXPECT_TRUE(queue.WaitNonEmptyFor(std::chrono::milliseconds(1)));
+  EXPECT_EQ(queue.size(), 1u);  // still buffered
+  queue.Close();
+  EXPECT_TRUE(queue.WaitNonEmptyFor(std::chrono::milliseconds(1)));  // closed, not drained
+  EXPECT_EQ(queue.TryPop(), std::optional<int>(7));
+  EXPECT_FALSE(queue.WaitNonEmptyFor(std::chrono::hours(1)));  // closed and drained: no wait
+}
+
 TEST(BoundedQueueTest, BlockedPopWakesOnPush) {
   BoundedQueue<int> queue(1);
   std::thread consumer([&] {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <limits>
 #include <optional>
 #include <string>
@@ -19,6 +20,7 @@
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
 #include "src/core/graphbolt_engine.h"
+#include "src/fault/checkpoint.h"
 #include "src/driver/stream_driver.h"
 #include "src/engine/vertex_subset.h"
 #include "src/graph/generators.h"
@@ -530,8 +532,9 @@ std::vector<EdgeTuple> SortedEdges(const EdgeList& list) {
 }
 
 // Streaming an adds-only load into an initially empty engine graph: every
-// batch a lane promotes holds only edges whose source that lane owns, and
-// the union of the promoted batches is exactly the global graph.
+// promotion fuses at most one head batch per lane, in lane order, so its
+// source shards never decrease, and the union of the promoted batches is
+// exactly the global graph.
 TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
   TaskArena::SetNumThreads(1);
   constexpr size_t kShards = 4;
@@ -549,9 +552,11 @@ TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
   std::vector<EdgeTuple> unioned;
   driver.set_apply_observer([&](size_t lane, const MutationBatch& promoted) {
     EXPECT_LT(lane, kShards) << "batch promoted outside the lanes";
+    size_t shard = 0;
     for (const EdgeMutation& m : promoted) {
-      EXPECT_EQ(static_cast<size_t>(m.src) % kShards, lane)
-          << "edge (" << m.src << ", " << m.dst << ") staged on the wrong lane";
+      EXPECT_GE(static_cast<size_t>(m.src) % kShards, shard)
+          << "edge (" << m.src << ", " << m.dst << ") out of lane order";
+      shard = static_cast<size_t>(m.src) % kShards;
       unioned.emplace_back(m.src, m.dst, m.weight);
     }
   });
@@ -572,6 +577,75 @@ TEST(ShardPartitions, LanesPartitionTheEdgeSetBySourceShard) {
 
   std::sort(unioned.begin(), unioned.end());
   EXPECT_EQ(unioned, SortedEdges(graph.ToEdgeList()));
+}
+
+// One promotion fuses every lane's queue head. While the first promotion
+// holds the engine lock inside the observer, lanes 1-3 each flush one batch;
+// the next promotion takes all three heads at once, concatenated in lane
+// order: one sequence number, one WAL record, one refinement.
+TEST(ShardPartitions, PromotionFusesEveryQueuedLaneHead) {
+  TaskArena::SetNumThreads(1);
+  constexpr size_t kShards = 4;
+  ScopedTempDir ckpt_dir("shard_fusion");
+  EdgeList full = GenerateRmat(400, 3000, {.seed = 81});
+  MutableGraph graph(full);
+  GraphBoltEngine<PageRank> engine(&graph, PageRank{});
+  engine.InitialCompute();
+  Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
+      &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0});
+
+  DriverConfig config;
+  config.shards = kShards;
+  config.batch_size = 1u << 20;
+  config.flush_interval_seconds = 3600.0;
+  config.coalesce = false;
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config, &checkpointer);
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::vector<EdgeTuple>> observed;  // under the engine lock
+  driver.set_apply_observer([&](size_t, const MutationBatch& promoted) {
+    std::vector<EdgeTuple> edges;
+    for (const EdgeMutation& m : promoted) {
+      edges.emplace_back(m.src, m.dst, m.weight);
+    }
+    observed.push_back(std::move(edges));
+    if (observed.size() == 1) {
+      entered.set_value();
+      released.wait();
+    }
+  });
+
+  // Lane l's batch: three additions from sources in shard l.
+  std::vector<MutationBatch> lane_batches(kShards);
+  std::vector<EdgeTuple> fused_want;
+  for (size_t lane = 0; lane < kShards; ++lane) {
+    for (VertexId k = 0; k < 3; ++k) {
+      const VertexId src = static_cast<VertexId>(lane) + kShards * (10 * k + 1);
+      const VertexId dst = (src * 7 + 3) % full.num_vertices();
+      lane_batches[lane].push_back(EdgeMutation::Add(src, dst, 1.0));
+      if (lane > 0) {
+        fused_want.emplace_back(src, dst, 1.0);
+      }
+    }
+  }
+  ASSERT_EQ(driver.IngestBatch(lane_batches[0]), 3u);
+  driver.Flush();
+  entered.get_future().wait();  // lane 0's promotion holds the engine lock
+  for (size_t lane = 1; lane < kShards; ++lane) {
+    ASSERT_EQ(driver.IngestBatch(lane_batches[lane]), 3u);
+    driver.Flush();
+  }
+  release.set_value();
+  driver.PrepQuery();
+
+  ASSERT_EQ(observed.size(), 2u) << "lane heads promoted one by one";
+  EXPECT_EQ(observed[1], fused_want);
+  const EngineStats stats = driver.stats();
+  EXPECT_EQ(stats.batches_applied, 2u);
+  EXPECT_EQ(stats.shard_batches_staged, kShards);
+  EXPECT_EQ(stats.wal_appends, 2u);
+  EXPECT_EQ(driver.applied_seq(), 2u);
 }
 
 // ----- FrontierBuilder bitset pool ------------------------------------------

@@ -13,13 +13,14 @@
 // layers the flags arm; tc streams straight into its engine.
 //
 // With --checkpoint-dir the stream journals through the global checkpointer
-// (WAL + cadence checkpoints); --verify-recovery then cold-recovers into a
-// fresh engine afterwards and exits nonzero unless the recovered values match
-// the live ones — bitwise with one worker thread, within a relative 1e-9
-// with more (parallel refine applies floating-point scatter contributions
-// in schedule order; see docs/INTERNALS.md §10). The recovery always runs on
-// a one-lane driver, whatever --shards the live run used: every lane count
-// restores every other's checkpoints.
+// (WAL + cadence checkpoints), first discarding any checkpoints, journal and
+// shed log an earlier run left there; --verify-recovery then cold-recovers
+// into a fresh engine afterwards and exits nonzero unless the recovered
+// values match the live ones — bitwise with one worker thread, within a
+// relative 1e-9 with more (parallel refine applies floating-point scatter
+// contributions in schedule order; see docs/INTERNALS.md §10). The recovery
+// always runs on a one-lane driver, whatever --shards the live run used:
+// every lane count restores every other's checkpoints.
 //
 // The sentinel layer (docs/INTERNALS.md §6) is armed by --quarantine-dir
 // (admission control + dead-letter WAL; tune with --max-batch-edges, demo
@@ -205,6 +206,9 @@ int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, Stream
                          typename Checkpointer<Engine>::Options{
                              .directory = config.driver.checkpoint_dir,
                              .cadence_batches = config.driver.checkpoint_every});
+    // The stream restarts sequence numbers at 0, so a rerun into the same
+    // directory must not recover into the previous run's checkpoints.
+    checkpointer->DiscardLineage();
   }
   {
     StreamDriver<Engine> driver(&engine, config.driver, durable ? &*checkpointer : nullptr);
