@@ -26,6 +26,7 @@ class ConnectedComponents {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its inputs
   static constexpr bool kContextFree = true;  // the label itself is the candidate
 
   Value InitialValue(VertexId v, const VertexContext& /*ctx*/) const {

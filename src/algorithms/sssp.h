@@ -4,10 +4,13 @@
 //   g(v) = min_{(u,v) ∈ E} ( c(u) + weight(u,v) )
 //   c(v) = v == source ? 0 : g(v)
 //
-// min has no inverse, so the engine re-evaluates impacted vertices by
-// pulling their full in-neighborhood — the re-evaluation strategy the paper
-// uses when comparing against KickStarter. Run in convergence mode: rounds
-// are Bellman–Ford iterations.
+// min has no inverse, but it is selective (IsSelectiveAggregation): a stored
+// aggregate is one of its inputs. The engine folds new and improved
+// contributions into it and re-evaluates, by pulling the full
+// in-neighborhood, only the vertices whose attaining input was deleted or
+// worsened. Options::disable_monotonic_push restores the paper's strategy,
+// the one it compares against KickStarter: re-evaluate every impacted
+// vertex. Run in convergence mode: rounds are Bellman–Ford iterations.
 #ifndef SRC_ALGORITHMS_SSSP_H_
 #define SRC_ALGORITHMS_SSSP_H_
 
@@ -29,6 +32,7 @@ class Sssp {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its inputs
   static constexpr bool kContextFree = true;  // candidate = value + w, degree-blind
 
   explicit Sssp(VertexId source) : source_(source) {}
@@ -74,6 +78,7 @@ class Bfs {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;
+  static constexpr bool kSelective = true;  // min returns one of its inputs
   static constexpr bool kContextFree = true;  // candidate = value + 1, degree-blind
 
   explicit Bfs(VertexId source) : source_(source) {}

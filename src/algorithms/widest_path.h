@@ -26,6 +26,7 @@ class WidestPath {
 
   static constexpr AggregationKind kKind = AggregationKind::kNonDecomposable;
   static constexpr bool kMonotonic = true;  // additions only improve (raise) values
+  static constexpr bool kSelective = true;  // max returns one of its inputs
   static constexpr bool kContextFree = true;  // candidate = min(value, w), degree-blind
 
   explicit WidestPath(VertexId source) : source_(source) {}

@@ -23,8 +23,10 @@
 //    re-derives old contributions from old values on the fly ("on-the-fly
 //    evaluation of discrete contributions") and issues retract+aggregate
 //    pairs — the GraphBolt-RP execution mode of §5.4.
-//  - kNonDecomposable: no inverse (min/max). The engine re-evaluates the
-//    aggregation by pulling the full in-neighborhood of impacted vertices.
+//  - kNonDecomposable: no inverse (min/max, OR). The engine re-evaluates
+//    the aggregation by pulling the full in-neighborhood of impacted
+//    vertices, or only of those a selective aggregation (marker below) may
+//    have lost.
 #ifndef SRC_CORE_ALGORITHM_H_
 #define SRC_CORE_ALGORITHM_H_
 
@@ -85,6 +87,26 @@ template <typename A>
 constexpr bool IsMonotonicAggregation() {
   if constexpr (requires { A::kMonotonic; }) {
     return A::kMonotonic;
+  } else {
+    return false;
+  }
+}
+
+// Optional marker: the aggregation is selective — folding two inputs yields,
+// bit for bit, one of them (min, max). A stored aggregate, folded from the
+// identity, is then the identity or one of its inputs, so a deletion or a
+// worsened input can move it only where that input attained it.
+// GraphBoltEngine refines such algorithms by folding every new contribution
+// into the stored aggregate and re-evaluating only the targets whose
+// attaining input went away, and its fast path splices a deletion whose
+// contribution is strictly dominated. Bitwise OR (MultiSourceReach) is
+// idempotent but not selective: its aggregate combines bits of several
+// inputs, none of which need equal it. The marked algorithm's Contribution
+// must be its Aggregate type.
+template <typename A>
+constexpr bool IsSelectiveAggregation() {
+  if constexpr (requires { A::kSelective; }) {
+    return A::kSelective;
   } else {
     return false;
   }

@@ -119,9 +119,9 @@ class CompactDependencyStore {
 
   // Drops stabilized suffixes re-created by refinement: trailing entries
   // equal to their predecessor carry no information (reads clamp).
-  void RepruneTails(const VertexSubset& targets) {
-    ParallelFor(0, targets.size(), [&](size_t i) {
-      auto& h = history_[targets.members()[i]];
+  void RepruneTails() {
+    ParallelFor(0, num_vertices_, [&](size_t v) {
+      auto& h = history_[v];
       while (h.size() > 1 && h[h.size() - 1] == h[h.size() - 2]) {
         h.pop_back();
       }
@@ -157,8 +157,6 @@ class CompactDependencyStore {
       }
     }
   }
-
-  void AppendChangedBits(AtomicBitset changed_bits) { changed_.push_back(std::move(changed_bits)); }
 
   const AtomicBitset& ChangedAt(uint32_t level) const {
     GB_CHECK(level >= 1 && level <= total_levels()) << "no changed bits for level " << level;
@@ -302,7 +300,6 @@ class CompactDependencyStore {
   uint32_t tracked_levels_ = 0;
   std::vector<std::vector<AggregateT>> history_;  // history_[v][i] = g_{i+1}(v)
   std::vector<AtomicBitset> changed_;
-  uint64_t logical_entries_unused_ = 0;
 };
 
 }  // namespace graphbolt

@@ -55,9 +55,10 @@ class DependencyStore {
 
   bool IsTracked(uint32_t level) const { return level >= 1 && level <= tracked_levels(); }
 
-  // Records the aggregation array at the end of iteration `level` (1-based).
+  // Records the aggregation array at the end of iteration `level` (1-based),
+  // during the initial run or when the hybrid continuation runs past it.
   // Levels must be snapshotted in order. Beyond the history size only the
-  // changed bits are kept (horizontal pruning).
+  // changed bits are kept (horizontal pruning), and `aggregates` is unread.
   void SnapshotLevel(uint32_t level, const std::vector<AggregateT>& aggregates,
                      AtomicBitset changed_bits) {
     GB_CHECK(level == total_levels() + 1) << "levels must be snapshotted in order";
@@ -112,10 +113,6 @@ class DependencyStore {
       levels_.resize(level);
     }
   }
-
-  // Appends a changed-bit level past the tracked history (continuation
-  // iterations of hybrid execution).
-  void AppendChangedBits(AtomicBitset changed_bits) { changed_.push_back(std::move(changed_bits)); }
 
   // Mutable access to g_level(v) for refinement. level is 1-based.
   AggregateT& At(uint32_t level, VertexId v) {
@@ -176,9 +173,9 @@ class DependencyStore {
     std::copy_n(scratch.begin(), destination.size(), destination.begin());
   }
 
-  // Storage compaction hook (no-op for the dense store; the compact store
-  // drops stabilized suffixes here).
-  void RepruneTails(const VertexSubset& /*targets*/) {}
+  // Storage compaction hook, run after each refined batch (no-op for the
+  // dense store; the compact store drops stabilized suffixes here).
+  void RepruneTails() {}
 
   // Changed-vertex bits for iteration `level` (1-based): bit v set iff
   // c_level(v) differed from c_{level-1}(v).

@@ -33,9 +33,18 @@
 // dynamics (the recorded changed set) — is recomputed from its full
 // in-neighborhood, so the continuation is still exact BSP.
 //
-// Non-decomposable aggregations (min/max) cannot retract; for those the
-// engine re-evaluates impacted vertices by pulling the full in-neighborhood
-// at every refined level (§3.3 "Aggregation Properties & Extensions").
+// Non-decomposable aggregations (min/max) cannot retract. The paper
+// re-evaluates every impacted vertex by pulling its full in-neighborhood at
+// every refined level (§3.3 "Aggregation Properties & Extensions"). For a
+// selective aggregation (IsSelectiveAggregation: min, max) the engine
+// instead folds every new and changed contribution into the stored
+// aggregate, and re-evaluates only a "lost" target: one where a deleted
+// edge, or a source whose contribution got worse, attained the stored
+// aggregate. The other targets keep what the fold gives, which a full
+// re-evaluation would reproduce bit for bit, so a level costs what its
+// frontier costs. Non-selective monotonic aggregations (bitwise OR) fold
+// only under addition-only batches; Options::disable_monotonic_push forces
+// the paper's full re-evaluation everywhere.
 #ifndef SRC_CORE_GRAPHBOLT_ENGINE_H_
 #define SRC_CORE_GRAPHBOLT_ENGINE_H_
 
@@ -45,6 +54,7 @@
 #include <cstring>
 #include <istream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <type_traits>
 #include <unordered_map>
@@ -95,8 +105,10 @@ class GraphBoltEngine {
     // recompute-with-tracking instead of refinement — at such densities
     // refinement cost approaches (or exceeds) a GB-Reset restart.
     double reset_fallback_fraction = 0.0;
-    // Ablation switch: disables the monotonic push fast path for
-    // addition-only batches, forcing full min/max re-evaluation.
+    // Ablation switch: disables folding changed contributions into stored
+    // min/max aggregates (the selective path, and the monotonic push of
+    // addition-only batches), forcing the paper's full re-evaluation of
+    // every impacted vertex.
     bool disable_monotonic_push = false;
   };
 
@@ -227,10 +239,14 @@ class GraphBoltEngine {
   //  - Real mutations are provable only for monotonic pull-based
   //    context-free algorithms (SSSP/BFS/CC/widest/reach). An addition is
   //    safe when its candidate contribution cannot improve the target's
-  //    aggregation at any tracked level of the dependency store (min/max
-  //    absorbs it without moving a bit); a deletion is safe when its
-  //    contribution is strictly dominated at every level (removing a
-  //    non-attaining input leaves each re-evaluated min unchanged).
+  //    aggregation at any tracked level of the dependency store (the
+  //    aggregation absorbs it without moving a bit). A deletion is safe
+  //    when, at every level, its contribution is the identity (folding the
+  //    identity changes nothing, so it is never load-bearing) or, for a
+  //    selective aggregation (min/max), strictly dominated: removing an
+  //    input that does not attain the aggregate leaves the re-evaluated
+  //    min unchanged. Under OR a non-identity input may be the only one to
+  //    supply some bit, so such a deletion escalates.
   //  - Decomposable algorithms (PageRank): a real edge change shifts the
   //    endpoint's degree context, which moves its contribution along every
   //    incident edge, so only graph no-ops are safe.
@@ -303,6 +319,12 @@ class GraphBoltEngine {
             const Aggregate cand =
                 algo_.ContributionOf(e.src, value_entering(level, e.src), e.weight,
                                      contexts_[e.src]);
+            if (SameBits(cand, algo_.IdentityAggregate())) {
+              continue;  // the fold starts from the identity: never load-bearing
+            }
+            if constexpr (!kSelective) {
+              return {false, "may-supply-aggregate"};
+            }
             const Aggregate& cur = store_.At(level, e.dst);
             Aggregate probe = cur;
             algo_.AggregateAtomic(&probe, cand);
@@ -592,6 +614,11 @@ class GraphBoltEngine {
   using Contribution = typename Algo::Contribution;
 
   static constexpr bool kPullBased = Algo::kKind == AggregationKind::kNonDecomposable;
+  // Selective aggregations (min/max) refine by folding, re-evaluating only
+  // the targets that lost their attaining input (LosesAggregate).
+  static constexpr bool kSelective = IsSelectiveAggregation<Algo>();
+  static_assert(!kSelective || std::is_same_v<Contribution, Aggregate>,
+                "a selective aggregation's inputs are aggregates");
   // Weight-free algorithms evaluate each frontier source's change once per
   // level, not once per edge (IsWeightFreeAlgorithm); pull-based ones
   // re-evaluate whole in-neighbourhoods instead and never stage.
@@ -1054,7 +1081,7 @@ class GraphBoltEngine {
     }
     // Give the storage backend a chance to drop suffixes that refinement
     // re-expanded but that ended up stable again (no-op for the dense store).
-    store_.RepruneTails(VertexSubset::All(n));
+    store_.RepruneTails();
 
     // Decide whether the computation must continue past the refined levels:
     // untracked original iterations remain, or (in convergence mode) the
@@ -1079,12 +1106,47 @@ class GraphBoltEngine {
     const std::vector<VertexContext>& old_contexts;
   };
 
-  // Monotonic aggregations with addition-only batches: values only improve,
-  // and the aggregation absorbs improved inputs without retraction, so the
-  // improved contributions are pushed directly (§5.4B).
-  bool MonotonicPushOnly(const AppliedMutations& applied) const {
-    return IsMonotonicAggregation<Algo>() && applied.deleted.empty() &&
-           !options_.disable_monotonic_push;
+  // Whether the levels of a pull-based algorithm fold the batch's new and
+  // changed contributions into the stored aggregates instead of
+  // re-evaluating every target. Exact for a selective aggregation, whose
+  // lost targets are re-evaluated (LosesAggregate), and for a monotonic one
+  // under an addition-only batch: its inputs only improve, and it absorbs
+  // improved inputs without retraction (§5.4B). disable_monotonic_push is
+  // the ablation that forces the paper's full re-evaluation.
+  bool FoldsChanges(const AppliedMutations& applied) const {
+    return !options_.disable_monotonic_push &&
+           (kSelective || (IsMonotonicAggregation<Algo>() && applied.deleted.empty()));
+  }
+
+  // Whether replacing the input `before` of a target by `after` can move the
+  // target's stored selective aggregate `stored`, so that folding `after`
+  // in is not enough: `before` attained it (and is not the identity, which
+  // every fold starts from and so never leaves) and `after` is worse —
+  // folding `after` onto `before` does not give `after`. A deleted input is
+  // replaced by the identity.
+  bool LosesAggregate(const Aggregate& stored, const Aggregate& before,
+                      const Aggregate& after) const {
+    if (!SameBits(before, stored) || SameBits(before, algo_.IdentityAggregate())) {
+      return false;
+    }
+    Aggregate probe = before;
+    algo_.AggregateOwned(&probe, after);
+    return !SameBits(probe, after);
+  }
+
+  // Claims the targets whose stored aggregate at `level` a deleted edge's
+  // old contribution attained (selective aggregations).
+  void ClaimLostByDeletions(uint32_t level, const RefinedBatch& batch, const LevelScratch& prev,
+                            FrontierBuilder* lost) {
+    for (const Edge& e : batch.applied.deleted) {
+      const Value old_src = OldValueAt(level - 1, e.src, batch.old_contexts, prev);
+      const Aggregate before =
+          algo_.ContributionOf(e.src, old_src, e.weight, batch.old_contexts[e.src]);
+      if (LosesAggregate(store_.At(level, e.dst), before, algo_.IdentityAggregate())) {
+        lost->Claim(e.dst);
+      }
+    }
+    stats_.edges_processed += batch.applied.deleted.size();
   }
 
   // Refines one tracked level; returns the next frontier (changed values and
@@ -1223,19 +1285,27 @@ class GraphBoltEngine {
     std::vector<Aggregate>& agg = level_scratch_;
 
     std::atomic<uint64_t> edges{0};
-    if (kPullBased && !MonotonicPushOnly(applied)) {
-      ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
+    auto reevaluate = [&](const VertexSubset& subset) {
+      ParallelForChunks(0, subset.size(), [&](size_t lo, size_t hi) {
         uint64_t local_edges = 0;
         for (size_t i = lo; i < hi; ++i) {
-          const VertexId v = targets.members()[i];
+          const VertexId v = subset.members()[i];
           agg[v] = Reevaluate(level, v, prev, &local_edges);
         }
         edges.fetch_add(local_edges, std::memory_order_relaxed);
       }, /*grain=*/64);
+    };
+    if (kPullBased && !FoldsChanges(applied)) {
+      reevaluate(targets);
     } else {
       ApplyDirectImpact(level, batch, prev, &agg);
+      std::optional<FrontierBuilder> lost;
+      if constexpr (kSelective) {
+        lost.emplace(graph_->num_vertices());
+        ClaimLostByDeletions(level, batch, prev, &*lost);
+      }
       // Transitive impact: ⋃△ over out-edges (in E^T) of every changed
-      // contributor, or its improved contribution (monotonic push-only).
+      // contributor, or (pull-based) its new contribution folded in.
       ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
         uint64_t local_edges = 0;
         for (size_t i = lo; i < hi; ++i) {
@@ -1252,9 +1322,18 @@ class GraphBoltEngine {
           } else {
             for (size_t e = 0; e < out_nbrs.size(); ++e) {
               if constexpr (kPullBased) {
-                algo_.AggregateAtomic(&agg[out_nbrs[e]],
-                                      algo_.ContributionOf(entry.v, entry.new_value, out_wts[e],
-                                                           contexts_[entry.v]));
+                const VertexId w = out_nbrs[e];
+                const Contribution after = algo_.ContributionOf(entry.v, entry.new_value,
+                                                                out_wts[e], contexts_[entry.v]);
+                algo_.AggregateAtomic(&agg[w], after);
+                if constexpr (kSelective) {
+                  const Contribution before =
+                      algo_.ContributionOf(entry.v, entry.old_value, out_wts[e],
+                                           batch.old_contexts[entry.v]);
+                  if (LosesAggregate(store_.At(level, w), before, after)) {
+                    lost->Claim(w);
+                  }
+                }
               } else {
                 PushChange(entry.v, entry.old_value, entry.new_value, out_wts[e],
                            batch.old_contexts[entry.v], contexts_[entry.v], &agg[out_nbrs[e]]);
@@ -1265,6 +1344,9 @@ class GraphBoltEngine {
         }
         edges.fetch_add(local_edges, std::memory_order_relaxed);
       }, /*grain=*/64);
+      if constexpr (kSelective) {
+        reevaluate(lost->Take());  // every lost vertex is a target
+      }
     }
     stats_.edges_processed += edges.load();
 
@@ -1308,11 +1390,16 @@ class GraphBoltEngine {
                                              const LevelScratch& prev, LevelScratch* cur,
                                              AtomicBitset* changed_bits) {
     const VertexId n = graph_->num_vertices();
-    const bool reevaluate = kPullBased && !MonotonicPushOnly(batch.applied);
+    const bool fold = !kPullBased || FoldsChanges(batch.applied);
     store_.MaterializeLevel(level, &level_scratch_);
     std::vector<Aggregate>& agg = level_scratch_;
-    if (!reevaluate) {
+    std::optional<FrontierBuilder> lost_by_deletion;
+    if (fold) {
       ApplyDirectImpact(level, batch, prev, &agg);
+      if constexpr (kSelective) {
+        lost_by_deletion.emplace(n);
+        ClaimLostByDeletions(level, batch, prev, &*lost_by_deletion);
+      }
     }
     if constexpr (kStaged) {
       PrepareStaged(n);
@@ -1333,20 +1420,34 @@ class GraphBoltEngine {
         const VertexId w = static_cast<VertexId>(vi);
         bool target = batch.direct_targets.Test(w);
         if constexpr (kPullBased) {
+          // lost: w, if a target, is re-evaluated rather than folded into.
+          bool lost = !fold;
+          if constexpr (kSelective) {
+            lost = lost || lost_by_deletion->Contains(w);
+          }
           const auto in_nbrs = graph_->InNeighbors(w);
           const auto in_wts = graph_->InWeights(w);
-          for (size_t e = 0; e < in_nbrs.size() && !(target && reevaluate); ++e) {
+          for (size_t e = 0; e < in_nbrs.size() && !(target && lost); ++e) {
             const VertexId u = in_nbrs[e];
-            if (prev.frontier.Test(u)) {
-              target = true;
-              if (!reevaluate) {
-                algo_.AggregateOwned(&agg[w], algo_.ContributionOf(u, prev.new_values[u],
-                                                                   in_wts[e], contexts_[u]));
-                ++local_edges;
-              }
+            if (!prev.frontier.Test(u)) {
+              continue;
+            }
+            target = true;
+            if (lost) {
+              continue;
+            }
+            const Contribution after =
+                algo_.ContributionOf(u, prev.new_values[u], in_wts[e], contexts_[u]);
+            algo_.AggregateOwned(&agg[w], after);
+            ++local_edges;
+            if constexpr (kSelective) {
+              lost = LosesAggregate(
+                  store_.At(level, w),
+                  algo_.ContributionOf(u, prev.old_values[u], in_wts[e], batch.old_contexts[u]),
+                  after);
             }
           }
-          if (target && reevaluate) {
+          if (target && lost) {
             agg[w] = Reevaluate(level, w, prev, &local_edges);
           }
         } else {
@@ -1375,6 +1476,14 @@ class GraphBoltEngine {
 
   // Computation-aware hybrid execution past the refined history: selective
   // pull-recomputation seeded by the changed-bit vectors.
+  //
+  // Levels past the original run (orig_total) are new. While the history
+  // has room for them they are stored whole, aggregates and changed bits,
+  // so tracked_levels() == total_levels() holds unless horizontal pruning
+  // is on, and the next batch refines them like any other level (and the
+  // fast path can still prove updates safe). A vertex the continuation does
+  // not recompute at a level has no in-neighbour that changed one level
+  // earlier, so its aggregate carries over from the level before.
   void ContinueBeyondHistory(uint32_t from_level, uint32_t orig_total) {
     const VertexId n = graph_->num_vertices();
 
@@ -1387,12 +1496,16 @@ class GraphBoltEngine {
     // Frontier: vertices whose refined value changed at the entry level.
     std::vector<VertexId> frontier;
     if (from_level >= 1) {
-      const AtomicBitset& bits = store_.ChangedAt(from_level);
-      for (VertexId v = 0; v < n; ++v) {
-        if (bits.Test(v)) {
-          frontier.push_back(v);
-        }
-      }
+      store_.ChangedAt(from_level).ForEachSet(
+          [&](size_t v) { frontier.push_back(static_cast<VertexId>(v)); });
+    }
+
+    // The aggregates of the level being computed, when it will be stored.
+    const bool extends_history = from_level >= 1 && from_level == store_.tracked_levels() &&
+                                 from_level < store_.history_size();
+    std::vector<Aggregate>& agg = level_scratch_;
+    if (extends_history) {
+      store_.MaterializeLevel(from_level, &agg);
     }
 
     uint32_t level = from_level + 1;
@@ -1412,12 +1525,8 @@ class GraphBoltEngine {
       if (level <= orig_total) {
         // Replay the original dynamics: vertices that changed at this level
         // in the pre-mutation run must be recomputed too.
-        const AtomicBitset& orig_bits = store_.ChangedAt(level);
-        for (VertexId v = 0; v < n; ++v) {
-          if (orig_bits.Test(v)) {
-            affected.Claim(v);
-          }
-        }
+        store_.ChangedAt(level).ForEachSet(
+            [&](size_t v) { affected.Claim(static_cast<VertexId>(v)); });
       }
       VertexSubset targets = affected.Take();
 
@@ -1427,8 +1536,11 @@ class GraphBoltEngine {
         uint64_t local_edges = 0;
         for (size_t i = lo; i < hi; ++i) {
           const VertexId v = targets.members()[i];
-          const Aggregate agg = PullAggregate(v, cur, &local_edges);
-          fresh[i] = algo_.VertexCompute(v, agg, contexts_[v]);
+          const Aggregate pulled = PullAggregate(v, cur, &local_edges);
+          fresh[i] = algo_.VertexCompute(v, pulled, contexts_[v]);
+          if (extends_history) {
+            agg[v] = pulled;
+          }
         }
         edges.fetch_add(local_edges, std::memory_order_relaxed);
       }, /*grain=*/64);
@@ -1460,7 +1572,8 @@ class GraphBoltEngine {
           }
           cur[v] = fresh[i];
         }
-        store_.AppendChangedBits(std::move(bits));
+        // Past history_size only the changed bits are kept.
+        store_.SnapshotLevel(level, agg, std::move(bits));
       }
       frontier = std::move(next);
       ++stats_.iterations;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/graph/types.h"
@@ -138,11 +139,7 @@ class VertexSubset {
     }
     members_.clear();
     members_.reserve(dense_count_);
-    for (VertexId v = 0; v < universe_; ++v) {
-      if (dense_.Test(v)) {
-        members_.push_back(v);
-      }
-    }
+    dense_.ForEachSet([&](size_t v) { members_.push_back(static_cast<VertexId>(v)); });
     dense_applied_ = members_.size();
     sparse_valid_ = true;
   }
@@ -219,9 +216,10 @@ class FrontierBitsetPool {
 };
 
 // Concurrent frontier builder: threads claim membership through an atomic
-// bitset and append to thread-chunk-local vectors merged at the end. The
-// claim bitset is pooled (FrontierBitsetPool): acquired on construction,
-// cleared and returned on destruction.
+// bitset (first claim wins), and Take / TakeDense / TakeAuto turn the claims
+// into a VertexSubset afterwards. The claim bitset is pooled
+// (FrontierBitsetPool): acquired on construction, cleared and returned on
+// destruction.
 class FrontierBuilder {
  public:
   explicit FrontierBuilder(VertexId universe)
@@ -237,50 +235,43 @@ class FrontierBuilder {
 
   bool Contains(VertexId v) const { return claimed_.Test(v); }
 
-  // Collects all claimed vertices into a subset. The O(universe) scan runs
-  // as a blocked two-pass pack (per-block claim counts, prefix sum, then a
-  // parallel fill — the same shape as ParallelPrefixSum) so a large
-  // universe is swept by the whole arena; block order keeps the member
-  // vector sorted either way. The claim bitset is copied into the subset as
-  // its ready-made dense view (an O(universe/64) word copy, noise next to
-  // the scan), so EdgeMap's dense direction never rebuilds it — and the
-  // builder stays usable for further claims.
+  // Collects all claimed vertices into a subset, packed word by word: a
+  // popcount sizes the member vector, and each word's set bits are written
+  // out lowest first, so the pack costs O(universe/64 + members) and the
+  // members come out ascending. A large universe is packed in blocks of
+  // words (per-block popcounts, prefix sum, then a parallel fill, the same
+  // shape as ParallelPrefixSum) so the whole arena sweeps it; block order
+  // keeps the result sorted. The claim bitset is copied into the subset as
+  // its ready-made dense view (an O(universe/64) word copy), so EdgeMap's
+  // dense direction never rebuilds it — and the builder stays usable for
+  // further claims.
   VertexSubset Take() const {
-    constexpr size_t kBlock = 4096;
-    const size_t n = universe_;
-    if (n < 2 * kBlock) {
-      VertexSubset subset(universe_);
-      for (VertexId v = 0; v < universe_; ++v) {
-        if (claimed_.Test(v)) {
-          subset.Add(v);
-        }
-      }
-      subset.AdoptDense(claimed_);
-      return subset;
+    constexpr size_t kBlockWords = 64;  // 4096 vertices
+    const size_t words = claimed_.num_words();
+    auto fill = [&](size_t word_lo, size_t word_hi, VertexId* out) {
+      claimed_.ForEachSetInWords(word_lo, word_hi,
+                                 [&](size_t v) { *out++ = static_cast<VertexId>(v); });
+    };
+    std::vector<VertexId> members;
+    if (words < 2 * kBlockWords) {
+      members.resize(claimed_.Count());
+      fill(0, words, members.data());
+    } else {
+      const size_t blocks = (words + kBlockWords - 1) / kBlockWords;
+      auto block_words = [&](size_t b) {
+        return std::pair{b * kBlockWords, std::min(words, (b + 1) * kBlockWords)};
+      };
+      std::vector<size_t> offsets(blocks);
+      ParallelFor(0, blocks, [&](size_t b) {
+        const auto [lo, hi] = block_words(b);
+        offsets[b] = claimed_.CountWords(lo, hi);
+      }, /*grain=*/1);
+      members.resize(ExclusivePrefixSum(offsets));
+      ParallelFor(0, blocks, [&](size_t b) {
+        const auto [lo, hi] = block_words(b);
+        fill(lo, hi, members.data() + offsets[b]);
+      }, /*grain=*/1);
     }
-    const size_t blocks = (n + kBlock - 1) / kBlock;
-    std::vector<size_t> offsets(blocks);
-    ParallelFor(0, blocks, [&](size_t b) {
-      const size_t lo = b * kBlock;
-      const size_t hi = lo + kBlock < n ? lo + kBlock : n;
-      size_t count = 0;
-      for (size_t v = lo; v < hi; ++v) {
-        count += claimed_.Test(static_cast<VertexId>(v)) ? 1 : 0;
-      }
-      offsets[b] = count;
-    }, /*grain=*/1);
-    const size_t total = ExclusivePrefixSum(offsets);
-    std::vector<VertexId> members(total);
-    ParallelFor(0, blocks, [&](size_t b) {
-      const size_t lo = b * kBlock;
-      const size_t hi = lo + kBlock < n ? lo + kBlock : n;
-      size_t out = offsets[b];
-      for (size_t v = lo; v < hi; ++v) {
-        if (claimed_.Test(static_cast<VertexId>(v))) {
-          members[out++] = static_cast<VertexId>(v);
-        }
-      }
-    }, /*grain=*/1);
     VertexSubset subset = VertexSubset::FromSorted(universe_, std::move(members));
     subset.AdoptDense(claimed_);
     return subset;

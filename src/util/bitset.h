@@ -68,16 +68,41 @@ class AtomicBitset {
   }
 
   // Number of set bits (sequential scan).
-  size_t Count() const {
+  size_t Count() const { return CountWords(0, words_.size()); }
+
+  // The backing words: word w holds bits [64w, 64w + 64). Bits at or past
+  // size() are always clear.
+  size_t num_words() const { return words_.size(); }
+
+  // Number of set bits in words [word_lo, word_hi).
+  size_t CountWords(size_t word_lo, size_t word_hi) const {
     size_t count = 0;
-    for (const auto& w : words_) {
-      count += static_cast<size_t>(
-          __builtin_popcountll(w.value.load(std::memory_order_relaxed)));
+    for (size_t w = word_lo; w < word_hi; ++w) {
+      count += static_cast<size_t>(__builtin_popcountll(Load(w)));
     }
     return count;
   }
 
+  // Calls fn(i) for every set bit i in words [word_lo, word_hi), in
+  // ascending order. One load per word and one step per set bit, so a
+  // sparse set costs O(words + members), not a test per bit.
+  template <typename Fn>
+  void ForEachSetInWords(size_t word_lo, size_t word_hi, Fn&& fn) const {
+    for (size_t w = word_lo; w < word_hi; ++w) {
+      for (uint64_t bits = Load(w); bits != 0; bits &= bits - 1) {
+        fn(w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
+      }
+    }
+  }
+
+  template <typename Fn>
+  void ForEachSet(Fn&& fn) const {
+    ForEachSetInWords(0, words_.size(), fn);
+  }
+
  private:
+  uint64_t Load(size_t w) const { return words_[w].value.load(std::memory_order_relaxed); }
+
   struct Word {
     std::atomic<uint64_t> value{0};
     Word() = default;

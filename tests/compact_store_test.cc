@@ -96,7 +96,7 @@ TEST(CompactStore, RepruneTailsDropsRestabilizedSuffix) {
   scratch[0] = 1.0;  // refine level 2 back to the level-1 value
   store.CommitLevel(2, target, scratch);
   EXPECT_EQ(store.logical_entries(), 2u);
-  store.RepruneTails(target);
+  store.RepruneTails();
   EXPECT_EQ(store.logical_entries(), 1u);
   EXPECT_DOUBLE_EQ(store.At(2, 0), 1.0);
 }

@@ -9,15 +9,20 @@
 // ASan and TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "src/algorithms/connected_components.h"
+#include "src/algorithms/multi_source_reach.h"
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/sssp.h"
+#include "src/algorithms/widest_path.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
 #include "src/driver/fast_path.h"
@@ -159,6 +164,77 @@ TEST(FastPathClassify, GraphBoltSsspMatrix) {
   EXPECT_TRUE(SameValueBits(before, engine.values()));
 }
 
+// Bitwise OR is idempotent but not selective: a deleted input may be the
+// only one to supply some bit, so the dominated-deletion rule of min/max
+// does not apply. Sources {0, 1} both reach 4 directly; deleting 0->4 drops
+// bit 0 at 4, so the deletion must escalate. An input that carries no bit
+// (the identity) is never load-bearing, under OR as under min/max.
+TEST(FastPathClassify, OrDeletionThatSuppliesABitEscalates) {
+  EdgeList list;
+  list.set_num_vertices(5);
+  list.Add(0, 4);
+  list.Add(1, 4);
+  list.Add(2, 4);  // 2 is reached by no source: its contribution is 0
+  MutableGraph graph(list);
+  GraphBoltEngine<MultiSourceReach> engine(&graph, MultiSourceReach({0, 1}, 5),
+                                           {.max_iterations = 16, .run_to_convergence = true});
+  engine.InitialCompute();
+  ASSERT_EQ(engine.values()[4], 3u);
+
+  const FastPathVerdict verdict = engine.ClassifyFast(EdgeMutation::Delete(0, 4));
+  EXPECT_FALSE(verdict.safe) << verdict.reason;
+  EXPECT_FALSE(engine.ApplyFastSafe(EdgeMutation::Delete(0, 4)));
+  EXPECT_TRUE(graph.HasEdge(0, 4));
+  EXPECT_TRUE(engine.ClassifyFast(EdgeMutation::Delete(2, 4)).safe);
+
+  engine.ApplyMutations({EdgeMutation::Delete(0, 4)});
+  EXPECT_EQ(engine.values()[4], 2u);
+}
+
+// A refinement that needs more levels than the original run continues past
+// it; those levels must be stored whole, or tracked_levels() falls behind
+// total_levels() and every later verdict reads as pruned history. The
+// chain 0->1->2->3->4->5 with a shortcut 0->3 converges in 4 levels;
+// deleting the shortcut pushes 5's distance out to level 5.
+TEST(FastPathClassify, SsspSplicesAfterRefinementExtendsTheHistory) {
+  EdgeList list;
+  list.set_num_vertices(6);
+  for (VertexId v = 0; v < 5; ++v) {
+    list.Add(v, v + 1, 1.0f);
+  }
+  list.Add(0, 3, 1.0f);
+  list.Add(5, 2, 50.0f);  // never attains the aggregate at 2
+  const GraphBoltEngine<Sssp>::Options options{.max_iterations = 128,
+                                               .run_to_convergence = true};
+  MutableGraph graph(list);
+  MutableGraph ref_graph(list);
+  GraphBoltEngine<Sssp> engine(&graph, Sssp(0), options);
+  GraphBoltEngine<Sssp> reference(&ref_graph, Sssp(0), options);
+  engine.InitialCompute();
+  reference.InitialCompute();
+  const uint32_t original_levels = engine.store().total_levels();
+
+  engine.ApplyMutations({EdgeMutation::Delete(0, 3)});
+  reference.ApplyMutations({EdgeMutation::Delete(0, 3)});
+  ASSERT_EQ(engine.values()[5], 5.0);
+  ASSERT_GT(engine.store().total_levels(), original_levels);
+  EXPECT_EQ(engine.store().tracked_levels(), engine.store().total_levels());
+
+  // A heavy addition that cannot relax, and a dominated deletion: both are
+  // splices, and the batched reference lands on the same bits.
+  for (const EdgeMutation m : {EdgeMutation::Add(5, 1, 100.0f), EdgeMutation::Delete(5, 2)}) {
+    const FastPathVerdict verdict = engine.ClassifyFast(m);
+    EXPECT_TRUE(verdict.safe) << verdict.reason;
+    EXPECT_TRUE(engine.ApplyFastSafe(m));
+    reference.ApplyMutations(MutationBatch{m});
+    EXPECT_TRUE(SameValueBits(engine.values(), reference.values()));
+  }
+  engine.ApplyMutations({EdgeMutation::Add(1, 5, 0.5f)});
+  reference.ApplyMutations({EdgeMutation::Add(1, 5, 0.5f)});
+  EXPECT_TRUE(SameValueBits(engine.values(), reference.values()));
+  EXPECT_EQ(engine.values()[5], 1.5);
+}
+
 TEST(FastPathClassify, PageRankOnlyGraphNoopsAreSafe) {
   MutableGraph graph(PaperFigure2aGraph());
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
@@ -174,10 +250,26 @@ TEST(FastPathClassify, PageRankOnlyGraphNoopsAreSafe) {
 
 // ----- Randomized soundness oracle -----------------------------------------
 
+// Every tracked level array of a GraphBolt engine's dependency store, in
+// order (empty for engines without one).
+template <typename Engine>
+auto TrackedLevels(const Engine& engine) {
+  if constexpr (requires { engine.store(); }) {
+    std::vector<std::remove_cvref_t<decltype(engine.store().LevelArray(1))>> levels;
+    for (uint32_t level = 1; level <= engine.store().tracked_levels(); ++level) {
+      levels.push_back(engine.store().LevelArray(level));
+    }
+    return levels;
+  } else {
+    return std::vector<std::vector<double>>{};
+  }
+}
+
 // The definition of "safe", checked directly: whenever ClassifyFast says
 // safe, running the mutation through the full batched ApplyMutations path
-// must leave the computed values bitwise unchanged. Returns (safe, total)
-// so callers can require the sweep was not vacuous.
+// must leave the computed values, and every stored aggregate, bitwise
+// unchanged. Returns (safe, total) so callers can require the sweep was not
+// vacuous.
 template <typename Engine>
 std::pair<uint64_t, uint64_t> SweepOracle(Engine& engine,
                                           const std::vector<EdgeMutation>& mutations) {
@@ -185,12 +277,19 @@ std::pair<uint64_t, uint64_t> SweepOracle(Engine& engine,
   for (const EdgeMutation& m : mutations) {
     const bool verdict = engine.ClassifyFast(m).safe;
     const auto before = engine.values();
+    const auto levels_before = TrackedLevels(engine);
     engine.ApplyMutations(MutationBatch{m});
     if (verdict) {
       ++safe;
       EXPECT_TRUE(SameValueBits(before, engine.values()))
           << "safe verdict but batched apply moved values: kind="
           << static_cast<int>(m.kind) << " " << m.src << "->" << m.dst;
+      const auto levels_after = TrackedLevels(engine);
+      EXPECT_EQ(levels_before.size(), levels_after.size());
+      for (size_t l = 0; l < std::min(levels_before.size(), levels_after.size()); ++l) {
+        EXPECT_TRUE(SameValueBits(levels_before[l], levels_after[l]))
+            << "safe verdict but batched apply moved level " << l + 1;
+      }
     }
   }
   return {safe, mutations.size()};
@@ -218,6 +317,20 @@ TEST(FastPathOracle, SafeVerdictImpliesBitwiseNoopAcrossSeeds) {
       engine.InitialCompute();
       gb_safe += SweepOracle(engine, mutations).first;
     }
+    // The other monotonic algorithms the fast path proves mutations for:
+    // the selective ones (min, max) and OR over several sources.
+    auto sweep = [&](auto algo) {
+      MutableGraph graph(split.initial);
+      GraphBoltEngine<decltype(algo)> engine(&graph, algo,
+                                             {.max_iterations = 128, .run_to_convergence = true});
+      engine.InitialCompute();
+      return SweepOracle(engine, mutations).first;
+    };
+    const VertexId n = split.initial.num_vertices();
+    gb_safe += sweep(Bfs(0));
+    gb_safe += sweep(ConnectedComponents{});
+    gb_safe += sweep(WidestPath(0));
+    gb_safe += sweep(MultiSourceReach({0, 1, n / 2}, n));
   }
   // The interleaved self-loops alone guarantee both sweeps see safes.
   EXPECT_GT(ks_safe, 0u);

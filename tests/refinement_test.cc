@@ -3,17 +3,24 @@
 // dependency-store bookkeeping, and refinement edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <type_traits>
 
 #include "src/algorithms/belief_propagation.h"
 #include "src/algorithms/coem.h"
 #include "src/algorithms/collaborative_filtering.h"
+#include "src/algorithms/connected_components.h"
 #include "src/algorithms/label_propagation.h"
+#include "src/algorithms/multi_source_reach.h"
 #include "src/algorithms/pagerank.h"
 #include "src/algorithms/personalized_pagerank.h"
+#include "src/algorithms/sssp.h"
+#include "src/algorithms/widest_path.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
@@ -569,6 +576,148 @@ TYPED_TEST(WeightFreeMarker, ContributionIgnoresTheEdgeWeight) {
 // Negative control: the check sees a weighted contribution.
 TEST(WeightFreeMarkerControl, CheckCatchesAWeightedContribution) {
   EXPECT_FALSE(ContributionIgnoresWeight(CoEM(600, 0.08, 161), 161));
+}
+
+// ----- The selective marker is honest ----------------------------------------------
+
+static_assert(IsSelectiveAggregation<Sssp>());
+static_assert(IsSelectiveAggregation<Bfs>());
+static_assert(IsSelectiveAggregation<ConnectedComponents>());
+static_assert(IsSelectiveAggregation<WidestPath>());
+static_assert(!IsSelectiveAggregation<MultiSourceReach>());
+static_assert(!IsSelectiveAggregation<PageRank>());
+
+// An input of a min/max-style aggregation: a random value, a sentinel the
+// algorithms use (the identity, unreachable, infinite capacity, zero), or
+// a contribution derived from a random value through a random weight.
+template <typename Algo>
+typename Algo::Aggregate RandomInput(const Algo& algo, Rng* rng) {
+  using Aggregate = typename Algo::Aggregate;
+  if constexpr (std::is_floating_point_v<Aggregate>) {
+    const Aggregate sentinels[] = {algo.IdentityAggregate(), kUnreachable, kInfiniteCapacity,
+                                   0.0, -0.0, 1.0};
+    switch (rng->NextBounded(3)) {
+      case 0:
+        return sentinels[rng->NextBounded(std::size(sentinels))];
+      case 1:
+        return RandomScalar(rng);
+      default:
+        return algo.ContributionOf(static_cast<VertexId>(rng->NextBounded(600)),
+                                   std::fabs(RandomScalar(rng)),
+                                   static_cast<Weight>(rng->NextDouble() * 4.0), VertexContext{});
+    }
+  } else {
+    return rng->Next() & rng->Next();  // a random bit set
+  }
+}
+
+// Whether folding b onto a (owned and atomic alike) gives, bit for bit, a
+// or b — the contract the selective refinement and the dominated-deletion
+// rule rely on.
+template <typename Algo>
+bool FoldSelectsAnInput(const Algo& algo, uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto a = RandomInput(algo, &rng);
+    const auto b = RandomInput(algo, &rng);
+    auto owned = a;
+    algo.AggregateOwned(&owned, b);
+    auto atomic = a;
+    algo.AggregateAtomic(&atomic, b);
+    if (!(SameBits(owned, a) || SameBits(owned, b)) || !SameBits(atomic, owned)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Algo>
+Algo MakeSelectiveAlgorithm() {
+  if constexpr (std::is_same_v<Algo, ConnectedComponents>) {
+    return ConnectedComponents{};
+  } else {
+    return Algo(0);
+  }
+}
+
+template <typename Algo>
+class SelectiveMarker : public ::testing::Test {};
+using SelectiveAlgorithms = ::testing::Types<Sssp, Bfs, ConnectedComponents, WidestPath>;
+TYPED_TEST_SUITE(SelectiveMarker, SelectiveAlgorithms);
+
+// The engine folds new contributions into a marked algorithm's stored
+// aggregates and re-evaluates only where an attaining input left, so the
+// fold must select one of its inputs.
+TYPED_TEST(SelectiveMarker, AggregateOfTwoInputsIsOneOfThem) {
+  EXPECT_TRUE(FoldSelectsAnInput(MakeSelectiveAlgorithm<TypeParam>(), 180));
+}
+
+// Negative control: the check sees that OR combines its inputs.
+TEST(SelectiveMarkerControl, CheckCatchesBitwiseOr) {
+  EXPECT_FALSE(FoldSelectsAnInput(MultiSourceReach({0, 1}, 600), 181));
+}
+
+// ----- Selective refinement is exact -------------------------------------------------
+
+// Mixed addition/deletion batches of every size through the selective
+// (fold, then re-evaluate the lost targets) refinement, at one and four
+// workers and with the paper's full re-evaluation: after each batch the
+// values and every stored level equal, bit for bit, a from-scratch
+// InitialCompute on the mutated graph. Refinement keeps any levels past the
+// point where the fresh run converges; those equal its last level.
+template <typename Algo>
+void ExpectSelectiveRefinementExact(const typename GraphBoltEngine<Algo>::Options& options,
+                                    size_t threads, uint64_t seed) {
+  const size_t original = TaskArena::Instance().num_threads();
+  TaskArena::SetNumThreads(threads);
+  const Algo algo = MakeSelectiveAlgorithm<Algo>();
+  EdgeList full = GenerateRmat(600, 6000, {.seed = seed, .assign_random_weights = true});
+  StreamSplit split = SplitForStreaming(full, 0.5, seed + 1);
+  MutableGraph graph(split.initial);
+  GraphBoltEngine<Algo> bolt(&graph, algo, options);
+  bolt.InitialCompute();
+  UpdateStream stream(split.held_back, seed + 2);
+  size_t step = 0;
+  for (const size_t size : {1, 1, 1, 3, 10, 40, 150, 600, 1, 1}) {
+    ++step;
+    bolt.ApplyMutations(stream.NextBatch(graph, {.size = size, .add_fraction = 0.5}));
+    MutableGraph fresh_graph(graph.ToEdgeList());
+    GraphBoltEngine<Algo> fresh(&fresh_graph, algo, options);
+    fresh.InitialCompute();
+    ASSERT_EQ(bolt.values().size(), fresh.values().size());
+    EXPECT_EQ(std::memcmp(bolt.values().data(), fresh.values().data(),
+                          fresh.values().size() * sizeof(typename Algo::Value)),
+              0)
+        << "values differ after batch " << step << " of size " << size;
+    const uint32_t fresh_levels = fresh.store().tracked_levels();
+    ASSERT_GE(bolt.store().tracked_levels(), fresh_levels);
+    EXPECT_EQ(bolt.store().tracked_levels(), bolt.store().total_levels());
+    for (uint32_t level = 1; level <= bolt.store().tracked_levels(); ++level) {
+      const auto& want = fresh.store().LevelArray(std::min(level, fresh_levels));
+      EXPECT_EQ(std::memcmp(bolt.store().LevelArray(level).data(), want.data(),
+                            want.size() * sizeof(typename Algo::Aggregate)),
+                0)
+          << "level " << level << " differs after batch " << step << " of size " << size;
+    }
+  }
+  TaskArena::SetNumThreads(original);
+}
+
+template <typename Algo>
+class SelectiveRefinement : public ::testing::Test {};
+TYPED_TEST_SUITE(SelectiveRefinement, SelectiveAlgorithms);
+
+TYPED_TEST(SelectiveRefinement, MixedBatchesMatchFreshRunBitwise) {
+  const typename GraphBoltEngine<TypeParam>::Options converge{.max_iterations = 128,
+                                                              .run_to_convergence = true};
+  auto full_reevaluation = converge;
+  full_reevaluation.disable_monotonic_push = true;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSelectiveRefinementExact<TypeParam>(converge, threads, 190);
+    ExpectSelectiveRefinementExact<TypeParam>(full_reevaluation, threads, 191);
+    ExpectSelectiveRefinementExact<TypeParam>({}, threads, 192);  // 10 levels, no convergence
+  }
 }
 
 // ----- Incremental vertex contexts ----------------------------------------------------

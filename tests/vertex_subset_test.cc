@@ -1,6 +1,8 @@
 // Unit tests for VertexSubset / FrontierBuilder and vertex contexts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/algorithm.h"
 #include "src/engine/vertex_subset.h"
 #include "src/graph/generators.h"
@@ -69,6 +71,21 @@ TEST(FrontierBuilder, TakeCollectsSorted) {
   EXPECT_EQ(subset.members()[0], 7u);
   EXPECT_EQ(subset.members()[1], 42u);
   EXPECT_EQ(subset.members()[2], 99u);
+
+  // A universe large enough for the blocked parallel pack, with claims on
+  // word and block boundaries.
+  const std::vector<VertexId> claims = {69999, 4096, 0, 64, 4095, 63, 8191, 8192};
+  FrontierBuilder large(70000);
+  for (const VertexId v : claims) {
+    large.Claim(v);
+  }
+  std::vector<VertexId> sorted = claims;
+  std::sort(sorted.begin(), sorted.end());
+  const VertexSubset packed = large.Take();
+  EXPECT_EQ(packed.members(), sorted);
+  for (const VertexId v : sorted) {
+    EXPECT_TRUE(packed.Dense().Test(v));
+  }
 }
 
 TEST(FrontierBuilder, ConcurrentClaimsAreExact) {
