@@ -5,12 +5,13 @@
 //   c(v) = v == source ? 0 : g(v)
 //
 // min has no inverse, but it is selective (IsSelectiveAggregation): a stored
-// aggregate is one of its inputs. The engine folds new and improved
-// contributions into it and re-evaluates, by pulling the full
+// aggregate is one of its inputs. On sparse levels the engine folds new and
+// improved contributions into it and re-evaluates, by pulling the full
 // in-neighborhood, only the vertices whose attaining input was deleted or
-// worsened. Options::disable_monotonic_push restores the paper's strategy,
-// the one it compares against KickStarter: re-evaluate every impacted
-// vertex. Run in convergence mode: rounds are Bellman–Ford iterations.
+// worsened; dense levels of a batch with deletions re-evaluate every
+// impacted vertex. Options::disable_monotonic_push restores the paper's
+// strategy, the one it compares against KickStarter, everywhere.
+// Run in convergence mode: rounds are Bellman–Ford iterations.
 #ifndef SRC_ALGORITHMS_SSSP_H_
 #define SRC_ALGORITHMS_SSSP_H_
 

@@ -96,10 +96,10 @@ constexpr bool IsMonotonicAggregation() {
 // bit for bit, one of them (min, max). A stored aggregate, folded from the
 // identity, is then the identity or one of its inputs, so a deletion or a
 // worsened input can move it only where that input attained it.
-// GraphBoltEngine refines such algorithms by folding every new contribution
-// into the stored aggregate and re-evaluating only the targets whose
-// attaining input went away, and its fast path splices a deletion whose
-// contribution is strictly dominated. Bitwise OR (MultiSourceReach) is
+// GraphBoltEngine refines such algorithms' sparse levels by folding every
+// new contribution into the stored aggregate and re-evaluating only the
+// targets whose attaining input went away, and its fast path splices a
+// deletion whose contribution is strictly dominated. Bitwise OR (MultiSourceReach) is
 // idempotent but not selective: its aggregate combines bits of several
 // inputs, none of which need equal it. The marked algorithm's Contribution
 // must be its Aggregate type.

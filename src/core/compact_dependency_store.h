@@ -52,13 +52,15 @@ class CompactDependencyStore {
   uint32_t total_levels() const { return static_cast<uint32_t>(changed_.size()); }
   bool IsTracked(uint32_t level) const { return level >= 1 && level <= tracked_levels_; }
 
+  // As DependencyStore::SnapshotLevel: tracked levels stay a prefix.
   void SnapshotLevel(uint32_t level, const std::vector<AggregateT>& aggregates,
                      AtomicBitset changed_bits) {
     GB_CHECK(level == total_levels() + 1) << "levels must be snapshotted in order";
     changed_.push_back(std::move(changed_bits));
-    if (level > history_size_) {
-      return;  // horizontal pruning
+    if (level > history_size_ || level != tracked_levels_ + 1) {
+      return;  // aggregations not tracked
     }
+    GB_CHECK(aggregates.size() == num_vertices_) << "level " << level << " has no aggregates";
     ++tracked_levels_;
     ParallelFor(0, num_vertices_, [&](size_t v) {
       AppendLevel(static_cast<VertexId>(v), level, aggregates[v]);

@@ -57,15 +57,18 @@ class DependencyStore {
 
   // Records the aggregation array at the end of iteration `level` (1-based),
   // during the initial run or when the hybrid continuation runs past it.
-  // Levels must be snapshotted in order. Beyond the history size only the
-  // changed bits are kept (horizontal pruning), and `aggregates` is unread.
+  // Levels must be snapshotted in order. Only the changed bits are kept,
+  // and `aggregates` is unread, beyond the history size (horizontal
+  // pruning) and after a level whose aggregates were not kept: tracked
+  // levels stay a prefix of all levels.
   void SnapshotLevel(uint32_t level, const std::vector<AggregateT>& aggregates,
                      AtomicBitset changed_bits) {
     GB_CHECK(level == total_levels() + 1) << "levels must be snapshotted in order";
     changed_.push_back(std::move(changed_bits));
-    if (level > history_size_) {
-      return;  // horizontal pruning: aggregations not tracked
+    if (level > history_size_ || level != tracked_levels() + 1) {
+      return;  // aggregations not tracked
     }
+    GB_CHECK(aggregates.size() == num_vertices_) << "level " << level << " has no aggregates";
     levels_.push_back(aggregates);
     // Vertical pruning accounting: an entry is logically stored only if it
     // differs from the previous level's entry.

@@ -35,16 +35,17 @@
 //
 // Non-decomposable aggregations (min/max) cannot retract. The paper
 // re-evaluates every impacted vertex by pulling its full in-neighborhood at
-// every refined level (§3.3 "Aggregation Properties & Extensions"). For a
-// selective aggregation (IsSelectiveAggregation: min, max) the engine
-// instead folds every new and changed contribution into the stored
-// aggregate, and re-evaluates only a "lost" target: one where a deleted
-// edge, or a source whose contribution got worse, attained the stored
-// aggregate. The other targets keep what the fold gives, which a full
-// re-evaluation would reproduce bit for bit, so a level costs what its
-// frontier costs. Non-selective monotonic aggregations (bitwise OR) fold
-// only under addition-only batches; Options::disable_monotonic_push forces
-// the paper's full re-evaluation everywhere.
+// every refined level (§3.3 "Aggregation Properties & Extensions"). On a
+// sparse (push) level of a selective aggregation (IsSelectiveAggregation:
+// min, max) the engine instead folds every new and changed contribution
+// into the stored aggregate, and re-evaluates only a "lost" target: one
+// where a deleted edge, or a source whose contribution got worse, attained
+// the stored aggregate. The other targets keep what the fold gives, which a
+// full re-evaluation would reproduce bit for bit, so a level costs what its
+// frontier costs. Dense (pull) levels, and non-selective monotonic
+// aggregations (bitwise OR), fold only under addition-only batches;
+// Options::disable_monotonic_push forces the paper's full re-evaluation
+// everywhere.
 #ifndef SRC_CORE_GRAPHBOLT_ENGINE_H_
 #define SRC_CORE_GRAPHBOLT_ENGINE_H_
 
@@ -106,8 +107,8 @@ class GraphBoltEngine {
     // refinement cost approaches (or exceeds) a GB-Reset restart.
     double reset_fallback_fraction = 0.0;
     // Ablation switch: disables folding changed contributions into stored
-    // min/max aggregates (the selective path, and the monotonic push of
-    // addition-only batches), forcing the paper's full re-evaluation of
+    // min/max aggregates (the selective push levels, and the monotonic push
+    // of addition-only batches), forcing the paper's full re-evaluation of
     // every impacted vertex.
     bool disable_monotonic_push = false;
   };
@@ -614,8 +615,9 @@ class GraphBoltEngine {
   using Contribution = typename Algo::Contribution;
 
   static constexpr bool kPullBased = Algo::kKind == AggregationKind::kNonDecomposable;
-  // Selective aggregations (min/max) refine by folding, re-evaluating only
-  // the targets that lost their attaining input (LosesAggregate).
+  // Selective aggregations (min/max) refine sparse levels by folding,
+  // re-evaluating only the targets that lost their attaining input
+  // (LosesAggregate).
   static constexpr bool kSelective = IsSelectiveAggregation<Algo>();
   static_assert(!kSelective || std::is_same_v<Contribution, Aggregate>,
                 "a selective aggregation's inputs are aggregates");
@@ -1106,16 +1108,25 @@ class GraphBoltEngine {
     const std::vector<VertexContext>& old_contexts;
   };
 
-  // Whether the levels of a pull-based algorithm fold the batch's new and
-  // changed contributions into the stored aggregates instead of
-  // re-evaluating every target. Exact for a selective aggregation, whose
-  // lost targets are re-evaluated (LosesAggregate), and for a monotonic one
-  // under an addition-only batch: its inputs only improve, and it absorbs
-  // improved inputs without retraction (§5.4B). disable_monotonic_push is
-  // the ablation that forces the paper's full re-evaluation.
-  bool FoldsChanges(const AppliedMutations& applied) const {
-    return !options_.disable_monotonic_push &&
-           (kSelective || (IsMonotonicAggregation<Algo>() && applied.deleted.empty()));
+  // Monotonic aggregations with addition-only batches: values only improve,
+  // and the aggregation absorbs improved inputs without retraction, so the
+  // improved contributions are folded in directly (§5.4B).
+  // disable_monotonic_push is the ablation that forces the paper's full
+  // re-evaluation.
+  bool MonotonicPushOnly(const AppliedMutations& applied) const {
+    return IsMonotonicAggregation<Algo>() && applied.deleted.empty() &&
+           !options_.disable_monotonic_push;
+  }
+
+  // Whether a sparse (push) level of a pull-based algorithm folds the
+  // batch's new and changed contributions into the stored aggregates
+  // instead of re-evaluating every target: under MonotonicPushOnly, and for
+  // a selective aggregation under any batch, re-evaluating only its lost
+  // targets (LosesAggregate). Dense (pull) levels fold only under
+  // MonotonicPushOnly: there one pull of each target's whole in-neighbourhood
+  // costs less than folding every changed input and testing it for loss.
+  bool PushFoldsChanges(const AppliedMutations& applied) const {
+    return MonotonicPushOnly(applied) || (kSelective && !options_.disable_monotonic_push);
   }
 
   // Whether replacing the input `before` of a target by `after` can move the
@@ -1295,7 +1306,7 @@ class GraphBoltEngine {
         edges.fetch_add(local_edges, std::memory_order_relaxed);
       }, /*grain=*/64);
     };
-    if (kPullBased && !FoldsChanges(applied)) {
+    if (kPullBased && !PushFoldsChanges(applied)) {
       reevaluate(targets);
     } else {
       ApplyDirectImpact(level, batch, prev, &agg);
@@ -1390,16 +1401,11 @@ class GraphBoltEngine {
                                              const LevelScratch& prev, LevelScratch* cur,
                                              AtomicBitset* changed_bits) {
     const VertexId n = graph_->num_vertices();
-    const bool fold = !kPullBased || FoldsChanges(batch.applied);
+    const bool reevaluate = kPullBased && !MonotonicPushOnly(batch.applied);
     store_.MaterializeLevel(level, &level_scratch_);
     std::vector<Aggregate>& agg = level_scratch_;
-    std::optional<FrontierBuilder> lost_by_deletion;
-    if (fold) {
+    if (!reevaluate) {
       ApplyDirectImpact(level, batch, prev, &agg);
-      if constexpr (kSelective) {
-        lost_by_deletion.emplace(n);
-        ClaimLostByDeletions(level, batch, prev, &*lost_by_deletion);
-      }
     }
     if constexpr (kStaged) {
       PrepareStaged(n);
@@ -1420,34 +1426,20 @@ class GraphBoltEngine {
         const VertexId w = static_cast<VertexId>(vi);
         bool target = batch.direct_targets.Test(w);
         if constexpr (kPullBased) {
-          // lost: w, if a target, is re-evaluated rather than folded into.
-          bool lost = !fold;
-          if constexpr (kSelective) {
-            lost = lost || lost_by_deletion->Contains(w);
-          }
           const auto in_nbrs = graph_->InNeighbors(w);
           const auto in_wts = graph_->InWeights(w);
-          for (size_t e = 0; e < in_nbrs.size() && !(target && lost); ++e) {
+          for (size_t e = 0; e < in_nbrs.size() && !(target && reevaluate); ++e) {
             const VertexId u = in_nbrs[e];
-            if (!prev.frontier.Test(u)) {
-              continue;
-            }
-            target = true;
-            if (lost) {
-              continue;
-            }
-            const Contribution after =
-                algo_.ContributionOf(u, prev.new_values[u], in_wts[e], contexts_[u]);
-            algo_.AggregateOwned(&agg[w], after);
-            ++local_edges;
-            if constexpr (kSelective) {
-              lost = LosesAggregate(
-                  store_.At(level, w),
-                  algo_.ContributionOf(u, prev.old_values[u], in_wts[e], batch.old_contexts[u]),
-                  after);
+            if (prev.frontier.Test(u)) {
+              target = true;
+              if (!reevaluate) {
+                algo_.AggregateOwned(&agg[w], algo_.ContributionOf(u, prev.new_values[u],
+                                                                   in_wts[e], contexts_[u]));
+                ++local_edges;
+              }
             }
           }
-          if (target && lost) {
+          if (target && reevaluate) {
             agg[w] = Reevaluate(level, w, prev, &local_edges);
           }
         } else {
@@ -1477,13 +1469,14 @@ class GraphBoltEngine {
   // Computation-aware hybrid execution past the refined history: selective
   // pull-recomputation seeded by the changed-bit vectors.
   //
-  // Levels past the original run (orig_total) are new. While the history
-  // has room for them they are stored whole, aggregates and changed bits,
-  // so tracked_levels() == total_levels() holds unless horizontal pruning
-  // is on, and the next batch refines them like any other level (and the
-  // fast path can still prove updates safe). A vertex the continuation does
-  // not recompute at a level has no in-neighbour that changed one level
-  // earlier, so its aggregate carries over from the level before.
+  // Levels past the original run (orig_total) are new. When every earlier
+  // level is tracked and the history has room for them, they are stored
+  // whole, aggregates and changed bits, so tracked_levels() ==
+  // total_levels() holds unless horizontal pruning is on, and the next
+  // batch refines them like any other level (and the fast path can still
+  // prove updates safe). A vertex the continuation does not recompute at a
+  // level has no in-neighbour that changed one level earlier, so its
+  // aggregate carries over from the level before.
   void ContinueBeyondHistory(uint32_t from_level, uint32_t orig_total) {
     const VertexId n = graph_->num_vertices();
 
@@ -1500,8 +1493,12 @@ class GraphBoltEngine {
           [&](size_t v) { frontier.push_back(static_cast<VertexId>(v)); });
     }
 
-    // The aggregates of the level being computed, when it will be stored.
+    // The aggregates of the level being computed, when the levels past the
+    // original run are stored: every earlier level must be tracked, so a
+    // state with tracked < total (horizontal pruning, or an older build that
+    // kept only the changed bits of continued levels) keeps only bits.
     const bool extends_history = from_level >= 1 && from_level == store_.tracked_levels() &&
+                                 from_level == orig_total &&
                                  from_level < store_.history_size();
     std::vector<Aggregate>& agg = level_scratch_;
     if (extends_history) {
@@ -1572,8 +1569,11 @@ class GraphBoltEngine {
           }
           cur[v] = fresh[i];
         }
-        // Past history_size only the changed bits are kept.
-        store_.SnapshotLevel(level, agg, std::move(bits));
+        if (extends_history) {
+          store_.SnapshotLevel(level, agg, std::move(bits));  // past history_size: bits only
+        } else {
+          store_.SnapshotLevel(level, /*aggregates=*/{}, std::move(bits));
+        }
       }
       frontier = std::move(next);
       ++stats_.iterations;

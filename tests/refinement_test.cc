@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <type_traits>
 
@@ -21,6 +22,7 @@
 #include "src/algorithms/personalized_pagerank.h"
 #include "src/algorithms/sssp.h"
 #include "src/algorithms/widest_path.h"
+#include "src/core/compact_dependency_store.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
@@ -718,6 +720,110 @@ TYPED_TEST(SelectiveRefinement, MixedBatchesMatchFreshRunBitwise) {
     ExpectSelectiveRefinementExact<TypeParam>(full_reevaluation, threads, 191);
     ExpectSelectiveRefinementExact<TypeParam>({}, threads, 192);  // 10 levels, no convergence
   }
+}
+
+// ----- Restoring a state whose last levels keep only changed bits ---------------------
+
+// Rewrites a saved SSSP engine state with tracked == total levels into the
+// layout an earlier build saved after a refinement ran one level past its
+// tracked history: the last level keeps its changed bits and loses its
+// aggregates, so tracked == total - 1 with the history far from full.
+std::string DropLastTrackedLevel(const std::string& state, bool compact) {
+  using Aggregate = Sssp::Aggregate;
+  uint64_t n = 0;
+  std::memcpy(&n, state.data() + sizeof(uint64_t), sizeof(n));
+  const size_t header_at = 2 * sizeof(uint64_t) + n * sizeof(Sssp::Value);
+  uint64_t header[4] = {};  // vertices, history size, tracked, total
+  std::memcpy(header, state.data() + header_at, sizeof(header));
+  const uint64_t tracked = header[2];
+  EXPECT_EQ(tracked, header[3]);
+  EXPECT_GE(tracked, 2u);
+  --header[2];
+  std::string out = state.substr(0, header_at);
+  out.append(reinterpret_cast<const char*>(header), sizeof(header));
+  size_t at = header_at + sizeof(header);
+  if (!compact) {
+    const size_t level_bytes = n * sizeof(Aggregate);
+    out.append(state, at, (tracked - 1) * level_bytes);  // drop the last level array
+    at += tracked * level_bytes;
+  } else {
+    for (uint64_t v = 0; v < n; ++v) {  // per vertex: entry count, entries
+      uint64_t size = 0;
+      std::memcpy(&size, state.data() + at, sizeof(size));
+      const uint64_t kept = std::min(size, tracked - 1);
+      out.append(reinterpret_cast<const char*>(&kept), sizeof(kept));
+      out.append(state, at + sizeof(size), kept * sizeof(Aggregate));
+      at += sizeof(size) + size * sizeof(Aggregate);
+    }
+  }
+  out.append(state, at, std::string::npos);  // changed bits (and the dense tail)
+  return out;
+}
+
+template <typename StoreT>
+class OlderLayoutRestore : public ::testing::Test {};
+using StoreBackends =
+    ::testing::Types<DependencyStore<Sssp::Aggregate>, CompactDependencyStore<Sssp::Aggregate>>;
+TYPED_TEST_SUITE(OlderLayoutRestore, StoreBackends);
+
+// The hybrid continuation stores the aggregates of the levels it appends
+// only when every earlier level is tracked. After restoring a state with
+// tracked < total, refinements that run past total must keep only the
+// changed bits of the new levels, and each batch still lands bit for bit
+// on a fresh InitialCompute, as does every level the store still tracks.
+// The chain 0->1->...->8 with a shortcut 0->3 converges in a few levels;
+// deleting the shortcut pushes 8's distance out past them.
+TYPED_TEST(OlderLayoutRestore, RefinementPastTotalMatchesFreshRun) {
+  using Engine = GraphBoltEngine<Sssp, TypeParam>;
+  EdgeList list;
+  list.set_num_vertices(9);
+  for (VertexId v = 0; v < 8; ++v) {
+    list.Add(v, v + 1, 1.0f);
+  }
+  list.Add(0, 3, 1.0f);
+  const typename Engine::Options options{.max_iterations = 128, .run_to_convergence = true};
+  MutableGraph graph(list);
+  std::string saved;
+  {
+    Engine original(&graph, Sssp(0), options);
+    original.InitialCompute();
+    std::ostringstream out;
+    ASSERT_TRUE(original.SaveStateTo(out));
+    saved = out.str();
+  }
+  Engine bolt(&graph, Sssp(0), options);
+  std::istringstream in(DropLastTrackedLevel(saved, std::is_same_v<TypeParam, CompactDependencyStore<Sssp::Aggregate>>));
+  ASSERT_TRUE(bolt.LoadStateFrom(in));
+  const uint32_t restored_total = bolt.store().total_levels();
+  ASSERT_EQ(bolt.store().tracked_levels() + 1, restored_total);
+  ASSERT_LT(restored_total, bolt.store().history_size());
+
+  const MutationBatch batches[] = {
+      {EdgeMutation::Delete(0, 3)}, {EdgeMutation::Add(0, 3, 1.0f)},
+      {EdgeMutation::Delete(0, 3)}, {EdgeMutation::Add(2, 8, 1.0f), EdgeMutation::Delete(4, 5)},
+      {EdgeMutation::Add(4, 5, 1.0f)}};
+  size_t step = 0;
+  for (const MutationBatch& batch : batches) {
+    ++step;
+    bolt.ApplyMutations(batch);
+    MutableGraph fresh_graph(graph.ToEdgeList());
+    Engine fresh(&fresh_graph, Sssp(0), options);
+    fresh.InitialCompute();
+    ASSERT_EQ(std::memcmp(bolt.values().data(), fresh.values().data(),
+                          fresh.values().size() * sizeof(Sssp::Value)),
+              0)
+        << "values differ after batch " << step;
+    EXPECT_LT(bolt.store().tracked_levels(), bolt.store().total_levels());
+    const uint32_t fresh_levels = fresh.store().tracked_levels();
+    for (uint32_t level = 1; level <= bolt.store().tracked_levels(); ++level) {
+      for (VertexId v = 0; v < 9; ++v) {
+        EXPECT_TRUE(SameBits(bolt.store().At(level, v),
+                             fresh.store().At(std::min(level, fresh_levels), v)))
+            << "level " << level << " vertex " << v << " differs after batch " << step;
+      }
+    }
+  }
+  EXPECT_GT(bolt.store().total_levels(), restored_total);
 }
 
 // ----- Incremental vertex contexts ----------------------------------------------------
