@@ -136,7 +136,11 @@ constexpr bool IsContextFreeAlgorithm() {
 // frontier source's change once per level and adds that one value on every
 // out-edge, instead of re-deriving it per edge from the source's old and
 // new value and context. The staged value is the same function of the same
-// arguments, so results keep their bits. Weighted algorithms (CoEM, LP, CF,
+// arguments, so results keep their bits. A marked algorithm's Contribution
+// is floating point (or an array of it), aggregated element-wise by IEEE
+// addition and retracted by subtraction: the dense sweeps fill the staged
+// slot of every source outside the frontier with a signed zero that adds
+// nothing (DeltaKernel::StageNeutral). Weighted algorithms (CoEM, LP, CF,
 // SSSP) must not set it.
 template <typename A>
 constexpr bool IsWeightFreeAlgorithm() {

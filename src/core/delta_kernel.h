@@ -15,6 +15,8 @@
 // For weight-free algorithms (IsWeightFreeAlgorithm) PushChange splits in
 // two: StageChange evaluates a source's change once, and PushStaged adds
 // it along each out-edge, the way Maiter accumulates one Δ per vertex.
+// StageNeutral writes the change that adds nothing, bit for bit, which
+// fills every slot of a source outside the frontier.
 //
 // Extracting them here keeps the two modes numerically identical edge by
 // edge: an async step propagating a delta along (u, w) computes exactly the
@@ -25,6 +27,7 @@
 #ifndef SRC_CORE_DELTA_KERNEL_H_
 #define SRC_CORE_DELTA_KERNEL_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "src/core/algorithm.h"
@@ -103,6 +106,23 @@ struct DeltaKernel {
     Accumulate<kOwned>(algo, agg, staged[1]);
   }
 
+  // The neutral staged change: {-0.0} for one slot, {+0.0, -0.0} for the
+  // retract/aggregate pair, in every element. Under IEEE round-to-nearest
+  // x + (-0.0) and x - (+0.0) are x bit for bit for every x (signed zeros,
+  // denormals, infinities and quiet NaNs included), so PushStaged of it
+  // leaves any cell as it was, and a dense sweep may add the slot of every
+  // in-neighbour without testing whether it is a frontier source.
+  static void StageNeutral(bool use_retract_propagate, Contribution* staged)
+    requires(kWeightFree)
+  {
+    if (StagedWidth(use_retract_propagate) == 1) {
+      staged[0] = Filled(-0.0);
+      return;
+    }
+    staged[0] = Filled(+0.0);
+    staged[1] = Filled(-0.0);
+  }
+
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals` under
   // `contexts`. `edge_counter` accumulates the in-degree for stats.
   static Aggregate PullAggregate(const Algo& algo, const MutableGraph& graph,
@@ -120,6 +140,22 @@ struct DeltaKernel {
   }
 
  private:
+  // A contribution with every element `x`: a floating-point scalar, or an
+  // array of them.
+  static Contribution Filled(double x) {
+    if constexpr (std::is_floating_point_v<Contribution>) {
+      return static_cast<Contribution>(x);
+    } else {
+      Contribution c{};
+      static_assert(std::is_floating_point_v<std::remove_cvref_t<decltype(c[0])>>,
+                    "a weight-free contribution is floating point");
+      for (auto& element : c) {
+        element = x;
+      }
+      return c;
+    }
+  }
+
   template <bool kOwned>
   static void Accumulate(const Algo& algo, Aggregate* agg, const Contribution& c) {
     if constexpr (kOwned) {

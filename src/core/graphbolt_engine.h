@@ -23,7 +23,12 @@
 // frontier pushes its changes to its out-neighbours with atomic adds; a
 // dense one is pulled in a single sweep in which every vertex folds in the
 // changes of its frontier in-neighbours, with plain adds into the cell it
-// owns, and settles its value in the same visit.
+// owns, and settles its value in the same visit. For weight-free
+// algorithms the fold is a branch-free gather: every source outside the
+// frontier holds a neutral staged change, a signed zero that adds nothing
+// bit for bit, so each vertex adds the slot of every in-neighbour. The sweep
+// walks whole 64-vertex words, so each task owns the changed-bit and
+// frontier words of its vertices, builds them locally and stores each once.
 //
 // Past the tracked history (horizontal pruning) the engine switches to
 // computation-aware hybrid execution (§4.2): selective pull-recomputation
@@ -405,7 +410,8 @@ class GraphBoltEngine {
       return;
     }
     const VertexId n = graph_->num_vertices();
-    RefreshContexts();
+    const VertexId old_n = static_cast<VertexId>(contexts_.size());
+    SyncOldContexts(RefreshContextsKeepingOld(), old_n);
     prop_values_ = values_;
     aggregates_.assign(n, algo_.IdentityAggregate());
     async_active_.Resize(n);
@@ -445,7 +451,9 @@ class GraphBoltEngine {
 
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = static_cast<VertexId>(prop_values_.size());
-    const std::vector<VertexContext>& old_contexts = RefreshContextsKeepingOld(applied);
+    const VertexId old_contexts_n = static_cast<VertexId>(contexts_.size());
+    const std::vector<VertexId> touched = RefreshContextsKeepingOld(applied);
+    const std::vector<VertexContext>& old_contexts = old_contexts_;
     values_.resize(n, Value{});
     prop_values_.resize(n, Value{});
     aggregates_.resize(n, algo_.IdentityAggregate());
@@ -516,6 +524,7 @@ class GraphBoltEngine {
       edges.fetch_add(local_edges, std::memory_order_relaxed);
     }, /*grain=*/16);
     stats_.edges_processed += edges.load();
+    SyncOldContexts(touched, old_contexts_n);
 
     async_residual_ = ComputeAsyncResidual();
     stats_.seconds = timer.Seconds();
@@ -779,7 +788,7 @@ class GraphBoltEngine {
   // order, and commits its value in the same visit. The sources' old and
   // new values (or, for weight-free algorithms, their staged changes) are
   // recorded first, so the in-place commit of values_ never races with a
-  // read of them.
+  // read of them. The sweep walks whole words (see RefineLevelPull).
   std::vector<std::pair<VertexId, Value>> TrackedIterationPull(
       const std::vector<std::pair<VertexId, Value>>& frontier) {
     const VertexId n = graph_->num_vertices();
@@ -800,34 +809,53 @@ class GraphBoltEngine {
     std::vector<std::pair<VertexId, Value>> changed;
     std::mutex merge;
     std::atomic<uint64_t> edges{0};
-    ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+    ParallelForChunks(0, changed_bits.num_words(), [&](size_t word_lo, size_t word_hi) {
       std::vector<std::pair<VertexId, Value>> local;
       uint64_t local_edges = 0;
-      for (size_t vi = lo; vi < hi; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        if (PullChanges(v, sources, contexts_, &aggregates_[v], &local_edges)) {
-          CommitValue(v, &changed_bits, &local);
+      for (size_t word = word_lo; word < word_hi; ++word) {
+        uint64_t changed_word = 0;
+        for (VertexId v = WordBegin(word); v < WordEnd(word, n); ++v) {
+          if (PullChanges(v, sources, contexts_, &aggregates_[v], &local_edges) &&
+              CommitValue(v, &local)) {
+            changed_word |= WordBit(v);
+          }
         }
+        changed_bits.StoreWord(word, changed_word);
       }
       edges.fetch_add(local_edges, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(merge);
       changed.insert(changed.end(), local.begin(), local.end());
-    }, /*grain=*/512);
+    }, kWordGrain);
     stats_.edges_processed += edges.load();
+    ResetStaged(frontier, [](const auto& entry) { return entry.first; });
     store_.SnapshotLevel(store_.total_levels() + 1, aggregates_, std::move(changed_bits));
     return changed;
   }
 
-  // Recomputes v's value from its aggregation; when it moved, marks v
-  // changed and records its pre-change value in `changed`.
-  void CommitValue(VertexId v, AtomicBitset* changed_bits,
-                   std::vector<std::pair<VertexId, Value>>* changed) {
+  // Recomputes v's value from its aggregation; when it moved, records its
+  // pre-change value in `changed` and returns true (v's changed bit).
+  bool CommitValue(VertexId v, std::vector<std::pair<VertexId, Value>>* changed) {
     const Value next = algo_.VertexCompute(v, aggregates_[v], contexts_[v]);
-    if (algo_.ValuesDiffer(values_[v], next)) {
-      changed_bits->Set(v);
-      changed->emplace_back(v, values_[v]);
-      values_[v] = next;
+    if (!algo_.ValuesDiffer(values_[v], next)) {
+      return false;
     }
+    changed->emplace_back(v, values_[v]);
+    values_[v] = next;
+    return true;
+  }
+
+  // Dense sweeps run over whole 64-vertex words (AtomicBitset word w holds
+  // vertices [64w, 64w + 64)), so a task is the only writer of its words of
+  // every per-level bitset: it builds each word locally and stores it once
+  // (StoreWord), with no read-modify-write per vertex.
+  static constexpr size_t kWordGrain = 8;  // words: 512 vertices
+  static VertexId WordBegin(size_t word) { return static_cast<VertexId>(word * 64); }
+  static VertexId WordEnd(size_t word, VertexId n) {
+    return static_cast<VertexId>(std::min<size_t>(n, word * 64 + 64));
+  }
+  static uint64_t WordBit(VertexId v) { return 1ULL << (v & 63); }
+  static uint64_t AssignBit(uint64_t word, VertexId v, bool on) {
+    return on ? word | WordBit(v) : word & ~WordBit(v);
   }
 
   // Computes new values for `targets`, snapshots the level (aggregates +
@@ -842,22 +870,28 @@ class GraphBoltEngine {
       // forcing the sparse pack. Ascending like the member walk, so a
       // single-threaded commit is bitwise-identical.
       const AtomicBitset& bits = targets.Dense();
-      ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+      ParallelForChunks(0, changed_bits.num_words(), [&](size_t word_lo, size_t word_hi) {
         std::vector<std::pair<VertexId, Value>> local;
-        for (size_t vi = lo; vi < hi; ++vi) {
-          const VertexId v = static_cast<VertexId>(vi);
-          if (bits.Test(v)) {
-            CommitValue(v, &changed_bits, &local);
-          }
+        for (size_t word = word_lo; word < word_hi; ++word) {
+          uint64_t changed_word = 0;
+          bits.ForEachSetInWords(word, word + 1, [&](size_t v) {
+            if (CommitValue(static_cast<VertexId>(v), &local)) {
+              changed_word |= WordBit(static_cast<VertexId>(v));
+            }
+          });
+          changed_bits.StoreWord(word, changed_word);
         }
         std::lock_guard<std::mutex> lock(merge);
         changed.insert(changed.end(), local.begin(), local.end());
-      }, /*grain=*/512);
+      }, kWordGrain);
     } else {
       ParallelForChunks(0, targets.size(), [&](size_t lo, size_t hi) {
         std::vector<std::pair<VertexId, Value>> local;
         for (size_t i = lo; i < hi; ++i) {
-          CommitValue(targets.members()[i], &changed_bits, &local);
+          const VertexId v = targets.members()[i];
+          if (CommitValue(v, &local)) {
+            changed_bits.Set(v);
+          }
         }
         std::lock_guard<std::mutex> lock(merge);
         changed.insert(changed.end(), local.begin(), local.end());
@@ -893,12 +927,30 @@ class GraphBoltEngine {
                                                    agg);
   }
 
-  // staged_ holds one staged change per vertex for the dense sweeps; only
-  // the current level's frontier sources' slots are live. Sources are
-  // unique per level, so a parallel fill writes distinct slots.
+  // staged_ holds one staged change per vertex for the dense sweeps. A
+  // slot holds the neutral change (DeltaKernel::StageNeutral) except while
+  // its vertex is a source of the level being swept: the level stages its
+  // frontier's slots before the sweep and resets them after it
+  // (ResetStaged), O(frontier). Sources are unique per level, so a
+  // parallel fill writes distinct slots.
   void PrepareStaged(VertexId n) {
     if constexpr (kStaged) {
-      staged_.resize(size_t{n} * StagedWidth());
+      const size_t staged_vertices = staged_.size() / StagedWidth();
+      if (staged_vertices < n) {
+        staged_.resize(size_t{n} * StagedWidth());
+        for (VertexId v = static_cast<VertexId>(staged_vertices); v < n; ++v) {
+          DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate, StagedSlot(v));
+        }
+      }
+    }
+  }
+  template <typename Entry, typename IdOf>
+  void ResetStaged(const std::vector<Entry>& frontier, IdOf id_of) {
+    if constexpr (kStaged) {
+      ParallelFor(0, frontier.size(), [&](size_t i) {
+        DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate,
+                                        StagedSlot(id_of(frontier[i])));
+      }, /*grain=*/256);
     }
   }
   size_t StagedWidth() const {
@@ -927,23 +979,27 @@ class GraphBoltEngine {
   // The pull form of the push loops: folds the change of every in-neighbour
   // of v marked in `sources.frontier` (old → new value, old → new context)
   // into v's cell, in in-edge order. The caller is the cell's only writer.
-  // Weight-free algorithms read each source's change from staged_ (one
-  // load and one add per frontier in-edge); the others evaluate it per
-  // edge from `sources` and `old_contexts`. Counts one processed edge per
-  // change applied, like the push it replaces, and returns whether v had
-  // any frontier in-neighbour.
+  // Weight-free algorithms gather staged_ over every in-edge without a
+  // branch: a source outside the frontier holds the neutral change, which
+  // leaves the cell's bits as they are, so the sum is the frontier sources'
+  // changes added in in-edge order. The others evaluate each frontier
+  // source's change per edge from `sources` and `old_contexts`. Counts one
+  // processed edge per frontier in-edge, like the push it replaces, and
+  // returns whether v had any frontier in-neighbour.
   bool PullChanges(VertexId v, const LevelScratch& sources,
                    const std::vector<VertexContext>& old_contexts, Aggregate* agg,
                    uint64_t* edge_counter) const {
     const auto in_nbrs = graph_->InNeighbors(v);
     uint64_t pulled = 0;
     if constexpr (kStaged) {
+      // Summed in a local: the cell could alias a staged slot as far as the
+      // compiler knows, so adding into it would store and reload it per edge.
+      Aggregate sum = *agg;
       for (const VertexId u : in_nbrs) {
-        if (sources.frontier.Test(u)) {
-          PushStaged</*kOwned=*/true>(StagedSlot(u), agg);
-          ++pulled;
-        }
+        PushStaged</*kOwned=*/true>(StagedSlot(u), &sum);
+        pulled += sources.frontier.Test(u) ? 1 : 0;
       }
+      *agg = sum;
     } else {
       const auto in_wts = graph_->InWeights(v);
       for (size_t e = 0; e < in_nbrs.size(); ++e) {
@@ -992,21 +1048,32 @@ class GraphBoltEngine {
   }
 
   // contexts_ equals ComputeVertexContexts(*graph_) except at the vertices
-  // queued in spliced_endpoints_. Only these two helpers write contexts_.
+  // queued in spliced_endpoints_. Only these helpers write contexts_.
+  // old_contexts_ mirrors contexts_ except while a batch is applied, when
+  // it holds the pre-batch contexts (RefreshContextsKeepingOld to
+  // SyncOldContexts), so a batch costs O(touched vertices), not a copy of
+  // every context.
   //
   // Recomputes every context in one pass and drops the queue, which the
   // pass covers. For (re)starts, where the graph may have been replaced
   // wholesale — a restored snapshot can be smaller than the graph the
-  // queue was filled on.
+  // queue was filled on. Empties the mirror, which the next batch copies
+  // whole: copying it here, before a driver allocates its lanes, shifted
+  // their heap layout, and an idle query barrier (0.24 us on a 4-vCPU
+  // Xeon VM) read 1.4x slower for it.
   void ResetContexts() {
     contexts_ = ComputeVertexContexts(*graph_);
+    old_contexts_.clear();
     spliced_endpoints_.clear();
   }
 
   // Drains the queue: brings contexts_ up to date at the endpoints of
   // fast-path splices since the last refresh, at the endpoints of
-  // `applied`, and at new vertices.
-  void RefreshContexts(const AppliedMutations& applied = {}) {
+  // `applied`, and at new vertices. Leaves old_contexts_ at the contexts
+  // before the call (copied whole after a ResetContexts emptied it), grown
+  // to the new vertex count with empty contexts; returns the endpoints
+  // (duplicates allowed) for SyncOldContexts.
+  std::vector<VertexId> RefreshContextsKeepingOld(const AppliedMutations& applied = {}) {
     std::vector<VertexId> touched = std::move(spliced_endpoints_);
     spliced_endpoints_.clear();
     for (const std::vector<Edge>* edges : {&applied.added, &applied.deleted}) {
@@ -1015,23 +1082,30 @@ class GraphBoltEngine {
         touched.push_back(e.dst);
       }
     }
-    UpdateVertexContexts(*graph_, std::move(touched), &contexts_);
+    if (old_contexts_.size() != contexts_.size()) {
+      old_contexts_ = contexts_;
+    }
+    old_contexts_.resize(graph_->num_vertices());
+    UpdateVertexContexts(*graph_, touched, &contexts_);
+    return touched;
   }
 
-  // RefreshContexts(applied), keeping the pre-batch contexts in
-  // old_contexts_ (grown to the new vertex count with empty contexts).
-  // Returns old_contexts_.
-  const std::vector<VertexContext>& RefreshContextsKeepingOld(const AppliedMutations& applied) {
-    old_contexts_.assign(contexts_.begin(), contexts_.end());
-    old_contexts_.resize(graph_->num_vertices());
-    RefreshContexts(applied);
-    return old_contexts_;
+  // Ends a RefreshContextsKeepingOld: old_contexts_ mirrors contexts_ again
+  // once the contexts it may have changed, at `touched` and at new
+  // vertices, are copied over.
+  void SyncOldContexts(const std::vector<VertexId>& touched, VertexId old_n) {
+    for (const VertexId v : touched) {
+      old_contexts_[v] = contexts_[v];
+    }
+    std::copy(contexts_.begin() + old_n, contexts_.end(), old_contexts_.begin() + old_n);
   }
 
   void Refine(const AppliedMutations& applied) {
     const VertexId n = graph_->num_vertices();
     const VertexId old_n = store_.num_vertices();
-    const std::vector<VertexContext>& old_contexts = RefreshContextsKeepingOld(applied);
+    const VertexId old_contexts_n = static_cast<VertexId>(contexts_.size());
+    const std::vector<VertexId> touched = RefreshContextsKeepingOld(applied);
+    const std::vector<VertexContext>& old_contexts = old_contexts_;
     store_.GrowVertices(n, algo_.IdentityAggregate());
     values_.resize(n, Value{});
     // New vertices behave as if they had existed isolated all along; the
@@ -1098,6 +1172,7 @@ class GraphBoltEngine {
         values_[entry.v] = entry.new_value;
       }
     }
+    SyncOldContexts(touched, old_contexts_n);
   }
 
   // What every refined level of one batch shares.
@@ -1238,31 +1313,37 @@ class GraphBoltEngine {
     return fresh;
   }
 
+  // What settling a target decides about its bits at this level.
+  struct Settled {
+    bool changed;  // changed bit: its refined value moved since level-1
+    bool moved;    // frontier bit: its value differs from the pre-mutation run's
+  };
+
   // Settles target v once its refined aggregation `agg` is final: records
   // its old value (from the stored, not yet committed, g_level(v)) and its
-  // new value, refreshes its changed bit against its refined value at
-  // level-1, and hands it to the next level when its value moved.
-  void SettleTarget(uint32_t level, VertexId v, const Aggregate& agg, const RefinedBatch& batch,
-                    const LevelScratch& prev, LevelScratch* cur, AtomicBitset* changed_bits,
-                    std::vector<FrontierEntry>* next) const {
+  // new value, compares it with its refined value at level-1 for its
+  // changed bit, and hands it to the next level when its value moved. The
+  // caller writes both bits.
+  Settled SettleTarget(uint32_t level, VertexId v, const Aggregate& agg, const RefinedBatch& batch,
+                       const LevelScratch& prev, LevelScratch* cur,
+                       std::vector<FrontierEntry>* next) const {
     const Value old_value = algo_.VertexCompute(v, store_.At(level, v), batch.old_contexts[v]);
     const Value new_value = algo_.VertexCompute(v, agg, contexts_[v]);
     cur->Record(v, old_value, new_value);
-    RefreshChangedBit(changed_bits, v, NewValueAt(level - 1, v, prev), new_value);
-    if (algo_.ValuesDiffer(old_value, new_value)) {
-      cur->frontier.Set(v);
+    const Settled settled{algo_.ValuesDiffer(NewValueAt(level - 1, v, prev), new_value),
+                          algo_.ValuesDiffer(old_value, new_value)};
+    if (settled.moved) {
       next->push_back({v, old_value, new_value});
     }
+    return settled;
   }
 
-  // The changed bit of v at a level compares its refined value there with
-  // its refined value one level earlier.
-  void RefreshChangedBit(AtomicBitset* changed_bits, VertexId v, const Value& before,
-                         const Value& here) const {
-    if (algo_.ValuesDiffer(before, here)) {
-      changed_bits->Set(v);
+  // Sets or clears bit v of a bitset other tasks write too.
+  static void AssignBit(AtomicBitset* bits, VertexId v, bool on) {
+    if (on) {
+      bits->Set(v);
     } else {
-      changed_bits->Clear(v);
+      bits->Clear(v);
     }
   }
 
@@ -1367,7 +1448,11 @@ class GraphBoltEngine {
       std::vector<FrontierEntry> local;
       for (size_t i = lo; i < hi; ++i) {
         const VertexId v = targets.members()[i];
-        SettleTarget(level, v, agg[v], batch, prev, cur, changed_bits, &local);
+        const Settled settled = SettleTarget(level, v, agg[v], batch, prev, cur, &local);
+        AssignBit(changed_bits, v, settled.changed);
+        if (settled.moved) {
+          cur->frontier.Set(v);
+        }
       }
       std::lock_guard<std::mutex> lock(merge);
       next.insert(next.end(), local.begin(), local.end());
@@ -1379,9 +1464,10 @@ class GraphBoltEngine {
     // previous-level value.
     for (const FrontierEntry& entry : frontier) {
       if (!touched.Contains(entry.v)) {
-        RefreshChangedBit(changed_bits, entry.v, entry.new_value,
-                          algo_.VertexCompute(entry.v, store_.At(level, entry.v),
-                                              contexts_[entry.v]));
+        AssignBit(changed_bits, entry.v,
+                  algo_.ValuesDiffer(entry.new_value,
+                                     algo_.VertexCompute(entry.v, store_.At(level, entry.v),
+                                                         contexts_[entry.v])));
       }
     }
 
@@ -1391,11 +1477,13 @@ class GraphBoltEngine {
 
   // Dense direction: the direct impact goes into the whole materialized
   // level first; then one sweep visits every vertex w, pulls the change of
-  // each frontier in-neighbour (read from `prev`, or from staged_ once
-  // per source for weight-free algorithms) into w's own cell in in-edge
-  // order, and settles w in the same visit. No atomics touch an
-  // aggregation and the summation order is fixed, so the level is bitwise
-  // reproducible at any worker count.
+  // each frontier in-neighbour (read from `prev`, or gathered from staged_
+  // for weight-free algorithms) into w's own cell in in-edge order, and
+  // settles w in the same visit. The sweep walks whole words, so w's
+  // changed and frontier bits are built in the task's own words and stored
+  // once per word. No atomics touch an aggregation or a bit and the
+  // summation order is fixed, so the level is bitwise reproducible at any
+  // worker count.
   std::vector<FrontierEntry> RefineLevelPull(uint32_t level, const RefinedBatch& batch,
                                              const std::vector<FrontierEntry>& frontier,
                                              const LevelScratch& prev, LevelScratch* cur,
@@ -1419,49 +1507,71 @@ class GraphBoltEngine {
     std::vector<FrontierEntry> next;
     std::mutex merge;
     std::atomic<uint64_t> edges{0};
-    ParallelForChunks(0, n, [&](size_t lo, size_t hi) {
+    ParallelForChunks(0, cur->frontier.num_words(), [&](size_t word_lo, size_t word_hi) {
       std::vector<FrontierEntry> local;
       uint64_t local_edges = 0;
-      for (size_t vi = lo; vi < hi; ++vi) {
-        const VertexId w = static_cast<VertexId>(vi);
-        bool target = batch.direct_targets.Test(w);
-        if constexpr (kPullBased) {
-          const auto in_nbrs = graph_->InNeighbors(w);
-          const auto in_wts = graph_->InWeights(w);
-          for (size_t e = 0; e < in_nbrs.size() && !(target && reevaluate); ++e) {
-            const VertexId u = in_nbrs[e];
-            if (prev.frontier.Test(u)) {
-              target = true;
-              if (!reevaluate) {
-                algo_.AggregateOwned(&agg[w], algo_.ContributionOf(u, prev.new_values[u],
-                                                                   in_wts[e], contexts_[u]));
-                ++local_edges;
-              }
-            }
+      for (size_t word = word_lo; word < word_hi; ++word) {
+        const uint64_t direct_word = batch.direct_targets.LoadWord(word);
+        const uint64_t prev_frontier_word = prev.frontier.LoadWord(word);
+        uint64_t changed_word = changed_bits->LoadWord(word);
+        uint64_t frontier_word = 0;
+        for (VertexId w = WordBegin(word); w < WordEnd(word, n); ++w) {
+          const bool direct = (direct_word & WordBit(w)) != 0;
+          if (PullTarget(level, w, direct, reevaluate, batch, prev, &agg[w], &local_edges)) {
+            const Settled settled = SettleTarget(level, w, agg[w], batch, prev, cur, &local);
+            changed_word = AssignBit(changed_word, w, settled.changed);
+            frontier_word |= settled.moved ? WordBit(w) : 0;
+          } else if ((prev_frontier_word & WordBit(w)) != 0) {
+            // A previous-level contributor that is not a target here: see the
+            // matching refresh in RefineLevelPush.
+            const Value here = algo_.VertexCompute(w, agg[w], contexts_[w]);
+            changed_word = AssignBit(changed_word, w, algo_.ValuesDiffer(prev.new_values[w], here));
           }
-          if (target && reevaluate) {
-            agg[w] = Reevaluate(level, w, prev, &local_edges);
-          }
-        } else {
-          target |= PullChanges(w, prev, batch.old_contexts, &agg[w], &local_edges);
         }
-        if (target) {
-          SettleTarget(level, w, agg[w], batch, prev, cur, changed_bits, &local);
-        } else if (prev.frontier.Test(w)) {
-          // A previous-level contributor that is not a target here: see the
-          // matching refresh in RefineLevelPush.
-          RefreshChangedBit(changed_bits, w, prev.new_values[w],
-                            algo_.VertexCompute(w, agg[w], contexts_[w]));
-        }
+        changed_bits->StoreWord(word, changed_word);
+        cur->frontier.StoreWord(word, frontier_word);
       }
       edges.fetch_add(local_edges, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(merge);
       next.insert(next.end(), local.begin(), local.end());
-    }, /*grain=*/512);
+    }, kWordGrain);
     stats_.edges_processed += edges.load();
+    ResetStaged(frontier, [](const FrontierEntry& entry) { return entry.v; });
 
     store_.CommitLevel(level, agg);
     return next;
+  }
+
+  // One vertex w of RefineLevelPull's sweep: pulls the changes of its
+  // frontier in-neighbours into its cell `agg` (pull-based algorithms fold
+  // their new contributions, or under `reevaluate` re-evaluate the whole
+  // in-neighbourhood). Returns whether w is a target: a `direct` target or
+  // the head of a frontier in-edge.
+  bool PullTarget(uint32_t level, VertexId w, bool direct, bool reevaluate,
+                  const RefinedBatch& batch, const LevelScratch& prev, Aggregate* agg,
+                  uint64_t* edge_counter) const {
+    if constexpr (kPullBased) {
+      bool target = direct;
+      const auto in_nbrs = graph_->InNeighbors(w);
+      const auto in_wts = graph_->InWeights(w);
+      for (size_t e = 0; e < in_nbrs.size() && !(target && reevaluate); ++e) {
+        const VertexId u = in_nbrs[e];
+        if (prev.frontier.Test(u)) {
+          target = true;
+          if (!reevaluate) {
+            algo_.AggregateOwned(agg, algo_.ContributionOf(u, prev.new_values[u], in_wts[e],
+                                                           contexts_[u]));
+            ++*edge_counter;
+          }
+        }
+      }
+      if (target && reevaluate) {
+        *agg = Reevaluate(level, w, prev, edge_counter);
+      }
+      return target;
+    } else {
+      return PullChanges(w, prev, batch.old_contexts, agg, edge_counter) || direct;
+    }
   }
 
   // ----- Hybrid continuation ------------------------------------------------
@@ -1666,7 +1776,7 @@ class GraphBoltEngine {
   Algo algo_;
   Options options_;
   std::vector<VertexContext> contexts_;
-  std::vector<VertexContext> old_contexts_;  // pre-batch contexts while a batch refines
+  std::vector<VertexContext> old_contexts_;  // mirror of contexts_; pre-batch while a batch applies
   std::vector<VertexId> spliced_endpoints_;  // fast-path splice endpoints since the last batch
   std::vector<Value> values_;
   std::vector<Aggregate> aggregates_;    // scratch for the initial run

@@ -2,7 +2,9 @@
 //
 // Used for per-iteration changed-vertex tracking (hybrid execution) and for
 // deduplicating frontier insertion during parallel refinement. Set() is safe
-// to call concurrently from multiple threads; resizing is not.
+// to call concurrently from multiple threads; resizing is not. A dense sweep
+// whose tasks own whole 64-bit words builds each word locally and writes it
+// with one StoreWord, with no read-modify-write.
 #ifndef SRC_UTIL_BITSET_H_
 #define SRC_UTIL_BITSET_H_
 
@@ -74,11 +76,19 @@ class AtomicBitset {
   // size() are always clear.
   size_t num_words() const { return words_.size(); }
 
+  // Word w's bits. StoreWord overwrites the whole word, so its caller must
+  // be the word's only writer while it runs, and must leave bits at or past
+  // size() clear.
+  uint64_t LoadWord(size_t w) const { return words_[w].value.load(std::memory_order_relaxed); }
+  void StoreWord(size_t w, uint64_t bits) {
+    words_[w].value.store(bits, std::memory_order_relaxed);
+  }
+
   // Number of set bits in words [word_lo, word_hi).
   size_t CountWords(size_t word_lo, size_t word_hi) const {
     size_t count = 0;
     for (size_t w = word_lo; w < word_hi; ++w) {
-      count += static_cast<size_t>(__builtin_popcountll(Load(w)));
+      count += static_cast<size_t>(__builtin_popcountll(LoadWord(w)));
     }
     return count;
   }
@@ -89,7 +99,7 @@ class AtomicBitset {
   template <typename Fn>
   void ForEachSetInWords(size_t word_lo, size_t word_hi, Fn&& fn) const {
     for (size_t w = word_lo; w < word_hi; ++w) {
-      for (uint64_t bits = Load(w); bits != 0; bits &= bits - 1) {
+      for (uint64_t bits = LoadWord(w); bits != 0; bits &= bits - 1) {
         fn(w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
       }
     }
@@ -101,8 +111,6 @@ class AtomicBitset {
   }
 
  private:
-  uint64_t Load(size_t w) const { return words_[w].value.load(std::memory_order_relaxed); }
-
   struct Word {
     std::atomic<uint64_t> value{0};
     Word() = default;

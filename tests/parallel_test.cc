@@ -12,8 +12,10 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "src/algorithms/belief_propagation.h"
 #include "src/algorithms/pagerank.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/graph/generators.h"
@@ -312,37 +314,89 @@ TEST(Reducer, IntegerSumDeterministicAcrossGrainsAndThreads)
 // and a fixed (in-edge) summation order, so a batch whose every level is
 // dense refines to the same bits at any worker count. Under TSan this also
 // checks that each owned cell has a single writer.
-TEST(Refinement, DenseLevelsAreBitwiseEqualAcrossWorkerCounts) {
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Compares two engines' values, every tracked level array and every
+// level's changed bits (word by word, so bits the dense sweeps store a
+// whole word at a time are checked as stored), reporting `what`.
+template <typename Engine>
+void ExpectSameState(const Engine& one, const Engine& four, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_TRUE(SameBits(one.values(), four.values()));
+  ASSERT_EQ(one.store().total_levels(), four.store().total_levels());
+  for (uint32_t level = 1; level <= one.store().tracked_levels(); ++level) {
+    EXPECT_TRUE(SameBits(one.store().LevelArray(level), four.store().LevelArray(level)))
+        << "level " << level;
+  }
+  for (uint32_t level = 1; level <= one.store().total_levels(); ++level) {
+    const AtomicBitset& a = one.store().ChangedAt(level);
+    const AtomicBitset& b = four.store().ChangedAt(level);
+    ASSERT_EQ(a.num_words(), b.num_words());
+    for (size_t word = 0; word < a.num_words(); ++word) {
+      EXPECT_EQ(a.LoadWord(word), b.LoadWord(word)) << "level " << level << " word " << word;
+    }
+  }
+}
+
+// Runs InitialCompute and one dense refinement on one worker and on four;
+// the dense sweeps must give the same bits. The batch mutates over a tenth
+// of the edges: the added edges' sources alone carry more than |E|/20
+// out-edges, and as context-changed contributors they are in the frontier
+// at every level, so every refined level is dense. `initial_on_four` runs
+// the four-worker InitialCompute on four workers too, for algorithms whose
+// every initial level is dense (its sparse levels push with atomics, in no
+// fixed order).
+template <typename Algo>
+void ExpectDenseLevelsBitwiseEqual(const Algo& algo,
+                                   typename GraphBoltEngine<Algo>::Options options,
+                                   bool initial_on_four) {
   const size_t original = TaskArena::Instance().num_threads();
   EdgeList full = GenerateRmat(4000, 48000, {.seed = 130});
   StreamSplit split = SplitForStreaming(full, 0.5, 131);
-  TaskArena::SetNumThreads(1);
   MutableGraph graph_one(split.initial);
   MutableGraph graph_four(split.initial);
-  GraphBoltEngine<PageRank> one(&graph_one, PageRank{});
-  GraphBoltEngine<PageRank> four(&graph_four, PageRank{});
+  // A partial last word: the sweeps must not write past the last vertex.
+  ASSERT_NE(graph_one.num_vertices() % 64, 0u);
+  GraphBoltEngine<Algo> one(&graph_one, algo, options);
+  GraphBoltEngine<Algo> four(&graph_four, algo, options);
+  TaskArena::SetNumThreads(1);
   one.InitialCompute();
+  TaskArena::SetNumThreads(initial_on_four ? 4 : 1);
   four.InitialCompute();
+  TaskArena::SetNumThreads(original);
+  ExpectSameState(one, four, "InitialCompute");
 
-  // Over a tenth of the edges mutated: the added edges' sources alone carry
-  // more than |E|/20 out-edges, and as context-changed contributors they
-  // are in the frontier at every level, so every level is dense.
   UpdateStream stream(split.held_back, 132);
   const MutationBatch batch =
       stream.NextBatch(graph_one, {.size = graph_one.num_edges() / 8, .add_fraction = 0.6});
+  TaskArena::SetNumThreads(1);
   const AppliedMutations applied = one.ApplyMutations(batch);
   ASSERT_GT(applied.added.size(), graph_one.num_edges() / 20);
   TaskArena::SetNumThreads(4);
   four.ApplyMutations(batch);
   TaskArena::SetNumThreads(original);
+  ASSERT_NE(graph_one.num_vertices() % 64, 0u);
+  ExpectSameState(one, four, "refinement");
+}
 
-  auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
-    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-  };
-  EXPECT_TRUE(same_bits(one.values(), four.values()));
-  for (uint32_t level = 1; level <= one.store().tracked_levels(); ++level) {
-    EXPECT_TRUE(same_bits(one.store().LevelArray(level), four.store().LevelArray(level)))
-        << "level " << level;
+TEST(Refinement, DenseLevelsAreBitwiseEqualAcrossWorkerCounts) {
+  {
+    SCOPED_TRACE("PageRank, one staged slot");
+    ExpectDenseLevelsBitwiseEqual(PageRank{}, {}, /*initial_on_four=*/true);
+  }
+  {
+    SCOPED_TRACE("PageRank, retract/aggregate pair");
+    ExpectDenseLevelsBitwiseEqual(PageRank{}, {.use_retract_propagate = true},
+                                  /*initial_on_four=*/true);
+  }
+  {
+    SCOPED_TRACE("BeliefPropagation<3>");
+    // Its last initial level is sparse on this graph.
+    ExpectDenseLevelsBitwiseEqual(BeliefPropagation<3>{}, {}, /*initial_on_four=*/false);
   }
 }
 

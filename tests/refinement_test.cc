@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "src/algorithms/belief_propagation.h"
 #include "src/algorithms/coem.h"
@@ -23,6 +25,7 @@
 #include "src/algorithms/sssp.h"
 #include "src/algorithms/widest_path.h"
 #include "src/core/compact_dependency_store.h"
+#include "src/core/delta_kernel.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
 #include "src/engine/ligra_engine.h"
@@ -578,6 +581,83 @@ TYPED_TEST(WeightFreeMarker, ContributionIgnoresTheEdgeWeight) {
 // Negative control: the check sees a weighted contribution.
 TEST(WeightFreeMarkerControl, CheckCatchesAWeightedContribution) {
   EXPECT_FALSE(ContributionIgnoresWeight(CoEM(600, 0.08, 161), 161));
+}
+
+// A scalar or an array of scalars with every element `x`.
+template <typename T>
+T FilledWith(double x) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return static_cast<T>(x);
+  } else {
+    T filled{};
+    for (auto& element : filled) {
+      element = x;
+    }
+    return filled;
+  }
+}
+
+// Whether PushStaged (owned) of `staged` leaves aggregates holding signed
+// zeros, the smallest denormal, ordinary values, infinities or a quiet NaN
+// bit for bit as they were. An array aggregate is probed with each value
+// in every element and with all of them side by side.
+template <typename Algo>
+bool StagedLeavesProbesUnchanged(const Algo& algo, bool use_retract_propagate,
+                                 const typename Algo::Contribution* staged) {
+  using Aggregate = typename Algo::Aggregate;
+  const double probes[] = {+0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           1.0,
+                           -1.5,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  std::vector<Aggregate> cells;
+  for (const double probe : probes) {
+    cells.push_back(FilledWith<Aggregate>(probe));
+  }
+  if constexpr (!std::is_arithmetic_v<Aggregate>) {
+    for (size_t shift = 0; shift < std::size(probes); ++shift) {
+      Aggregate mixed{};
+      for (size_t i = 0; i < mixed.size(); ++i) {
+        mixed[i] = probes[(shift + i) % std::size(probes)];
+      }
+      cells.push_back(mixed);
+    }
+  }
+  for (const Aggregate& cell : cells) {
+    Aggregate pushed = cell;
+    DeltaKernel<Algo>::template PushStaged</*kOwned=*/true>(algo, use_retract_propagate, staged,
+                                                            &pushed);
+    if (!SameBits(pushed, cell)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every slot of a source outside the frontier holds the neutral change and
+// the dense sweeps add it on every in-edge, so it must add nothing, at
+// either staged width (BP has no combined delta: width 2 either way).
+// Negative control: +0.0 in the aggregate slot turns -0.0 into +0.0.
+TYPED_TEST(WeightFreeMarker, NeutralStagedChangeLeavesEveryAggregateBitwiseUnchanged) {
+  using Kernel = DeltaKernel<TypeParam>;
+  using Contribution = typename TypeParam::Contribution;
+  const TypeParam algo = MakeAlgorithm<TypeParam>();
+  for (const bool use_retract_propagate : {false, true}) {
+    SCOPED_TRACE(use_retract_propagate ? "retract/aggregate pair" : "default staging");
+    const size_t width = Kernel::StagedWidth(use_retract_propagate);
+    EXPECT_EQ(width, HasDeltaContribution<TypeParam> && !use_retract_propagate ? 1u : 2u);
+    Contribution neutral[Kernel::kMaxStagedWidth]{};
+    Kernel::StageNeutral(use_retract_propagate, neutral);
+    EXPECT_TRUE(StagedLeavesProbesUnchanged(algo, use_retract_propagate, neutral));
+
+    Contribution positive_zero[Kernel::kMaxStagedWidth]{};
+    Kernel::StageNeutral(use_retract_propagate, positive_zero);
+    positive_zero[width - 1] = FilledWith<Contribution>(+0.0);  // the aggregate slot
+    EXPECT_FALSE(StagedLeavesProbesUnchanged(algo, use_retract_propagate, positive_zero));
+  }
 }
 
 // ----- The selective marker is honest ----------------------------------------------

@@ -56,7 +56,10 @@ struct CliConfig {
   DriverConfig driver;  // the consolidated driver surface
 };
 
-// Writes one value per line ("vertex value...").
+// Writes one value per line ("vertex value..."). Floating-point values are
+// written with max_digits10 significant digits (see the --output writer),
+// so they read back to the same bits and `cmp` of two outputs compares
+// values bitwise.
 template <typename Value>
 void WriteScalar(std::ofstream& out, VertexId v, const Value& value) {
   out << v << " " << value << "\n";
@@ -304,6 +307,7 @@ int Stream(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph, Stream
       std::printf("cannot write %s\n", config.output.c_str());
       return 1;
     }
+    out.precision(std::numeric_limits<double>::max_digits10);
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
       WriteScalar(out, v, engine.values()[v]);
     }
@@ -504,7 +508,7 @@ int Main(int argc, char** argv) {
   args.AddDouble("load-fraction", 0.5, "fraction of edges loaded before streaming");
   args.AddInt("source", 0, "source vertex for sssp/bfs/widest/ppr");
   args.AddInt("threads", 0, "worker threads (0 = hardware)");
-  args.AddString("output", "", "write final per-vertex values to this file");
+  args.AddString("output", "", "write final per-vertex values to this file (full precision)");
   args.AddBool("verify-recovery", false,
                "after streaming, cold-recover from --checkpoint-dir and compare with the "
                "live values: bitwise with one worker thread, within 1e-9 relative otherwise");
