@@ -183,11 +183,9 @@ int main(int argc, char** argv) {
     // counters (nonzero only when --fast-path is set — PageRank proves only
     // graph no-ops safe, so real arrivals show up as escalations here, not
     // safe applies).
-    std::printf("fast path: %llu safe applied in place, %llu escalated to refinement, "
-                "%llu epoch flips\n",
+    std::printf("fast path: %llu safe applied in place, %llu escalated to refinement\n",
                 static_cast<unsigned long long>(stats.fastpath_safe_applied),
-                static_cast<unsigned long long>(stats.fastpath_unsafe_escalated),
-                static_cast<unsigned long long>(stats.fastpath_epoch_flips));
+                static_cast<unsigned long long>(stats.fastpath_unsafe_escalated));
     // The overload/stall half of the dashboard: the full sentinel layer
     // (shed policies, degrade governor, stall watchdog) runs per-lane under
     // any --shards count, so a service watches one line either way.

@@ -181,9 +181,6 @@ struct EngineStats {
   // Mutations classified unsafe and escalated into the gutter as a
   // refinement micro-batch.
   uint64_t fastpath_unsafe_escalated = 0;
-  // Fast-path epoch increments (one per safe apply); PrepQuery observes the
-  // epoch to keep served snapshots prefix-consistent with safe applies.
-  uint64_t fastpath_epoch_flips = 0;
 
   // ----- Adaptive apply (mirrored from MutableGraph by the drivers) --------
   // Batches whose normalized impact crossed the rebuild threshold and were

@@ -231,31 +231,23 @@ class Checkpointer {
   // retry budget is exhausted or the fatal-fast path fired (caller should
   // force a checkpoint to supersede the missing record).
   bool AppendWal(uint64_t seq, const MutationBatch& batch) {
-    Backoff backoff(options_.retry.initial_backoff_seconds, options_.retry.backoff_multiplier,
-                    options_.retry.max_backoff_seconds);
-    for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
-      if (attempt > 0) {
-        backoff.Sleep();
-        Count(&Stats::wal_retries);
-      }
-      const bool injected = GB_FAULT_POINT(injector_, FaultSite::kWalAppend);
-      if (!injected && wal_.Append(seq, batch)) {
-        Count(&Stats::wal_appends);
-        return true;
-      }
-      if (!injected && wal_.last_status().enospc()) {
-        Count(&Stats::enospc_aborts);
-        GB_LOG(kError) << "WAL " << wal_.path() << ": append for batch " << seq
-                       << " hit ENOSPC — aborting without retries (a full disk "
-                       << "is not transient). Free space or point "
-                       << "--checkpoint-dir at a larger volume; the driver "
-                       << "will force a checkpoint to cover the lost record.";
-        return false;
-      }
+    const bool appended = WithRetries(
+        &Stats::wal_retries, wal_.path(), seq,
+        "the driver will force a checkpoint to cover the lost record",
+        [&](StorageStatus* status) {
+          if (GB_FAULT_POINT(injector_, FaultSite::kWalAppend)) {
+            return false;  // injected transient failure; status stays ok
+          }
+          if (wal_.Append(seq, batch)) {
+            return true;
+          }
+          *status = wal_.last_status();
+          return false;
+        });
+    if (appended) {
+      Count(&Stats::wal_appends);
     }
-    GB_LOG(kWarning) << "WAL append for batch " << seq << " failed after "
-                     << options_.retry.max_attempts << " attempts";
-    return false;
+    return appended;
   }
 
   // Replays journal records with seq > after_seq through
@@ -284,11 +276,7 @@ class Checkpointer {
   // which is the documented semantic of the kShedToWal policy.
   bool AppendShed(const MutationBatch& batch) {
     std::lock_guard<std::mutex> lock(shed_mu_);
-    if (!shed_.Append(++shed_seq_, batch)) {
-      return false;
-    }
-    Count(&Stats::shed_appends);
-    return true;
+    return shed_.Append(++shed_seq_, batch);
   }
 
   // Feeds every parked batch through fn(MutationBatch&&) and truncates the
@@ -333,29 +321,10 @@ class Checkpointer {
     Timer timer;
     const std::string final_path = PathFor(seq);
     const std::string tmp_path = final_path + ".tmp";
-    bool written = false;
-    Backoff backoff(options_.retry.initial_backoff_seconds, options_.retry.backoff_multiplier,
-                    options_.retry.max_backoff_seconds);
-    for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
-      if (attempt > 0) {
-        backoff.Sleep();
-        Count(&Stats::checkpoint_retries);
-      }
-      StorageStatus status;
-      if (WriteCheckpointFile(tmp_path, seq, &status)) {
-        written = true;
-        break;
-      }
-      if (status.enospc()) {
-        Count(&Stats::enospc_aborts);
-        GB_LOG(kError) << "checkpoint " << final_path << ": write hit ENOSPC — "
-                       << "abandoning without retries (a full disk is not "
-                       << "transient). Free space or point --checkpoint-dir at "
-                       << "a larger volume; the previous checkpoint plus the "
-                       << "WAL still cover the state.";
-        break;
-      }
-    }
+    const bool written = WithRetries(
+        &Stats::checkpoint_retries, final_path, seq,
+        "the previous checkpoint plus the WAL still cover the state",
+        [&](StorageStatus* status) { return WriteCheckpointFile(tmp_path, seq, status); });
     if (!written || !env_->Rename(tmp_path, final_path).ok()) {
       env_->Remove(tmp_path);
       Count(&Stats::checkpoint_failures);
@@ -495,7 +464,6 @@ class Checkpointer {
     double checkpoint_seconds = 0.0;
     uint64_t wal_appends = 0;
     uint64_t wal_retries = 0;
-    uint64_t shed_appends = 0;
     uint64_t enospc_aborts = 0;
     uint64_t wal_corrupt_records = 0;
     uint64_t scrub_passes = 0;
@@ -505,6 +473,40 @@ class Checkpointer {
   void Count(uint64_t Stats::* field) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++(stats_.*field);
+  }
+
+  // The durability policy of both durable writes (see the file header):
+  // runs attempt(StorageStatus*) up to RetryPolicy::max_attempts times with
+  // jittered backoff, counting each retry into `retries`. An attempt that
+  // reports ENOSPC abandons at once — a full disk does not get better
+  // inside a backoff window. `path` and `seq` name the write in logs;
+  // `recourse` says what still covers the state once it is abandoned.
+  template <typename Attempt>
+  bool WithRetries(uint64_t Stats::* retries, const std::string& path, uint64_t seq,
+                   const char* recourse, Attempt&& attempt) {
+    Backoff backoff(options_.retry.initial_backoff_seconds, options_.retry.backoff_multiplier,
+                    options_.retry.max_backoff_seconds);
+    for (int i = 0; i < options_.retry.max_attempts; ++i) {
+      if (i > 0) {
+        backoff.Sleep();
+        Count(retries);
+      }
+      StorageStatus status;
+      if (attempt(&status)) {
+        return true;
+      }
+      if (status.enospc()) {
+        Count(&Stats::enospc_aborts);
+        GB_LOG(kError) << path << ": write for batch " << seq
+                       << " hit ENOSPC — abandoning without retries (a full "
+                       << "disk is not transient). Free space or point --checkpoint-dir "
+                       << "at a larger volume; " << recourse << ".";
+        return false;
+      }
+    }
+    GB_LOG(kWarning) << path << ": write for batch " << seq << " failed after "
+                     << options_.retry.max_attempts << " attempts; " << recourse;
+    return false;
   }
 
   std::string PathFor(uint64_t seq) const {

@@ -92,22 +92,7 @@ class WriteAheadLog {
       last_status_ = StorageStatus::Eio();
       return false;
     }
-    const uint64_t count = batch.size();
-    std::string record;
-    record.reserve(kRecordHeaderBytes + count * sizeof(EdgeMutation));
-    AppendRaw(&record, kRecordMagicV2);
-    AppendRaw(&record, seq);
-    AppendRaw(&record, count);
-    uint32_t crc = Crc32c(&seq, sizeof(seq));
-    crc = Crc32cExtend(crc, &count, sizeof(count));
-    if (count > 0) {
-      crc = Crc32cExtend(crc, batch.data(), count * sizeof(EdgeMutation));
-    }
-    AppendRaw(&record, MaskCrc(crc));
-    if (count > 0) {
-      record.append(reinterpret_cast<const char*>(batch.data()),
-                    count * sizeof(EdgeMutation));
-    }
+    const std::string record = EncodeRecord(seq, batch);
     StorageStatus status = out_->Write(record.data(), record.size());
     if (status.ok()) {
       status = out_->Flush();
@@ -189,21 +174,7 @@ class WriteAheadLog {
       }
       bool write_ok = true;
       Replay(cutoff_seq, [&](uint64_t seq, MutationBatch&& batch) {
-        std::string record;
-        const uint64_t count = batch.size();
-        AppendRaw(&record, kRecordMagicV2);
-        AppendRaw(&record, seq);
-        AppendRaw(&record, count);
-        uint32_t crc = Crc32c(&seq, sizeof(seq));
-        crc = Crc32cExtend(crc, &count, sizeof(count));
-        if (count > 0) {
-          crc = Crc32cExtend(crc, batch.data(), count * sizeof(EdgeMutation));
-        }
-        AppendRaw(&record, MaskCrc(crc));
-        if (count > 0) {
-          record.append(reinterpret_cast<const char*>(batch.data()),
-                        count * sizeof(EdgeMutation));
-        }
+        const std::string record = EncodeRecord(seq, batch);
         if (!out->Write(record.data(), record.size()).ok()) {
           write_ok = false;
         }
@@ -227,6 +198,27 @@ class WriteAheadLog {
       sizeof(uint32_t) + 2 * sizeof(uint64_t);
   static constexpr size_t kRecordHeaderBytes =
       kV1HeaderBytes + sizeof(uint32_t);
+
+  // The one v2 record encoder (layout in the file header).
+  static std::string EncodeRecord(uint64_t seq, const MutationBatch& batch) {
+    const uint64_t count = batch.size();
+    const size_t payload_bytes = count * sizeof(EdgeMutation);
+    std::string record;
+    record.reserve(kRecordHeaderBytes + payload_bytes);
+    AppendRaw(&record, kRecordMagicV2);
+    AppendRaw(&record, seq);
+    AppendRaw(&record, count);
+    uint32_t crc = Crc32c(&seq, sizeof(seq));
+    crc = Crc32cExtend(crc, &count, sizeof(count));
+    if (count > 0) {
+      crc = Crc32cExtend(crc, batch.data(), payload_bytes);
+    }
+    AppendRaw(&record, MaskCrc(crc));
+    if (count > 0) {
+      record.append(reinterpret_cast<const char*>(batch.data()), payload_bytes);
+    }
+    return record;
+  }
 
   template <typename Fn>
   static size_t ParseBuffer(const std::string& buf, const std::string& path,

@@ -277,9 +277,9 @@ class ShardedDriver {
   //
   //   safe    journaled at the next global sequence number and spliced into
   //           the graph in place — no gutter, no flush, no barrier, and no
-  //           engine_mu_: the apply serializes through journal_mu_ (against
-  //           promotions, maintenance, and checkpoints) plus per-vertex
-  //           claims, and flips the fast-path epoch around the splice.
+  //           engine_mu_: classify and splice serialize through journal_mu_
+  //           alone (against promotions, maintenance, checkpoints, and each
+  //           other).
   //   unsafe  escalated into the owning lane as a refinement micro-batch
   //           (counted fastpath_unsafe_escalated).
   //
@@ -389,19 +389,12 @@ class ShardedDriver {
   }
 
   // Barrier + copy, safe under concurrent ingestion from other threads.
+  // engine_mu_ excludes every value write; fast-path splices, which hold
+  // only journal_mu_, write the graph and never the values.
   std::vector<Value> QuerySnapshot() {
     PrepQuery();
     std::lock_guard<std::mutex> engine_lock(engine_mu_);
-    // Seqlock against in-flight fast-path splices: safe applies leave the
-    // value vector bitwise unchanged, but the epoch check makes the
-    // prefix-consistency argument local instead of relying on that proof.
-    for (;;) {
-      const uint64_t epoch = epoch_.ReadStable();
-      std::vector<Value> snapshot = engine_->values();
-      if (epoch_.Validate(epoch)) {
-        return snapshot;
-      }
-    }
+    return engine_->values();
   }
 
   // Cumulative driver statistics (see stats.h: engine fields are summed
@@ -430,7 +423,6 @@ class ShardedDriver {
     snapshot.fastpath_safe_applied = fast_counters_.safe_applied.load(std::memory_order_relaxed);
     snapshot.fastpath_unsafe_escalated =
         fast_counters_.unsafe_escalated.load(std::memory_order_relaxed);
-    snapshot.fastpath_epoch_flips = epoch_.flips();
     return snapshot;
   }
 
@@ -464,7 +456,7 @@ class ShardedDriver {
   }
 
   // Registers the promotion-order observer. Call before ingestion starts;
-  // the hook runs under the engine mutex, so keep it cheap.
+  // the hook runs under the journal mutex, so keep it cheap.
   void set_apply_observer(ApplyObserver observer) {
     std::lock_guard<std::mutex> engine_lock(engine_mu_);
     std::lock_guard<std::mutex> journal_lock(journal_mu_);
@@ -548,26 +540,9 @@ class ShardedDriver {
         return false;
       }
       Timer wall;
-      for (auto& lane : lanes_) {
-        std::lock_guard<std::mutex> lock(lane->mu);
-        lane->accepting = false;
-      }
-      for (auto& lane : lanes_) {
-        lane->queue.Close();
-      }
-      // Cooperative cancellation: a worker parked in an injected stage
-      // stall observes this token, sheds its in-hand batch, and exits so
-      // the joins below return.
-      stall_abort_.store(true);
-      JoinLanes();
       // Queue leftovers, preserved per lane in pop order. Lane order is a
       // legal global order: the batches were concurrent at the crash.
-      std::vector<std::pair<size_t, TimedBatch>> preserved;
-      for (size_t i = 0; i < lanes_.size(); ++i) {
-        while (std::optional<TimedBatch> leftover = lanes_[i]->queue.Pop()) {
-          preserved.emplace_back(i, std::move(*leftover));
-        }
-      }
+      auto preserved = HaltLanes(/*flush_gutters=*/false);
       bool restored = false;
       bool applied_preserved = false;
       uint64_t replayed_wal = 0;
@@ -662,10 +637,7 @@ class ShardedDriver {
           from_lane += lane_index == i ? 1 : 0;
         }
         std::lock_guard<std::mutex> lock(lane.mu);
-        lane.in_flight -= std::min(lane.in_flight, from_lane);
-        if (lane.in_flight == 0) {
-          lane.drained_cv.notify_all();
-        }
+        lane.ReleaseInFlight(from_lane);
         lane.dead = false;
         lane.accepting = true;
       }
@@ -722,24 +694,10 @@ class ShardedDriver {
     if (stopped_) {
       return;
     }
-    for (auto& lane : lanes_) {
-      std::unique_lock<std::mutex> lock(lane->mu);
-      lane->accepting = false;
-      FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
-    }
-    stall_abort_.store(true);  // release workers parked in an injected stall
-    for (auto& lane : lanes_) {
-      lane->queue.Close();
-    }
-    JoinLanes();
-    for (auto& lane : lanes_) {
-      while (std::optional<TimedBatch> leftover = lane->queue.Pop()) {
-        ShedOrDrop(leftover->batch);
-        std::lock_guard<std::mutex> lock(lane->mu);
-        if (--lane->in_flight == 0) {
-          lane->drained_cv.notify_all();
-        }
-      }
+    for (auto& [lane_index, leftover] : HaltLanes(/*flush_gutters=*/true)) {
+      ShedOrDrop(leftover.batch);
+      std::lock_guard<std::mutex> lock(lanes_[lane_index]->mu);
+      lanes_[lane_index]->ReleaseInFlight();
     }
     if constexpr (AsyncDeltaEngine<Engine>) {
       // The workers have joined, so nothing ticks the mode again: leave the
@@ -788,6 +746,15 @@ class ShardedDriver {
     // a worker parked in an injected stall sheds its in-hand batch and
     // resumes; consumed (reset) by the worker.
     std::atomic<bool> stall_abort{false};
+
+    // Retires `n` batches from in_flight, waking the query barrier at zero.
+    // Caller holds mu.
+    void ReleaseInFlight(size_t n = 1) {
+      in_flight -= std::min(in_flight, n);
+      if (in_flight == 0) {
+        drained_cv.notify_all();
+      }
+    }
   };
 
   size_t ShardOf(VertexId v) const {
@@ -801,12 +768,36 @@ class ShardedDriver {
     }
   }
 
-  void JoinLanes() {
+  // Stops every lane for Stop() and Recover(): refuses new mutations
+  // (first flushing each gutter into its queue when `flush_gutters`),
+  // closes the queues, raises the global stall abort — a worker parked in
+  // an injected stage stall observes it, sheds its in-hand batch, and
+  // exits — and joins the workers. Returns the queue leftovers per lane in
+  // pop order; they still count in their lane's in_flight.
+  std::vector<std::pair<size_t, TimedBatch>> HaltLanes(bool flush_gutters) {
+    for (auto& lane : lanes_) {
+      std::unique_lock<std::mutex> lock(lane->mu);
+      lane->accepting = false;
+      if (flush_gutters) {
+        FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
+      }
+    }
+    stall_abort_.store(true);
+    for (auto& lane : lanes_) {
+      lane->queue.Close();
+    }
     for (auto& lane : lanes_) {
       if (lane->worker.joinable()) {
         lane->worker.join();
       }
     }
+    std::vector<std::pair<size_t, TimedBatch>> leftovers;
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      while (std::optional<TimedBatch> leftover = lanes_[i]->queue.Pop()) {
+        leftovers.emplace_back(i, std::move(*leftover));
+      }
+    }
+    return leftovers;
   }
 
   void StartWatchdog() {
@@ -882,12 +873,12 @@ class ShardedDriver {
   }
 
   // IngestFast's implementation. Screen and quota-admit exactly like
-  // IngestFor, then classify under a journal try-lock: safe mutations
-  // journal at the next global sequence number and splice in place,
-  // bypassing the lane gutters, while unsafe (or journal-contended) ones
-  // escalate into the owning lane. Safe applies notify the observer under
-  // the journal serialization with pseudo-lane lanes_.size() + 1, so an
-  // observer-recorded stream stays a complete, in-order record.
+  // IngestFor, then classify and splice under a journal try-lock: safe
+  // mutations journal at the next global sequence number and splice in
+  // place, bypassing the lane gutters, while unsafe (or journal-contended)
+  // ones escalate into the owning lane. Safe applies report to the observer
+  // with pseudo-lane lanes_.size() + 1, so an observer-recorded stream
+  // stays a complete, in-order record.
   bool IngestFastFor(TenantState* state, const EdgeMutation& mutation) {
     if constexpr (!FastPathEngine<Engine>) {
       return IngestFor(state, mutation);
@@ -899,7 +890,6 @@ class ShardedDriver {
         return false;
       }
       {
-        VertexClaims::Guard guard(&claims_, mutation.src, mutation.dst);
         std::unique_lock<std::mutex> journal(journal_mu_, std::try_to_lock);
         // While the async tier is engaged the BSP dependency store is
         // stale, so ClassifyFast cannot reason about it: escalate. Mode
@@ -919,27 +909,18 @@ class ShardedDriver {
             }
             ++lane.enqueued;
           }
-          const MutationBatch batch{mutation};
-          if (observer_) {
-            observer_(lanes_.size() + 1, batch);
-          }
-          ++applied_seq_;
-          bool journaled = true;
-          if (checkpointer_ != nullptr) {
-            journaled = checkpointer_->AppendWal(applied_seq_, batch);
-          }
-          epoch_.BeginApply();
+          const bool journaled = JournalLocked(MutationBatch{mutation}, lanes_.size() + 1);
           const bool applied = engine_->ApplyFastSafe(mutation);
-          epoch_.EndApply();
           // journal_mu_ excluded every writer between ClassifyFast and the
           // re-validation inside ApplyFastSafe, so the verdict cannot flip.
           GB_CHECK(applied) << "fast-path re-validation failed under the journal lock";
-          if (checkpointer_ != nullptr && !journaled) {
-            // The WAL record was lost (injected fault): force a checkpoint
-            // so recovery still covers this splice. Engine state cannot
-            // move while we hold journal_mu_.
-            if constexpr (CheckpointableEngine<Engine>) {
-              checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/true);
+          if constexpr (CheckpointableEngine<Engine>) {
+            if (!journaled) {
+              // The WAL record was lost: checkpoint now so recovery still
+              // covers this splice (engine state cannot move while we hold
+              // journal_mu_). Never a cadence checkpoint — the next
+              // promotion takes that.
+              checkpointer_->WriteCheckpoint(applied_seq_);
             }
           }
           fast_counters_.safe_applied.fetch_add(1, std::memory_order_relaxed);
@@ -1088,17 +1069,11 @@ class ShardedDriver {
       stats_.shed_oldest_evictions += evicted.has_value() ? 1 : 0;
     }
     lock.lock();
-    if (evicted.has_value() && --lane.in_flight == 0) {
-      lane.drained_cv.notify_all();
+    if (refill) {
+      lane.gutter.Refill(std::move(item.batch));
     }
-    if (!pushed) {
-      if (refill) {
-        lane.gutter.Refill(std::move(item.batch));
-      }
-      if (--lane.in_flight == 0) {
-        lane.drained_cv.notify_all();
-      }
-    }
+    // The evicted batch and an unpushed one both leave the pipeline here.
+    lane.ReleaseInFlight((evicted.has_value() ? 1 : 0) + (pushed ? 0 : 1));
     UpdateGovernorPressure();
   }
 
@@ -1240,7 +1215,6 @@ class ShardedDriver {
     Timer oldest_flush;
     EngineStats applied;
     uint64_t rebuilds = 0;
-    uint64_t priority_delta = 0;
     {
       StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kApply, lane.index);
       std::unique_lock<std::mutex> engine_lock(engine_mu_);
@@ -1270,35 +1244,9 @@ class ShardedDriver {
         return Promotion::kNone;
       }
       SyncAsyncMode();
-      bool async_applied = false;
-      if constexpr (AsyncDeltaEngine<Engine>) {
-        if (async_engaged_.load(std::memory_order_relaxed)) {
-          AsyncApplyJournaled(fused, lane.index);  // reconciles on WAL loss
-          async_applied = true;
-          bool stepped = false;
-          if (async_engaged_.load(std::memory_order_relaxed) &&
-              engine_->AsyncResidual() > 0.0) {
-            // One bounded propagation round rides along with every promote,
-            // so served values chase the mutations they absorb even when no
-            // lane ever goes idle. The engine leaves async-round scheduler
-            // work unattributed; account the priority-lane pushes from the
-            // arena directly.
-            const uint64_t before = TaskArena::Instance().counters().tasks_priority;
-            engine_->AsyncStep(config_.async_step_budget);
-            priority_delta = TaskArena::Instance().counters().tasks_priority - before;
-            stepped = true;
-          }
-          // Published under engine_mu_, like every residual write, so a
-          // reconcile that follows is never overwritten by this older value.
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.async_applies;
-          stats_.async_steps += stepped ? 1 : 0;
-          stats_.async_residual = engine_->AsyncResidual();
-        }
-      }
-      if (!async_applied) {
-        ApplyJournaled(fused, lane.index);
-      }
+      const bool async_apply = async_engaged_.load(std::memory_order_relaxed);
+      ApplyJournaled(fused, lane.index);
+      AsyncRound(async_apply);
       applied = engine_->stats();
       if constexpr (GraphMaintainableEngine<Engine>) {
         rebuilds = engine_->mutable_graph()->adaptive_rebuilds();
@@ -1311,7 +1259,6 @@ class ShardedDriver {
       // The graph's rebuild counter is cumulative; mirror, don't sum.
       stats_.adaptive_rebuilds = rebuilds;
       AccumulateEngineStats(applied, &stats_);
-      stats_.tasks_priority += priority_delta;
       stats_.flush_latency_seconds += oldest_flush.Seconds();
     }
     {
@@ -1323,9 +1270,7 @@ class ShardedDriver {
     }
     for (Lane* member : members) {
       std::lock_guard<std::mutex> lock(member->mu);
-      if (--member->in_flight == 0) {
-        member->drained_cv.notify_all();
-      }
+      member->ReleaseInFlight();
     }
     return Promotion::kPromoted;
   }
@@ -1345,9 +1290,7 @@ class ShardedDriver {
     ShedOrDrop(batch);
     {
       std::lock_guard<std::mutex> lock(lane.mu);
-      if (--lane.in_flight == 0) {
-        lane.drained_cv.notify_all();
-      }
+      lane.ReleaseInFlight();
     }
     if (!global_abort) {
       // Lane-local release is complete: the in-hand batch is parked in the
@@ -1371,32 +1314,57 @@ class ShardedDriver {
     total->tasks_priority += applied.tasks_priority;
   }
 
-  // Every engine apply funnels through here (lane promotions, queued
-  // batches and shed replays during recovery): notify the observer, assign
-  // the next global sequence number, journal write-ahead, apply, then
-  // checkpoint on cadence. Caller holds engine_mu_; journal_mu_ is taken
-  // here so fast-path splices interleave only at batch boundaries, and the
-  // observer runs under it so observer order is exactly WAL/apply order.
-  void ApplyJournaled(const MutationBatch& batch, size_t observer_lane) {
-    std::lock_guard<std::mutex> journal_lock(journal_mu_);
+  // The one journaling step of every apply, batched or fast; caller holds
+  // journal_mu_. Notifies the observer, assigns the next global sequence
+  // number and appends the WAL record write-ahead, so observer order is
+  // exactly WAL/apply order. Returns false when the record was lost (the
+  // append exhausted its retries): the caller must checkpoint past it.
+  bool JournalLocked(const MutationBatch& batch, size_t observer_lane) {
     if (observer_) {
       observer_(observer_lane, batch);
     }
     ++applied_seq_;
+    return checkpointer_ == nullptr || checkpointer_->AppendWal(applied_seq_, batch);
+  }
+
+  // Every engine apply but the fast path's funnels through here (lane
+  // promotions, queued batches and shed replays during recovery): journal,
+  // apply, then checkpoint on cadence. Caller holds engine_mu_; journal_mu_
+  // is taken here so fast-path splices interleave only at batch boundaries.
+  // While the async tier is engaged the apply is the barrier-free one and
+  // takes no cadence checkpoint — the dependency store is stale, so a
+  // snapshot would be unrecoverable; a lost WAL record instead forces an
+  // immediate reconcile, whose checkpoint supersedes it.
+  void ApplyJournaled(const MutationBatch& batch, size_t observer_lane) {
     bool journaled = true;
-    if (checkpointer_ != nullptr) {
-      journaled = checkpointer_->AppendWal(applied_seq_, batch);
-    }
-    engine_->ApplyMutations(batch);
-    if (checkpointer_ != nullptr) {
-      if constexpr (CheckpointableEngine<Engine>) {
-        // The promoting lane's slot; promotions outside any lane use lane 0's.
-        StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint,
-                                        observer_lane < lanes_.size() ? observer_lane : 0);
-        // force: a batch whose WAL record was lost must be captured by a
-        // checkpoint before the next crash.
-        checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
+    bool async = false;
+    {
+      std::lock_guard<std::mutex> journal_lock(journal_mu_);
+      journaled = JournalLocked(batch, observer_lane);
+      if constexpr (AsyncDeltaEngine<Engine>) {
+        async = async_engaged_.load(std::memory_order_relaxed);
+        if (async) {
+          engine_->AsyncApplyMutations(batch);
+        }
       }
+      if (!async) {
+        engine_->ApplyMutations(batch);
+        if constexpr (CheckpointableEngine<Engine>) {
+          if (checkpointer_ != nullptr) {
+            // The promoting lane's slot; promotions outside any lane use
+            // lane 0's.
+            StallWatchdog::StageScope stage(&watchdog_, PipelineStage::kCheckpoint,
+                                            observer_lane < lanes_.size() ? observer_lane : 0);
+            // force: a batch whose WAL record was lost must be captured by
+            // a checkpoint before the next crash.
+            checkpointer_->MaybeCheckpoint(applied_seq_, /*force=*/!journaled);
+          }
+        }
+      }
+    }
+    if (async && !journaled) {
+      GB_LOG(kWarning) << "async apply lost its WAL record; reconciling to a checkpoint";
+      ReconcileAsync();
     }
   }
 
@@ -1467,11 +1435,17 @@ class ShardedDriver {
   // ApplyMutations, landing on a legitimate BSP state of the final graph.
   // The observer sees async applies exactly like BSP ones.
 
-  // True when policy, overflow policy, and the governor agree the engine
-  // should be running async.
+  // True when the configuration admits the async tier at all: a policy
+  // other than kOff, under kDegrade (whose governor engages it).
+  bool AsyncAllowed() const {
+    return config_.async_mode != AsyncModePolicy::kOff &&
+           config_.overflow == OverflowPolicy::kDegrade;
+  }
+
+  // True when the configuration and the governor agree the engine should be
+  // running async.
   bool AsyncWanted() const {
-    if (config_.async_mode == AsyncModePolicy::kOff ||
-        config_.overflow != OverflowPolicy::kDegrade) {
+    if (!AsyncAllowed()) {
       return false;
     }
     std::lock_guard<std::mutex> glock(governor_mu_);
@@ -1528,59 +1502,51 @@ class ShardedDriver {
     }
   }
 
-  // The async counterpart of ApplyJournaled: notify the observer, journal
-  // write-ahead, then the barrier-free apply. No cadence checkpoint — the
-  // dependency store is stale while async, so a snapshot here would be
-  // unrecoverable; a lost WAL record instead forces an immediate
-  // reconcile, whose checkpoint supersedes it. Caller holds engine_mu_.
-  void AsyncApplyJournaled(const MutationBatch& batch, size_t observer_lane) {
+  // One bounded propagation round, caller holding engine_mu_: while the
+  // tier is engaged and unconverged, step it once, then publish the
+  // residual — under engine_mu_, like every residual write, so a reconcile
+  // that follows is never overwritten by this older value. It rides along
+  // with every promotion (`async_apply` counts an async one), so served
+  // values chase the mutations they absorb even when no lane ever goes
+  // idle, and with lane 0's idle ticks. The engine leaves async-round
+  // scheduler work unattributed; the priority-lane pushes are read from the
+  // arena directly.
+  void AsyncRound(bool async_apply) {
     if constexpr (AsyncDeltaEngine<Engine>) {
-      bool journaled = true;
-      {
-        std::lock_guard<std::mutex> journal_lock(journal_mu_);
-        if (observer_) {
-          observer_(observer_lane, batch);
-        }
-        ++applied_seq_;
-        if (checkpointer_ != nullptr) {
-          journaled = checkpointer_->AppendWal(applied_seq_, batch);
-        }
-        engine_->AsyncApplyMutations(batch);
+      const bool step =
+          async_engaged_.load(std::memory_order_relaxed) && engine_->AsyncResidual() > 0.0;
+      if (!step && !async_apply) {
+        return;
       }
-      if (checkpointer_ != nullptr && !journaled) {
-        GB_LOG(kWarning) << "async apply lost its WAL record; reconciling to a checkpoint";
-        ReconcileAsync();
+      uint64_t priority = 0;
+      if (step) {
+        const uint64_t before = TaskArena::Instance().counters().tasks_priority;
+        engine_->AsyncStep(config_.async_step_budget);
+        priority = TaskArena::Instance().counters().tasks_priority - before;
       }
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.async_applies += async_apply ? 1 : 0;
+      stats_.async_steps += step ? 1 : 0;
+      stats_.async_residual = engine_->AsyncResidual();
+      stats_.tasks_priority += priority;
     }
   }
 
   // An idle-window async round on lane 0: refresh the governor (a quiet
-  // queue is what clears degraded mode), flip the engine to match, and —
-  // while engaged and unconverged — run one bounded propagation round.
-  // Running on every idle poll is what makes the mode self-clearing
-  // without waiting for a query barrier, and what drives the residual to
-  // zero once ingestion pauses: freshness progresses even with no queries
-  // observing it.
+  // queue is what clears degraded mode), flip the engine to match, and run
+  // one AsyncRound. Running on every idle poll is what makes the mode
+  // self-clearing without waiting for a query barrier, and what drives the
+  // residual to zero once ingestion pauses: freshness progresses even with
+  // no queries observing it.
   void AsyncTick() {
     if constexpr (AsyncDeltaEngine<Engine>) {
-      if (config_.async_mode == AsyncModePolicy::kOff ||
-          config_.overflow != OverflowPolicy::kDegrade) {
+      if (!AsyncAllowed()) {
         return;
       }
       UpdateGovernorPressure();
       std::lock_guard<std::mutex> engine_lock(engine_mu_);
       SyncAsyncMode();
-      if (async_engaged_.load(std::memory_order_relaxed) && engine_->AsyncResidual() > 0.0) {
-        const uint64_t before = TaskArena::Instance().counters().tasks_priority;
-        const double residual = engine_->AsyncStep(config_.async_step_budget);
-        const uint64_t priority_delta =
-            TaskArena::Instance().counters().tasks_priority - before;
-        // Under engine_mu_ so a later reconcile's zero is never overwritten.
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.async_steps;
-        stats_.async_residual = residual;
-        stats_.tasks_priority += priority_delta;
-      }
+      AsyncRound(/*async_apply=*/false);
     }
   }
 
@@ -1726,9 +1692,7 @@ class ShardedDriver {
   Timer scrub_timer_;
   ApplyObserver observer_;
 
-  // Fast-path state (config.fast_path; see src/driver/fast_path.h).
-  VertexClaims claims_;
-  FastPathEpoch epoch_;
+  // Fast-path counters (config.fast_path; see src/driver/fast_path.h).
   FastPathCounters fast_counters_;
 
   mutable std::mutex stats_mu_;

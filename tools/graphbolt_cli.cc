@@ -155,11 +155,9 @@ int VerifyRecovery(Engine& engine, MakeEngine&& make_engine, MutableGraph& graph
 }
 
 void PrintFastPath(const EngineStats& stats) {
-  std::printf("fast path: %llu safe applied in place, %llu escalated to refinement, "
-              "%llu epoch flips\n",
+  std::printf("fast path: %llu safe applied in place, %llu escalated to refinement\n",
               static_cast<unsigned long long>(stats.fastpath_safe_applied),
-              static_cast<unsigned long long>(stats.fastpath_unsafe_escalated),
-              static_cast<unsigned long long>(stats.fastpath_epoch_flips));
+              static_cast<unsigned long long>(stats.fastpath_unsafe_escalated));
 }
 
 void PrintAsync(const EngineStats& stats) {
