@@ -182,6 +182,7 @@ int Smoke() {
   struct ModeResult {
     double p99_ms = 0.0;
     uint64_t apply_compactions = 0;  // ApplyStats.compactions summed over batches
+    uint64_t arena_shrinks = 0;      // applies after which a view's arena_used() fell
     SlackCsr::CompactionStats stats;
   };
   // 12k vertices on purpose: a sync compaction rewrites every vertex
@@ -199,11 +200,17 @@ int Smoke() {
     ModeResult result;
     for (int b = 0; b < 25; ++b) {
       const MutationBatch batch = stream.NextBatch(graph, {.size = 1024, .add_fraction = 0.0});
+      const EdgeIndex out_before = graph.out().arena_used();
+      const EdgeIndex in_before = graph.in().arena_used();
       const double start_ms = ThreadCpuMs();
       graph.ApplyBatch(batch);
       batch_ms.push_back(ThreadCpuMs() - start_ms);
       result.apply_compactions += graph.out().last_apply_stats().compactions +
                                   graph.in().last_apply_stats().compactions;
+      // A splice never shrinks the arena; only a compaction does.
+      if (graph.out().arena_used() < out_before || graph.in().arena_used() < in_before) {
+        ++result.arena_shrinks;
+      }
       if (mode == SlackCsr::CompactionMode::kBackground) {
         while (graph.MaintenanceStep(1 << 14)) {
         }
@@ -263,6 +270,10 @@ int Smoke() {
          "background mode: no ApplyBatch performed synchronous compaction");
   expect(bg_mode.stats.forced_sync_compactions == 0,
          "background mode: forced-sync backstop never fired");
+  // Deterministic, unlike the p99 comparison below, and blind to the
+  // counters: a background mode that compacted inside ApplyBatch without
+  // counting it would still shrink the arena there.
+  expect(bg_mode.arena_shrinks == 0, "background mode: no ApplyBatch shrank the arena");
   expect(bg_mode.stats.background_compactions >= 1,
          "background mode: maintenance completed at least one shadow rewrite");
   // The cost criterion rides on the counters above: sync p99 indexes a

@@ -119,6 +119,17 @@ class CompactDependencyStore {
     }, /*grain=*/256);
   }
 
+  // The dense sweeps' access (DependencyStore::LevelCells): the level is
+  // materialized into `scratch`, which the sweep refines in place, and
+  // AdoptLevel commits the cells whose bits changed, leaving `*scratch`
+  // as it is.
+  const AggregateT* LevelCells(uint32_t level, std::vector<AggregateT>* scratch) const {
+    MaterializeLevel(level, scratch);
+    return scratch->data();
+  }
+
+  void AdoptLevel(uint32_t level, std::vector<AggregateT>* scratch) { CommitLevel(level, *scratch); }
+
   // Drops stabilized suffixes re-created by refinement: trailing entries
   // equal to their predecessor carry no information (reads clamp).
   void RepruneTails() {
@@ -198,11 +209,8 @@ class CompactDependencyStore {
                 static_cast<std::streamsize>(size * sizeof(AggregateT)));
     }
     for (const auto& bits : changed_) {
-      for (VertexId base = 0; base < num_vertices_; base += 64) {
-        uint64_t word = 0;
-        for (VertexId offset = 0; offset < 64 && base + offset < num_vertices_; ++offset) {
-          word |= static_cast<uint64_t>(bits.Test(base + offset)) << offset;
-        }
+      for (size_t w = 0; w < bits.num_words(); ++w) {
+        const uint64_t word = bits.LoadWord(w);
         out.write(reinterpret_cast<const char*>(&word), sizeof(word));
       }
     }
@@ -234,14 +242,11 @@ class CompactDependencyStore {
     changed_.reserve(total);
     for (uint32_t l = 0; l < total; ++l) {
       AtomicBitset bits(num_vertices_);
-      for (VertexId base = 0; base < num_vertices_; base += 64) {
+      for (size_t w = 0; w < bits.num_words(); ++w) {
         uint64_t word = 0;
         in.read(reinterpret_cast<char*>(&word), sizeof(word));
-        for (VertexId offset = 0; offset < 64 && base + offset < num_vertices_; ++offset) {
-          if ((word >> offset) & 1ULL) {
-            bits.Set(base + offset);
-          }
-        }
+        const size_t tail = num_vertices_ - w * 64;  // bits past the last vertex stay clear
+        bits.StoreWord(w, tail >= 64 ? word : word & ((1ULL << tail) - 1));
       }
       changed_.push_back(std::move(bits));
     }

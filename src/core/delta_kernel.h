@@ -16,7 +16,8 @@
 // two: StageChange evaluates a source's change once, and PushStaged adds
 // it along each out-edge, the way Maiter accumulates one Δ per vertex.
 // StageNeutral writes the change that adds nothing, bit for bit, which
-// fills every slot of a source outside the frontier.
+// fills every slot of a source outside the frontier; AddStaged and
+// NeutralDiff are the dense sweeps' per-edge add and frontier test.
 //
 // Extracting them here keeps the two modes numerically identical edge by
 // edge: an async step propagating a delta along (u, w) computes exactly the
@@ -27,6 +28,9 @@
 #ifndef SRC_CORE_DELTA_KERNEL_H_
 #define SRC_CORE_DELTA_KERNEL_H_
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -106,6 +110,20 @@ struct DeltaKernel {
     Accumulate<kOwned>(algo, agg, staged[1]);
   }
 
+  // PushStaged into a cell the caller owns, with the width fixed at compile
+  // time: the dense sweeps' per-edge step.
+  template <size_t kWidth>
+  static void AddStaged(const Algo& algo, const Contribution* staged, Aggregate* agg)
+    requires(kWeightFree)
+  {
+    if constexpr (kWidth == 1) {
+      algo.AggregateOwned(agg, staged[0]);
+    } else {
+      algo.RetractOwned(agg, staged[0]);
+      algo.AggregateOwned(agg, staged[1]);
+    }
+  }
+
   // The neutral staged change: {-0.0} for one slot, {+0.0, -0.0} for the
   // retract/aggregate pair, in every element. Under IEEE round-to-nearest
   // x + (-0.0) and x - (+0.0) are x bit for bit for every x (signed zeros,
@@ -121,6 +139,22 @@ struct DeltaKernel {
     }
     staged[0] = Filled(+0.0);
     staged[1] = Filled(-0.0);
+  }
+
+  // Zero exactly when staged[0, kWidth) holds the neutral change bit for
+  // bit: the bits in which the slot differs from it, OR-ed together. A dense
+  // sweep ORs this over the slots it adds anyway, so it learns whether a
+  // vertex has a frontier in-neighbour without a second load per edge.
+  template <size_t kWidth>
+  static uint64_t NeutralDiff(const Contribution* staged)
+    requires(kWeightFree)
+  {
+    constexpr uint64_t kNegativeZero = 0x8000000000000000ULL;
+    if constexpr (kWidth == 1) {
+      return BitsXor(staged[0], kNegativeZero);
+    } else {
+      return BitsXor(staged[0], 0) | BitsXor(staged[1], kNegativeZero);
+    }
   }
 
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals` under
@@ -153,6 +187,21 @@ struct DeltaKernel {
         element = x;
       }
       return c;
+    }
+  }
+
+  // The bits of every element of `c` XOR `bits`, OR-ed together.
+  static uint64_t BitsXor(const Contribution& c, uint64_t bits) {
+    if constexpr (std::is_floating_point_v<Contribution>) {
+      static_assert(sizeof(Contribution) == sizeof(uint64_t), "a staged element is a double");
+      return std::bit_cast<uint64_t>(c) ^ bits;
+    } else {
+      uint64_t diff = 0;
+      for (const auto& element : c) {
+        static_assert(sizeof(element) == sizeof(uint64_t), "a staged element is a double");
+        diff |= std::bit_cast<uint64_t>(element) ^ bits;
+      }
+      return diff;
     }
   }
 

@@ -176,6 +176,22 @@ class DependencyStore {
     std::copy_n(scratch.begin(), destination.size(), destination.begin());
   }
 
+  // The dense sweeps of weight-free refinement read a level's cells through
+  // one pointer and write every refined cell into a scratch that then
+  // becomes the level. Here the pointer is the level's own array, so
+  // `scratch` is unused; AdoptLevel swaps the refined cells in and leaves
+  // the level's previous cells in `*scratch`.
+  const AggregateT* LevelCells(uint32_t level, std::vector<AggregateT>* /*scratch*/) const {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    return levels_[level - 1].data();
+  }
+
+  void AdoptLevel(uint32_t level, std::vector<AggregateT>* scratch) {
+    GB_CHECK(IsTracked(level)) << "level " << level << " not tracked";
+    GB_CHECK(scratch->size() == num_vertices_) << "level " << level << " needs every cell";
+    levels_[level - 1].swap(*scratch);
+  }
+
   // Storage compaction hook, run after each refined batch (no-op for the
   // dense store; the compact store drops stabilized suffixes here).
   void RepruneTails() {}
@@ -220,11 +236,8 @@ class DependencyStore {
                 static_cast<std::streamsize>(level.size() * sizeof(AggregateT)));
     }
     for (const auto& bits : changed_) {
-      for (VertexId base = 0; base < num_vertices_; base += 64) {
-        uint64_t word = 0;
-        for (VertexId offset = 0; offset < 64 && base + offset < num_vertices_; ++offset) {
-          word |= static_cast<uint64_t>(bits.Test(base + offset)) << offset;
-        }
+      for (size_t w = 0; w < bits.num_words(); ++w) {
+        const uint64_t word = bits.LoadWord(w);
         out.write(reinterpret_cast<const char*>(&word), sizeof(word));
       }
     }
@@ -251,14 +264,11 @@ class DependencyStore {
     changed_.reserve(total);
     for (uint32_t l = 0; l < total; ++l) {
       AtomicBitset bits(num_vertices_);
-      for (VertexId base = 0; base < num_vertices_; base += 64) {
+      for (size_t w = 0; w < bits.num_words(); ++w) {
         uint64_t word = 0;
         in.read(reinterpret_cast<char*>(&word), sizeof(word));
-        for (VertexId offset = 0; offset < 64 && base + offset < num_vertices_; ++offset) {
-          if ((word >> offset) & 1ULL) {
-            bits.Set(base + offset);
-          }
-        }
+        const size_t tail = num_vertices_ - w * 64;  // bits past the last vertex stay clear
+        bits.StoreWord(w, tail >= 64 ? word : word & ((1ULL << tail) - 1));
       }
       changed_.push_back(std::move(bits));
     }

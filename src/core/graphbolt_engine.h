@@ -23,12 +23,20 @@
 // frontier pushes its changes to its out-neighbours with atomic adds; a
 // dense one is pulled in a single sweep in which every vertex folds in the
 // changes of its frontier in-neighbours, with plain adds into the cell it
-// owns, and settles its value in the same visit. For weight-free
-// algorithms the fold is a branch-free gather: every source outside the
-// frontier holds a neutral staged change, a signed zero that adds nothing
-// bit for bit, so each vertex adds the slot of every in-neighbour. The sweep
-// walks whole 64-vertex words, so each task owns the changed-bit and
-// frontier words of its vertices, builds them locally and stores each once.
+// owns, and settles its value in the same visit. The sweep walks whole
+// 64-vertex words, so each task owns the changed-bit and frontier words of
+// its vertices, builds them locally and stores each once.
+//
+// For weight-free algorithms (PageRank, PPR, BP) a dense level is one lean
+// sweep (RefineLevelSwept). Every vertex adds the batch's direct impact on
+// it and then the staged change of every in-neighbour to its pre-batch
+// cell: a branch-free gather, since every source outside the frontier
+// holds a neutral staged change, a signed zero that adds nothing bit for
+// bit. Whether some in-neighbour is a source is read from the staged bits
+// the gather loads anyway. The settle writes what the next level reads —
+// the vertex's own staged change into a second buffer, its frontier bit,
+// at the last level its final value — so consecutive dense levels need no
+// per-target scratch, no staging or reset pass and no frontier list.
 //
 // Past the tracked history (horizontal pruning) the engine switches to
 // computation-aware hybrid execution (§4.2): selective pull-recomputation
@@ -654,7 +662,9 @@ class GraphBoltEngine {
   // every vertex touched while refining one level, and which of them the
   // level hands on as changed contributors (`frontier`). Two instances
   // alternate between consecutive levels, giving O(1) old/new value lookups
-  // without hashing; a dense level's sweep reads its sources from them.
+  // without hashing; a weighted dense level's sweep reads its sources from
+  // them. A level that records nothing (a swept one) prepares only the
+  // bits, so the value arrays are never allocated where no level records.
   struct LevelScratch {
     std::vector<Value> old_values;
     std::vector<Value> new_values;
@@ -662,8 +672,8 @@ class GraphBoltEngine {
     AtomicBitset frontier;
     uint32_t epoch = 0;
 
-    void Prepare(VertexId n) {
-      if (stamps.size() < n) {
+    void Prepare(VertexId n, bool records = true) {
+      if (records && stamps.size() < n) {
         stamps.resize(n, 0);
         old_values.resize(n);
         new_values.resize(n);
@@ -678,7 +688,7 @@ class GraphBoltEngine {
         frontier.ClearAll();
       }
     }
-    bool Has(VertexId v) const { return stamps[v] == epoch; }
+    bool Has(VertexId v) const { return v < stamps.size() && stamps[v] == epoch; }
     void Record(VertexId v, const Value& old_value, const Value& new_value) {
       stamps[v] = epoch;
       old_values[v] = old_value;
@@ -750,8 +760,10 @@ class GraphBoltEngine {
       stats_.edges_processed += edges.load();
       return CommitIteration(targets);
     } else {
-      if (PullPays(frontier, [](const auto& entry) { return entry.first; })) {
-        return TrackedIterationPull(frontier);
+      const uint64_t frontier_edges =
+          FrontierOutEdges(frontier, [](const auto& entry) { return entry.first; });
+      if (PreferPull(frontier_edges, graph_->num_edges())) {
+        return TrackedIterationPull(frontier, frontier_edges);
       }
       ParallelForChunks(0, frontier.size(), [&](size_t lo, size_t hi) {
         uint64_t local_edges = 0;
@@ -788,46 +800,59 @@ class GraphBoltEngine {
   // order, and commits its value in the same visit. The sources' old and
   // new values (or, for weight-free algorithms, their staged changes) are
   // recorded first, so the in-place commit of values_ never races with a
-  // read of them. The sweep walks whole words (see RefineLevelPull).
+  // read of them. The sweep walks whole words (see RefineLevelPull), and
+  // folds the `frontier_edges` in-edges of the frontier.
   std::vector<std::pair<VertexId, Value>> TrackedIterationPull(
-      const std::vector<std::pair<VertexId, Value>>& frontier) {
+      const std::vector<std::pair<VertexId, Value>>& frontier, uint64_t frontier_edges) {
     const VertexId n = graph_->num_vertices();
     LevelScratch& sources = value_scratch_[0];
-    sources.Prepare(n);
-    PrepareStaged(n);
-    ParallelFor(0, frontier.size(), [&](size_t i) {
-      const auto& [u, old_value] = frontier[i];
-      if constexpr (kStaged) {
-        StageChange(u, old_value, values_[u], contexts_[u], StagedSlot(u));
-      } else {
-        sources.Record(u, old_value, values_[u]);
-      }
-      sources.frontier.Set(u);
-    }, /*grain=*/256);
-
+    sources.Prepare(n, /*records=*/!kStaged);
     AtomicBitset changed_bits(n);
     std::vector<std::pair<VertexId, Value>> changed;
     std::mutex merge;
-    std::atomic<uint64_t> edges{0};
-    ParallelForChunks(0, changed_bits.num_words(), [&](size_t word_lo, size_t word_hi) {
-      std::vector<std::pair<VertexId, Value>> local;
-      uint64_t local_edges = 0;
-      for (size_t word = word_lo; word < word_hi; ++word) {
-        uint64_t changed_word = 0;
-        for (VertexId v = WordBegin(word); v < WordEnd(word, n); ++v) {
-          if (PullChanges(v, sources, contexts_, &aggregates_[v], &local_edges) &&
-              CommitValue(v, &local)) {
-            changed_word |= WordBit(v);
+    auto sweep = [&](auto pull) {
+      ParallelForChunks(0, changed_bits.num_words(), [&](size_t word_lo, size_t word_hi) {
+        std::vector<std::pair<VertexId, Value>> local;
+        for (size_t word = word_lo; word < word_hi; ++word) {
+          uint64_t changed_word = 0;
+          for (VertexId v = WordBegin(word); v < WordEnd(word, n); ++v) {
+            if (pull(v) && CommitValue(v, &local)) {
+              changed_word |= WordBit(v);
+            }
           }
+          changed_bits.StoreWord(word, changed_word);
         }
-        changed_bits.StoreWord(word, changed_word);
+        std::lock_guard<std::mutex> lock(merge);
+        changed.insert(changed.end(), local.begin(), local.end());
+      }, kWordGrain);
+    };
+    if constexpr (kStaged) {
+      const bool tested = StageList(
+          frontier, [](const auto& entry) { return entry.first; },
+          [&](const auto& entry, Contribution* slot) {
+            StageChange(entry.first, entry.second, values_[entry.first], contexts_[entry.first],
+                        slot);
+          },
+          &staged_[0]);
+      if (tested) {
+        ParallelFor(0, frontier.size(), [&](size_t i) { sources.frontier.Set(frontier[i].first); },
+                    /*grain=*/256);
       }
-      edges.fetch_add(local_edges, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(merge);
-      changed.insert(changed.end(), local.begin(), local.end());
-    }, kWordGrain);
-    stats_.edges_processed += edges.load();
-    ResetStaged(frontier, [](const auto& entry) { return entry.first; });
+      DispatchStaged(tested, [&]<size_t kWidth, bool kTested>() {
+        const Contribution* staged = staged_[0].data();
+        sweep([&](VertexId v) {
+          return GatherStaged<kWidth, kTested>(v, staged, sources.frontier, &aggregates_[v]);
+        });
+      });
+    } else {
+      ParallelFor(0, frontier.size(), [&](size_t i) {
+        const auto& [u, old_value] = frontier[i];
+        sources.Record(u, old_value, values_[u]);
+        sources.frontier.Set(u);
+      }, /*grain=*/256);
+      sweep([&](VertexId v) { return PullChanges(v, sources, contexts_, &aggregates_[v]); });
+    }
+    stats_.edges_processed += frontier_edges;
     store_.SnapshotLevel(store_.total_levels() + 1, aggregates_, std::move(changed_bits));
     return changed;
   }
@@ -927,38 +952,83 @@ class GraphBoltEngine {
                                                    agg);
   }
 
-  // staged_ holds one staged change per vertex for the dense sweeps. A
-  // slot holds the neutral change (DeltaKernel::StageNeutral) except while
-  // its vertex is a source of the level being swept: the level stages its
-  // frontier's slots before the sweep and resets them after it
-  // (ResetStaged), O(frontier). Sources are unique per level, so a
-  // parallel fill writes distinct slots.
-  void PrepareStaged(VertexId n) {
-    if constexpr (kStaged) {
-      const size_t staged_vertices = staged_.size() / StagedWidth();
-      if (staged_vertices < n) {
-        staged_.resize(size_t{n} * StagedWidth());
-        for (VertexId v = static_cast<VertexId>(staged_vertices); v < n; ++v) {
-          DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate, StagedSlot(v));
-        }
-      }
-    }
-  }
-  template <typename Entry, typename IdOf>
-  void ResetStaged(const std::vector<Entry>& frontier, IdOf id_of) {
-    if constexpr (kStaged) {
-      ParallelFor(0, frontier.size(), [&](size_t i) {
-        DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate,
-                                        StagedSlot(id_of(frontier[i])));
-      }, /*grain=*/256);
-    }
-  }
+  // staged_[0] and staged_[1] hold one staged change per vertex for the
+  // dense sweeps. The buffer a sweep reads holds the neutral change
+  // (DeltaKernel::StageNeutral) except at the sources of its level; a
+  // refinement sweep writes every slot of the other buffer for the next
+  // level. A frontier arriving as a list is staged over a neutral fill
+  // (StageList).
   size_t StagedWidth() const {
     return DeltaKernel<Algo>::StagedWidth(options_.use_retract_propagate);
   }
-  Contribution* StagedSlot(VertexId u) { return &staged_[size_t{u} * StagedWidth()]; }
-  const Contribution* StagedSlot(VertexId u) const {
-    return &staged_[size_t{u} * StagedWidth()];
+
+  // Runs fn.template operator()<kWidth, kTested>() with this engine's
+  // staged width and `tested`, so a sweep's per-edge loop has both fixed at
+  // compile time.
+  template <typename Fn>
+  void DispatchStaged(bool tested, Fn&& fn) const {
+    if (StagedWidth() == 1) {
+      tested ? fn.template operator()<1, true>() : fn.template operator()<1, false>();
+    } else {
+      tested ? fn.template operator()<2, true>() : fn.template operator()<2, false>();
+    }
+  }
+
+  bool StagedNeutral(const Contribution* slot) const {
+    return (StagedWidth() == 1 ? DeltaKernel<Algo>::template NeutralDiff<1>(slot)
+                               : DeltaKernel<Algo>::template NeutralDiff<2>(slot)) == 0;
+  }
+
+  // Fills `staged` with the neutral change for every vertex, then stages
+  // each frontier entry's change into its vertex's slot with `stage(entry,
+  // slot)`. Sources are unique per level, so the parallel fill writes
+  // distinct slots. Returns whether some source staged the neutral change,
+  // which the sweep cannot tell from a vertex outside the frontier.
+  template <typename Entry, typename IdOf, typename Stage>
+  bool StageList(const std::vector<Entry>& frontier, IdOf id_of, Stage stage,
+                 std::vector<Contribution>* staged) const {
+    const VertexId n = graph_->num_vertices();
+    const size_t width = StagedWidth();
+    staged->resize(size_t{n} * width);
+    Contribution* slots = staged->data();
+    ParallelFor(0, n, [&](size_t v) {
+      DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate, slots + v * width);
+    }, /*grain=*/2048);
+    std::atomic<bool> neutral{false};
+    ParallelFor(0, frontier.size(), [&](size_t i) {
+      Contribution* slot = slots + size_t{id_of(frontier[i])} * width;
+      stage(frontier[i], slot);
+      if (StagedNeutral(slot)) {
+        neutral.store(true, std::memory_order_relaxed);
+      }
+    }, /*grain=*/256);
+    return neutral.load(std::memory_order_relaxed);
+  }
+
+  // Adds the staged change of every in-neighbour of v to `agg`, in in-edge
+  // order, and returns whether some in-neighbour is a source of the level.
+  // A vertex outside the frontier holds the neutral change, so that is read
+  // from the bits of the slots the loop adds anyway; only when some source
+  // staged the neutral change itself (kTested) does it test `sources` per
+  // edge. The cell is summed in a local: it could alias a staged slot as far
+  // as the compiler knows, so adding into it would store and reload it per
+  // edge.
+  template <size_t kWidth, bool kTested>
+  bool GatherStaged(VertexId v, const Contribution* staged, const AtomicBitset& sources,
+                    Aggregate* agg) const {
+    Aggregate sum = *agg;
+    uint64_t hit = 0;
+    for (const VertexId u : graph_->InNeighbors(v)) {
+      const Contribution* slot = staged + size_t{u} * kWidth;
+      DeltaKernel<Algo>::template AddStaged<kWidth>(algo_, slot, &sum);
+      if constexpr (kTested) {
+        hit |= sources.Test(u) ? 1 : 0;
+      } else {
+        hit |= DeltaKernel<Algo>::template NeutralDiff<kWidth>(slot);
+      }
+    }
+    *agg = sum;
+    return hit != 0;
   }
 
   // Re-evaluates g(v) by pulling the full in-neighborhood with `vals`.
@@ -966,55 +1036,37 @@ class GraphBoltEngine {
     return DeltaKernel<Algo>::PullAggregate(algo_, *graph_, contexts_, v, vals, edge_counter);
   }
 
-  // Ligra's direction rule (PreferPull) over a frontier list: pull when the
-  // frontier's out-edges exceed |E|/20.
+  // Σ out-degree of a frontier list: the edges its changes travel, and
+  // the input of Ligra's direction rule (PreferPull: pull past |E|/20).
   template <typename Entry, typename IdOf>
-  bool PullPays(const std::vector<Entry>& frontier, IdOf id_of) const {
-    const uint64_t frontier_edges = ParallelReduceSum<uint64_t>(0, frontier.size(), [&](size_t i) {
+  uint64_t FrontierOutEdges(const std::vector<Entry>& frontier, IdOf id_of) const {
+    return ParallelReduceSum<uint64_t>(0, frontier.size(), [&](size_t i) {
       return static_cast<uint64_t>(graph_->OutDegree(id_of(frontier[i])));
     });
-    return PreferPull(frontier_edges, graph_->num_edges());
   }
 
-  // The pull form of the push loops: folds the change of every in-neighbour
-  // of v marked in `sources.frontier` (old → new value, old → new context)
-  // into v's cell, in in-edge order. The caller is the cell's only writer.
-  // Weight-free algorithms gather staged_ over every in-edge without a
-  // branch: a source outside the frontier holds the neutral change, which
-  // leaves the cell's bits as they are, so the sum is the frontier sources'
-  // changes added in in-edge order. The others evaluate each frontier
-  // source's change per edge from `sources` and `old_contexts`. Counts one
-  // processed edge per frontier in-edge, like the push it replaces, and
-  // returns whether v had any frontier in-neighbour.
+  // The pull form of the push loops for weighted algorithms: folds the
+  // change of every in-neighbour of v marked in `sources.frontier` (old →
+  // new value, old → new context) into v's cell, in in-edge order, and
+  // returns whether v had any frontier in-neighbour. The caller is the
+  // cell's only writer, and counts the frontier's out-edges as the edges
+  // processed, as the push it replaces would.
   bool PullChanges(VertexId v, const LevelScratch& sources,
-                   const std::vector<VertexContext>& old_contexts, Aggregate* agg,
-                   uint64_t* edge_counter) const {
+                   const std::vector<VertexContext>& old_contexts, Aggregate* agg) const {
     const auto in_nbrs = graph_->InNeighbors(v);
-    uint64_t pulled = 0;
-    if constexpr (kStaged) {
-      // Summed in a local: the cell could alias a staged slot as far as the
-      // compiler knows, so adding into it would store and reload it per edge.
-      Aggregate sum = *agg;
-      for (const VertexId u : in_nbrs) {
-        PushStaged</*kOwned=*/true>(StagedSlot(u), &sum);
-        pulled += sources.frontier.Test(u) ? 1 : 0;
+    const auto in_wts = graph_->InWeights(v);
+    bool pulled = false;
+    for (size_t e = 0; e < in_nbrs.size(); ++e) {
+      const VertexId u = in_nbrs[e];
+      if (!sources.frontier.Test(u)) {
+        continue;
       }
-      *agg = sum;
-    } else {
-      const auto in_wts = graph_->InWeights(v);
-      for (size_t e = 0; e < in_nbrs.size(); ++e) {
-        const VertexId u = in_nbrs[e];
-        if (!sources.frontier.Test(u)) {
-          continue;
-        }
-        DeltaKernel<Algo>::template PushChange</*kOwned=*/true>(
-            algo_, options_.use_retract_propagate, u, sources.old_values[u],
-            sources.new_values[u], in_wts[e], old_contexts[u], contexts_[u], agg);
-        ++pulled;
-      }
+      DeltaKernel<Algo>::template PushChange</*kOwned=*/true>(
+          algo_, options_.use_retract_propagate, u, sources.old_values[u], sources.new_values[u],
+          in_wts[e], old_contexts[u], contexts_[u], agg);
+      pulled = true;
     }
-    *edge_counter += pulled;
-    return pulled > 0;
+    return pulled;
   }
 
   // c_{level}(v) in the *pre-mutation* run. `prev` holds snapshotted old
@@ -1139,18 +1191,23 @@ class GraphBoltEngine {
     }
 
     // Level-0 frontier: only context-changed vertices can differ. Its
-    // scratch stands in for "level 0" and holds just those vertices.
+    // scratch stands in for "level 0" and holds just those vertices (their
+    // values only for the weighted pull, which reads its sources there).
     LevelScratch* scratch = value_scratch_;
-    scratch[0].Prepare(n);
-    std::vector<FrontierEntry> frontier;
+    scratch[0].Prepare(n, /*records=*/!kStaged);
+    LevelFrontier frontier;
     for (const VertexId v : ctx_changed) {
-      frontier.push_back({v, algo_.InitialValue(v, old_contexts[v]),
-                          algo_.InitialValue(v, contexts_[v])});
-      scratch[0].Record(v, frontier.back().old_value, frontier.back().new_value);
+      const FrontierEntry entry{v, algo_.InitialValue(v, old_contexts[v]),
+                                algo_.InitialValue(v, contexts_[v])};
+      frontier.entries.push_back(entry);
+      if constexpr (!kStaged) {
+        scratch[0].Record(v, entry.old_value, entry.new_value);
+      }
       scratch[0].frontier.Set(v);
     }
 
-    const RefinedBatch batch{applied, direct_targets, ctx_changed, old_contexts};
+    const RefinedBatch batch{applied, direct_targets, ctx_changed, ctx_changed_bits, old_contexts};
+    PrepareDirectImpact(batch, tracked);
     for (uint32_t level = 1; level <= tracked; ++level) {
       frontier = RefineLevel(level, batch, frontier, scratch[(level - 1) & 1], &scratch[level & 1]);
       ++stats_.iterations;
@@ -1168,7 +1225,8 @@ class GraphBoltEngine {
     if (more_levels || still_changing) {
       ContinueBeyondHistory(tracked, orig_total);
     } else {
-      for (const FrontierEntry& entry : frontier) {
+      // A last level that was swept wrote its frontier's values itself.
+      for (const FrontierEntry& entry : frontier.entries) {
         values_[entry.v] = entry.new_value;
       }
     }
@@ -1180,8 +1238,61 @@ class GraphBoltEngine {
     const AppliedMutations& applied;
     const AtomicBitset& direct_targets;  // heads of the mutated edges
     const std::vector<VertexId>& ctx_changed;
+    const AtomicBitset& ctx_changed_bits;
     const std::vector<VertexContext>& old_contexts;
   };
+
+  // What one refined level hands the next: its frontier, the vertices whose
+  // value moved and the context-changed contributors. A list, unless a
+  // weight-free dense sweep hands it to another (`swept`): then it is
+  // where that sweep left it — the staged changes in the next level's
+  // staged_ buffer and the bits in the level's scratch — with its out-edges
+  // counted.
+  struct LevelFrontier {
+    std::vector<FrontierEntry> entries;
+    bool swept = false;
+    uint64_t out_edges = 0;       // Σ out-degree of a swept frontier
+    bool neutral_source = false;  // a swept source staged the neutral change
+  };
+
+  // Decomposable algorithms: the contribution of every mutated edge at
+  // every tracked level, from its source's pre-batch value one level down
+  // and pre-batch context — the direct impact ⊎ Ea / ⋃- Ed of §3.3. Taken
+  // from the store before any level is refined, so no level needs the old
+  // values of the level below it. direct_order_ lists the edges by target
+  // and, per target, in applied order (additions, then deletions), the
+  // order in which a dense sweep folds them into a cell.
+  void PrepareDirectImpact(const RefinedBatch& batch, uint32_t tracked) {
+    if constexpr (!kPullBased) {
+      const std::vector<Edge>& added = batch.applied.added;
+      const std::vector<Edge>& deleted = batch.applied.deleted;
+      const size_t m = added.size() + deleted.size();
+      auto edge = [&](size_t i) -> const Edge& {
+        return i < added.size() ? added[i] : deleted[i - added.size()];
+      };
+      direct_contribs_.resize(size_t{tracked} * m);
+      ParallelFor(0, size_t{tracked} * m, [&](size_t k) {
+        const uint32_t level = static_cast<uint32_t>(k / m) + 1;
+        const Edge& e = edge(k % m);
+        const VertexContext& old_ctx = batch.old_contexts[e.src];
+        const Value old_src = level == 1 ? algo_.InitialValue(e.src, old_ctx)
+                                         : algo_.VertexCompute(e.src, store_.At(level - 1, e.src),
+                                                               old_ctx);
+        direct_contribs_[k] = algo_.ContributionOf(e.src, old_src, e.weight, old_ctx);
+      }, /*grain=*/256);
+      direct_order_.resize(m);
+      for (size_t i = 0; i < m; ++i) {
+        direct_order_[i] = {edge(i).dst, static_cast<uint32_t>(i)};
+      }
+      std::sort(direct_order_.begin(), direct_order_.end());
+    }
+  }
+
+  // The direct-impact contributions of `level`, indexed like direct_order_.
+  const Contribution* DirectImpactAt(uint32_t level, const RefinedBatch& batch) const {
+    const size_t m = batch.applied.added.size() + batch.applied.deleted.size();
+    return direct_contribs_.data() + size_t{level - 1} * m;
+  }
 
   // Monotonic aggregations with addition-only batches: values only improve,
   // and the aggregation absorbs improved inputs without retraction, so the
@@ -1237,18 +1348,30 @@ class GraphBoltEngine {
 
   // Refines one tracked level; returns the next frontier (changed values and
   // context-changed contributors). `prev` is the scratch filled while
-  // refining level-1; `cur` receives this level's touched old/new values and
-  // its frontier bits. The direction follows Ligra's rule: a dense frontier
-  // is pulled in one sweep over all vertices, a sparse one pushed.
-  std::vector<FrontierEntry> RefineLevel(uint32_t level, const RefinedBatch& batch,
-                                         const std::vector<FrontierEntry>& frontier,
-                                         const LevelScratch& prev, LevelScratch* cur) {
-    cur->Prepare(graph_->num_vertices());
+  // refining level-1; `cur` receives this level's frontier bits and, unless
+  // the level is swept, its touched old/new values. The direction follows
+  // Ligra's rule: a dense frontier is pulled in one sweep over all vertices,
+  // a sparse one pushed.
+  LevelFrontier RefineLevel(uint32_t level, const RefinedBatch& batch,
+                            const LevelFrontier& frontier, const LevelScratch& prev,
+                            LevelScratch* cur) {
+    const uint64_t frontier_edges =
+        frontier.swept ? frontier.out_edges
+                       : FrontierOutEdges(frontier.entries,
+                                          [](const FrontierEntry& entry) { return entry.v; });
+    const bool pull = PreferPull(frontier_edges, graph_->num_edges());
+    cur->Prepare(graph_->num_vertices(), /*records=*/!(kStaged && pull));
+    if constexpr (kStaged) {
+      if (pull) {
+        return RefineLevelSwept(level, batch, frontier, frontier_edges, prev, cur);
+      }
+    }
+    GB_CHECK(!frontier.swept) << "a swept level hands a pushed one a list";
     AtomicBitset& changed_bits = store_.MutableChangedAt(level);
-    std::vector<FrontierEntry> next =
-        PullPays(frontier, [](const FrontierEntry& entry) { return entry.v; })
-            ? RefineLevelPull(level, batch, frontier, prev, cur, &changed_bits)
-            : RefineLevelPush(level, batch, frontier, prev, cur, &changed_bits);
+    LevelFrontier next;
+    next.entries =
+        pull ? RefineLevelPull(level, batch, frontier_edges, prev, cur, &changed_bits)
+             : RefineLevelPush(level, batch, frontier.entries, prev, cur, &changed_bits);
 
     // Context-changed contributors stay in the frontier at every level even
     // when their value is unchanged.
@@ -1263,7 +1386,7 @@ class GraphBoltEngine {
                     algo_.VertexCompute(v, untouched, contexts_[v]));
       }
       cur->frontier.Set(v);
-      next.push_back({v, cur->old_values[v], cur->new_values[v]});
+      next.entries.push_back({v, cur->old_values[v], cur->new_values[v]});
     }
     return next;
   }
@@ -1283,15 +1406,12 @@ class GraphBoltEngine {
       }
       stats_.edges_processed += applied.added.size();
     } else {
-      for (const Edge& e : applied.added) {
-        const Value old_src = OldValueAt(level - 1, e.src, batch.old_contexts, prev);
-        algo_.AggregateOwned(&(*agg)[e.dst], algo_.ContributionOf(e.src, old_src, e.weight,
-                                                                  batch.old_contexts[e.src]));
+      const Contribution* direct = DirectImpactAt(level, batch);
+      for (size_t i = 0; i < applied.added.size(); ++i) {
+        algo_.AggregateOwned(&(*agg)[applied.added[i].dst], direct[i]);
       }
-      for (const Edge& e : applied.deleted) {
-        const Value old_src = OldValueAt(level - 1, e.src, batch.old_contexts, prev);
-        algo_.RetractOwned(&(*agg)[e.dst], algo_.ContributionOf(e.src, old_src, e.weight,
-                                                                batch.old_contexts[e.src]));
+      for (size_t i = 0; i < applied.deleted.size(); ++i) {
+        algo_.RetractOwned(&(*agg)[applied.deleted[i].dst], direct[applied.added.size() + i]);
       }
       stats_.edges_processed += applied.added.size() + applied.deleted.size();
     }
@@ -1475,19 +1595,19 @@ class GraphBoltEngine {
     return next;
   }
 
-  // Dense direction: the direct impact goes into the whole materialized
-  // level first; then one sweep visits every vertex w, pulls the change of
-  // each frontier in-neighbour (read from `prev`, or gathered from staged_
-  // for weight-free algorithms) into w's own cell in in-edge order, and
-  // settles w in the same visit. The sweep walks whole words, so w's
-  // changed and frontier bits are built in the task's own words and stored
-  // once per word. No atomics touch an aggregation or a bit and the
-  // summation order is fixed, so the level is bitwise reproducible at any
-  // worker count.
+  // Dense direction of the weighted and pull-based algorithms (weight-free
+  // ones are swept, RefineLevelSwept): the direct impact goes into the
+  // whole materialized level first; then one sweep visits every vertex w,
+  // pulls the change of each frontier in-neighbour (read from `prev`) into
+  // w's own cell in in-edge order, and settles w in the same visit. The
+  // sweep walks whole words, so w's changed and frontier bits are built in
+  // the task's own words and stored once per word. No atomics touch an
+  // aggregation or a bit and the summation order is fixed, so the level is
+  // bitwise reproducible at any worker count. Decomposable algorithms fold
+  // the `frontier_edges` in-edges of the frontier.
   std::vector<FrontierEntry> RefineLevelPull(uint32_t level, const RefinedBatch& batch,
-                                             const std::vector<FrontierEntry>& frontier,
-                                             const LevelScratch& prev, LevelScratch* cur,
-                                             AtomicBitset* changed_bits) {
+                                             uint64_t frontier_edges, const LevelScratch& prev,
+                                             LevelScratch* cur, AtomicBitset* changed_bits) {
     const VertexId n = graph_->num_vertices();
     const bool reevaluate = kPullBased && !MonotonicPushOnly(batch.applied);
     store_.MaterializeLevel(level, &level_scratch_);
@@ -1495,13 +1615,8 @@ class GraphBoltEngine {
     if (!reevaluate) {
       ApplyDirectImpact(level, batch, prev, &agg);
     }
-    if constexpr (kStaged) {
-      PrepareStaged(n);
-      ParallelFor(0, frontier.size(), [&](size_t i) {
-        const FrontierEntry& entry = frontier[i];
-        StageChange(entry.v, entry.old_value, entry.new_value, batch.old_contexts[entry.v],
-                    StagedSlot(entry.v));
-      }, /*grain=*/256);
+    if constexpr (!kPullBased) {
+      stats_.edges_processed += frontier_edges;
     }
 
     std::vector<FrontierEntry> next;
@@ -1536,17 +1651,15 @@ class GraphBoltEngine {
       next.insert(next.end(), local.begin(), local.end());
     }, kWordGrain);
     stats_.edges_processed += edges.load();
-    ResetStaged(frontier, [](const FrontierEntry& entry) { return entry.v; });
-
     store_.CommitLevel(level, agg);
     return next;
   }
 
   // One vertex w of RefineLevelPull's sweep: pulls the changes of its
   // frontier in-neighbours into its cell `agg` (pull-based algorithms fold
-  // their new contributions, or under `reevaluate` re-evaluate the whole
-  // in-neighbourhood). Returns whether w is a target: a `direct` target or
-  // the head of a frontier in-edge.
+  // their new contributions, counting them, or under `reevaluate`
+  // re-evaluate the whole in-neighbourhood). Returns whether w is a target:
+  // a `direct` target or the head of a frontier in-edge.
   bool PullTarget(uint32_t level, VertexId w, bool direct, bool reevaluate,
                   const RefinedBatch& batch, const LevelScratch& prev, Aggregate* agg,
                   uint64_t* edge_counter) const {
@@ -1570,8 +1683,173 @@ class GraphBoltEngine {
       }
       return target;
     } else {
-      return PullChanges(w, prev, batch.old_contexts, agg, edge_counter) || direct;
+      return PullChanges(w, prev, batch.old_contexts, agg) || direct;
     }
+  }
+
+  // Dense direction of the weight-free algorithms: one sweep over whole
+  // words (SweepLevel) settles every vertex from its pre-batch cell, the
+  // batch's direct impact on it and the staged changes of its
+  // in-neighbours, and writes the next level's staged changes and bits as
+  // it goes. A frontier that arrives as a list is staged first. The level's
+  // frontier stays where the sweep left it unless the next level pushes,
+  // which gets a list (MovedList); the last level writes its frontier's
+  // final values instead. Cells are read through hoisted pointers: the
+  // pre-batch level and the refined level below it (LevelCells, which the
+  // dense store hands out in place and the compact one materializes), and
+  // the refined cells go into level_scratch_, which the store then adopts.
+  LevelFrontier RefineLevelSwept(uint32_t level, const RefinedBatch& batch,
+                                 const LevelFrontier& frontier, uint64_t frontier_edges,
+                                 const LevelScratch& prev, LevelScratch* cur) {
+    const VertexId n = graph_->num_vertices();
+    std::vector<Contribution>& in = staged_[level & 1];
+    std::vector<Contribution>& out = staged_[(level + 1) & 1];
+    bool tested = frontier.neutral_source;
+    if (!frontier.swept) {
+      tested = StageList(
+          frontier.entries, [](const FrontierEntry& entry) { return entry.v; },
+          [&](const FrontierEntry& entry, Contribution* slot) {
+            StageChange(entry.v, entry.old_value, entry.new_value, batch.old_contexts[entry.v],
+                        slot);
+          },
+          &in);
+    }
+    out.resize(size_t{n} * StagedWidth());
+    level_scratch_.resize(n);
+    if (moved_.size() != n) {
+      moved_.Resize(n);
+    }
+    const Aggregate* old_cells = store_.LevelCells(level, &level_scratch_);
+    const Aggregate* prev_cells = level > 1 ? store_.LevelCells(level - 1, &prev_scratch_) : nullptr;
+    const bool last = level == store_.tracked_levels();
+    stats_.edges_processed +=
+        frontier_edges + batch.applied.added.size() + batch.applied.deleted.size();
+
+    LevelFrontier next;
+    next.swept = true;
+    DispatchStaged(tested, [&]<size_t kWidth, bool kTested>() {
+      SweepLevel<kWidth, kTested>(level, batch, prev, old_cells, prev_cells, in.data(),
+                                  out.data(), last ? values_.data() : nullptr, cur, &next);
+    });
+    if (!last && !PreferPull(next.out_edges, graph_->num_edges())) {
+      next.entries = MovedList(level, batch);
+      next.swept = false;
+    }
+    store_.AdoptLevel(level, &level_scratch_);
+    return next;
+  }
+
+  // RefineLevelSwept's sweep. Vertex w's refined cell is its pre-batch cell
+  // plus the direct impact on it (in applied order) plus the staged change
+  // of every in-neighbour (in in-edge order). w is a target when it is a
+  // direct target or some in-neighbour is a source (GatherStaged). A target
+  // gets its changed bit from its refined value one level down, as does a
+  // source of this level that is not a target; w joins the next frontier
+  // when it is a target whose value moved from the pre-batch run's, or a
+  // context-changed contributor. The frontier's staged changes go into
+  // `out` (the neutral change everywhere else) and its bits into
+  // cur->frontier, its moved targets into moved_, its out-degrees into
+  // next->out_edges, and, at the last level, its values into
+  // `final_values`.
+  template <size_t kWidth, bool kTested>
+  void SweepLevel(uint32_t level, const RefinedBatch& batch, const LevelScratch& prev,
+                  const Aggregate* old_cells, const Aggregate* prev_cells,
+                  const Contribution* in, Contribution* out, Value* final_values,
+                  LevelScratch* cur, LevelFrontier* next) {
+    const VertexId n = graph_->num_vertices();
+    AtomicBitset& changed_bits = store_.MutableChangedAt(level);
+    Aggregate* cells = level_scratch_.data();
+    const VertexContext* contexts = contexts_.data();
+    const VertexContext* old_contexts = batch.old_contexts.data();
+    const Contribution* direct = DirectImpactAt(level, batch);
+    const size_t num_added = batch.applied.added.size();
+    std::atomic<uint64_t> out_edges{0};
+    std::atomic<bool> neutral_source{false};
+    ParallelForChunks(0, changed_bits.num_words(), [&](size_t word_lo, size_t word_hi) {
+      uint64_t local_out_edges = 0;
+      bool local_neutral = false;
+      auto d = std::lower_bound(direct_order_.begin(), direct_order_.end(),
+                                std::pair<VertexId, uint32_t>{WordBegin(word_lo), 0});
+      for (size_t word = word_lo; word < word_hi; ++word) {
+        const uint64_t direct_word = batch.direct_targets.LoadWord(word);
+        const uint64_t ctx_word = batch.ctx_changed_bits.LoadWord(word);
+        const uint64_t prev_frontier_word = prev.frontier.LoadWord(word);
+        uint64_t changed_word = changed_bits.LoadWord(word);
+        uint64_t frontier_word = 0;
+        uint64_t moved_word = 0;
+        for (VertexId w = WordBegin(word); w < WordEnd(word, n); ++w) {
+          const uint64_t bit = WordBit(w);
+          const Aggregate old_agg = old_cells[w];
+          Aggregate agg = old_agg;
+          for (; d != direct_order_.end() && d->first == w; ++d) {
+            if (d->second < num_added) {
+              algo_.AggregateOwned(&agg, direct[d->second]);
+            } else {
+              algo_.RetractOwned(&agg, direct[d->second]);
+            }
+          }
+          const bool target =
+              GatherStaged<kWidth, kTested>(w, in, prev.frontier, &agg) || (direct_word & bit) != 0;
+          cells[w] = agg;
+          Contribution* slot = out + size_t{w} * kWidth;
+          bool joins = false;
+          if (target || ((ctx_word | prev_frontier_word) & bit) != 0) {
+            const Value old_value = algo_.VertexCompute(w, old_agg, old_contexts[w]);
+            const Value new_value = algo_.VertexCompute(w, agg, contexts[w]);
+            if (target || (prev_frontier_word & bit) != 0) {
+              const Value below = prev_cells != nullptr
+                                      ? algo_.VertexCompute(w, prev_cells[w], contexts[w])
+                                      : algo_.InitialValue(w, contexts[w]);
+              changed_word = AssignBit(changed_word, w, algo_.ValuesDiffer(below, new_value));
+            }
+            const bool moved = target && algo_.ValuesDiffer(old_value, new_value);
+            moved_word |= moved ? bit : 0;
+            joins = moved || (ctx_word & bit) != 0;
+            if (joins) {
+              StageChange(w, old_value, new_value, old_contexts[w], slot);
+              local_neutral |= DeltaKernel<Algo>::template NeutralDiff<kWidth>(slot) == 0;
+              local_out_edges += graph_->OutDegree(w);
+              frontier_word |= bit;
+              if (final_values != nullptr) {
+                final_values[w] = new_value;
+              }
+            }
+          }
+          if (!joins) {
+            DeltaKernel<Algo>::StageNeutral(options_.use_retract_propagate, slot);
+          }
+        }
+        changed_bits.StoreWord(word, changed_word);
+        cur->frontier.StoreWord(word, frontier_word);
+        moved_.StoreWord(word, moved_word);
+      }
+      out_edges.fetch_add(local_out_edges, std::memory_order_relaxed);
+      if (local_neutral) {
+        neutral_source.store(true, std::memory_order_relaxed);
+      }
+    }, kWordGrain);
+    next->out_edges = out_edges.load();
+    next->neutral_source = neutral_source.load();
+  }
+
+  // The frontier of a swept level as a list, for a next level that pushes,
+  // in the order a per-target settle lists it: the moved targets ascending,
+  // then the context-changed contributors that did not move, in batch
+  // order. Old values come from the pre-batch level, so this runs before
+  // the store adopts the refined one.
+  std::vector<FrontierEntry> MovedList(uint32_t level, const RefinedBatch& batch) const {
+    auto entry_of = [&](VertexId v) {
+      return FrontierEntry{v, algo_.VertexCompute(v, store_.At(level, v), batch.old_contexts[v]),
+                           algo_.VertexCompute(v, level_scratch_[v], contexts_[v])};
+    };
+    std::vector<FrontierEntry> list;
+    moved_.ForEachSet([&](size_t v) { list.push_back(entry_of(static_cast<VertexId>(v))); });
+    for (const VertexId v : batch.ctx_changed) {
+      if (!moved_.Test(v)) {
+        list.push_back(entry_of(v));
+      }
+    }
+    return list;
   }
 
   // ----- Hybrid continuation ------------------------------------------------
@@ -1781,8 +2059,12 @@ class GraphBoltEngine {
   std::vector<Value> values_;
   std::vector<Aggregate> aggregates_;    // scratch for the initial run
   std::vector<Aggregate> level_scratch_;  // refinement working copy of one level
+  std::vector<Aggregate> prev_scratch_;   // the level below it, when a store materializes it
   LevelScratch value_scratch_[2];         // alternating per-level old/new values
-  std::vector<Contribution> staged_;       // per-source staged changes of one dense level
+  std::vector<Contribution> staged_[2];   // per-vertex staged changes: a sweep's input and output
+  AtomicBitset moved_;                    // a swept level's targets whose value moved
+  std::vector<Contribution> direct_contribs_;  // per level, each mutated edge's old contribution
+  std::vector<std::pair<VertexId, uint32_t>> direct_order_;  // (target, edge) in fold order
   StoreT store_;
   EngineStats stats_;
 

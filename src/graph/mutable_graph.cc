@@ -1,7 +1,6 @@
 #include "src/graph/mutable_graph.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/util/logging.h"
 
@@ -66,16 +65,30 @@ VertexId MutableGraph::AddVertices(VertexId count) {
 AppliedMutations MutableGraph::NormalizeBatch(const MutationBatch& batch) const {
   AppliedMutations result;
   // Normalize: last mutation per endpoint pair wins; self-loops dropped.
-  std::map<std::pair<VertexId, VertexId>, EdgeMutation> last;
+  // A stable sort by endpoints keeps each pair's mutations in batch order,
+  // so the last of a run is the one that wins, and the runs come out in
+  // (src, dst) order.
+  std::vector<EdgeMutation> sorted;
+  sorted.reserve(batch.size());
   for (const EdgeMutation& m : batch) {
-    if (m.src == m.dst) {
-      continue;
+    if (m.src != m.dst) {
+      sorted.push_back(m);
     }
-    last[{m.src, m.dst}] = m;
   }
+  auto same_pair = [](const EdgeMutation& a, const EdgeMutation& b) {
+    return a.src == b.src && a.dst == b.dst;
+  };
+  std::stable_sort(sorted.begin(), sorted.end(), [](const EdgeMutation& a, const EdgeMutation& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
   const VertexId n = num_vertices();
-  for (const auto& [endpoints, m] : last) {
-    const auto [src, dst] = endpoints;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i + 1 < sorted.size() && same_pair(sorted[i], sorted[i + 1])) {
+      continue;  // a later mutation of the pair wins
+    }
+    const EdgeMutation& m = sorted[i];
+    const VertexId src = m.src;
+    const VertexId dst = m.dst;
     const bool exists = src < n && dst < n && out_.HasEdge(src, dst);
     switch (m.kind) {
       case MutationKind::kAddEdge:

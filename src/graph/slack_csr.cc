@@ -29,6 +29,7 @@ SlackCsr SlackCsr::FromEdges(VertexId num_vertices, std::span<const Edge> edges,
   }
   csr.arena_used_ = total;
   csr.live_edges_ = total;
+  csr.kept_cells_ = total;
 
   csr.targets_.resize(total);
   csr.weights_.resize(total);
@@ -120,22 +121,28 @@ void SlackCsr::ApplyEdits(const std::vector<VertexEdits>& edits) {
   std::vector<uint32_t> new_capacity(edits.size());
   EdgeIndex cursor = arena_used_;
   int64_t degree_delta = 0;
+  int64_t kept_delta = 0;
   for (size_t i = 0; i < edits.size(); ++i) {
     const Segment& s = segments_[edits[i].vertex];
     degree_delta += static_cast<int64_t>(new_degrees[i]) - static_cast<int64_t>(s.degree);
-    new_capacity[i] = s.capacity;
+    Segment after = s;
+    after.degree = new_degrees[i];
     if (new_degrees[i] > s.capacity) {
-      new_capacity[i] = RelocationCapacity(new_degrees[i]);
+      after.capacity = RelocationCapacity(new_degrees[i]);
+      after.relocated = 1;
       reloc_offset[i] = cursor;
-      cursor += new_capacity[i];
+      cursor += after.capacity;
       ++last_apply_.relocations;
     }
+    new_capacity[i] = after.capacity;
+    kept_delta += static_cast<int64_t>(KeptCapacity(after)) - static_cast<int64_t>(KeptCapacity(s));
   }
   if (cursor > targets_.size()) {
-    // Geometric growth so a stream of relocations amortizes to O(1) per edge.
-    const size_t grow_to = std::max<size_t>(cursor, targets_.size() + targets_.size() / 2);
-    targets_.resize(grow_to);
-    weights_.resize(grow_to);
+    // The vectors' geometric capacity growth amortizes a stream of
+    // relocations to O(1) per edge. Sizing them only to what is used
+    // leaves their spare capacity untouched, out of resident memory.
+    targets_.resize(cursor);
+    weights_.resize(cursor);
   }
 
   // Phase 3 (parallel): run-based three-way merge of (old \ deletes) with
@@ -216,6 +223,7 @@ void SlackCsr::ApplyEdits(const std::vector<VertexEdits>& edits) {
       GB_CHECK(moved == new_degree) << "splice produced wrong degree at vertex " << e.vertex;
       seg.offset = reloc_offset[i];
       seg.capacity = new_capacity[i];
+      seg.relocated = 1;
     } else {
       // First edit position: everything below it stays untouched in place.
       const VertexId first_edit = num_deletes == 0 ? e.adds.front().first
@@ -252,6 +260,7 @@ void SlackCsr::ApplyEdits(const std::vector<VertexEdits>& edits) {
   }
   arena_used_ = cursor;
   live_edges_ = static_cast<EdgeIndex>(static_cast<int64_t>(live_edges_) + degree_delta);
+  kept_cells_ = static_cast<EdgeIndex>(static_cast<int64_t>(kept_cells_) + kept_delta);
 
   if (shadow_.active) {
     // Any touched segment's shadow copy (made or pending) is stale: its
@@ -298,9 +307,9 @@ void SlackCsr::Compact() {
   const VertexId n = num_vertices();
   prefix_valid_ = false;
   std::vector<EdgeIndex> offsets(n);
-  ParallelFor(0, n, [&](size_t v) { offsets[v] = segments_[v].degree; });
+  ParallelFor(0, n, [&](size_t v) { offsets[v] = KeptCapacity(segments_[v]); });
   const EdgeIndex total = ParallelPrefixSum(offsets);
-  GB_CHECK(total == live_edges_) << "degree sum disagrees with live edge count";
+  GB_CHECK(total == kept_cells_) << "kept capacities disagree with their running sum";
 
   std::vector<VertexId> new_targets(total);
   std::vector<Weight> new_weights(total);
@@ -311,13 +320,20 @@ void SlackCsr::Compact() {
   }, /*grain=*/256);
   // Segment metadata is rewritten after the copy: the copy reads old
   // offsets, and each vertex is owned by exactly one task either way.
-  ParallelFor(0, n, [&](size_t v) {
-    segments_[v].offset = offsets[v];
-    segments_[v].capacity = segments_[v].degree;
-  });
+  AdoptKeptLayout(offsets);
   targets_ = std::move(new_targets);
   weights_ = std::move(new_weights);
   arena_used_ = total;
+}
+
+void SlackCsr::AdoptKeptLayout(const std::vector<EdgeIndex>& offsets) {
+  ParallelFor(0, num_vertices(), [&](size_t v) {
+    Segment& s = segments_[v];
+    const uint32_t kept = KeptCapacity(s);
+    s.relocated = s.relocated && kept == s.capacity ? 1 : 0;
+    s.capacity = kept;
+    s.offset = offsets[v];
+  });
 }
 
 void SlackCsr::AdoptRebuilt(SlackCsr&& rebuilt) {
@@ -361,9 +377,9 @@ bool SlackCsr::MaintenanceStep(size_t max_edges) {
 void SlackCsr::StartShadowCompaction() {
   const VertexId n = num_vertices();
   shadow_.offsets.resize(n);
-  ParallelFor(0, n, [this](size_t v) { shadow_.offsets[v] = segments_[v].degree; });
+  ParallelFor(0, n, [this](size_t v) { shadow_.offsets[v] = KeptCapacity(segments_[v]); });
   shadow_.total = ParallelPrefixSum(shadow_.offsets);
-  GB_CHECK(shadow_.total == live_edges_) << "degree sum disagrees with live edge count";
+  GB_CHECK(shadow_.total == kept_cells_) << "kept capacities disagree with their running sum";
   shadow_.targets.resize(shadow_.total);
   shadow_.weights.resize(shadow_.total);
   shadow_.dirty.assign(n, 0);
@@ -405,7 +421,7 @@ void SlackCsr::FinishShadowCompaction() {
   for (VertexId v = 0; v < n; ++v) {
     if (shadow_.dirty[v]) {
       shadow_.offsets[v] = tail;
-      tail += segments_[v].degree;
+      tail += KeptCapacity(segments_[v]);
     }
   }
   shadow_.targets.resize(tail);
@@ -420,10 +436,7 @@ void SlackCsr::FinishShadowCompaction() {
     std::copy_n(weights_.data() + s.offset, s.degree,
                 shadow_.weights.data() + shadow_.offsets[v]);
   }, /*grain=*/256);
-  ParallelFor(0, n, [this](size_t v) {
-    segments_[v].offset = shadow_.offsets[v];
-    segments_[v].capacity = segments_[v].degree;
-  });
+  AdoptKeptLayout(shadow_.offsets);
   targets_ = std::move(shadow_.targets);
   weights_ = std::move(shadow_.weights);
   arena_used_ = tail;
@@ -447,6 +460,7 @@ const std::vector<EdgeIndex>& SlackCsr::DegreePrefix() const {
 bool SlackCsr::CheckInvariants() const {
   const VertexId n = num_vertices();
   EdgeIndex degree_sum = 0;
+  EdgeIndex kept_sum = 0;
   std::vector<std::pair<EdgeIndex, EdgeIndex>> extents;  // (offset, offset+capacity)
   extents.reserve(n);
   for (VertexId v = 0; v < n; ++v) {
@@ -458,6 +472,7 @@ bool SlackCsr::CheckInvariants() const {
       return false;
     }
     degree_sum += s.degree;
+    kept_sum += KeptCapacity(s);
     if (s.capacity > 0) {
       extents.emplace_back(s.offset, s.offset + s.capacity);
     }
@@ -471,7 +486,7 @@ bool SlackCsr::CheckInvariants() const {
       }
     }
   }
-  if (degree_sum != live_edges_ || arena_used_ > targets_.size() ||
+  if (degree_sum != live_edges_ || kept_sum != kept_cells_ || arena_used_ > targets_.size() ||
       weights_.size() != targets_.size()) {
     return false;
   }

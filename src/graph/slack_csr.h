@@ -9,8 +9,14 @@
 // of the O(V+E) rebuild Csr::ApplyEdits performs. A vertex that outgrows
 // its capacity relocates to the arena tail; the hole it leaves becomes
 // slack. When global slack exceeds kCompactionThreshold of the arena, a
-// synchronous (background-free) compaction pass rewrites the arena as a
-// tight CSR using ParallelPrefixSum over the degrees.
+// synchronous (background-free) compaction pass rewrites the arena using
+// ParallelPrefixSum over the kept capacities. A segment that got its
+// capacity from a relocation keeps it while it is at least a quarter full
+// (KeptCapacity): rewriting a growing hub tight would make its next add
+// relocate it again and strand its whole segment as slack, so an add-heavy
+// stream would compact every few batches. Every other segment is rewritten
+// tight. Slack is what a compaction would reclaim, arena_used() minus the
+// kept capacities, tracked as segments change.
 //
 // Compaction modes: under CompactionMode::kSync (the default) that pass
 // runs inside ApplyEdits, so the batch that crosses the threshold pays the
@@ -116,7 +122,8 @@ class SlackCsr {
   // Grows the vertex set to `new_count` isolated (zero-capacity) vertices.
   void GrowVertices(VertexId new_count);
 
-  // Rewrites the arena as a tight CSR (capacity == degree, zero slack).
+  // Rewrites the arena with every segment at its kept capacity (zero
+  // slack; tight unless a relocated segment keeps its headroom).
   // Synchronous; also called automatically when slack passes the threshold
   // in kSync mode. Abandons any in-progress shadow compaction.
   void Compact();
@@ -156,12 +163,13 @@ class SlackCsr {
   // samples. Not safe to call concurrently with mutation.
   const std::vector<EdgeIndex>& DegreePrefix() const;
 
-  // Arena cells allocated vs. live edges; slack = used - live.
+  // Arena cells allocated, and the fraction of them a compaction would
+  // reclaim: slack = used - Σ kept capacities.
   EdgeIndex arena_used() const { return arena_used_; }
   double SlackFraction() const {
     return arena_used_ == 0
                ? 0.0
-               : static_cast<double>(arena_used_ - live_edges_) / static_cast<double>(arena_used_);
+               : static_cast<double>(arena_used_ - kept_cells_) / static_cast<double>(arena_used_);
   }
 
   const ApplyStats& last_apply_stats() const { return last_apply_; }
@@ -183,11 +191,12 @@ class SlackCsr {
   struct Segment {
     EdgeIndex offset = 0;
     uint32_t degree = 0;
-    uint32_t capacity = 0;
+    uint32_t capacity : 31 = 0;
+    uint32_t relocated : 1 = 0;  // capacity came from a relocation
   };
 
   // In-progress shadow rewrite (kBackground). `offsets` fixes each clean
-  // vertex's tight slot from the degrees at start-of-epoch; segments edited
+  // vertex's slot from its kept capacity at start-of-epoch; segments edited
   // after their copy (or before it) are flagged dirty and re-copied to the
   // shadow tail at the flip, so the published arena is always current.
   struct ShadowState {
@@ -210,11 +219,20 @@ class SlackCsr {
   // Power-of-two capacity for a relocated segment of `degree` edges.
   static uint32_t RelocationCapacity(uint32_t degree);
 
+  // The capacity a compaction gives `s`: its own when it came from a
+  // relocation and is at most four times its degree, its degree otherwise.
+  static uint32_t KeptCapacity(const Segment& s) {
+    return s.relocated && s.capacity <= 4 * uint64_t{s.degree} ? s.capacity : s.degree;
+  }
+  // Sets every segment's capacity to its kept one at `offsets[v]`.
+  void AdoptKeptLayout(const std::vector<EdgeIndex>& offsets);
+
   std::vector<Segment> segments_;   // size V
   std::vector<VertexId> targets_;   // shared arena, sorted per segment
   std::vector<Weight> weights_;     // parallel to targets_
   EdgeIndex arena_used_ = 0;        // allocation high-water mark in the arena
   EdgeIndex live_edges_ = 0;        // Σ degrees
+  EdgeIndex kept_cells_ = 0;        // Σ KeptCapacity: the arena a compaction leaves
 
   ApplyStats last_apply_;
 

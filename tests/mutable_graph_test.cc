@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
@@ -249,6 +253,86 @@ TEST(MutableGraph, ApplySingleMatchesApplyBatchDifferentially) {
     const auto wb = batched.OutWeights(v);
     ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end())) << "vertex " << v;
     ASSERT_EQ(single.InDegree(v), batched.InDegree(v)) << "vertex " << v;
+  }
+}
+
+// NormalizeBatch as it was written with an ordered map from endpoint pair
+// to the pair's last mutation: the reference for the sort-based form.
+AppliedMutations MapNormalize(const MutableGraph& graph, const MutationBatch& batch) {
+  AppliedMutations result;
+  std::map<std::pair<VertexId, VertexId>, EdgeMutation> last;
+  for (const EdgeMutation& m : batch) {
+    if (m.src != m.dst) {
+      last[{m.src, m.dst}] = m;
+    }
+  }
+  const VertexId n = graph.num_vertices();
+  for (const auto& [endpoints, m] : last) {
+    const auto [src, dst] = endpoints;
+    const bool exists = src < n && dst < n && graph.HasEdge(src, dst);
+    switch (m.kind) {
+      case MutationKind::kAddEdge:
+        if (!exists) {
+          result.added.push_back({src, dst, m.weight});
+        }
+        break;
+      case MutationKind::kDeleteEdge:
+        if (exists) {
+          result.deleted.push_back({src, dst, graph.EdgeWeight(src, dst)});
+        }
+        break;
+      case MutationKind::kUpdateWeight:
+        if (exists && graph.EdgeWeight(src, dst) != m.weight) {
+          result.deleted.push_back({src, dst, graph.EdgeWeight(src, dst)});
+          result.added.push_back({src, dst, m.weight});
+        }
+        break;
+    }
+  }
+  return result;
+}
+
+bool SameEdges(const std::vector<Edge>& a, const std::vector<Edge>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const Edge& x, const Edge& y) {
+    return x.src == y.src && x.dst == y.dst && std::memcmp(&x.weight, &y.weight, sizeof(Weight)) == 0;
+  });
+}
+
+// The sort-based NormalizeBatch keeps each pair's last mutation and lists
+// the pairs in (src, dst) order, as the map did: on batches that repeat a
+// few pairs many times over, with self-loops, weight updates and endpoints
+// past the vertex set, both forms give the same edges in the same order,
+// and applying them keeps the graph the same.
+TEST(MutableGraph, NormalizeBatchMatchesMapForm) {
+  Rng rng(77);
+  MutableGraph graph(GenerateRmat(40, 300, {.seed = 78, .assign_random_weights = true}));
+  for (int round = 0; round < 30; ++round) {
+    MutationBatch batch;
+    const VertexId span = round % 3 == 0 ? 12 : 44;  // 44: some endpoints past the 40 vertices
+    for (int i = 0; i < 400; ++i) {
+      const VertexId src = static_cast<VertexId>(rng.NextBounded(span));
+      const VertexId dst = i % 7 == 0 ? src : static_cast<VertexId>(rng.NextBounded(span));
+      const Weight weight = static_cast<Weight>(rng.NextBounded(3) + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:
+          batch.push_back(EdgeMutation::Add(src, dst, weight));
+          break;
+        case 1:
+          batch.push_back(EdgeMutation::Delete(src, dst));
+          break;
+        default:
+          batch.push_back(EdgeMutation::UpdateWeight(src, dst, weight));
+          break;
+      }
+    }
+    const AppliedMutations want = MapNormalize(graph, batch);
+    const AppliedMutations got = graph.NormalizeBatch(batch);
+    ASSERT_TRUE(SameEdges(got.added, want.added)) << "round " << round;
+    ASSERT_TRUE(SameEdges(got.deleted, want.deleted)) << "round " << round;
+    const AppliedMutations applied = graph.ApplyBatch(batch);
+    ASSERT_TRUE(SameEdges(applied.added, want.added)) << "round " << round;
+    ASSERT_TRUE(SameEdges(applied.deleted, want.deleted)) << "round " << round;
+    ASSERT_TRUE(graph.CheckInvariants());
   }
 }
 

@@ -415,8 +415,30 @@ uint64_t Fnv1a(const std::vector<T>& cells, uint64_t hash = 0xcbf29ce484222325UL
   return hash;
 }
 
-// Digests of values() and of every tracked level array after the initial
-// run, an all-dense batch and a single-edge batch, on one worker.
+// Appends three digests of `bolt`'s state to `digests`: values(), every
+// tracked level array, and every changed-bit word of every level followed
+// by the last run's edges_processed.
+template <typename Engine>
+void RecordDigests(const Engine& bolt, std::vector<uint64_t>* digests) {
+  uint64_t levels = Fnv1a(std::vector<uint64_t>{});
+  for (uint32_t level = 1; level <= bolt.store().tracked_levels(); ++level) {
+    levels = Fnv1a(bolt.store().LevelArray(level), levels);
+  }
+  std::vector<uint64_t> words;
+  for (uint32_t level = 1; level <= bolt.store().total_levels(); ++level) {
+    const AtomicBitset& bits = bolt.store().ChangedAt(level);
+    for (size_t word = 0; word < bits.num_words(); ++word) {
+      words.push_back(bits.LoadWord(word));
+    }
+  }
+  words.push_back(bolt.stats().edges_processed);
+  digests->push_back(Fnv1a(bolt.values()));
+  digests->push_back(levels);
+  digests->push_back(Fnv1a(words));
+}
+
+// Digests (RecordDigests) after the initial run, an all-dense batch and a
+// single-edge batch, on one worker.
 template <typename Algo>
 std::vector<uint64_t> RefinementDigests(const Algo& algo, uint64_t seed,
                                         typename GraphBoltEngine<Algo>::Options options = {}) {
@@ -427,14 +449,7 @@ std::vector<uint64_t> RefinementDigests(const Algo& algo, uint64_t seed,
   MutableGraph graph(split.initial);
   GraphBoltEngine<Algo> bolt(&graph, algo, options);
   std::vector<uint64_t> digests;
-  auto record = [&] {
-    uint64_t levels = Fnv1a(std::vector<uint64_t>{});
-    for (uint32_t level = 1; level <= bolt.store().tracked_levels(); ++level) {
-      levels = Fnv1a(bolt.store().LevelArray(level), levels);
-    }
-    digests.push_back(Fnv1a(bolt.values()));
-    digests.push_back(levels);
-  };
+  auto record = [&] { RecordDigests(bolt, &digests); };
   bolt.InitialCompute();
   record();
   const AppliedMutations dense =
@@ -458,30 +473,118 @@ std::string Hex(const std::vector<uint64_t>& digests) {
 }
 
 // Weight-free algorithms evaluate each frontier source's change once per
-// level instead of once per edge. The staged value is the same function of
-// the same arguments, added in the same order, so the refined values and
-// every level array keep the bits of the per-edge evaluation; the constants
-// were recorded with it (initial run, dense batch, single-edge batch; values
-// digest then level digest for each).
+// level instead of once per edge, and dense levels detect their targets
+// from the staged changes. The staged value is the same function of the
+// same arguments, added in the same order, so the refined values, every
+// level array, every changed bit and the edge count keep the bits of the
+// per-edge evaluation; the constants were recorded with it (initial run,
+// dense batch, single-edge batch; values, level and changed-bit digests for
+// each).
 TEST(Refinement, WeightFreeStagingKeepsParentBits) {
   auto expect_digests = [](const std::vector<uint64_t>& got, const std::vector<uint64_t>& want,
                            const char* what) { EXPECT_EQ(got, want) << what << ": " << Hex(got); };
   expect_digests(RefinementDigests(PageRank{}, 140),
-                 {0x5d52b76230bb1d1dULL, 0x04adc74743b9a946ULL, 0x9784c99d2bb9eee3ULL,
-                  0x8d6e35168e2829b1ULL, 0xe544656ff79d939aULL, 0x03755363491a1949ULL},
+                 {0x5d52b76230bb1d1dULL, 0x04adc74743b9a946ULL, 0xb0fc71ea008719fbULL,
+                  0x9784c99d2bb9eee3ULL, 0x8d6e35168e2829b1ULL, 0x29b912e04a4b6216ULL,
+                  0xe544656ff79d939aULL, 0x03755363491a1949ULL, 0x23d9e268de7b8ff3ULL},
                  "PageRank");
   expect_digests(RefinementDigests(PageRank{}, 140, {.use_retract_propagate = true}),
-                 {0x7c222d6a19e1074eULL, 0x93cb49bc3e3a44a4ULL, 0xbe808cc3a9d9d18bULL,
-                  0x2c6b8d11550e4fa5ULL, 0xd7e1b79c993d4895ULL, 0x6d4b8f5d37084875ULL},
+                 {0x7c222d6a19e1074eULL, 0x93cb49bc3e3a44a4ULL, 0xb0fc71ea008719fbULL,
+                  0xbe808cc3a9d9d18bULL, 0x2c6b8d11550e4fa5ULL, 0x29b912e04a4b6216ULL,
+                  0xd7e1b79c993d4895ULL, 0x6d4b8f5d37084875ULL, 0x23d9e268de7b8ff3ULL},
                  "PageRank, retract/propagate pairs");
   expect_digests(RefinementDigests(PersonalizedPageRank({0, 1, 2}, 600), 141),
-                 {0xeab34d849015863fULL, 0xd7a1ad89fc1c4dc9ULL, 0xa203846f95674e0aULL,
-                  0x4b579752be587ed6ULL, 0x4027922f17742115ULL, 0x0e6c536af8823aebULL},
+                 {0xeab34d849015863fULL, 0xd7a1ad89fc1c4dc9ULL, 0xb5a7c29a19c41525ULL,
+                  0xa203846f95674e0aULL, 0x4b579752be587ed6ULL, 0x1eae5cfa4cbb849eULL,
+                  0x4027922f17742115ULL, 0x0e6c536af8823aebULL, 0x43b190c05678b697ULL},
                  "PersonalizedPageRank");
   expect_digests(RefinementDigests(BeliefPropagation<3>{}, 142),
-                 {0x5ae130b438d5cac4ULL, 0x7e129af1579e8924ULL, 0xb63f64db33a2b81cULL,
-                  0x4589898269a5cce7ULL, 0x283e2ac6e4093f97ULL, 0x7dcf73550ca264e1ULL},
+                 {0x5ae130b438d5cac4ULL, 0x7e129af1579e8924ULL, 0x1858af0b0fc326c9ULL,
+                  0xb63f64db33a2b81cULL, 0x4589898269a5cce7ULL, 0x7f291b4e4ee40420ULL,
+                  0x283e2ac6e4093f97ULL, 0x7dcf73550ca264e1ULL, 0xeb93619e8ef33590ULL},
                  "BeliefPropagation");
+}
+
+// A weight-free algorithm whose contributions are signed zeros: a source
+// whose value turns from +1 to -1 stages exactly the neutral change
+// (-0.0 - +0.0 = -0.0, or the pair {+0.0, -0.0}), so it adds nothing to any
+// cell though it is a frontier source. A vertex's sign is the parity of
+// its out-degree, and every value counts as moved, so each target of a
+// level hands its out-edges to the next one.
+class SignedZeroProbe {
+ public:
+  using Value = double;
+  using Aggregate = double;
+  using Contribution = double;
+  static constexpr AggregationKind kKind = AggregationKind::kDecomposable;
+  static constexpr bool kWeightFree = true;
+
+  Value InitialValue(VertexId /*v*/, const VertexContext& ctx) const { return Sign(ctx); }
+  Aggregate IdentityAggregate() const { return 0.0; }
+  Contribution ContributionOf(VertexId /*u*/, const Value& value, Weight /*w*/,
+                              const VertexContext& /*ctx*/) const {
+    return value * 0.0;
+  }
+  Contribution DeltaContribution(VertexId /*u*/, const Value& old_value, const Value& new_value,
+                                 Weight /*w*/, const VertexContext& /*old_ctx*/,
+                                 const VertexContext& /*new_ctx*/) const {
+    return new_value * 0.0 - old_value * 0.0;
+  }
+  void AggregateAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, c); }
+  void RetractAtomic(Aggregate* agg, const Contribution& c) const { AtomicAdd(agg, -c); }
+  void AggregateOwned(Aggregate* agg, const Contribution& c) const { *agg += c; }
+  void RetractOwned(Aggregate* agg, const Contribution& c) const { *agg -= c; }
+  Value VertexCompute(VertexId /*v*/, const Aggregate& agg, const VertexContext& ctx) const {
+    return Sign(ctx) + agg;
+  }
+  bool ValuesDiffer(const Value& /*a*/, const Value& /*b*/) const { return true; }
+
+ private:
+  static double Sign(const VertexContext& ctx) { return ctx.out_degree % 2 == 1 ? -1.0 : 1.0; }
+};
+
+// A dense level whose only source of some target stages the neutral change
+// must still settle that target: here vertex w's one in-neighbour u flips
+// sign when an added edge makes its out-degree odd, and the hub h it points
+// to makes level 1 dense. Dropping w from the targets drops its 40
+// out-edges from every later level's frontier, which the edge count in the
+// digests shows; the constants were recorded with the per-edge frontier
+// test.
+TEST(Refinement, NeutralStagedSourceStillMarksItsTargets) {
+  const size_t original = TaskArena::Instance().num_threads();
+  TaskArena::SetNumThreads(1);
+  EdgeList edges = GenerateRmat(600, 6000, {.seed = 150});
+  const VertexId u = 600;
+  const VertexId w = 601;
+  const VertexId h = 602;
+  for (VertexId v = 0; v < 600; ++v) {
+    edges.Add(h, v);
+  }
+  edges.Add(0, u);
+  edges.Add(u, w);
+  edges.Add(u, 1);
+  for (VertexId v = 2; v < 42; ++v) {
+    edges.Add(w, v);
+  }
+  auto digests = [&](bool retract_propagate) {
+    MutableGraph graph(edges);
+    GraphBoltEngine<SignedZeroProbe> bolt(&graph, SignedZeroProbe{},
+                                          {.use_retract_propagate = retract_propagate});
+    bolt.InitialCompute();
+    EXPECT_EQ(graph.OutDegree(u) % 2, 0u);
+    EXPECT_EQ(graph.InDegree(w), 1u);
+    EXPECT_GT(graph.OutDegree(h), graph.num_edges() / 20);  // level 1 is dense
+    bolt.ApplyMutations({EdgeMutation::Add(u, h)});
+    std::vector<uint64_t> out;
+    RecordDigests(bolt, &out);
+    return out;
+  };
+  const std::vector<uint64_t> want = {0x4af7e4b15abaf7d8ULL, 0x53a505c927142be5ULL, 0xcfdaf570ae0489fdULL};
+  const std::vector<uint64_t> delta = digests(false);
+  EXPECT_EQ(delta, want) << Hex(delta);
+  const std::vector<uint64_t> pairs = digests(true);
+  EXPECT_EQ(pairs, want) << Hex(pairs);
+  TaskArena::SetNumThreads(original);
 }
 
 // ----- The weight-free marker is honest --------------------------------------------

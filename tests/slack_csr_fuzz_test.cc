@@ -14,6 +14,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/mutable_graph.h"
 #include "src/graph/slack_csr.h"
+#include "src/stream/update_stream.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -239,6 +240,28 @@ TEST(SlackCsrUnit, ExplicitCompactTightensArena) {
       ASSERT_EQ(a[i], b[i]);
     }
   }
+}
+
+// Add-heavy R-MAT streams land most of their adds on hubs. Compacting a
+// relocated hub tight made its next add relocate it again, stranding its
+// whole old segment as slack, so slack crossed the threshold again within
+// a few batches. A segment keeps a relocation's capacity through
+// compaction while it is a quarter full, so most batches do not compact.
+TEST(SlackCsrUnit, HubAddsDoNotCompactMostBatches) {
+  EdgeList full = GenerateRmat(20000, 240000, {.seed = 31, .assign_random_weights = true});
+  StreamSplit split = SplitForStreaming(full, 0.5, 32);
+  MutableGraph graph(split.initial);
+  UpdateStream stream(split.held_back, 33);
+  constexpr int kBatches = 60;
+  int compacting = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    graph.ApplyBatch(stream.NextBatch(graph, {.size = 1024, .add_fraction = 0.6}));
+    if (graph.out().last_apply_stats().compactions + graph.in().last_apply_stats().compactions > 0) {
+      ++compacting;
+    }
+  }
+  EXPECT_LT(compacting * 4, kBatches) << compacting << " of " << kBatches << " batches compacted";
+  EXPECT_TRUE(graph.CheckInvariants());
 }
 
 TEST(SlackCsrUnit, ApplyStatsScaleWithBatchNotGraph) {
