@@ -35,8 +35,15 @@
 // default_quota).
 //
 // PrepQuery is the query barrier. Phase 1 flushes every lane's gutter into
-// its queue; phase 2 waits until every lane's in-flight count reaches zero;
-// then batches parked in the shed log replay in shed-sequence order. On
+// its queue as one step with respect to promotion: with two or more gutters
+// to flush it queues them under the engine mutex, so no worker can promote
+// one lane's gutter before the others arrive and the first promotion after
+// the barrier fuses them all — a read costs one refinement, not one per
+// lane. Under that lock a push never blocks (a full queue drains only
+// through a promotion, which needs the lock); a gutter whose queue is full
+// waits for a blocking push after the lock is released. Phase 2 waits
+// until every lane's in-flight count reaches zero; then batches parked in
+// the shed log replay in shed-sequence order. On
 // return values() is an exact BSP snapshot of the admitted stream (what a
 // from-scratch run on the current graph would produce). When nothing is
 // buffered, in flight, or shed the barrier is a cached-query fast path: one
@@ -297,7 +304,10 @@ class ShardedDriver {
     return IngestBatchFor(default_tenant_, batch);
   }
 
-  // Hands every lane's gutter remainder to its worker.
+  // Hands every lane's gutter remainder to its worker, lane by lane and
+  // without engine_mu_: producers call it, and they must not wait behind a
+  // refinement. A worker may promote one lane's batch before the next lane
+  // is flushed; PrepQuery's flush is the one that fuses them.
   void Flush() {
     for (auto& lane : lanes_) {
       std::unique_lock<std::mutex> lock(lane->mu);
@@ -305,14 +315,14 @@ class ShardedDriver {
     }
   }
 
-  // The query barrier (see the header comment): flush every lane, drain
-  // them, replay the shed log, and repeat until nothing is shed (a producer
-  // racing the barrier may shed behind the drain). Returns false on the
-  // cached-query fast path (the previous snapshot is still current). Under
-  // kDegrade with the governor reporting overload it serves the last
-  // consistent snapshot immediately instead. On a driver with a killed lane
-  // it returns at once with a stale snapshot; check healthy() and call
-  // Recover().
+  // The query barrier (see the header comment): flush every lane as one
+  // step with respect to promotion, drain them, replay the shed log, and
+  // repeat until nothing is shed (a producer racing the barrier may shed
+  // behind the drain). Returns false on the cached-query fast path (the
+  // previous snapshot is still current). Under kDegrade with the governor
+  // reporting overload it serves the last consistent snapshot immediately
+  // instead. On a driver with a killed lane it returns at once with a
+  // stale snapshot; check healthy() and call Recover().
   bool PrepQuery() {
     bool idle = true;
     for (auto& lane : lanes_) {
@@ -349,9 +359,23 @@ class ShardedDriver {
                             "Recover() first";
         return true;
       }
+      if (lanes_.size() > 1 && NonEmptyGutters() > 1) {
+        // Phase 1 is one step with respect to promotion: workers pop heads
+        // only under engine_mu_, so every gutter queued under it fuses into
+        // the next promotion — one refinement per barrier, not one for the
+        // lane whose worker woke first and another for the rest. A push
+        // under engine_mu_ must not block (a full queue drains only through
+        // a promotion, which needs that lock), so a gutter whose queue is
+        // full stays put for the blocking pass below.
+        std::lock_guard<std::mutex> engine_lock(engine_mu_);
+        for (auto& lane : lanes_) {
+          std::unique_lock<std::mutex> lock(lane->mu);
+          FlushLaneLocked(*lane, lock, FlushMode::kNoWait);
+        }
+      }
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
-        FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
+        FlushLaneLocked(*lane, lock, FlushMode::kLossless);
       }
       for (auto& lane : lanes_) {
         std::unique_lock<std::mutex> lock(lane->mu);
@@ -779,7 +803,7 @@ class ShardedDriver {
       std::unique_lock<std::mutex> lock(lane->mu);
       lane->accepting = false;
       if (flush_gutters) {
-        FlushLaneLocked(*lane, lock, /*allow_refill=*/false);
+        FlushLaneLocked(*lane, lock, FlushMode::kLossless);
       }
     }
     stall_abort_.store(true);
@@ -817,6 +841,16 @@ class ShardedDriver {
       }
     }
     return false;
+  }
+
+  // Lanes whose gutter holds mutations.
+  size_t NonEmptyGutters() const {
+    size_t pending = 0;
+    for (const auto& lane : lanes_) {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      pending += lane->gutter.empty() ? 0 : 1;
+    }
+    return pending;
   }
 
   TenantState* TenantStateFor(const std::string& tenant) {
@@ -1000,6 +1034,13 @@ class ShardedDriver {
     }
   }
 
+  // How FlushLaneLocked meets a lane queue that is full.
+  enum class FlushMode {
+    kPolicy,    // producers: the overflow policy decides
+    kLossless,  // query barrier, shutdown: kDegrade blocks like kBlock
+    kNoWait,    // under engine_mu_: never blocks, evicts or sheds
+  };
+
   // Takes the lane's gutter as a batch and moves it toward the worker.
   // Caller holds `lock` on lane.mu; the queue handoff happens unlocked so a
   // blocked push stalls only the flushing producer (in_flight keeps the
@@ -1010,22 +1051,28 @@ class ShardedDriver {
   // into the global sequence-tagged shed log, kShedOldest evicts the
   // lane's oldest queued batch into the shed log (or drops it) to admit
   // the fresh one, and kDegrade puts the batch *back* into the lane's
-  // gutter to be re-coalesced and retried — unless `allow_refill` is false
+  // gutter to be re-coalesced and retried — unless the mode is kLossless
   // (query barrier / shutdown), where kDegrade falls back to a lossless
-  // blocking push. A closed queue (shutdown, recovery, or a dead lane)
-  // sheds durably when a checkpointer is attached and drops otherwise,
-  // under every policy. The Refill keeps the gutter's age epoch (see
-  // GutterBuffer), so the lane's stale-flush deadline survives degrade
-  // churn.
+  // blocking push. kNoWait, whatever the policy, leaves the batch in the
+  // gutter when the queue is full or closed: its caller holds engine_mu_,
+  // and a promotion, the only consumer, needs that lock. Otherwise a
+  // closed queue (shutdown, recovery, or a dead lane) sheds durably when a
+  // checkpointer is attached and drops, under every policy. The Refill
+  // keeps the gutter's age epoch (see GutterBuffer), so the lane's
+  // stale-flush deadline survives degrade churn.
   void FlushLaneLocked(Lane& lane, std::unique_lock<std::mutex>& lock,
-                       bool allow_refill = true) {
+                       FlushMode mode = FlushMode::kPolicy) {
     if (lane.gutter.empty()) {
       return;
     }
-    if (config_.overflow == OverflowPolicy::kDegrade && allow_refill && lane.queue.full()) {
-      // Coalesce under pressure: leave the batch in the gutter (duplicates
-      // die at the eventual Take) instead of churning Take/Refill on every
-      // ingested mutation while the queue stays full.
+    const bool refills =
+        mode == FlushMode::kNoWait ||
+        (mode == FlushMode::kPolicy && config_.overflow == OverflowPolicy::kDegrade);
+    if (refills && lane.queue.full()) {
+      // Leave the batch in the gutter: under kDegrade to coalesce under
+      // pressure (duplicates die at the eventual Take) instead of churning
+      // Take/Refill on every ingested mutation while the queue stays full;
+      // under kNoWait for the caller's blocking pass after engine_mu_.
       UpdateGovernorPressure();
       return;
     }
@@ -1040,16 +1087,18 @@ class ShardedDriver {
     std::optional<TimedBatch> evicted;
     if (lane.queue.TryPush(std::move(item))) {
       pushed = true;
+    } else if (mode == FlushMode::kNoWait) {
+      // Refilled below.
     } else if (config_.overflow == OverflowPolicy::kBlock ||
-               (config_.overflow == OverflowPolicy::kDegrade && !allow_refill)) {
+               (config_.overflow == OverflowPolicy::kDegrade && mode == FlushMode::kLossless)) {
       Timer wait;
       pushed = lane.queue.Push(std::move(item));
       waited = wait.Seconds();
     } else if (config_.overflow == OverflowPolicy::kShedOldest) {
       pushed = lane.queue.PushEvictOldest(std::move(item), &evicted);
     }
-    const bool refill = !pushed && !lane.queue.closed() && allow_refill &&
-                        config_.overflow == OverflowPolicy::kDegrade;
+    const bool refill =
+        !pushed && refills && (mode == FlushMode::kNoWait || !lane.queue.closed());
     if (evicted.has_value()) {
       // The evicted batch leaves the pipeline un-applied.
       ShedOrDrop(evicted->batch);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <optional>
@@ -646,6 +648,181 @@ TEST(ShardPartitions, PromotionFusesEveryQueuedLaneHead) {
   EXPECT_EQ(stats.shard_batches_staged, kShards);
   EXPECT_EQ(stats.wal_appends, 2u);
   EXPECT_EQ(driver.applied_seq(), 2u);
+}
+
+// Lane `lane`'s k-th mutation of round `round`: an addition whose source is
+// in shard `lane` of a 4-lane driver over the 400-vertex test graph.
+EdgeMutation LaneAdd(size_t lane, size_t round, VertexId k) {
+  const VertexId src = static_cast<VertexId>(lane + 4 * ((3 * round + k) % 100));
+  return EdgeMutation::Add(src, static_cast<VertexId>((src * 7 + 3 + round) % 400), 1.0);
+}
+
+// The query barrier queues every non-empty gutter before any worker can
+// promote, so each barrier over four freshly filled gutters costs exactly
+// one fused promotion: one sequence number, one WAL record, one refinement,
+// and the observer sees the lanes' batches concatenated in lane order.
+TEST(ShardPartitions, BarrierPromotesEveryQueuedGutterOnce) {
+  TaskArena::SetNumThreads(1);
+  constexpr size_t kShards = 4;
+  constexpr size_t kRounds = 50;
+  ScopedTempDir ckpt_dir("shard_barrier_fusion");
+  MutableGraph graph(GenerateRmat(400, 3000, {.seed = 81}));
+  GraphBoltEngine<PageRank> engine(&graph, PageRank{});
+  engine.InitialCompute();
+  Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
+      &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0});
+
+  DriverConfig config;
+  config.shards = kShards;
+  config.batch_size = 1u << 20;
+  config.flush_interval_seconds = 3600.0;
+  config.coalesce = false;
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config, &checkpointer);
+  std::vector<std::vector<EdgeTuple>> observed;  // under the engine lock
+  driver.set_apply_observer([&](size_t, const MutationBatch& promoted) {
+    std::vector<EdgeTuple> edges;
+    for (const EdgeMutation& m : promoted) {
+      edges.emplace_back(m.src, m.dst, m.weight);
+    }
+    observed.push_back(std::move(edges));
+  });
+
+  size_t split_rounds = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Ingested interleaved across lanes; promoted in lane order.
+    MutationBatch batch;
+    std::vector<EdgeTuple> want;
+    for (VertexId k = 0; k < 3; ++k) {
+      for (size_t lane = 0; lane < kShards; ++lane) {
+        batch.push_back(LaneAdd(lane, round, k));
+      }
+    }
+    for (size_t lane = 0; lane < kShards; ++lane) {
+      for (VertexId k = 0; k < 3; ++k) {
+        const EdgeMutation m = LaneAdd(lane, round, k);
+        want.emplace_back(m.src, m.dst, m.weight);
+      }
+    }
+    const EngineStats before = driver.stats();
+    const uint64_t seq_before = driver.applied_seq();
+    const size_t observed_before = observed.size();
+    ASSERT_EQ(driver.IngestBatch(batch), batch.size());
+    driver.PrepQuery();
+
+    const EngineStats after = driver.stats();
+    const size_t promotions = observed.size() - observed_before;
+    split_rounds += promotions > 1 ? 1 : 0;
+    EXPECT_EQ(promotions, 1u);
+    EXPECT_EQ(after.batches_applied, before.batches_applied + 1);
+    EXPECT_EQ(after.shard_batches_staged, before.shard_batches_staged + kShards);
+    EXPECT_EQ(after.wal_appends, before.wal_appends + 1);
+    EXPECT_EQ(driver.applied_seq(), seq_before + 1);
+    if (promotions == 1) {
+      EXPECT_EQ(observed.back(), want);
+    }
+  }
+  EXPECT_EQ(split_rounds, 0u) << split_rounds << " of " << kRounds
+                              << " barriers promoted their gutters more than once";
+}
+
+// A barrier whose lane queues are full cannot push under the engine lock —
+// only a promotion, which needs that lock, frees queue space — so those
+// gutters wait for the blocking pass. With one-batch queues and the first
+// promotion held, the barrier must still return, apply every mutation, and
+// leave values bitwise equal to a one-lane replay of the promotion order.
+TEST(ShardPartitions, BarrierOverFullLaneQueuesDoesNotDeadlock) {
+  TaskArena::SetNumThreads(1);
+  constexpr size_t kShards = 4;
+  const EdgeList full = GenerateRmat(400, 3000, {.seed = 81});
+  MutableGraph graph(full);
+  MutableGraph reference_graph(full);
+  GraphBoltEngine<PageRank> engine(&graph, PageRank{});
+  GraphBoltEngine<PageRank> reference(&reference_graph, PageRank{});
+  engine.InitialCompute();
+  reference.InitialCompute();
+
+  DriverConfig config;
+  config.shards = kShards;
+  config.batch_size = 1u << 20;
+  config.flush_interval_seconds = 3600.0;
+  config.max_pending_batches = 1;
+  config.overflow = OverflowPolicy::kBlock;
+  config.coalesce = false;
+  ShardedDriver<GraphBoltEngine<PageRank>> driver(&engine, config);
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<MutationBatch> observed;  // under the engine lock
+  driver.set_apply_observer([&](size_t, const MutationBatch& promoted) {
+    observed.push_back(promoted);
+    if (observed.size() == 1) {
+      entered.set_value();
+      released.wait();
+    }
+  });
+
+  // Round r puts three mutations into the gutter of every lane from
+  // `first_lane` on.
+  auto round_batch = [&](size_t round, size_t first_lane) {
+    MutationBatch batch;
+    for (size_t lane = first_lane; lane < kShards; ++lane) {
+      for (VertexId k = 0; k < 3; ++k) {
+        batch.push_back(LaneAdd(lane, round, k));
+      }
+    }
+    return batch;
+  };
+  size_t ingested = 0;
+  auto ingest = [&](const MutationBatch& batch) {
+    ASSERT_EQ(driver.IngestBatch(batch), batch.size());
+    ingested += batch.size();
+  };
+  ingest(MutationBatch{LaneAdd(0, 0, 0)});
+  driver.Flush();
+  entered.get_future().wait();  // lane 0's promotion holds the engine lock
+
+  // The barrier starts while the gutters of lanes 1-3 hold round 1, so it
+  // usually queues for the engine lock ahead of the workers that round 1's
+  // flush wakes (lane 0's worker, back from its promotion, finds its queue
+  // empty and does not compete) and gets it with those three queues full
+  // and round 2 in every gutter. Whichever thread wins, the barrier must
+  // return with everything applied.
+  ingest(round_batch(1, 1));
+  std::promise<void> barrier_done;
+  std::thread query([&] {
+    driver.PrepQuery();
+    barrier_done.set_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  driver.Flush();
+  ingest(round_batch(2, 0));
+  release.set_value();
+  if (barrier_done.get_future().wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "the query barrier did not return";
+    std::abort();
+  }
+  query.join();
+
+  const auto values = driver.QuerySnapshot();
+  const EngineStats stats = driver.stats();
+  EXPECT_EQ(stats.mutations_enqueued, ingested);
+  EXPECT_EQ(stats.mutations_dropped, 0u);
+  size_t applied = 0;
+  StreamDriver<GraphBoltEngine<PageRank>> replay(
+      &reference, {.batch_size = 1u << 20, .flush_interval_seconds = 3600.0, .coalesce = false});
+  for (const MutationBatch& batch : observed) {
+    applied += batch.size();
+    ASSERT_EQ(replay.IngestBatch(batch), batch.size());
+    replay.Flush();
+  }
+  ASSERT_EQ(applied, ingested);  // nothing lost, nothing duplicated
+  const auto& want = replay.values();
+  ASSERT_EQ(values.size(), want.size());
+  for (size_t v = 0; v < values.size(); ++v) {
+    ASSERT_EQ(values[v], want[v]) << "vertex " << v;
+  }
 }
 
 // ----- FrontierBuilder bitset pool ------------------------------------------
