@@ -1,14 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the primitives the engines are
 // built from: atomic aggregation ops, parallel loops, CSR construction and
-// two-pass mutation, dense/sparse iteration, and dependency-store
-// snapshots. These are not in the paper; they exist to catch performance
+// two-pass mutation, dense iteration, and dependency-store snapshots. These are not in the paper; they exist to catch performance
 // regressions in the substrate.
 #include <benchmark/benchmark.h>
 
 #include "src/algorithms/pagerank.h"
 #include "src/core/dependency_store.h"
 #include "src/core/graphbolt_engine.h"
-#include "src/engine/edge_map.h"
 #include "src/engine/ligra_engine.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
@@ -121,46 +119,6 @@ void BM_GraphBoltSingleEdgeRefine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphBoltSingleEdgeRefine)->Unit(benchmark::kMillisecond);
-
-// A pull-direction edgeMap chain, unfused: every step pays
-// FrontierBuilder::Take's O(universe) sparse pack even though the next step
-// reads the frontier only through its dense bitset.
-void BM_EdgeMapDenseChainTake(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  EdgeList list = GenerateRmat(n, static_cast<EdgeIndex>(n) * 8, {.seed = 7});
-  MutableGraph graph(list);
-  const auto keep = [](VertexId, VertexId v, Weight) { return (v & 1) == 0; };
-  for (auto _ : state) {
-    VertexSubset frontier = VertexSubset::All(graph.num_vertices());
-    for (int step = 0; step < 4; ++step) {
-      frontier = EdgeMapDense(graph, frontier, keep);
-    }
-    benchmark::DoNotOptimize(frontier.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4 *
-                          static_cast<int64_t>(graph.num_edges()));
-}
-BENCHMARK(BM_EdgeMapDenseChainTake)->Arg(1 << 14)->Arg(1 << 17);
-
-// The same chain with EdgeMapOptions::dense_result: each step hands the
-// claim bitset over as the subset's authoritative dense view (TakeDense —
-// an O(universe/64) word copy) and no sparse member list is ever built.
-void BM_EdgeMapDenseChainFused(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  EdgeList list = GenerateRmat(n, static_cast<EdgeIndex>(n) * 8, {.seed = 7});
-  MutableGraph graph(list);
-  const auto keep = [](VertexId, VertexId v, Weight) { return (v & 1) == 0; };
-  for (auto _ : state) {
-    VertexSubset frontier = VertexSubset::All(graph.num_vertices());
-    for (int step = 0; step < 4; ++step) {
-      frontier = EdgeMapDense(graph, frontier, keep, /*dense_result=*/true);
-    }
-    benchmark::DoNotOptimize(frontier.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4 *
-                          static_cast<int64_t>(graph.num_edges()));
-}
-BENCHMARK(BM_EdgeMapDenseChainFused)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_DependencyStoreSnapshot(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));

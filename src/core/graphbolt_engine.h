@@ -79,7 +79,6 @@
 #include "src/core/delta_kernel.h"
 #include "src/core/dependency_store.h"
 #include "src/core/streaming_engine.h"
-#include "src/engine/edge_map.h"  // PreferPull
 #include "src/engine/reset_engine.h"  // HasDeltaContribution
 #include "src/engine/stats.h"
 #include "src/engine/vertex_subset.h"

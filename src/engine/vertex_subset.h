@@ -1,9 +1,9 @@
 // Ligra-style vertex subsets (frontiers).
 //
 // A VertexSubset is the set of vertices active in a processing step. It is
-// held in sparse form (packed id vector) with an optional dense membership
-// bitset built on demand; engines choose representation by |subset| like
-// Ligra's direction optimization.
+// held either in sparse form (packed, sorted id vector) or, when dense, as
+// its membership bitset alone; FrontierBuilder::TakeAuto picks the form by
+// |subset| like Ligra's direction optimization.
 #ifndef SRC_ENGINE_VERTEX_SUBSET_H_
 #define SRC_ENGINE_VERTEX_SUBSET_H_
 
@@ -17,8 +17,20 @@
 #include "src/parallel/parallel_for.h"
 #include "src/parallel/reducer.h"
 #include "src/util/bitset.h"
+#include "src/util/logging.h"
 
 namespace graphbolt {
+
+// Ligra's direction rule, shared by the edge axis and the vertex axis:
+// past 1/kDenseDenominator of the graph, a pass over the whole graph beats
+// a walk over the frontier.
+inline constexpr uint64_t kDenseDenominator = 20;
+
+// Pull once the frontier's out-edges exceed |E| / kDenseDenominator. The
+// GraphBolt engine's refinement levels choose their direction with it.
+inline bool PreferPull(uint64_t frontier_edges, uint64_t num_edges) {
+  return frontier_edges > num_edges / kDenseDenominator;
+}
 
 class VertexSubset {
  public:
@@ -36,23 +48,22 @@ class VertexSubset {
     return s;
   }
 
-  // Wraps an already-sorted, duplicate-free member vector without the
-  // per-element Add calls (FrontierBuilder::Take's bulk path).
+  // Wraps an already-sorted, duplicate-free member vector
+  // (FrontierBuilder::Take).
   static VertexSubset FromSorted(VertexId universe, std::vector<VertexId> members) {
     VertexSubset s(universe);
     s.members_ = std::move(members);
     return s;
   }
 
-  // A subset defined by its dense bitset alone (FrontierBuilder::TakeDense).
-  // `bits` must be sized to the universe and hold exactly `count` set bits.
-  // The sparse member list is materialized lazily on first members() access,
-  // so a consumer that only reads Dense() — a pull-direction edgeMap chain —
-  // never pays the O(universe) pack at all.
+  // A subset defined by its dense bitset alone (FrontierBuilder::TakeAuto's
+  // dense pick). `bits` must be sized to the universe and hold exactly
+  // `count` set bits. The sparse member list is materialized lazily on
+  // first members() access, so a consumer that only reads Dense() never
+  // pays the O(universe) pack at all.
   static VertexSubset FromDense(VertexId universe, const AtomicBitset& bits, size_t count) {
     VertexSubset s(universe);
     s.dense_ = bits;
-    s.dense_applied_ = 0;
     s.dense_count_ = count;
     s.sparse_valid_ = false;
     return s;
@@ -62,12 +73,11 @@ class VertexSubset {
   size_t size() const { return sparse_valid_ ? members_.size() : dense_count_; }
   bool Empty() const { return size() == 0; }
 
-  // True while the subset is held in dense-only form (FromDense /
-  // TakeDense / TakeAuto's dense pick): Dense() is free, members() would
-  // pay the O(universe) pack. Consumers with an index-free walk branch on
-  // this to sweep the bitset instead; both walks ascend, so a
-  // single-threaded consumer visits the same vertices in the same order
-  // either way.
+  // True while the subset is held in dense-only form (FromDense): Dense()
+  // is free, members() would pay the O(universe) pack. Consumers with an
+  // index-free walk branch on this to sweep the bitset instead; both walks
+  // ascend, so a single-threaded consumer visits the same vertices in the
+  // same order either way.
   bool dense_only() const { return !sparse_valid_; }
 
   const std::vector<VertexId>& members() const {
@@ -75,59 +85,11 @@ class VertexSubset {
     return members_;
   }
 
-  void Add(VertexId v) {
-    MaterializeSparse();
-    members_.push_back(v);
-  }
-
-  // Sorts and removes duplicate members. Dedup preserves the member *set*,
-  // so a fully-built dense view stays valid; a partially-built one is
-  // cleared by members (O(|subset|), not O(universe)) since index-based
-  // incremental bookkeeping does not survive the reorder. A dense-only
-  // subset is canonical already (a bitset cannot hold duplicates).
-  void Normalize() {
-    if (!sparse_valid_) {
-      return;
-    }
-    const bool dense_complete = dense_applied_ == members_.size() && dense_applied_ > 0;
-    std::sort(members_.begin(), members_.end());
-    members_.erase(std::unique(members_.begin(), members_.end()), members_.end());
-    if (dense_complete) {
-      dense_applied_ = members_.size();
-    } else if (dense_applied_ > 0) {
-      for (const VertexId v : members_) {
-        dense_.Clear(v);
-      }
-      dense_applied_ = 0;
-    }
-  }
-
-  // Dense membership bitset, memoized: a second call on an unchanged subset
-  // is O(1), and members added since the last call are applied
-  // incrementally rather than rebuilding from scratch. On a dense-only
-  // subset the bitset is the authoritative view and returns immediately.
+  // The membership bitset of a subset born dense-only (FromDense). A
+  // sparse-born subset has none.
   const AtomicBitset& Dense() const {
-    if (!sparse_valid_) {
-      return dense_;
-    }
-    if (dense_.size() != universe_) {
-      dense_.Resize(universe_);
-      dense_applied_ = 0;
-    }
-    for (size_t i = dense_applied_; i < members_.size(); ++i) {
-      dense_.Set(members_[i]);
-    }
-    dense_applied_ = members_.size();
+    GB_DCHECK(dense_.size() == universe_) << "Dense() on a sparse-born VertexSubset";
     return dense_;
-  }
-
-  // Installs an externally-built bitset as the valid dense view. `bits`
-  // must be sized to the universe and hold exactly the member set —
-  // FrontierBuilder::Take hands over its claim bitset this way so EdgeMap's
-  // dense direction never rebuilds what the builder already has.
-  void AdoptDense(AtomicBitset bits) {
-    dense_ = std::move(bits);
-    dense_applied_ = members_.size();
   }
 
  private:
@@ -140,23 +102,21 @@ class VertexSubset {
     members_.clear();
     members_.reserve(dense_count_);
     dense_.ForEachSet([&](size_t v) { members_.push_back(static_cast<VertexId>(v)); });
-    dense_applied_ = members_.size();
     sparse_valid_ = true;
   }
 
   VertexId universe_ = 0;
   mutable std::vector<VertexId> members_;
-  mutable AtomicBitset dense_;
-  mutable size_t dense_applied_ = 0;  // members_[0..dense_applied_) are set in dense_
+  AtomicBitset dense_;
   // False while the subset is dense-only: members_ is empty, dense_ is
   // authoritative, and dense_count_ carries |subset|.
   mutable bool sparse_valid_ = true;
   size_t dense_count_ = 0;
 };
 
-// Process-wide free list of claim bitsets for FrontierBuilder. EdgeMap /
-// VertexMap construct one builder per step, and a refinement iteration runs
-// many steps over the same universe — without pooling each step pays an
+// Process-wide free list of claim bitsets for FrontierBuilder. The engines
+// construct one builder per step, and a refinement iteration runs many
+// steps over the same universe — without pooling each step pays an
 // O(V/8)-byte allocation plus first-touch page faults. Acquire() hands back
 // a cleared bitset (resized only when the universe changed); Release()
 // clears and parks it. The mutex is uncontended in practice: builders are
@@ -205,7 +165,7 @@ class FrontierBitsetPool {
   }
 
  private:
-  // Nested EdgeMaps are rare (one per live step); a short list bounds the
+  // Nested builders are rare (one per live step); a short list bounds the
   // idle footprint while covering fork-join step pipelines.
   static constexpr size_t kMaxPooled = 8;
 
@@ -216,7 +176,7 @@ class FrontierBitsetPool {
 };
 
 // Concurrent frontier builder: threads claim membership through an atomic
-// bitset (first claim wins), and Take / TakeDense / TakeAuto turn the claims
+// bitset (first claim wins), and Take / TakeAuto turn the claims
 // into a VertexSubset afterwards. The claim bitset is pooled
 // (FrontierBitsetPool): acquired on construction, cleared and returned on
 // destruction.
@@ -241,10 +201,7 @@ class FrontierBuilder {
   // members come out ascending. A large universe is packed in blocks of
   // words (per-block popcounts, prefix sum, then a parallel fill, the same
   // shape as ParallelPrefixSum) so the whole arena sweeps it; block order
-  // keeps the result sorted. The claim bitset is copied into the subset as
-  // its ready-made dense view (an O(universe/64) word copy), so EdgeMap's
-  // dense direction never rebuilds it — and the builder stays usable for
-  // further claims.
+  // keeps the result sorted. The builder stays usable for further claims.
   VertexSubset Take() const {
     constexpr size_t kBlockWords = 64;  // 4096 vertices
     const size_t words = claimed_.num_words();
@@ -272,42 +229,26 @@ class FrontierBuilder {
         fill(lo, hi, members.data() + offsets[b]);
       }, /*grain=*/1);
     }
-    VertexSubset subset = VertexSubset::FromSorted(universe_, std::move(members));
-    subset.AdoptDense(claimed_);
-    return subset;
-  }
-
-  // Dense-only Take: copies the claim bitset as the subset's authoritative
-  // view (an O(universe/64) word copy plus popcount) and skips the
-  // O(universe) per-bit sparse pack entirely. For consumers that read the
-  // result only through Dense() — the next step of a pull-direction edgeMap
-  // chain (EdgeMapOptions::dense_result); members() still works on the
-  // result, materializing lazily.
-  VertexSubset TakeDense() const {
-    return VertexSubset::FromDense(universe_, claimed_, claimed_.Count());
+    return VertexSubset::FromSorted(universe_, std::move(members));
   }
 
   // Auto-picks the result representation from the frontier's density — the
   // vertex-axis analogue of Ligra's push/pull chooser, applied at the
   // producer instead of every call site. A dense frontier (at least
-  // universe / kDenseResultDenominator members) comes back dense-only: its
+  // universe / kDenseDenominator members) comes back dense-only: its
   // consumers sweep the whole universe anyway (a pull step, a bit-test
   // walk), so the O(universe) sparse pack is pure overhead. A sparse
   // frontier packs as before — a bit-test sweep would dwarf its
   // O(|frontier|) member walk.
   VertexSubset TakeAuto() const {
     const size_t count = claimed_.Count();
-    if (count * kDenseResultDenominator >= static_cast<size_t>(universe_)) {
+    if (count * kDenseDenominator >= static_cast<size_t>(universe_)) {
       return VertexSubset::FromDense(universe_, claimed_, count);
     }
     return Take();
   }
 
  private:
-  // Mirrors EdgeMapOptions::denseness_denominator (Ligra's |E|/20) on the
-  // vertex axis: past 1/20th of the universe, sweeping bits beats packing.
-  static constexpr size_t kDenseResultDenominator = 20;
-
   VertexId universe_;
   AtomicBitset claimed_;
 };

@@ -13,7 +13,7 @@
 //                           policy or by flushes against a crashed worker,
 //                           replayed at the next query barrier or recovery.
 //
-// Checkpoint format v2 (offsets fixed by the golden-layout tests):
+// Checkpoint format (offsets fixed by the golden-layout tests):
 //
 //   @0   u64 magic "GBCKPT01"
 //   @8   u32 version = 2
@@ -28,12 +28,10 @@
 //        u32 masked crc32c over the engine payload      (engine section)
 //   tail u64 footer "GBCKEND1"
 //
-// v1 files (version = 1, no CRCs, no engine length prefix) still load:
-// the reader validates whatever integrity the format carries — envelope
-// only for v1, the full checksum chain for v2 — before touching live
-// state. A v2 file with any failing section is rejected exactly like a
-// torn one, and RestoreLatest falls back down the keep-N chain; corruption
-// is never silently replayed.
+// The reader validates the full checksum chain before touching live
+// state. A file with any other version or any failing section is rejected
+// exactly like a torn one, and RestoreLatest falls back down the keep-N
+// chain; corruption is never silently replayed.
 //
 // Durability policy on write failure: retry with exponential backoff
 // (RetryPolicy) for transient faults; ENOSPC is fatal-fast — a full disk
@@ -87,14 +85,12 @@ struct RetryPolicy {
 inline constexpr uint64_t kCheckpointMagic = 0x313054504B434247ULL;   // "GBCKPT01"
 inline constexpr uint64_t kCheckpointFooter = 0x31444E454B434247ULL;  // "GBCKEND1"
 inline constexpr uint32_t kCheckpointVersion = 2;
-inline constexpr uint32_t kCheckpointVersionV1 = 1;  // still readable
 
 // Engine-agnostic verdict on a checkpoint file's raw bytes. Shared by the
 // runtime loader, the background scrub, and offline fsck, so "what fsck
 // flags" and "what the runtime rejects" are one predicate by construction.
 struct CheckpointInspection {
   bool valid = false;
-  uint32_t version = 0;
   uint64_t seq = 0;
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
@@ -123,11 +119,10 @@ inline CheckpointInspection InspectCheckpointBytes(const std::string& bytes) {
   std::memcpy(&out.seq, bytes.data() + 12, sizeof(out.seq));
   std::memcpy(&out.num_vertices, bytes.data() + 20, sizeof(out.num_vertices));
   std::memcpy(&out.num_edges, bytes.data() + 28, sizeof(out.num_edges));
-  out.version = version;
   if (magic != kCheckpointMagic) {
     return fail("bad magic");
   }
-  if (version != kCheckpointVersion && version != kCheckpointVersionV1) {
+  if (version != kCheckpointVersion) {
     return fail("format version " + std::to_string(version) + " unsupported");
   }
   uint64_t footer = 0;
@@ -137,17 +132,7 @@ inline CheckpointInspection InspectCheckpointBytes(const std::string& bytes) {
   }
   const size_t edge_bytes =
       static_cast<size_t>(out.num_edges) * sizeof(Edge);
-  if (version == kCheckpointVersionV1) {
-    out.edges_offset = kFixedHeaderBytes;
-    if (bytes.size() < kFixedHeaderBytes + edge_bytes + kFooterBytes) {
-      return fail("short edge payload");
-    }
-    out.engine_offset = out.edges_offset + edge_bytes;
-    out.engine_bytes = bytes.size() - kFooterBytes - out.engine_offset;
-    out.valid = true;
-    return out;
-  }
-  // v2: verify the checksum chain section by section.
+  // Verify the checksum chain section by section.
   if (bytes.size() < kFixedHeaderBytes + sizeof(uint32_t) + kFooterBytes) {
     return fail("truncated before header checksum");
   }
@@ -577,8 +562,8 @@ class Checkpointer {
   }
 
   bool LoadCheckpointFile(const std::string& path, uint64_t* seq_out) {
-    // Slurp and validate — envelope for v1, the full checksum chain for v2 —
-    // before touching live state.
+    // Slurp and validate the full checksum chain before touching live
+    // state.
     std::string bytes;
     if (!env_->ReadFile(path, &bytes).ok()) {
       return false;

@@ -3,9 +3,8 @@
 // A FaultInjector is a registry of named injection sites (worker kill,
 // artificial queue-full, WAL serialization failure, checkpoint write
 // failure, torn checkpoint). Production code marks each site with
-// GB_FAULT_POINT(injector, site); tests arm sites either one-shot ("fire on
-// the nth hit") or probabilistically from a seeded per-site RNG, so an
-// entire fault matrix replays identically from a single seed.
+// GB_FAULT_POINT(injector, site); tests arm sites one-shot ("fire on the
+// nth hit, for a burst of hits"), so a fault matrix replays identically.
 //
 // Zero cost when disabled: unless the translation unit is compiled with
 // GRAPHBOLT_FAULT_INJECTION=1 (the test targets set it; the library,
@@ -57,13 +56,6 @@ inline const char* FaultSiteName(FaultSite site) {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(uint64_t seed = 0) {
-    for (size_t i = 0; i < sites_.size(); ++i) {
-      // splitmix64 per-site stream: the whole matrix replays from `seed`.
-      sites_[i].rng_state = Mix(seed + 0x9e3779b97f4a7c15ULL * (i + 1));
-    }
-  }
-
   // One-shot: fire for `burst` consecutive hits starting at the nth future
   // hit of `site` (nth is 1-based). Replaces any previous one-shot arm.
   void ArmOnce(FaultSite site, uint64_t nth_hit, uint64_t burst = 1) {
@@ -73,32 +65,14 @@ class FaultInjector {
     s.burst = burst;
   }
 
-  // Probabilistic: every future hit of `site` fires with `probability`,
-  // drawn from the site's deterministic seeded stream.
-  void ArmRandom(FaultSite site, double probability) {
-    std::lock_guard<std::mutex> lock(mu_);
-    At(site).probability = probability;
-  }
-
-  void Disarm(FaultSite site) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Site& s = At(site);
-    s.armed_at = 0;
-    s.burst = 0;
-    s.probability = 0.0;
-  }
-
   // Records a hit at `site` and decides whether the fault fires. Called by
   // GB_FAULT_POINT; thread-safe.
   bool ShouldFail(FaultSite site) {
     std::lock_guard<std::mutex> lock(mu_);
     Site& s = At(site);
     ++s.hits;
-    bool fire = s.armed_at != 0 && s.hits >= s.armed_at && s.hits < s.armed_at + s.burst;
-    if (!fire && s.probability > 0.0) {
-      s.rng_state = Mix(s.rng_state);
-      fire = static_cast<double>(s.rng_state >> 11) * 0x1.0p-53 < s.probability;
-    }
+    const bool fire =
+        s.armed_at != 0 && s.hits >= s.armed_at && s.hits < s.armed_at + s.burst;
     if (fire) {
       ++s.fired;
     }
@@ -121,16 +95,7 @@ class FaultInjector {
     uint64_t fired = 0;
     uint64_t armed_at = 0;  // 0 = no one-shot armed
     uint64_t burst = 0;
-    double probability = 0.0;
-    uint64_t rng_state = 0;
   };
-
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   Site& At(FaultSite site) { return sites_[static_cast<size_t>(site)]; }
   const Site& At(FaultSite site) const { return sites_[static_cast<size_t>(site)]; }

@@ -271,12 +271,6 @@ class FaultyEnv final : public StorageEnv {
     corrupt_read_mask_ = xor_mask;
   }
 
-  // ReadFile on a matching path fails outright.
-  void FailReadsMatching(std::string path_substring) {
-    std::lock_guard<std::mutex> lock(mu_);
-    fail_read_substr_ = std::move(path_substring);
-  }
-
   void ClearFaults() {
     std::lock_guard<std::mutex> lock(mu_);
     fail_write_at_ = 0;
@@ -284,7 +278,6 @@ class FaultyEnv final : public StorageEnv {
     kill_at_write_ = 0;
     kill_at_rename_ = 0;
     corrupt_read_substr_.clear();
-    fail_read_substr_.clear();
   }
 
   // --- observability ---
@@ -317,14 +310,6 @@ class FaultyEnv final : public StorageEnv {
                                                 bool truncate) override;
 
   StorageStatus ReadFile(const std::string& path, std::string* out) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!fail_read_substr_.empty() &&
-          path.find(fail_read_substr_) != std::string::npos) {
-        faults_fired_.fetch_add(1);
-        return StorageStatus::Eio();
-      }
-    }
     StorageStatus status = base_->ReadFile(path, out);
     if (!status.ok()) return status;
     std::lock_guard<std::mutex> lock(mu_);
@@ -419,7 +404,6 @@ class FaultyEnv final : public StorageEnv {
   std::string corrupt_read_substr_;
   uint64_t corrupt_read_offset_ = 0;
   uint8_t corrupt_read_mask_ = 0;
-  std::string fail_read_substr_;
 
   std::atomic<uint64_t> writes_seen_{0};
   std::atomic<uint64_t> renames_seen_{0};

@@ -6,16 +6,14 @@
 // exactly the log prefix 1..k, and recovery is "restore checkpoint, replay
 // the records with seq > k".
 //
-// Record layout v2 (little-endian, host byte order — the log is a crash
+// Record layout (little-endian, host byte order — the log is a crash
 // artifact consumed by the same build, not an interchange format):
 //
 //   u32 magic "GBW2" | u64 seq | u64 count | u32 masked crc32c
 //                    | count * EdgeMutation (raw)
 //
 // The CRC covers seq, count, and the payload, and is stored masked
-// (src/util/crc32c.h) so a log full of zeros is not self-consistent. v1
-// records ("GBWA", no CRC) are still replayed — pre-v2 lineages restore —
-// but everything written now carries the checksum.
+// (src/util/crc32c.h) so a log full of zeros is not self-consistent.
 //
 // Replay distinguishes a *torn tail* (short final record: the write in
 // flight when the process died; expected, tolerated) from *corruption*
@@ -56,8 +54,7 @@ struct WalScanInfo {
 
 class WriteAheadLog {
  public:
-  static constexpr uint32_t kRecordMagic = 0x41574247u;    // "GBWA" (v1)
-  static constexpr uint32_t kRecordMagicV2 = 0x32574247u;  // "GBW2"
+  static constexpr uint32_t kRecordMagic = 0x32574247u;  // "GBW2"
 
   WriteAheadLog() = default;
   explicit WriteAheadLog(std::string path) { Open(std::move(path)); }
@@ -162,9 +159,8 @@ class WriteAheadLog {
 
   // Atomically drops every record with seq <= cutoff_seq (they precede a
   // retained checkpoint) by rewriting the survivors to a temp file and
-  // renaming it into place. Survivors are rewritten as v2 records, so one
-  // compaction upgrades a v1 lineage. Returns false and leaves the log
-  // unchanged on IO failure.
+  // renaming it into place. Returns false and leaves the log unchanged on
+  // IO failure.
   bool DropThrough(uint64_t cutoff_seq) {
     const std::string tmp = path_ + ".tmp";
     {
@@ -194,18 +190,16 @@ class WriteAheadLog {
   // Sanity bound for the record header: a count beyond this is corruption,
   // not a batch (the driver's gutter flushes long before 2^32 mutations).
   static constexpr uint64_t kMaxRecordMutations = uint64_t{1} << 32;
-  static constexpr size_t kV1HeaderBytes =
-      sizeof(uint32_t) + 2 * sizeof(uint64_t);
   static constexpr size_t kRecordHeaderBytes =
-      kV1HeaderBytes + sizeof(uint32_t);
+      sizeof(uint32_t) + 2 * sizeof(uint64_t) + sizeof(uint32_t);
 
-  // The one v2 record encoder (layout in the file header).
+  // The one record encoder (layout in the file header).
   static std::string EncodeRecord(uint64_t seq, const MutationBatch& batch) {
     const uint64_t count = batch.size();
     const size_t payload_bytes = count * sizeof(EdgeMutation);
     std::string record;
     record.reserve(kRecordHeaderBytes + payload_bytes);
-    AppendRaw(&record, kRecordMagicV2);
+    AppendRaw(&record, kRecordMagic);
     AppendRaw(&record, seq);
     AppendRaw(&record, count);
     uint32_t crc = Crc32c(&seq, sizeof(seq));
@@ -238,16 +232,14 @@ class WriteAheadLog {
       }
       uint32_t magic = 0;
       std::memcpy(&magic, buf.data() + offset, sizeof(magic));
-      const bool v2 = magic == kRecordMagicV2;
-      if (!v2 && magic != kRecordMagic) {
+      if (magic != kRecordMagic) {
         local.corrupt = true;
         GB_LOG(kWarning) << "WAL " << path << ": bad record magic at offset "
                          << offset << " after " << local.records_total
                          << " intact records; stopping replay";
         break;
       }
-      const size_t header_bytes = v2 ? kRecordHeaderBytes : kV1HeaderBytes;
-      if (buf.size() - offset < header_bytes) {
+      if (buf.size() - offset < kRecordHeaderBytes) {
         local.torn_tail = true;
         break;
       }
@@ -257,10 +249,9 @@ class WriteAheadLog {
       std::memcpy(&seq, buf.data() + offset + sizeof(uint32_t), sizeof(seq));
       std::memcpy(&count, buf.data() + offset + sizeof(uint32_t) + sizeof(seq),
                   sizeof(count));
-      if (v2) {
-        std::memcpy(&stored_crc, buf.data() + offset + kV1HeaderBytes,
-                    sizeof(stored_crc));
-      }
+      std::memcpy(&stored_crc,
+                  buf.data() + offset + kRecordHeaderBytes - sizeof(stored_crc),
+                  sizeof(stored_crc));
       if (count > kMaxRecordMutations) {
         local.corrupt = true;
         GB_LOG(kWarning) << "WAL " << path << ": implausible record count "
@@ -270,26 +261,24 @@ class WriteAheadLog {
       }
       const size_t payload_bytes =
           static_cast<size_t>(count) * sizeof(EdgeMutation);
-      if (buf.size() - offset - header_bytes < payload_bytes) {
+      if (buf.size() - offset - kRecordHeaderBytes < payload_bytes) {
         local.torn_tail = true;
         GB_LOG(kWarning) << "WAL " << path << ": torn payload at seq " << seq
                          << "; stopping replay";
         break;
       }
-      const char* payload = buf.data() + offset + header_bytes;
-      if (v2) {
-        uint32_t crc = Crc32c(&seq, sizeof(seq));
-        crc = Crc32cExtend(crc, &count, sizeof(count));
-        crc = Crc32cExtend(crc, payload, payload_bytes);
-        if (MaskCrc(crc) != stored_crc) {
-          local.corrupt = true;
-          GB_LOG(kWarning) << "WAL " << path << ": checksum mismatch at seq "
-                           << seq << " (offset " << offset
-                           << "); truncating replay at last valid record";
-          break;
-        }
+      const char* payload = buf.data() + offset + kRecordHeaderBytes;
+      uint32_t crc = Crc32c(&seq, sizeof(seq));
+      crc = Crc32cExtend(crc, &count, sizeof(count));
+      crc = Crc32cExtend(crc, payload, payload_bytes);
+      if (MaskCrc(crc) != stored_crc) {
+        local.corrupt = true;
+        GB_LOG(kWarning) << "WAL " << path << ": checksum mismatch at seq "
+                         << seq << " (offset " << offset
+                         << "); truncating replay at last valid record";
+        break;
       }
-      offset += header_bytes + payload_bytes;
+      offset += kRecordHeaderBytes + payload_bytes;
       local.valid_bytes = offset;
       ++local.records_total;
       if (seq > after_seq) {

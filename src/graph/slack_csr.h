@@ -32,8 +32,8 @@
 // maintenance past kForcedSyncSlack, the correctness backstop.
 //
 // Neighbors()/Weights() still return contiguous std::spans, which is what
-// keeps edge_map.h, the four engines, and the dependency stores untouched
-// at the call-site level.
+// keeps the four engines and the dependency stores untouched at the
+// call-site level.
 #ifndef SRC_GRAPH_SLACK_CSR_H_
 #define SRC_GRAPH_SLACK_CSR_H_
 

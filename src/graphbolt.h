@@ -35,7 +35,6 @@
 #include "src/core/graphbolt_engine.h"
 #include "src/core/streaming_engine.h"
 #include "src/driver/stream_driver.h"
-#include "src/engine/edge_map.h"
 #include "src/fault/checkpoint.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fsck.h"

@@ -1,5 +1,5 @@
 // Atomic read-modify-write helpers for types the standard library does not
-// cover directly (floating-point add/multiply, generic min/max via CAS).
+// cover directly (floating-point add, generic min/max via CAS).
 //
 // All operations use relaxed ordering: the engines synchronize between BSP
 // iterations with barriers (thread-pool joins), so per-cell operations only
@@ -38,29 +38,6 @@ T AtomicLoad(const T* target) {
   return reinterpret_cast<const std::atomic<T>*>(target)->load(std::memory_order_relaxed);
 }
 
-// Atomically `*target *= factor` (CAS loop). Belief Propagation's product
-// aggregation uses this together with AtomicDivide for retraction.
-template <typename T>
-void AtomicMultiply(T* target, T factor) {
-  static_assert(std::is_floating_point_v<T>);
-  auto* cell = reinterpret_cast<std::atomic<T>*>(target);
-  T observed = cell->load(std::memory_order_relaxed);
-  while (!cell->compare_exchange_weak(observed, observed * factor,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-// Atomically `*target /= divisor` (CAS loop).
-template <typename T>
-void AtomicDivide(T* target, T divisor) {
-  static_assert(std::is_floating_point_v<T>);
-  auto* cell = reinterpret_cast<std::atomic<T>*>(target);
-  T observed = cell->load(std::memory_order_relaxed);
-  while (!cell->compare_exchange_weak(observed, observed / divisor,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
 // Atomically `*target = min(*target, candidate)`. Returns true if the
 // candidate became the new minimum (used to claim frontier insertion).
 template <typename T>
@@ -88,15 +65,6 @@ bool AtomicMax(T* target, T candidate) {
     }
   }
   return false;
-}
-
-// Single compare-and-swap; returns true if `*target` was `expected` and is
-// now `desired`.
-template <typename T>
-bool AtomicCas(T* target, T expected, T desired) {
-  auto* cell = reinterpret_cast<std::atomic<T>*>(target);
-  return cell->compare_exchange_strong(expected, desired,
-                                       std::memory_order_relaxed);
 }
 
 }  // namespace graphbolt

@@ -75,28 +75,6 @@ T ParallelReduceSum(size_t begin, size_t end, const Body& body, T init = T{}) {
   return init + total;
 }
 
-// Maximum of body(i) over [begin, end); returns `init` for empty ranges.
-template <typename T, typename Body>
-T ParallelReduceMax(size_t begin, size_t end, const Body& body, T init) {
-  if (begin >= end) {
-    return init;  // ParallelReduce would return T{}, dropping init
-  }
-  return ParallelReduce<T>(
-      begin, end,
-      [&body, &init](size_t lo, size_t hi) {
-        T local = init;
-        for (size_t i = lo; i < hi; ++i) {
-          T candidate = body(i);
-          if (local < candidate) {
-            local = std::move(candidate);
-          }
-        }
-        return local;
-      },
-      [](T a, T b) { return a < b ? b : a; },
-      /*grain=*/kDefaultGrain);
-}
-
 // Exclusive prefix sum of `values`; returns the grand total. values[i]
 // becomes the sum of the original values[0..i).
 template <typename T>

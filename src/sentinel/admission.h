@@ -156,8 +156,6 @@ struct GovernorOptions {
   // Leave degraded mode once the estimate falls to or below this
   // (hysteresis: must be <= degrade_pressure_seconds).
   double recover_pressure_seconds = 0.5;
-  // EWMA smoothing for the apply-latency estimate.
-  double ewma_alpha = 0.2;
 };
 
 // Tracks apply-latency EWMA and queue depth; decides the degraded flag.
@@ -170,7 +168,7 @@ class AdmissionGovernor {
   void RecordApply(double seconds) {
     apply_ewma_ = apply_ewma_ == 0.0
                       ? seconds
-                      : options_.ewma_alpha * seconds + (1.0 - options_.ewma_alpha) * apply_ewma_;
+                      : kAlpha * seconds + (1.0 - kAlpha) * apply_ewma_;
   }
 
   // Re-evaluates pressure against the current queue depth and returns the
@@ -193,6 +191,8 @@ class AdmissionGovernor {
   uint64_t degraded_entries() const { return degraded_entries_; }
 
  private:
+  static constexpr double kAlpha = 0.2;  // EWMA smoothing for the apply latency
+
   GovernorOptions options_;
   double apply_ewma_ = 0.0;
   bool degraded_ = false;

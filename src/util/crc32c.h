@@ -57,9 +57,4 @@ inline uint32_t MaskCrc(uint32_t crc) {
   return ((crc >> 15) | (crc << 17)) + kCrcMaskDelta;
 }
 
-inline uint32_t UnmaskCrc(uint32_t masked) {
-  uint32_t rot = masked - kCrcMaskDelta;
-  return (rot << 15) | (rot >> 17);
-}
-
 }  // namespace graphbolt

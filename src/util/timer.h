@@ -31,20 +31,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-// Accumulates time across multiple start/stop windows, e.g. to separate a
-// refinement phase from a structure-mutation phase inside a loop.
-class AccumulatingTimer {
- public:
-  void Start() { timer_.Reset(); }
-  void Stop() { total_seconds_ += timer_.Seconds(); }
-  double TotalSeconds() const { return total_seconds_; }
-  void Clear() { total_seconds_ = 0.0; }
-
- private:
-  Timer timer_;
-  double total_seconds_ = 0.0;
-};
-
 // Exponential-backoff sleeper for retry loops on the durable IO paths
 // (WAL appends, checkpoint writes): each Sleep() waits the current delay,
 // then multiplies it for the next attempt. The delay is capped at

@@ -69,9 +69,7 @@ TEST(CompactStore, MaterializeCommitRoundTrip) {
   store.Reset(4, 10);
   store.SnapshotLevel(1, {1, 2, 3, 4}, AtomicBitset(4));
   store.SnapshotLevel(2, {1, 2, 3, 4}, AtomicBitset(4));  // all pruned
-  VertexSubset targets(4);
-  targets.Add(1);
-  targets.Add(3);
+  const VertexSubset targets = VertexSubset::FromSorted(4, {1, 3});
   std::vector<double> scratch;
   store.MaterializeLevel(2, targets, &scratch);
   EXPECT_DOUBLE_EQ(scratch[1], 2.0);
@@ -90,8 +88,7 @@ TEST(CompactStore, RepruneTailsDropsRestabilizedSuffix) {
   store.Reset(1, 10);
   store.SnapshotLevel(1, {1}, AtomicBitset(1));
   store.SnapshotLevel(2, {2}, AtomicBitset(1));
-  VertexSubset target(1);
-  target.Add(0);
+  const VertexSubset target = VertexSubset::FromSorted(1, {0});
   std::vector<double> scratch{0.0};
   scratch[0] = 1.0;  // refine level 2 back to the level-1 value
   store.CommitLevel(2, target, scratch);

@@ -445,7 +445,7 @@ TEST(FastPathRecovery, ColdRestartBitwiseThroughFastPath) {
     MutableGraph graph(split.initial);
     KickStarterEngine<KsSsspTraits> engine(&graph, KsSsspTraits(0));
     engine.InitialCompute();
-    FaultInjector injector(/*seed=*/0xfa57);
+    FaultInjector injector;
     Checkpointer<KickStarterEngine<KsSsspTraits>> checkpointer(
         &engine, &graph, {.directory = tmp.path(), .cadence_batches = 1u << 20}, &injector);
     StreamDriver<KickStarterEngine<KsSsspTraits>> driver(

@@ -118,7 +118,7 @@ void ExpectFaultyDriverMatchesSequential(Engine& engine, MutableGraph& graph, En
   engine.InitialCompute();
   reference.InitialCompute();
 
-  FaultInjector injector(/*seed=*/0x5eed);
+  FaultInjector injector;
   Checkpointer<Engine> checkpointer(
       &engine, &graph, {.directory = dir, .cadence_batches = 3, .keep = 2}, &injector);
   StreamDriver<Engine> driver(&engine,
@@ -453,7 +453,7 @@ TEST(ShedToWal, SpuriousQueueFullLosesNothing) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0xc0ffee);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = tmp.path(), .cadence_batches = 0}, &injector);
   StreamDriver<ResetEngine<PageRank>> driver(

@@ -40,14 +40,6 @@ TEST(Atomics, AddDouble) {
   EXPECT_DOUBLE_EQ(value, 3.75);
 }
 
-TEST(Atomics, MultiplyAndDivideRoundTrip) {
-  double value = 3.0;
-  AtomicMultiply(&value, 4.0);
-  EXPECT_DOUBLE_EQ(value, 12.0);
-  AtomicDivide(&value, 4.0);
-  EXPECT_DOUBLE_EQ(value, 3.0);
-}
-
 TEST(Atomics, MinUpdatesOnlyDownward) {
   double value = 10.0;
   EXPECT_TRUE(AtomicMin(&value, 5.0));
@@ -62,14 +54,6 @@ TEST(Atomics, MaxUpdatesOnlyUpward) {
   EXPECT_EQ(value, 9);
   EXPECT_FALSE(AtomicMax(&value, 4));
   EXPECT_EQ(value, 9);
-}
-
-TEST(Atomics, CasSucceedsAndFails) {
-  int value = 5;
-  EXPECT_TRUE(AtomicCas(&value, 5, 6));
-  EXPECT_EQ(value, 6);
-  EXPECT_FALSE(AtomicCas(&value, 5, 7));
-  EXPECT_EQ(value, 6);
 }
 
 TEST(Atomics, ConcurrentDoubleAddIsExactUnderReordering) {
@@ -216,21 +200,6 @@ TEST(Reducer, SumMatchesSerial) {
 TEST(Reducer, SumWithInit) {
   const int total = ParallelReduceSum<int>(0, 10, [](size_t) { return 1; }, 100);
   EXPECT_EQ(total, 110);
-}
-
-TEST(Reducer, MaxFindsMaximum) {
-  std::vector<int> data(5000);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<int>((i * 2654435761u) % 100000);
-  }
-  const int expected = *std::max_element(data.begin(), data.end());
-  const int found =
-      ParallelReduceMax<int>(0, data.size(), [&data](size_t i) { return data[i]; }, -1);
-  EXPECT_EQ(found, expected);
-}
-
-TEST(Reducer, MaxOfEmptyRangeReturnsInit) {
-  EXPECT_EQ(ParallelReduceMax<int>(3, 3, [](size_t) { return 7; }, -5), -5);
 }
 
 TEST(Reducer, ExclusivePrefixSum) {

@@ -467,7 +467,7 @@ TEST(AdmissionDriver, QuarantineAppendFailureCountsDropped) {
   MutableGraph graph(GenerateRmat(64, 256, {.seed = 6}));
   GraphBoltEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0xdead);
+  FaultInjector injector;
   StreamDriver<GraphBoltEngine<PageRank>> driver(
       &engine, {.quarantine_dir = quarantine_dir.path(), .admission = {.max_vertex_id = 1000}},
       nullptr, &injector);
@@ -610,7 +610,7 @@ TEST(WatchdogDriver, InjectedStallAutoRecoversBitwise) {
   engine.InitialCompute();
   reference.InitialCompute();
 
-  FaultInjector injector(/*seed=*/0x57a11);
+  FaultInjector injector;
   Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 3}, &injector);
   StreamDriver<GraphBoltEngine<PageRank>> driver(
@@ -669,7 +669,7 @@ TEST(ShedOldest, EvictionsAreDurableAndReplayed) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0x01d);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
   using Driver = StreamDriver<ResetEngine<PageRank>>;
@@ -739,7 +739,7 @@ TEST(Degrade, ServesSnapshotUnderPressureThenSelfClears) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0xde9);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
   using Driver = StreamDriver<ResetEngine<PageRank>>;
@@ -829,7 +829,7 @@ TEST(TortureSentinel, PoisonOverloadStallZeroLoss) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0x70b7);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 8}, &injector);
   using Driver = StreamDriver<ResetEngine<PageRank>>;

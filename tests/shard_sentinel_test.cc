@@ -162,7 +162,7 @@ TEST(ShardedWatchdog, LaneStallIsolationShedsAndResumes) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0x150);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
   DriverConfig config;
@@ -257,7 +257,7 @@ TEST(ShardedWatchdog, InjectedStallBitwiseEqualToUnshardedDriver) {
 
   std::vector<MutationBatch> admitted;  // global apply order
   {
-    FaultInjector injector(/*seed=*/0x4a1);
+    FaultInjector injector;
     Checkpointer<GraphBoltEngine<PageRank>> checkpointer(
         &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 3}, &injector);
     DriverConfig config;
@@ -338,7 +338,7 @@ TEST(ShardedShedToWal, OverflowIsDurableAndReplayedAtBarrier) {
     MutableGraph graph(split.initial);
     ResetEngine<PageRank> engine(&graph, PageRank{});
     engine.InitialCompute();
-    FaultInjector injector(/*seed=*/0x5e + shards);
+    FaultInjector injector;
     Checkpointer<ResetEngine<PageRank>> checkpointer(
         &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
     DriverConfig config;
@@ -411,7 +411,7 @@ TEST(ShardedShedOldest, EvictionsAreDurableAcrossLanes) {
     MutableGraph graph(split.initial);
     ResetEngine<PageRank> engine(&graph, PageRank{});
     engine.InitialCompute();
-    FaultInjector injector(/*seed=*/0x01d + shards);
+    FaultInjector injector;
     Checkpointer<ResetEngine<PageRank>> checkpointer(
         &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
     DriverConfig config;
@@ -488,7 +488,7 @@ TEST(ShardedDegrade, ServesSnapshotUnderPressureThenSelfClears) {
     MutableGraph graph(split.initial);
     ResetEngine<PageRank> engine(&graph, PageRank{});
     engine.InitialCompute();
-    FaultInjector injector(/*seed=*/0xde9 + shards);
+    FaultInjector injector;
     Checkpointer<ResetEngine<PageRank>> checkpointer(
         &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 0}, &injector);
     DriverConfig config;
@@ -683,7 +683,7 @@ TEST(TortureShardedSentinel, PoisonOverloadStallZeroLossFourLanes) {
   MutableGraph graph(split.initial);
   ResetEngine<PageRank> engine(&graph, PageRank{});
   engine.InitialCompute();
-  FaultInjector injector(/*seed=*/0x70b8);
+  FaultInjector injector;
   Checkpointer<ResetEngine<PageRank>> checkpointer(
       &engine, &graph, {.directory = ckpt_dir.path(), .cadence_batches = 8}, &injector);
   DriverConfig config;

@@ -4,8 +4,8 @@
 // way the design doc promises: ENOSPC is fatal-fast (no retry burn, last
 // good checkpoint stays restorable, serving continues), torn WAL tails
 // truncate at the last intact record boundary, read-side bit flips fail
-// the checksum, v1 artifacts still load, and Scrub quarantines exactly
-// what recovery would reject.
+// the checksum, first-layout (unchecksummed) artifacts are rejected, and
+// Scrub quarantines exactly what recovery would reject.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,7 +108,7 @@ TEST(FaultyEnvTest, ReadCorruptionFliesExactlyOneBit) {
 }
 
 // --------------------------------------------------------------------------
-// WAL: torn tails, bit flips, v1 read-compat
+// WAL: torn tails, bit flips, first-layout records
 // --------------------------------------------------------------------------
 
 TEST(WalFaultTest, TornTailTruncatesAtRecordBoundaryAndHeals) {
@@ -176,10 +176,14 @@ TEST(WalFaultTest, BitFlipOnDiskNeverDeliversTheBadRecord) {
   EXPECT_TRUE(wal.Verify().clean());
 }
 
-TEST(WalFaultTest, V1RecordsStillReplayAndUpgradeOnCompaction) {
+// The first record layout ("GBWA": no checksum) is no longer a record at
+// all: its magic reads as corruption at offset 0, nothing replays, and
+// Heal() cuts the file back to empty.
+TEST(WalFaultTest, GbwaRecordIsCorruptionAndHealsToEmpty) {
   ScopedTempDir tmp("gb_storage_fault");
-  const std::string path = tmp.File("v1.wal");
-  // Hand-craft two v1 records: u32 "GBWA" | u64 seq | u64 count | payload.
+  const std::string path = tmp.File("gbwa.wal");
+  // Hand-craft two records of that layout: u32 "GBWA" | u64 seq | u64 count
+  // | payload.
   {
     auto file = StorageEnv::Default()->NewWritableFile(path, /*truncate=*/true);
     ASSERT_NE(file, nullptr);
@@ -187,7 +191,7 @@ TEST(WalFaultTest, V1RecordsStillReplayAndUpgradeOnCompaction) {
       ASSERT_TRUE(file->Write(p, n).ok());
     };
     for (uint64_t seq = 1; seq <= 2; ++seq) {
-      const uint32_t magic = WriteAheadLog::kRecordMagic;
+      const uint32_t magic = 0x41574247u;  // "GBWA"
       const uint64_t count = 1;
       const EdgeMutation m = EdgeMutation::Add(seq * 10, seq * 10 + 1);
       put(&magic, sizeof(magic));
@@ -197,27 +201,25 @@ TEST(WalFaultTest, V1RecordsStillReplayAndUpgradeOnCompaction) {
     }
     file->Close();
   }
+  const int64_t file_bytes = StorageEnv::Default()->FileSize(path);
+  ASSERT_GT(file_bytes, 0);
   WriteAheadLog wal;
   wal.Open(path, nullptr);
-  WalScanInfo info = wal.Verify();
-  EXPECT_TRUE(info.clean());
-  EXPECT_EQ(info.records_total, 2u);
-  // Mixed lineage: a v2 append lands after the v1 prefix.
-  ASSERT_TRUE(wal.Append(3, OneAdd(30, 31)));
-  std::vector<uint64_t> seqs;
-  wal.Replay(0, [&](uint64_t seq, MutationBatch&& batch) {
-    seqs.push_back(seq);
-    ASSERT_EQ(batch.size(), 1u);
-  });
-  EXPECT_EQ(seqs, (std::vector<uint64_t>{1, 2, 3}));
-  // Compaction rewrites survivors as v2 — one DropThrough upgrades the log.
-  ASSERT_TRUE(wal.DropThrough(1));
-  std::string bytes;
-  ASSERT_TRUE(StorageEnv::Default()->ReadFile(path, &bytes).ok());
-  uint32_t first_magic = 0;
-  std::memcpy(&first_magic, bytes.data(), sizeof(first_magic));
-  EXPECT_EQ(first_magic, WriteAheadLog::kRecordMagicV2);
-  EXPECT_EQ(wal.Verify().records_total, 2u);  // seqs 2 and 3 survive
+  size_t delivered_calls = 0;
+  WalScanInfo info;
+  const size_t delivered =
+      wal.Replay(0, [&](uint64_t, MutationBatch&&) { ++delivered_calls; },
+                 static_cast<size_t>(-1), &info);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(delivered_calls, 0u);
+  EXPECT_TRUE(info.corrupt);
+  EXPECT_EQ(info.valid_bytes, 0u);
+  EXPECT_EQ(info.records_total, 0u);
+  EXPECT_EQ(info.file_bytes, static_cast<uint64_t>(file_bytes));
+
+  EXPECT_TRUE(wal.Heal());
+  EXPECT_EQ(StorageEnv::Default()->FileSize(path), 0);
+  EXPECT_TRUE(wal.Verify().clean());
 }
 
 // --------------------------------------------------------------------------

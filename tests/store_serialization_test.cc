@@ -259,33 +259,29 @@ TEST(CheckpointFormat, TornNewestFallsBackToOlder) {
   EXPECT_EQ(seq, 3u);  // fell back past the torn seq-6 file
 }
 
-// The dual-format load test the version bump mandates: a version-1 file
-// carries no section checksums, and every pre-v2 artifact on disk is one.
-// This test assembles a version-1 file byte-by-byte from the documented
-// layout (the bytes a v1 writer — including the pre-SlackCsr one —
-// produced) and proves the v2 reader restores it identically. If the
-// graph section ever changes shape, kCheckpointVersion must bump again
-// and this test must grow a load path for the new version too.
-TEST(CheckpointFormat, PreSlackCsrV1BytesStillLoad) {
-  ASSERT_EQ(kCheckpointVersion, 2u) << "version bumped: extend the dual-format load test";
+// A version-1 file (no section checksums) is no longer a checkpoint: its
+// version fails the envelope check, and RestoreLatest skips it like any
+// corrupt file. This test assembles one byte-by-byte from that layout:
+// beside an older valid checkpoint the older one restores, and alone there
+// is nothing to restore.
+TEST(CheckpointFormat, VersionOneBytesAreRejectedAndSkipped) {
   ScopedTempDir tmp;
   MutableGraph graph(GenerateRmat(60, 300, {.seed = 5}));
   CkptEngine engine(&graph, PageRank{});
   engine.InitialCompute();
 
-  // The engine payload is representation-independent; capture it directly.
   std::ostringstream engine_bytes;
   ASSERT_TRUE(engine.SaveStateTo(engine_bytes));
   const EdgeList snapshot = graph.ToEdgeList();
 
-  // Assemble the v1 envelope by hand: u64 magic, u32 version, u64 seq,
-  // u64 V, u64 E, packed Edge structs, engine payload, u64 footer.
+  // The version-1 envelope: u64 magic, u32 version, u64 seq, u64 V, u64 E,
+  // packed Edge structs, engine payload, u64 footer.
   std::ostringstream file;
   auto put = [&file](const auto& v) {
     file.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   put(kCheckpointMagic);
-  put(kCheckpointVersionV1);
+  put(uint32_t{1});
   put(uint64_t{13});
   put(static_cast<uint64_t>(snapshot.num_vertices()));
   put(static_cast<uint64_t>(snapshot.num_edges()));
@@ -294,17 +290,31 @@ TEST(CheckpointFormat, PreSlackCsrV1BytesStillLoad) {
   const std::string payload = engine_bytes.str();
   file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   put(kCheckpointFooter);
-  Dump(tmp.File("checkpoint-00000000000000000013.ckpt"), file.str());
+  const CheckpointInspection inspection = InspectCheckpointBytes(file.str());
+  EXPECT_FALSE(inspection.valid);
+  EXPECT_EQ(inspection.error, "format version 1 unsupported");
+  const std::string v1_path = tmp.File("checkpoint-00000000000000000013.ckpt");
+  Dump(v1_path, file.str());
 
+  {
+    MutableGraph cold_graph;
+    CkptEngine cold_engine(&cold_graph, PageRank{});
+    Ckpt restorer(&cold_engine, &cold_graph, {.directory = tmp.path()});
+    uint64_t seq = 0;
+    EXPECT_FALSE(restorer.RestoreLatest(&seq));
+  }
+
+  Ckpt checkpointer(&engine, &graph, {.directory = tmp.path(), .keep = 2});
+  ASSERT_TRUE(checkpointer.WriteCheckpoint(7));
+  ASSERT_TRUE(std::filesystem::exists(v1_path));
   MutableGraph cold_graph;
   CkptEngine cold_engine(&cold_graph, PageRank{});
   Ckpt restorer(&cold_engine, &cold_graph, {.directory = tmp.path()});
   uint64_t seq = 0;
   ASSERT_TRUE(restorer.RestoreLatest(&seq));
-  EXPECT_EQ(seq, 13u);
+  EXPECT_EQ(seq, 7u);
   EXPECT_EQ(cold_graph.ToEdgeList().edges(), snapshot.edges());
   EXPECT_EQ(cold_engine.values(), engine.values());
-  EXPECT_TRUE(cold_graph.CheckInvariants());
 }
 
 // ----- WAL record format -----------------------------------------------------

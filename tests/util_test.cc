@@ -53,18 +53,6 @@ TEST(Timer, ResetRestartsEpoch) {
   EXPECT_LT(timer.Millis(), 10.0);
 }
 
-TEST(AccumulatingTimer, SumsWindows) {
-  AccumulatingTimer timer;
-  for (int i = 0; i < 3; ++i) {
-    timer.Start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    timer.Stop();
-  }
-  EXPECT_GE(timer.TotalSeconds(), 0.010);
-  timer.Clear();
-  EXPECT_EQ(timer.TotalSeconds(), 0.0);
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123);
   Rng b(123);

@@ -27,32 +27,6 @@ TEST(VertexSubset, AllContainsEveryVertex) {
   }
 }
 
-TEST(VertexSubset, NormalizeSortsAndDedupes) {
-  VertexSubset subset(10);
-  subset.Add(5);
-  subset.Add(2);
-  subset.Add(5);
-  subset.Add(9);
-  subset.Normalize();
-  ASSERT_EQ(subset.size(), 3u);
-  EXPECT_EQ(subset.members()[0], 2u);
-  EXPECT_EQ(subset.members()[1], 5u);
-  EXPECT_EQ(subset.members()[2], 9u);
-}
-
-TEST(VertexSubset, DenseViewReflectsMembers) {
-  VertexSubset subset(128);
-  subset.Add(0);
-  subset.Add(64);
-  subset.Add(127);
-  const AtomicBitset& dense = subset.Dense();
-  EXPECT_TRUE(dense.Test(0));
-  EXPECT_TRUE(dense.Test(64));
-  EXPECT_TRUE(dense.Test(127));
-  EXPECT_FALSE(dense.Test(1));
-  EXPECT_EQ(dense.Count(), 3u);
-}
-
 TEST(FrontierBuilder, ClaimIsExactlyOnce) {
   FrontierBuilder builder(1000);
   EXPECT_TRUE(builder.Claim(5));
@@ -83,9 +57,30 @@ TEST(FrontierBuilder, TakeCollectsSorted) {
   std::sort(sorted.begin(), sorted.end());
   const VertexSubset packed = large.Take();
   EXPECT_EQ(packed.members(), sorted);
-  for (const VertexId v : sorted) {
-    EXPECT_TRUE(packed.Dense().Test(v));
-  }
+}
+
+// TakeAuto returns a frontier of at least 1/20th of the universe as its
+// bitset alone; members() still works on it, materialized lazily and
+// sorted. A sparser frontier comes back packed.
+TEST(FrontierBuilder, TakeAutoPicksDenseOnlyForDenseFrontiers) {
+  FrontierBuilder builder(32);
+  builder.Claim(17);
+  builder.Claim(3);
+  const VertexSubset subset = builder.TakeAuto();
+  ASSERT_TRUE(subset.dense_only());
+  EXPECT_EQ(subset.size(), 2u);
+  EXPECT_TRUE(subset.Dense().Test(17));
+  EXPECT_FALSE(subset.Dense().Test(4));
+  EXPECT_EQ(subset.members(), (std::vector<VertexId>{3, 17}));
+  EXPECT_FALSE(subset.dense_only());
+  EXPECT_EQ(subset.size(), 2u);
+
+  FrontierBuilder sparse(1000);
+  sparse.Claim(900);
+  sparse.Claim(12);
+  const VertexSubset packed = sparse.TakeAuto();
+  EXPECT_FALSE(packed.dense_only());
+  EXPECT_EQ(packed.members(), (std::vector<VertexId>{12, 900}));
 }
 
 TEST(FrontierBuilder, ConcurrentClaimsAreExact) {
